@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .holder import SpatialGrid, save_field
+from .holder import Field, SpatialGrid, save_field
 from .nash import (
     dimension_stability,
     horizon_scan,
@@ -35,6 +35,7 @@ from .oracle_lq import (
     trajectory_to_csv,
 )
 from .pde_linear import (
+    DiffusionSpec,
     build_decay_problem,
     fpk_gradient_mass,
     solve_fpk_grid,
@@ -191,12 +192,10 @@ def _run_verify_decay(cfg, out, seed):
 
 
 def _run_fpk_diagnostic(cfg, out, seed):
-    beta = _weight_from(cfg) if "weights" in cfg else None
     blk = _need(cfg, "fpk", dict)
     N = int(blk.get("N", 1))
     grid = _grid_from(cfg, N)
     a = float(_need(blk, "a", (int, float)))
-    from .pde_linear import DiffusionSpec
     diff = DiffusionSpec.isotropic(N, a)
     eps = float(blk.get("eps_factor", 4)) * grid.h
     T = float(_need(blk, "T", (int, float)))
@@ -267,7 +266,6 @@ def _run_uniqueness(cfg, out, seed):
     game, _ = _game_from(cfg, beta)
     tol = cfg.get("tolerances", {})
     ptol = float(tol.get("picard_tol", 1e-6))
-    from .holder import Field
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(game.terminal_field(i),
                                   (game.times.size,) + game.grid.shape).copy(),

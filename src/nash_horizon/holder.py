@@ -5,6 +5,9 @@ carry a time axis.  Derivatives are central second-order differences in the
 interior with second-order one-sided stencils at the boundary; Hoelder
 quotients are evaluated over axis-aligned node pairs only, matching the
 one-coordinate-at-a-time seminorm the weighted spaces are built on.
+Exact closed forms cover gamma = 1 (the difference quotient peaks at lag 1,
+by the triangle inequality) and gamma = 0 (the largest pair difference on an
+axis line is its range); only 0 < gamma < 1 walks a ladder of pair lags.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ __all__ = [
 
 # node-count budget guarding against accidental huge tensor grids
 MAX_NODES = 2 ** 24
-# per-axis node count above which Hoelder pair enumeration switches from all
-# O(M^2) pairs to the power-of-two lag ladder
+# per-axis node count above which the 0 < gamma < 1 seminorm walks only the
+# power-of-two lag ladder, not all M-1 lags (gamma 0 and 1 are closed forms)
 FULL_PAIR_LIMIT = 64
 
 
@@ -139,8 +142,6 @@ def finite_diff(field: Field, alpha) -> Field:
     the boundary layers (np.gradient with edge_order=2).
     """
     alpha = _as_alpha(alpha)
-    if field.grid.M < 5:
-        raise GridError("grid too small for requested stencil")
     out = field.values
     h = field.grid.h
     for c, m in alpha.entries:
@@ -172,26 +173,24 @@ def weighted_sup_norm(field: Field, beta, alpha) -> float:
 def _pair_lags(M: int, full: bool):
     if full or M <= FULL_PAIR_LIMIT:
         return range(1, M)
-    lags = []
-    lag = 1
-    while lag < M:
-        lags.append(lag)
-        lag *= 2
-    if lags[-1] != M - 1:
-        lags.append(M - 1)
-    return lags
+    return sorted({2 ** k for k in range((M - 1).bit_length())} | {M - 1})
 
 
-def _slice_holder_seminorm(vals: np.ndarray, h: float, gamma: float,
-                           full: bool) -> float:
-    """[V]_gamma of one spatial slice: sup over axes and axis-aligned pairs."""
+def _axis_seminorm(values: np.ndarray, h: float, gamma: float,
+                   full: bool) -> float:
+    """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma:
+    sup over spatial axes and axis-aligned node pairs."""
     best = 0.0
-    M = vals.shape[-1] if vals.ndim else 1
-    for ax in range(vals.ndim):
-        v = np.moveaxis(vals, ax, -1)
-        for lag in _pair_lags(vals.shape[ax], full):
-            d = np.max(np.abs(v[..., lag:] - v[..., :-lag]))
-            best = max(best, d / (lag * h) ** gamma)
+    for ax in range(1, values.ndim):
+        if gamma == 1:
+            d = np.max(np.abs(np.diff(values, axis=ax))) / h
+        elif gamma == 0:
+            d = np.max(np.ptp(values, axis=ax))
+        else:
+            v = np.moveaxis(values, ax, -1)
+            d = max(np.max(np.abs(v[..., k:] - v[..., :-k])) / (k * h) ** gamma
+                    for k in _pair_lags(values.shape[ax], full))
+        best = max(best, float(d))
     return best
 
 
@@ -201,10 +200,7 @@ def holder_seminorm(field: Field, gamma: float, full_pairs: bool = False) -> flo
         raise GridError("gamma must lie in [0, 1]")
     if field.times.size != 1:
         raise GridError("holder_seminorm expects a single time slice")
-    if field.grid.M < 2:
-        raise GridError("degenerate grid")
-    return _slice_holder_seminorm(field.values[0], field.grid.h, gamma,
-                                  full_pairs)
+    return _axis_seminorm(field.values, field.grid.h, gamma, full_pairs)
 
 
 def _time_holder(values: np.ndarray, times: np.ndarray, expo: float,
@@ -230,8 +226,7 @@ def parabolic_seminorm(field: Field, gamma: float, beta, alpha,
         raise GridError("need at least two time nodes")
     w = multi_index_weight(beta, _as_alpha(alpha))
     tpart = _time_holder(field.values, field.times, gamma / 2, full_pairs)
-    spart = max(_slice_holder_seminorm(s, field.grid.h, gamma, full_pairs)
-                for s in field.values)
+    spart = _axis_seminorm(field.values, field.grid.h, gamma, full_pairs)
     return tpart / np.sqrt(w) + spart / w
 
 
@@ -263,7 +258,7 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
     """Assemble ||V||_{m+gamma;beta} (or the minus variant) from a family of
     derivative fields keyed by ascending coordinate tuples (see
     derivative_family).  Sup norms run over all time and space nodes; Hoelder
-    seminorms over axis-aligned pairs, slice by slice, max over slices.
+    seminorms over axis-aligned pairs within each slice, max over slices.
     """
     if () not in derivs:
         raise GridError("derivative family must contain the raw field ()")
@@ -274,10 +269,6 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
             if a.coords() not in derivs:
                 raise GridError(f"missing derivative order {a.coords()}")
 
-    def seminorm(f):
-        return max(_slice_holder_seminorm(s, f.grid.h, gamma, full_pairs)
-                   for s in f.values)
-
     entries = {}
     top = m - 1 if minus_variant else m
     total = 0.0
@@ -287,7 +278,8 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
         entries[("sup", k)] = sup_k
         total += sup_k
     if not minus_variant:
-        semi = max(seminorm(derivs[a.coords()]) / multi_index_weight(beta, a)
+        semi = max(_axis_seminorm(derivs[a.coords()].values, base.grid.h, gamma,
+                                  full_pairs) / multi_index_weight(beta, a)
                    for a in _alphas_of_order(N, m))
         entries[("holder", m, gamma)] = semi
         total += semi
@@ -300,7 +292,7 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
         for a in _alphas_of_order(N, m):
             f = derivs[a.coords()]
             raw_sup = float(np.max(np.abs(f.values)))
-            raw_semi = seminorm(f)
+            raw_semi = _axis_seminorm(f.values, f.grid.h, gamma, full_pairs)
             for ap in a.predecessors():
                 w = multi_index_weight(beta, ap)
                 best = max(best, (raw_sup + raw_semi) / w)
@@ -329,10 +321,27 @@ def save_field(f: Field, path) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a field written by save_field.  GridError names the file when its
+    size or its sidecar disagrees with the binary header."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        N, M, L, K = _HEADER.unpack(fh.read(_HEADER.size))
-        vals = np.frombuffer(fh.read(), dtype="<f8").reshape((K + 1,) + (M,) * N)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    return Field(SpatialGrid(N, L, M), np.asarray(sidecar["times"]),
-                 vals.copy(), sidecar.get("player"))
+    side_path = path.with_suffix(path.suffix + ".json")
+    raw = path.read_bytes()
+    if len(raw) < _HEADER.size:
+        raise GridError(f"{path}: {len(raw)} bytes, shorter than the header")
+    N, M, L, K = _HEADER.unpack_from(raw)
+    if not 1 <= N <= 24:  # more axes exceed MAX_NODES even at M = 2
+        raise GridError(f"{path}: invalid header N={N}")
+    payload, want = len(raw) - _HEADER.size, (K + 1) * M ** N * 8
+    if payload != want:
+        raise GridError(f"{path}: payload has {payload} bytes, header "
+                        f"(N={N}, M={M}, K={K}) needs {want}")
+    side = json.loads(side_path.read_text())
+    head = {"N": N, "M": M, "L": L, "K": K, "len(times)": K + 1}
+    got = {k: side.get(k) for k in "NMLK"}
+    got["len(times)"] = len(side.get("times", ()))
+    if got != head:
+        raise GridError(f"{side_path}: sidecar {got} disagrees with the "
+                        f"binary header {head}")
+    vals = np.frombuffer(raw, "<f8", offset=_HEADER.size)
+    return Field(SpatialGrid(N, L, M), np.asarray(side["times"]),
+                 vals.reshape((K + 1,) + (M,) * N).copy(), side.get("player"))

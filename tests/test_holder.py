@@ -1,7 +1,17 @@
+import json
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from nash_horizon import holder
 from nash_horizon.holder import (
+    FULL_PAIR_LIMIT,
     Field,
     GridError,
     SpatialGrid,
@@ -14,6 +24,8 @@ from nash_horizon.holder import (
     space_norm,
     weighted_sup_norm,
 )
+from nash_horizon.nash import lq_game, probe_fields, triple_norm
+from nash_horizon.oracle_lq import decay_lq_game
 from nash_horizon.weights import build_weight, multi_index_weight
 
 BETA = build_weight("polynomial", {"a": 3}, 32)
@@ -236,3 +248,134 @@ def test_field_serialization_roundtrip(tmp_path):
     np.testing.assert_allclose(f2.times, f.times)
     assert f2.player == 2
     assert f2.grid == f.grid
+
+
+def _saved(tmp_path):
+    g = grid2(11)
+    f = Field.from_function(g, np.linspace(0, 1, 3),
+                            lambda t, X: np.sin(X[0] + t) * X[1], player=2)
+    p = tmp_path / "field.bin"
+    save_field(f, p)
+    return p
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_load_field_rejects_truncated_payload(tmp_path, cut):
+    p = _saved(tmp_path)
+    p.write_bytes(p.read_bytes()[:-cut])
+    # 3 time nodes x 11^2 nodes x 8 bytes = 2904
+    with pytest.raises(GridError, match=rf"field\.bin: payload has "
+                                        rf"{2904 - cut} bytes.*needs 2904"):
+        load_field(p)
+
+
+def test_load_field_rejects_trailing_bytes(tmp_path):
+    p = _saved(tmp_path)
+    p.write_bytes(p.read_bytes() + b"\0" * 8)
+    with pytest.raises(GridError, match="payload has 2912 bytes.*needs 2904"):
+        load_field(p)
+
+
+def test_load_field_rejects_short_header(tmp_path):
+    p = _saved(tmp_path)
+    p.write_bytes(p.read_bytes()[:10])
+    with pytest.raises(GridError, match=r"field\.bin: 10 bytes, shorter"):
+        load_field(p)
+
+
+def test_load_field_rejects_absurd_dimension(tmp_path):
+    # a corrupt N must fail at once, not build M ** N for a huge N
+    p = _saved(tmp_path)
+    raw = p.read_bytes()
+    p.write_bytes(struct.pack("<i", 2 ** 30) + raw[4:])
+    with pytest.raises(GridError, match=r"field\.bin: invalid header N="):
+        load_field(p)
+
+
+@pytest.mark.parametrize("key, value", [("N", 3), ("M", 13), ("L", 2.0),
+                                        ("K", 4), ("times", [0.0, 1.0])])
+def test_load_field_rejects_sidecar_mismatch(tmp_path, key, value):
+    p = _saved(tmp_path)
+    side = p.with_suffix(".bin.json")
+    doc = json.loads(side.read_text())
+    doc[key] = value
+    side.write_text(json.dumps(doc))
+    name = "len(times)" if key == "times" else key
+    shown = len(value) if key == "times" else value
+    with pytest.raises(GridError, match=r"field\.bin\.json: sidecar .*"
+                                        + re.escape(f"'{name}': {shown}")):
+        load_field(p)
+
+
+# ---------------------------------------------------------------------------
+# whole-field seminorm against its brute-force twin
+
+
+def _brute_seminorm(values, h, gamma, full):
+    """Max over slices, axes and every axis-aligned node pair of
+    |V(j) - V(i)| / ((j - i) h)^gamma; for 0 < gamma < 1 on long axes
+    without full_pairs, only pairs whose lag is a power of two or M - 1."""
+    best = 0.0
+    for ax in range(1, values.ndim):
+        v = np.moveaxis(values, ax, -1)
+        M = v.shape[-1]
+        lags = set(range(1, M))
+        if 0 < gamma < 1 and not full and M > FULL_PAIR_LIMIT:
+            lags = {2 ** k for k in range(M.bit_length()) if 2 ** k < M}
+            lags.add(M - 1)
+        for i in range(M):
+            for j in range(i + 1, M):
+                if j - i in lags:
+                    d = np.max(np.abs(v[..., j] - v[..., i]))
+                    best = max(best, float(d) / ((j - i) * h) ** gamma)
+    return best
+
+
+@st.composite
+def _fields(draw):
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(2, {1: 140, 2: 12, 3: 6}[n]))
+    shape = (draw(st.integers(1, 4)),) + (M,) * n
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=200, deadline=None)
+# a ramp on a long axis: at gamma = 1/2 only the end-to-end lag M - 1 of the
+# ladder attains the sup
+@example(values=np.linspace(0.0, 1.0, 101)[None], h=0.1, gamma=0.5,
+         full=False)
+@given(values=_fields(), h=st.floats(0.01, 2.0),
+       gamma=st.sampled_from([0.0, 0.5, 1.0]), full=st.booleans())
+def test_axis_seminorm_matches_all_pairs(values, h, gamma, full):
+    fast = holder._axis_seminorm(values, h, gamma, full)
+    brute = _brute_seminorm(values, h, gamma, full)
+    if gamma == 0:
+        assert fast == brute
+    else:
+        assert math.isclose(fast, brute, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _per_slice_seminorm(values, h, gamma, full):
+    """The seminorm as first written: Python loops over slices, axes and
+    ladder lags, one slice at a time."""
+    best = 0.0
+    for vals in values:
+        for ax in range(vals.ndim):
+            v = np.moveaxis(vals, ax, -1)
+            for lag in holder._pair_lags(vals.shape[ax], full):
+                d = np.max(np.abs(v[..., lag:] - v[..., :-lag]))
+                best = max(best, d / (lag * h) ** gamma)
+    return best
+
+
+@pytest.mark.parametrize("N, M, seed", [(2, 21, 0), (3, 11, 1)])
+def test_triple_norm_matches_per_slice_formula(monkeypatch, N, M, seed):
+    # M <= FULL_PAIR_LIMIT, so the per-slice loop visits every lag
+    spec = decay_lq_game(N, BETA, 0.1, 0.2, 0.25, 0.1)
+    game = lq_game(spec, BETA, SpatialGrid(N, 2.0, M), 0.01)
+    u = probe_fields(game, seed)
+    fast = triple_norm(game, u)
+    monkeypatch.setattr(holder, "_axis_seminorm", _per_slice_seminorm)
+    assert math.isclose(fast, triple_norm(game, u), rel_tol=1e-12,
+                        abs_tol=0.0)
