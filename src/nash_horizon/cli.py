@@ -3,7 +3,6 @@
 Every workflow is a subcommand driven by one self-describing JSON config:
 
     nash-horizon <subcommand> --config FILE [--out DIR] [--seed-override N]
-                 [--threads K]
 
 Each run writes summary.json (resolved config, content hash, results, pass
 flag) plus CSV tables.  Exit codes: 0 all asserted tolerances pass, 1
@@ -26,6 +25,7 @@ from .nash import (
     horizon_scan,
     lq_game,
     picard_solve,
+    residual,
     uniqueness_probe,
 )
 from .oracle_lq import (
@@ -40,13 +40,10 @@ from .pde_linear import (
     fpk_gradient_mass,
     solve_fpk_grid,
     solve_grid,
+    stable_step,
     verify_decay,
 )
 from .weights import build_weight, certify_csc, self_convolve
-
-SUBCOMMANDS = ("certify-weights", "solve", "scan-horizon", "verify-decay",
-               "fpk-diagnostic", "oracle-compare", "stability", "uniqueness")
-
 
 class ConfigError(ValueError):
     pass
@@ -134,12 +131,15 @@ def _run_solve(cfg, out, seed):
     results = {"picard": rep.to_dict()}
     passed = rep.converged
     if sol is not None:
-        for i, f in enumerate(sol.u):
+        for i, f in enumerate(sol):
             save_field(f, out / f"u{i}.bin")
-        results["residual_sup"] = [r[0] for r in sol.residuals]
-        results["decay"] = [d.values() for d in sol.decay]
+        res = residual(game, sol)
+        results["residual_sup"] = [r[0] for r in res]
+        results["decay"] = [verify_decay(f, game.player_weight(i),
+                                         third_order=False).values()
+                            for i, f in enumerate(sol)]
         if "residual_max" in tol:
-            passed &= max(r[0] for r in sol.residuals) <= tol["residual_max"]
+            passed &= max(r[0] for r in res) <= tol["residual_max"]
     return results, passed
 
 
@@ -199,7 +199,8 @@ def _run_fpk_diagnostic(cfg, out, seed):
     diff = DiffusionSpec.isotropic(N, a)
     eps = float(blk.get("eps_factor", 4)) * grid.h
     T = float(_need(blk, "T", (int, float)))
-    dt = float(cfg["dt"]) if "dt" in cfg else 0.9 * grid.h ** 2 / (2 * N * a)
+    dt = float(cfg["dt"]) if "dt" in cfg else stable_step(
+        diff, grid.meshgrid(), grid.h, (0.0, T / 2, T), np.inf, margin=0.9)
     res = solve_fpk_grid(diff, None, blk.get("y", [0.0] * N), eps, grid, dt, T)
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
@@ -217,8 +218,7 @@ def _run_oracle_compare(cfg, out, seed):
     game, spec = _game_from(cfg, beta)
     tol = cfg.get("tolerances", {})
     sol, rep = picard_solve(game, tol=float(tol.get("picard_tol", 1e-6)),
-                            max_iter=int(cfg.get("max_iter", 30)),
-                            with_residual=False)
+                            max_iter=int(cfg.get("max_iter", 30)))
     if sol is None:
         raise RuntimeError("Picard iteration did not converge")
     traj = riccati_integrate(spec, spec.T / 200)
@@ -228,7 +228,7 @@ def _run_oracle_compare(cfg, out, seed):
     rows = []
     for i in range(game.N):
         exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])
-        err = float(np.max(np.abs(sol.u[i].values - exact)
+        err = float(np.max(np.abs(sol[i].values - exact)
                            [(slice(None),) + inner]))
         rows.append((i, err))
     _write_csv(out / "oracle_compare.csv", ("player", "max_abs_err"), rows)
@@ -295,12 +295,11 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nash-horizon",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed-override", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
     return p
 
 
@@ -316,10 +315,6 @@ def main(argv=None) -> int:
             cfg["seed"] = seed
         out = Path(args.out if args.out is not None
                    else cfg.get("output_dir", "out"))
-        # dry validation pass: handler-specific keys checked inside the
-        # handler; shared blocks checked here
-        if args.command not in _HANDLERS:
-            raise ConfigError(f"unknown subcommand {args.command}")
     except (ConfigError, json.JSONDecodeError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -343,8 +338,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
     summary = {"command": args.command, "config": resolved,
-               "config_sha256": digest, "threads": args.threads,
-               "results": results, "passed": bool(passed)}
+               "config_sha256": digest, "results": results,
+               "passed": bool(passed)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  default=str))
     return 0 if passed else 1

@@ -32,6 +32,8 @@ __all__ = [
     "holder_seminorm",
     "parabolic_seminorm",
     "space_norm",
+    "time_nodes",
+    "interp_time",
     "save_field",
     "load_field",
 ]
@@ -125,6 +127,24 @@ class Field:
     def __sub__(self, other: "Field") -> "Field":
         return Field(self.grid, self.times, self.values - other.values,
                      self.player)
+
+
+def time_nodes(t0: float, T: float, dt: float, min_steps: int = 1) -> np.ndarray:
+    """Uniform time nodes on [t0, T]: the fewest steps (at least min_steps)
+    whose size does not exceed dt."""
+    K = max(min_steps, int(np.ceil((T - t0) / dt - 1e-12)))
+    return np.linspace(t0, T, K + 1)
+
+
+def interp_time(times: np.ndarray, values: np.ndarray, t):
+    """Values (time on axis 0) interpolated linearly in time at a scalar or
+    array t; t outside [times[0], times[-1]] takes the nearest end value."""
+    if times.size == 1:
+        return values[np.zeros(np.shape(t), dtype=int)]
+    k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+    w = np.clip((t - times[k]) / (times[k + 1] - times[k]), 0.0, 1.0)
+    w = np.reshape(w, np.shape(w) + (1,) * (values.ndim - 1))
+    return (1 - w) * values[k] + w * values[k + 1]
 
 
 def _as_alpha(alpha) -> MultiIndex:

@@ -14,9 +14,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
-from .holder import Field, SpatialGrid, derivative_family, finite_diff, space_norm
+from .holder import (
+    Field,
+    SpatialGrid,
+    derivative_family,
+    finite_diff,
+    interp_time,
+    space_norm,
+    time_nodes,
+)
 from .oracle_lq import LQGameSpec
 from .pde_linear import (
     DiffusionSpec,
@@ -25,14 +32,13 @@ from .pde_linear import (
     SourceSpec,
     TerminalSpec,
     solve_grid,
-    verify_decay,
+    stable_step,
 )
 from .weights import shift
 
 __all__ = [
     "HamiltonianFamily",
     "GameSpec",
-    "NashSolution",
     "PicardReport",
     "lq_game",
     "assemble_drift",
@@ -156,7 +162,6 @@ class GameSpec:
     grid: SpatialGrid
     dt: float                       # requested step; capped by the CFL bound
     R: float | None = None          # soft triple-norm envelope
-    Rp: float | None = None
     times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -166,14 +171,11 @@ class GameSpec:
             raise NashError("dimension mismatch between grid/diffusion/N")
         if len(self.terminals) != self.N:
             raise NashError("need one terminal cost per player")
-        X = self.grid.meshgrid()
-        supA = self.diffusion.sup_norm((0.0, self.T / 2, self.T), X)
-        cfl = self.grid.h ** 2 / (2 * self.N * supA) if supA > 0 else np.inf
         # keep a margin under the diffusion CFL so the upwind transport term
         # added during Picard sweeps stays stable at the shared step
-        step = min(self.dt, 0.45 * cfl)
-        K = max(2, int(np.ceil(self.T / step - 1e-12)))
-        self.times = np.linspace(0.0, self.T, K + 1)
+        step = stable_step(self.diffusion, self.grid.meshgrid(), self.grid.h,
+                           (0.0, self.T / 2, self.T), self.dt, margin=0.45)
+        self.times = time_nodes(0.0, self.T, step, min_steps=2)
 
     @property
     def step(self) -> float:
@@ -194,7 +196,7 @@ class GameSpec:
 
 
 def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
-            kind: str = "lq", kappa: float | None = None, R=None, Rp=None) -> GameSpec:
+            kind: str = "lq", kappa: float | None = None, R=None) -> GameSpec:
     """GameSpec matching an LQ oracle specification."""
     if kind == "lq":
         ham = HamiltonianFamily.lq(spec.Q)
@@ -205,8 +207,7 @@ def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
         (lambda X, G=spec.Gamma[i]: 0.5 * np.einsum("jk,j...,k...->...", G, X, X))
         for i in range(spec.N)
     ]
-    return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt,
-                    R=R, Rp=Rp)
+    return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +229,7 @@ class GradientCache:
         return GradientCache(fields[0].times, vals)
 
     def at(self, t: float) -> np.ndarray:
-        ts = self.times
-        if ts.size == 1:
-            return self.values[:, 0]
-        k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2))
-        w = np.clip((t - ts[k]) / (ts[k + 1] - ts[k]), 0.0, 1.0)
-        return (1 - w) * self.values[:, k] + w * self.values[:, k + 1]
+        return interp_time(self.times, self.values.swapaxes(0, 1), t)
 
 
 def assemble_drift(game: GameSpec, cache: GradientCache, i: int) -> DriftSpec:
@@ -332,14 +328,7 @@ def triple_norm(game: GameSpec, fields) -> float:
 def _resample(f: Field, times: np.ndarray) -> Field:
     if f.times.size == times.size and np.allclose(f.times, times):
         return f
-    flat = f.values.reshape(f.times.size, -1)
-    idx = np.clip(np.searchsorted(f.times, times, side="right") - 1,
-                  0, f.times.size - 2)
-    w = np.clip((times - f.times[idx]) / (f.times[idx + 1] - f.times[idx]),
-                0.0, 1.0)[:, None]
-    out = (1 - w) * flat[idx] + w * flat[idx + 1]
-    return Field(f.grid, times, out.reshape((times.size,) + f.grid.shape),
-                 f.player)
+    return Field(f.grid, times, interp_time(f.times, f.values, times), f.player)
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +354,11 @@ class PicardReport:
                 "envelope_exceeded": self.envelope_exceeded}
 
 
-@dataclass
-class NashSolution:
-    u: list                         # per-player Fields
-    grad_diag: list                 # cached D_i u^i Fields
-    decay: list                     # per-player DecayReports
-    residuals: list                 # per-player (sup, location)
-
-
 def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
-                 max_iter: int = 30, collar: float = 0.1,
-                 with_residual: bool = True):
+                 max_iter: int = 30):
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
 
-    Returns (NashSolution | None, PicardReport); divergence (three
+    Returns (per-player Fields | None, PicardReport); divergence (three
     consecutive growing increments) and non-convergence yield a flagged
     report without a solution.
     """
@@ -406,17 +386,11 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
     exceeded = game.R is not None and max_norm > game.R
     if exceeded:
-        warnings.warn(f"iterates left the (R, R') envelope: {max_norm:.3g} > "
+        warnings.warn(f"iterates left the R envelope: {max_norm:.3g} > "
                       f"{game.R:.3g}", stacklevel=2)
     report = PicardReport(increments, ratios, it, converged, diverged, tol,
                           max_norm, exceeded)
-    if not converged:
-        return None, report
-    grad = [finite_diff(f, (i,)) for i, f in enumerate(u)]
-    decay = [verify_decay(f, game.player_weight(i), collar=collar,
-                          third_order=False) for i, f in enumerate(u)]
-    res = residual(game, u, collar=collar) if with_residual else None
-    return NashSolution(u, grad, decay, res), report
+    return (u if converged else None), report
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +503,13 @@ class HorizonScan:
                 for r in self.rows]
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x; tied entries share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
 def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
                  tol: float = 1e-6, max_iter: int = 30) -> HorizonScan:
     """Contraction probes and a Picard attempt at each horizon; emits the
@@ -546,14 +527,15 @@ def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
             u = probe_fields(game, seed + 2 * k)
             v = probe_fields(game, seed + 2 * k + 1)
             ratios.append(contraction_probe(game, u, v).ratio)
-        sol, rep = picard_solve(game, tol=tol, max_iter=max_iter,
-                                with_residual=False)
+        _, rep = picard_solve(game, tol=tol, max_iter=max_iter)
         rows.append(HorizonRow(T, ratios, max(ratios), rep.converged))
     ok = [r for r in rows if r.max_ratio < 1 and r.converged]
     bad = [r for r in rows if not (r.max_ratio < 1 and r.converged)]
     maxima = [r.max_ratio for r in rows]
     if len(rows) > 1 and max(maxima) - min(maxima) > 0:
-        corr = spearmanr([r.T for r in rows], maxima).correlation
+        ranks = np.stack([_average_ranks([r.T for r in rows]),
+                          _average_ranks(maxima)])
+        corr = np.corrcoef(ranks)[1, 0]
     else:
         corr = np.nan
     return HorizonScan(rows, float(corr),
@@ -589,8 +571,7 @@ def dimension_stability(make_game, N_list, tol: float = 1e-6,
     games = {}
     for N in N_list:
         game = make_game(N)
-        sol, rep = picard_solve(game, tol=tol, max_iter=max_iter,
-                                with_residual=False)
+        sol, _ = picard_solve(game, tol=tol, max_iter=max_iter)
         if sol is None:
             raise NashError(f"Picard failed to converge at N = {N}")
         games[N], sols[N] = game, sol
@@ -606,8 +587,8 @@ def dimension_stability(make_game, N_list, tol: float = 1e-6,
                          for j in range(a, ga.beta.W + 1)))
         worst = 0.0
         for i in range(n_common):
-            fa = sols[a].u[i]
-            fb = sols[b].u[i]
+            fa = sols[a][i]
+            fb = sols[b][i]
             sliced = fb.values[(slice(None),) + (slice(None),) * a
                                + (center,) * (b - a)]
             fb_shared = Field(ga.grid, fb.times, sliced, player=i)
@@ -622,11 +603,9 @@ def dimension_stability(make_game, N_list, tol: float = 1e-6,
 def uniqueness_probe(game: GameSpec, u0_a, u0_b, tol: float = 1e-6,
                      max_iter: int = 30) -> float:
     """Fixed points from two initial guesses; returns their sup-difference."""
-    sol_a, rep_a = picard_solve(game, u0_a, tol=tol, max_iter=max_iter,
-                                with_residual=False)
-    sol_b, rep_b = picard_solve(game, u0_b, tol=tol, max_iter=max_iter,
-                                with_residual=False)
+    sol_a, _ = picard_solve(game, u0_a, tol=tol, max_iter=max_iter)
+    sol_b, _ = picard_solve(game, u0_b, tol=tol, max_iter=max_iter)
     if sol_a is None or sol_b is None:
         raise NashError("a Picard run failed to converge")
     return max(float(np.max(np.abs(fa.values - fb.values)))
-               for fa, fb in zip(sol_a.u, sol_b.u))
+               for fa, fb in zip(sol_a, sol_b))

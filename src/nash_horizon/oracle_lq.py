@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .holder import interp_time, time_nodes
+
 __all__ = [
     "LQGameSpec",
     "RiccatiState",
@@ -136,18 +138,12 @@ class RiccatiTrajectory:
         ts = self.times
         if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
             raise LQError(f"t = {t} outside [{ts[0]}, {ts[-1]}]")
-        k = min(np.searchsorted(ts, t, side="right"), ts.size - 1)
-        lo = max(k - 1, 0)
-        span = ts[lo + 1] - ts[lo] if lo + 1 < ts.size else 1.0
-        w = np.clip((t - ts[lo]) / span, 0.0, 1.0) if lo + 1 < ts.size else 0.0
-        hi = min(lo + 1, ts.size - 1)
-        return ((1 - w) * self.P[lo] + w * self.P[hi],
-                (1 - w) * self.r[lo] + w * self.r[hi])
+        return interp_time(ts, self.P, t), interp_time(ts, self.r, t)
 
 
 def _integrate(spec: LQGameSpec, dt: float):
-    K = max(1, int(np.ceil(spec.T / dt - 1e-12)))
-    times = np.linspace(0.0, spec.T, K + 1)
+    times = time_nodes(0.0, spec.T, dt)
+    K = times.size - 1
     step = times[1] - times[0]
     P = np.empty((K + 1,) + spec.Gamma.shape)
     r = np.zeros((K + 1, spec.N))

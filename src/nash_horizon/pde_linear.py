@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holder import Field, SpatialGrid, finite_diff
+from .holder import Field, SpatialGrid, finite_diff, time_nodes
 
 __all__ = [
     "DiffusionSpec",
@@ -27,6 +27,7 @@ __all__ = [
     "DecayReport",
     "FPKResult",
     "GradientMassReport",
+    "stable_step",
     "solve_grid",
     "solve_mc",
     "solve_fpk_grid",
@@ -283,9 +284,24 @@ def _transport_term(B, v, h):
     return out
 
 
-def _time_grid(t0, T, dt):
-    K = max(1, int(np.ceil((T - t0) / dt - 1e-12)))
-    return np.linspace(t0, T, K + 1)
+def stable_step(diffusion: DiffusionSpec, X: np.ndarray, h: float, t_samples,
+                dt: float, drift: DriftSpec | None = None,
+                margin: float | None = None) -> float:
+    """Explicit step for a requested dt on coordinates X: capped at margin *
+    h^2/(2 N sup|A|) when a margin is given; otherwise CFLError above that
+    bound, then shrunk (never coarsened) to cover a drift's upwind transport."""
+    N = X.shape[0]
+    supA = diffusion.sup_norm(t_samples, X)
+    cfl = h ** 2 / (2 * N * supA) if supA > 0 else np.inf
+    if margin is not None:
+        return min(dt, margin * cfl)
+    if dt > cfl * (1 + 1e-9):
+        raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
+    if drift is not None:
+        supB = max(float(np.max(np.abs(drift.eval(t, X)))) for t in t_samples)
+        if supB > 0:
+            dt = min(dt, 0.9 / (2 * N * supA / h ** 2 + N * supB / h))
+    return dt
 
 
 def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
@@ -304,17 +320,9 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     X = grid.meshgrid()
     h = grid.h
     t_samples = (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T)
-    supA = problem.diffusion.sup_norm(t_samples, X)
-    cfl = h ** 2 / (2 * N * supA) if supA > 0 else np.inf
-    if dt > cfl * (1 + 1e-9):
-        raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
-    # transport-inclusive stability: shrink the step, never coarsen
-    if problem.drift is not None and not strict_dt:
-        supB = max(float(np.max(np.abs(problem.drift.eval(t, X))))
-                   for t in t_samples)
-        if supB > 0:
-            dt = min(dt, 0.9 / (2 * N * supA / h ** 2 + N * supB / h))
-    times = _time_grid(problem.t0, problem.T, dt)
+    dt = stable_step(problem.diffusion, X, h, t_samples, dt,
+                     None if strict_dt else problem.drift)
+    times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
     vals[-1] = problem.terminal.eval(X)
@@ -353,7 +361,7 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
     N = problem.diffusion.N
     if pts.shape[1] != N:
         raise SpecError("query points must have shape (Q, N)")
-    times = _time_grid(problem.t0, problem.T, dt)
+    times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     out = []
     for qi, x0 in enumerate(pts):
@@ -420,16 +428,8 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
     X = grid.meshgrid()
     h = grid.h
     y = np.asarray(y, dtype=float).reshape(N)
-    t_samples = (t0, 0.5 * (t0 + T), T)
-    supA = diffusion.sup_norm(t_samples, X)
-    cfl = h ** 2 / (2 * N * supA) if supA > 0 else np.inf
-    if dt > cfl * (1 + 1e-9):
-        raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
-    if drift is not None:
-        supB = max(float(np.max(np.abs(drift.eval(t, X)))) for t in t_samples)
-        if supB > 0:
-            dt = min(dt, 0.9 / (2 * N * supA / h ** 2 + N * supB / h))
-    times = _time_grid(t0, T, dt)
+    dt = stable_step(diffusion, X, h, (t0, 0.5 * (t0 + T), T), dt, drift)
+    times = time_nodes(t0, T, dt)
     step = times[1] - times[0]
 
     r2 = sum((X[k] - y[k]) ** 2 for k in range(N))

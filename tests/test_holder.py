@@ -18,10 +18,12 @@ from nash_horizon.holder import (
     derivative_family,
     finite_diff,
     holder_seminorm,
+    interp_time,
     load_field,
     parabolic_seminorm,
     save_field,
     space_norm,
+    time_nodes,
     weighted_sup_norm,
 )
 from nash_horizon.nash import lq_game, probe_fields, triple_norm
@@ -379,3 +381,74 @@ def test_triple_norm_matches_per_slice_formula(monkeypatch, N, M, seed):
     monkeypatch.setattr(holder, "_axis_seminorm", _per_slice_seminorm)
     assert math.isclose(fast, triple_norm(game, u), rel_tol=1e-12,
                         abs_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# time nodes and linear-in-time interpolation
+
+
+def test_time_nodes_rounding():
+    # 0.07 / 0.01 is 7.000000000000001: the step count rounds down to 7
+    assert time_nodes(0.0, 0.07, 0.01).size == 8
+    assert time_nodes(0.5, 0.7, 0.02).size == 11
+    assert time_nodes(0.0, 0.2, 1.0).size == 2
+    assert time_nodes(0.0, 0.2, 1.0, min_steps=2).size == 3
+    np.testing.assert_array_equal(time_nodes(0.0, 0.2, 0.02),
+                                  np.linspace(0.0, 0.2, 11))
+
+
+def _old_cache_at(ts, values, t):
+    """GradientCache.at as first written: values (N, K+1, ...)."""
+    if ts.size == 1:
+        return values[:, 0]
+    k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2))
+    w = np.clip((t - ts[k]) / (ts[k + 1] - ts[k]), 0.0, 1.0)
+    return (1 - w) * values[:, k] + w * values[:, k + 1]
+
+
+def _old_resample(ts, values, times):
+    """nash._resample as first written, on the value array."""
+    flat = values.reshape(ts.size, -1)
+    idx = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, ts.size - 2)
+    w = np.clip((times - ts[idx]) / (ts[idx + 1] - ts[idx]), 0.0, 1.0)[:, None]
+    out = (1 - w) * flat[idx] + w * flat[idx + 1]
+    return out.reshape((times.size,) + values.shape[1:])
+
+
+def _old_riccati_interpolate(ts, values, t):
+    """RiccatiTrajectory.interpolate as first written, without its range
+    check."""
+    k = min(np.searchsorted(ts, t, side="right"), ts.size - 1)
+    lo = max(k - 1, 0)
+    span = ts[lo + 1] - ts[lo] if lo + 1 < ts.size else 1.0
+    w = np.clip((t - ts[lo]) / span, 0.0, 1.0) if lo + 1 < ts.size else 0.0
+    hi = min(lo + 1, ts.size - 1)
+    return (1 - w) * values[lo] + w * values[hi]
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _time_series(draw):
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=0, max_size=5))
+    ts = draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    values = draw(arrays(np.float64, (ts.size, 2, 3), elements=_FINITE))
+    # query times reach one unit past either end
+    query = st.floats(float(ts[0]) - 1.0, float(ts[-1]) + 1.0)
+    return ts, values, draw(query), np.array(draw(st.lists(query, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=_time_series())
+def test_interp_time_matches_old_interpolators(series):
+    ts, values, t, times = series
+    got = interp_time(ts, values, t)
+    assert np.array_equal(got, _old_riccati_interpolate(ts, values, t))
+    by_player = np.ascontiguousarray(values.swapaxes(0, 1))
+    assert np.array_equal(interp_time(ts, by_player.swapaxes(0, 1), t),
+                          _old_cache_at(ts, by_player, t))
+    # the old resampler divided by zero on a single-node grid
+    if ts.size > 1:
+        assert np.array_equal(interp_time(ts, values, times),
+                              _old_resample(ts, values, times))

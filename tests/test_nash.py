@@ -21,6 +21,7 @@ from nash_horizon.nash import (
     uniqueness_probe,
 )
 from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
+from nash_horizon.pde_linear import verify_decay
 from nash_horizon.weights import build_weight
 
 BETA = build_weight("polynomial", {"a": 3}, 32)
@@ -38,6 +39,14 @@ def zero_game(N=2, T=0.1, M=21, L=2.0):
     diff = DiffusionSpec.isotropic(N, 0.05)
     terms = [lambda X: 0.0 * X[0] for _ in range(N)]
     return GameSpec(N, diff, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
+
+
+def test_game_step_under_diffusion_cfl_margin():
+    for dt in (10.0, 0.3, 0.02):
+        game, spec = mini_game(dt=dt)
+        cfl = game.grid.h ** 2 / (2 * game.N * 0.5 * spec.sigma ** 2)
+        assert game.step <= min(dt, 0.45 * cfl)
+        assert game.times.size >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +165,9 @@ def test_picard_step_fixes_riccati_solution():
 
 def test_picard_trivial_game_one_iteration():
     game = zero_game()
-    sol, rep = picard_solve(game, tol=1e-10, with_residual=False)
+    sol, rep = picard_solve(game, tol=1e-10)
     assert rep.converged and rep.iterations == 1
-    for f in sol.u:
+    for f in sol:
         np.testing.assert_allclose(f.values, 0.0, atol=1e-15)
 
 
@@ -171,18 +180,20 @@ def test_picard_matches_oracle_mini():
     inner = game.grid.interior(0.1)
     for i in range(2):
         exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])
-        err = np.max(np.abs(sol.u[i].values - exact)[(slice(None),) + inner])
+        err = np.max(np.abs(sol[i].values - exact)[(slice(None),) + inner])
         assert err < 2e-2
-    # decay reports and residuals populated and finite
-    assert all(np.isfinite(d.K2) for d in sol.decay)
-    assert all(np.isfinite(r[0]) for r in sol.residuals)
+    # decay reports and residuals of the fixed point are finite
+    assert all(np.isfinite(verify_decay(f, game.player_weight(i),
+                                        third_order=False).K2)
+               for i, f in enumerate(sol))
+    assert all(np.isfinite(r[0]) for r in residual(game, sol))
 
 
 def test_picard_determinism():
     game, _ = mini_game()
-    a, _ = picard_solve(game, tol=1e-6, with_residual=False)
-    b, _ = picard_solve(game, tol=1e-6, with_residual=False)
-    for fa, fb in zip(a.u, b.u):
+    a, _ = picard_solve(game, tol=1e-6)
+    b, _ = picard_solve(game, tol=1e-6)
+    for fa, fb in zip(a, b):
         np.testing.assert_array_equal(fa.values, fb.values)
 
 
@@ -191,8 +202,7 @@ def test_picard_long_horizon_fails():
     # least non-contraction must be reported
     game, _ = mini_game(T=1.6, c_Q=0.5, c_G=0.8, M=31)
     try:
-        sol, rep = picard_solve(game, tol=1e-8, max_iter=25,
-                                with_residual=False)
+        sol, rep = picard_solve(game, tol=1e-8, max_iter=25)
     except NashError:
         return  # solver blow-up counts as detected failure
     assert (sol is None) or rep.diverged or (rep.ratios and max(rep.ratios) > 1)
@@ -201,15 +211,15 @@ def test_picard_long_horizon_fails():
 def test_envelope_warning():
     game, _ = mini_game(R=1e-9)
     with pytest.warns(UserWarning):
-        picard_solve(game, tol=1e-4, max_iter=8, with_residual=False)
+        picard_solve(game, tol=1e-4, max_iter=8)
 
 
 def test_fixed_point_property():
     game, _ = mini_game()
     tol = 1e-5
-    sol, rep = picard_solve(game, tol=tol, with_residual=False)
-    again = picard_step(game, sol.u)
-    inc = triple_norm(game, [a - b for a, b in zip(again, sol.u)])
+    sol, rep = picard_solve(game, tol=tol)
+    again = picard_step(game, sol)
+    inc = triple_norm(game, [a - b for a, b in zip(again, sol)])
     assert inc <= 2 * tol
 
 
@@ -224,10 +234,10 @@ def test_decoupling_invariant():
     from nash_horizon.oracle_lq import LQGameSpec
     spec = LQGameSpec(N, 0.25, Q, G, 0.2)
     game = lq_game(spec, BETA, SpatialGrid(N, 3.0, 41), 0.02)
-    sol, rep = picard_solve(game, tol=1e-7, with_residual=False)
+    sol, rep = picard_solve(game, tol=1e-7)
     assert rep.converged
     for i in range(N):
-        cross = finite_diff(sol.u[i], (1 - i,))
+        cross = finite_diff(sol[i], (1 - i,))
         assert np.max(np.abs(cross.values)) < 1e-8
 
 
@@ -279,6 +289,35 @@ def test_horizon_scan():
         horizon_scan(make, [0.2, 0.1])
 
 
+def test_horizon_scan_spearman_matches_scipy(monkeypatch):
+    stats = pytest.importorskip("scipy.stats")
+    from types import SimpleNamespace
+
+    from nash_horizon import nash
+    # each "game" is its horizon T, and its probe ratio is scripted
+    ratio = {}
+    monkeypatch.setattr(nash, "probe_fields", lambda game, seed: game)
+    monkeypatch.setattr(nash, "contraction_probe",
+                        lambda game, u, v: nash.ProbeResult(ratio[game], 0, 0, 0))
+    monkeypatch.setattr(nash, "picard_solve", lambda game, **kw: (
+        None, SimpleNamespace(converged=False)))
+    rng = np.random.default_rng(0)
+    cases = [([0.1, 0.2, 0.3], [0.5, 0.5, 0.9]), ([0.1, 0.2], [0.7, 0.7])]
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        # maxima on a coarse lattice, so ties are common
+        cases.append((np.cumsum(rng.uniform(0.01, 1.0, n)).tolist(),
+                      (rng.integers(0, 4, n) / 4).tolist()))
+    for T_list, maxima in cases:
+        ratio.clear()
+        ratio.update(zip(T_list, maxima))
+        scan = nash.horizon_scan(lambda T: T, T_list, n_pairs=1)
+        if max(maxima) == min(maxima):
+            assert np.isnan(scan.spearman)
+        else:
+            assert scan.spearman == stats.spearmanr(T_list, maxima).correlation
+
+
 def test_horizon_scan_degenerate_game():
     def make(T):
         g = zero_game(T=T)
@@ -317,13 +356,13 @@ def test_residual_refines_on_oracle_fields():
 
 def test_residual_perturbation_slope():
     game, spec = mini_game()
-    sol, _ = picard_solve(game, tol=1e-7, with_residual=False)
-    base = max(r[0] for r in residual(game, sol.u))
+    sol, _ = picard_solve(game, tol=1e-7)
+    base = max(r[0] for r in residual(game, sol))
     X = game.grid.meshgrid()
 
     def perturbed(delta):
         u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]), f.player)
-             for f in sol.u]
+             for f in sol]
         return max(r[0] for r in residual(game, u))
 
     e1 = perturbed(0.1) - base

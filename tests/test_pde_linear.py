@@ -201,6 +201,14 @@ def test_fpk_mass_conserved_and_nonnegative():
     assert res.undershoot < 1e-12
 
 
+def test_fpk_oversized_dt_raises():
+    g = SpatialGrid(1, 4.0, 81)
+    diff = DiffusionSpec.isotropic(1, 0.5)
+    with pytest.raises(CFLError):
+        solve_fpk_grid(diff, None, [0.0], 4 * g.h, g, 10 * cfl_dt(g, 1, 0.5),
+                       T=0.1)
+
+
 def test_fpk_gaussian_spreading():
     # pure diffusion from a Gaussian: variance grows like 2a(t-s)
     g = SpatialGrid(1, 5.0, 201)
