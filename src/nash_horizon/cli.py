@@ -161,7 +161,10 @@ def _run_scan_horizon(cfg, out, seed):
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
     if "spearman_min" in tol:
         passed &= scan.spearman > tol["spearman_min"]
-    results = {"spearman": scan.spearman, "T_star_low": scan.T_star_low,
+    # a scan whose max ratios all tie has no rank correlation (NaN), which
+    # strict JSON cannot hold: it is written as null
+    spearman = scan.spearman if np.isfinite(scan.spearman) else None
+    results = {"spearman": spearman, "T_star_low": scan.T_star_low,
                "T_fail": scan.T_fail,
                "rows": [{"T": r.T, "max_ratio": r.max_ratio,
                          "converged": r.converged} for r in scan.rows]}

@@ -7,7 +7,9 @@ quotients are evaluated over axis-aligned node pairs only, matching the
 one-coordinate-at-a-time seminorm the weighted spaces are built on.
 Exact closed forms cover gamma = 1 (the difference quotient peaks at lag 1,
 by the triangle inequality) and gamma = 0 (the largest pair difference on an
-axis line is its range); only 0 < gamma < 1 walks a ladder of pair lags.
+axis line is its range); 0 < gamma < 1 visits every pair lag.  Multi-indices
+alpha are tuples of coordinates with repetition, e.g. (0, 1, 1) for
+D_0 D_1^2, the keys of derivative_family.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import MultiIndex, multi_index_weight
+from .weights import MAX_ORDER, multi_index_weight, predecessors
 
 __all__ = [
     "SpatialGrid",
@@ -40,9 +42,6 @@ __all__ = [
 
 # node-count budget guarding against accidental huge tensor grids
 MAX_NODES = 2 ** 24
-# per-axis node count above which the 0 < gamma < 1 seminorm walks only the
-# power-of-two lag ladder, not all M-1 lags (gamma 0 and 1 are closed forms)
-FULL_PAIR_LIMIT = 64
 
 
 class GridError(ValueError):
@@ -147,30 +146,20 @@ def interp_time(times: np.ndarray, values: np.ndarray, t):
     return (1 - w) * values[k] + w * values[k + 1]
 
 
-def _as_alpha(alpha) -> MultiIndex:
-    if isinstance(alpha, MultiIndex):
-        return alpha
-    if isinstance(alpha, dict):
-        return MultiIndex.from_dict(alpha)
-    return MultiIndex.from_coords(alpha)
-
-
 def finite_diff(field: Field, alpha) -> Field:
     """Grid derivative D^alpha, axes applied in ascending coordinate order.
 
     Second-order central stencils in the interior, second-order one-sided at
     the boundary layers (np.gradient with edge_order=2).
     """
-    alpha = _as_alpha(alpha)
+    if len(alpha) > MAX_ORDER:
+        raise GridError(f"derivative order {len(alpha)} exceeds {MAX_ORDER}")
     out = field.values
     h = field.grid.h
-    for c, m in alpha.entries:
-        if c >= field.grid.N:
+    for c in sorted(alpha):
+        if not 0 <= c < field.grid.N:
             raise GridError(f"coordinate {c} outside grid dimension")
-        if m > 3:
-            raise GridError("per-axis multiplicity capped at 3")
-        for _ in range(m):
-            out = np.gradient(out, h, axis=1 + c, edge_order=2)
+        out = np.gradient(out, h, axis=1 + c, edge_order=2)
     return Field(field.grid, field.times, out, field.player)
 
 
@@ -187,17 +176,10 @@ def derivative_family(field: Field, m: int) -> dict:
 
 def weighted_sup_norm(field: Field, beta, alpha) -> float:
     """sup |field| / beta^alpha; the field is D^alpha V (or V for alpha = 0)."""
-    return float(np.max(np.abs(field.values))) / multi_index_weight(beta, _as_alpha(alpha))
+    return float(np.max(np.abs(field.values))) / multi_index_weight(beta, alpha)
 
 
-def _pair_lags(M: int, full: bool):
-    if full or M <= FULL_PAIR_LIMIT:
-        return range(1, M)
-    return sorted({2 ** k for k in range((M - 1).bit_length())} | {M - 1})
-
-
-def _axis_seminorm(values: np.ndarray, h: float, gamma: float,
-                   full: bool) -> float:
+def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma:
     sup over spatial axes and axis-aligned node pairs."""
     best = 0.0
@@ -209,26 +191,25 @@ def _axis_seminorm(values: np.ndarray, h: float, gamma: float,
         else:
             v = np.moveaxis(values, ax, -1)
             d = max(np.max(np.abs(v[..., k:] - v[..., :-k])) / (k * h) ** gamma
-                    for k in _pair_lags(values.shape[ax], full))
+                    for k in range(1, values.shape[ax]))
         best = max(best, float(d))
     return best
 
 
-def holder_seminorm(field: Field, gamma: float, full_pairs: bool = False) -> float:
+def holder_seminorm(field: Field, gamma: float) -> float:
     """Axis-aligned Hoelder seminorm [V]_gamma of a single time slice."""
     if not 0 <= gamma <= 1:
         raise GridError("gamma must lie in [0, 1]")
     if field.times.size != 1:
         raise GridError("holder_seminorm expects a single time slice")
-    return _axis_seminorm(field.values, field.grid.h, gamma, full_pairs)
+    return _axis_seminorm(field.values, field.grid.h, gamma)
 
 
-def _time_holder(values: np.ndarray, times: np.ndarray, expo: float,
-                 full: bool) -> float:
+def _time_holder(values: np.ndarray, times: np.ndarray, expo: float) -> float:
     """sup over time-node pairs of |V(t)-V(s)|_inf / |t-s|^expo."""
     K = times.size
     best = 0.0
-    for lag in _pair_lags(K, full):
+    for lag in range(1, K):
         d = np.abs(values[lag:] - values[:-lag])
         d = d.reshape(K - lag, -1).max(axis=1)
         dt = (times[lag:] - times[:-lag]) ** expo
@@ -236,17 +217,16 @@ def _time_holder(values: np.ndarray, times: np.ndarray, expo: float,
     return best
 
 
-def parabolic_seminorm(field: Field, gamma: float, beta, alpha,
-                       full_pairs: bool = False) -> float:
+def parabolic_seminorm(field: Field, gamma: float, beta, alpha) -> float:
     """[V]_{gamma/2,gamma;beta,alpha}: time part over (beta^alpha)^(1/2),
     space part over beta^alpha."""
     if not 0 < gamma < 1:
         raise GridError("gamma must lie in (0, 1)")
     if field.times.size < 2:
         raise GridError("need at least two time nodes")
-    w = multi_index_weight(beta, _as_alpha(alpha))
-    tpart = _time_holder(field.values, field.times, gamma / 2, full_pairs)
-    spart = _axis_seminorm(field.values, field.grid.h, gamma, full_pairs)
+    w = multi_index_weight(beta, alpha)
+    tpart = _time_holder(field.values, field.times, gamma / 2)
+    spart = _axis_seminorm(field.values, field.grid.h, gamma)
     return tpart / np.sqrt(w) + spart / w
 
 
@@ -256,25 +236,10 @@ class NormReport:
 
     entries: dict
     total: float
-    boundary_one_sided: dict  # derivative order -> True if one-sided stencils used
-
-    def to_json(self) -> str:
-        return json.dumps({"entries": {str(k): v for k, v in self.entries.items()},
-                           "total": self.total,
-                           "boundary_one_sided": {str(k): v for k, v in
-                                                  self.boundary_one_sided.items()}})
-
-    def to_csv_rows(self):
-        return [(str(k), v) for k, v in self.entries.items()] + [("total", self.total)]
-
-
-def _alphas_of_order(N: int, k: int):
-    return [MultiIndex.from_coords(c)
-            for c in itertools.combinations_with_replacement(range(N), k)]
 
 
 def space_norm(derivs: dict, m: int, gamma: float, beta,
-               minus_variant: bool = False, full_pairs: bool = False) -> NormReport:
+               minus_variant: bool = False) -> NormReport:
     """Assemble ||V||_{m+gamma;beta} (or the minus variant) from a family of
     derivative fields keyed by ascending coordinate tuples (see
     derivative_family).  Sup norms run over all time and space nodes; Hoelder
@@ -283,24 +248,23 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
     if () not in derivs:
         raise GridError("derivative family must contain the raw field ()")
     base = derivs[()]
-    N = base.grid.N
+    alphas = [list(itertools.combinations_with_replacement(range(base.grid.N), k))
+              for k in range(m + 1)]
     for k in range(m + 1):
-        for a in _alphas_of_order(N, k):
-            if a.coords() not in derivs:
-                raise GridError(f"missing derivative order {a.coords()}")
+        for a in alphas[k]:
+            if a not in derivs:
+                raise GridError(f"missing derivative order {a}")
 
     entries = {}
     top = m - 1 if minus_variant else m
     total = 0.0
     for k in range(top + 1):
-        sup_k = max(weighted_sup_norm(derivs[a.coords()], beta, a)
-                    for a in _alphas_of_order(N, k))
+        sup_k = max(weighted_sup_norm(derivs[a], beta, a) for a in alphas[k])
         entries[("sup", k)] = sup_k
         total += sup_k
     if not minus_variant:
-        semi = max(_axis_seminorm(derivs[a.coords()].values, base.grid.h, gamma,
-                                  full_pairs) / multi_index_weight(beta, a)
-                   for a in _alphas_of_order(N, m))
+        semi = max(_axis_seminorm(derivs[a].values, base.grid.h, gamma)
+                   / multi_index_weight(beta, a) for a in alphas[m])
         entries[("holder", m, gamma)] = semi
         total += semi
     else:
@@ -309,17 +273,16 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
         # weights dominate beta^alpha, so the minus norm nests below the
         # full norm)
         best = 0.0
-        for a in _alphas_of_order(N, m):
-            f = derivs[a.coords()]
+        for a in alphas[m]:
+            f = derivs[a]
             raw_sup = float(np.max(np.abs(f.values)))
-            raw_semi = _axis_seminorm(f.values, f.grid.h, gamma, full_pairs)
-            for ap in a.predecessors():
+            raw_semi = _axis_seminorm(f.values, f.grid.h, gamma)
+            for ap in predecessors(a):
                 w = multi_index_weight(beta, ap)
                 best = max(best, (raw_sup + raw_semi) / w)
         entries[("minus-top", m, gamma)] = best
         total += best
-    flags = {k: k >= 1 for k in range(m + 1)}
-    return NormReport(entries, total, flags)
+    return NormReport(entries, total)
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,6 @@ class ProbeResult:
     ratio: float
     numerator: float
     denominator: float
-    source_gap: float               # diagnostic: sup difference of sources
 
 
 def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
@@ -452,16 +451,7 @@ def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
     Su = picard_step(game, u)
     Sv = picard_step(game, v)
     num = triple_norm(game, [a - b for a, b in zip(Su, Sv)])
-    cu = GradientCache.from_fields(u)
-    cv = GradientCache.from_fields(v)
-    X = game.grid.meshgrid()
-    gap = 0.0
-    for i in range(game.N):
-        fu = assemble_source(game, cu, i)
-        fv = assemble_source(game, cv, i)
-        for t in (0.0, game.T / 2, game.T):
-            gap = max(gap, float(np.max(np.abs(fu.eval(t, X) - fv.eval(t, X)))))
-    return ProbeResult(num / den, num, den, gap)
+    return ProbeResult(num / den, num, den)
 
 
 def probe_fields(game: GameSpec, seed: int, scale: float = 0.05) -> list:

@@ -10,7 +10,6 @@ Monte Carlo backend provides an independent route to the same values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +63,9 @@ class DiffusionSpec:
     diag: list          # k -> callable (t, xk) -> array like xk
     offdiag: dict       # (i, j), i < j -> callable t -> float
     lam: float          # ellipticity floor
-    c_A: float = 0.0    # max_{1<=l<=3} sup_k ||(D_k)^l A^kk||_inf
 
     @staticmethod
-    def constant(matrix, lam=None, c_A=0.0) -> "DiffusionSpec":
+    def constant(matrix, lam=None) -> "DiffusionSpec":
         m = np.asarray(matrix, dtype=float)
         if not np.allclose(m, m.T):
             raise SpecError("diffusion matrix must be symmetric")
@@ -80,7 +78,7 @@ class DiffusionSpec:
         ]
         off = {(i, j): (lambda t, v=m[i, j]: v)
                for i in range(N) for j in range(i + 1, N) if m[i, j] != 0.0}
-        return DiffusionSpec(N, diag, off, lam, c_A)
+        return DiffusionSpec(N, diag, off, lam)
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
@@ -165,8 +163,6 @@ class DriftSpec:
 @dataclass
 class SourceSpec:
     f: object                     # callable (t, X:(N,...)) -> array, or None
-    c_F: float = 0.0
-    beta: object = None
 
     def eval(self, t, X):
         if self.f is None:
@@ -177,8 +173,6 @@ class SourceSpec:
 @dataclass
 class TerminalSpec:
     g: object                     # callable (X:(N,...)) -> array
-    c_G: float = 0.0
-    beta: object = None
 
     def eval(self, X):
         return np.broadcast_to(np.asarray(self.g(X), dtype=float), X.shape[1:]).copy()
@@ -218,8 +212,8 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
     return LinearProblem(
         DiffusionSpec.isotropic(N, a),
         DriftSpec(drift, c_B=c_B, beta=beta) if c_B else None,
-        SourceSpec(lambda t, X: ramp(X, c_F), c_F=c_F, beta=beta) if c_F else None,
-        TerminalSpec(lambda X: ramp(X, c_G), c_G=c_G, beta=beta),
+        SourceSpec(lambda t, X: ramp(X, c_F)) if c_F else None,
+        TerminalSpec(lambda X: ramp(X, c_G)),
         t0, T)
 
 
@@ -401,7 +395,6 @@ class FPKResult:
     mass: np.ndarray            # total mass per time node
     undershoot: float           # worst clipped negative value (magnitude)
     eps: float
-    center: np.ndarray
 
 
 def _face_avg(v, axis):
@@ -479,7 +472,7 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
             raise SolveError(f"mass drift {mass[k + 1] - 1.0:.2e} at t={times[k + 1]:.5g}")
         if not np.all(np.isfinite(rho)):
             raise SolveError(f"non-finite density at t={times[k + 1]:.5g}")
-    return FPKResult(Field(grid, times, vals), mass, undershoot, float(eps), y)
+    return FPKResult(Field(grid, times, vals), mass, undershoot, float(eps))
 
 
 @dataclass
@@ -531,9 +524,6 @@ class DecayReport:
         return {"K1": self.K1, "K2": self.K2, "K3": self.K3,
                 "time_lip_grad": self.time_lip_grad,
                 "time_lip_hess": self.time_lip_hess, "collar": self.collar}
-
-    def to_json(self) -> str:
-        return json.dumps(self.values())
 
 
 def verify_decay(w: Field, beta, collar: float = 0.1,

@@ -10,6 +10,7 @@ with minima over predecessor multi-indices and govern all weighted norms.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +18,13 @@ import numpy as np
 __all__ = [
     "WeightSequence",
     "ShiftedWeight",
-    "MultiIndex",
     "CscCertificate",
     "build_weight",
     "self_convolve",
     "certify_csc",
     "shift",
     "multi_index_weight",
+    "predecessors",
     "lp_norm",
 ]
 
@@ -33,6 +34,8 @@ EDGE_GUARD_FRACTION = 0.1
 # considered converged on the window (recorded, not enforced: slowly decaying
 # admissible sequences never meet it at desk-scale windows)
 TAIL_CONVERGENCE_TOL = 1e-6
+# largest multi-index order |alpha| the weighted spaces use
+MAX_ORDER = 3
 
 
 class WeightError(ValueError):
@@ -124,61 +127,6 @@ class ShiftedWeight:
 
     def power(self, q: float) -> "ShiftedWeight":
         return ShiftedWeight(self.base, self.center, self.q * q)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Sparse multi-index alpha: coordinate -> multiplicity, |alpha| <= 3."""
-
-    entries: tuple  # sorted tuple of (coordinate, multiplicity)
-
-    MAX_ORDER = 3
-
-    @staticmethod
-    def from_dict(d: dict) -> "MultiIndex":
-        items = tuple(sorted((int(c), int(m)) for c, m in d.items() if m))
-        return MultiIndex(items)
-
-    @staticmethod
-    def from_coords(coords) -> "MultiIndex":
-        """Build from a sequence of coordinates with repetition, e.g. (0,0,1)."""
-        d = {}
-        for c in coords:
-            d[int(c)] = d.get(int(c), 0) + 1
-        return MultiIndex.from_dict(d)
-
-    def __post_init__(self):
-        if any(m < 1 for _, m in self.entries):
-            raise WeightError("multiplicities must be >= 1")
-        if self.order > self.MAX_ORDER:
-            raise WeightError(f"|alpha| = {self.order} exceeds {self.MAX_ORDER}")
-
-    @property
-    def order(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def coords(self) -> tuple:
-        """Coordinates with repetition, ascending."""
-        out = []
-        for c, m in self.entries:
-            out.extend([c] * m)
-        return tuple(out)
-
-    def predecessors(self):
-        """All alpha - e_k with alpha^k >= 1 (componentwise decrement)."""
-        out = []
-        for c, m in self.entries:
-            d = dict(self.entries)
-            if m == 1:
-                del d[c]
-            else:
-                d[c] = m - 1
-            out.append(MultiIndex.from_dict(d))
-        return out
-
-    def __le__(self, other: "MultiIndex") -> bool:
-        d = dict(other.entries)
-        return all(d.get(c, 0) >= m for c, m in self.entries)
 
 
 def build_weight(kind: str, params: dict, W: int) -> WeightSequence:
@@ -279,22 +227,30 @@ def shift(beta: WeightSequence, i: int, N: int | None = None) -> ShiftedWeight:
     return ShiftedWeight(beta, i)
 
 
+def predecessors(alpha: tuple) -> list:
+    """The multi-indices alpha - e_k, one per distinct coordinate k of the
+    ascending coordinate tuple alpha."""
+    return sorted({alpha[:i] + alpha[i + 1:] for i in range(len(alpha))})
+
+
 def multi_index_weight(beta, alpha) -> float:
     """The multi-index weight beta^alpha.
 
     beta^alpha = 1 for |alpha| = 0; for |alpha| >= 1 it is the geometric mean
     (prod (beta^i)^(alpha^i))^(1/|alpha|) capped by the minimum of beta^alpha'
     over predecessors alpha' = alpha - e_k.  ``beta`` may be a WeightSequence
-    or a ShiftedWeight; ``alpha`` a MultiIndex or a mapping coord -> mult.
+    or a ShiftedWeight; ``alpha`` is a tuple of coordinates with repetition,
+    e.g. (0, 1, 1) for D_0 D_1^2, in any order.
     """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex.from_dict(dict(alpha))
-    k = alpha.order
+    alpha = tuple(sorted(alpha))
+    k = len(alpha)
+    if k > MAX_ORDER:
+        raise WeightError(f"|alpha| = {k} exceeds {MAX_ORDER}")
     if k == 0:
         return 1.0
-    logs = sum(m * np.log(beta.value(c)) for c, m in alpha.entries)
+    logs = sum(m * np.log(beta.value(c)) for c, m in Counter(alpha).items())
     geo = float(np.exp(logs / k))
-    pred = min(multi_index_weight(beta, a) for a in alpha.predecessors())
+    pred = min(multi_index_weight(beta, a) for a in predecessors(alpha))
     return min(geo, pred)
 
 

@@ -110,6 +110,26 @@ def test_scan_horizon(tmp_path):
     assert (o / "scan.csv").exists()
 
 
+def test_scan_horizon_tied_ratios_write_strict_json(tmp_path):
+    # zero coupling: every probe ratio is 0, so no rank correlation exists
+    cfg = lq_config()
+    cfg["game"].update({"c_Q": 0.0, "c_G": 0.0})
+    cfg["T_list"] = [0.05, 0.1]
+    cfg["n_pairs"] = 1
+    cfg["tolerances"].update({"spearman_min": 0.0})
+    code, _, o = run(tmp_path, "scan-horizon", cfg)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((o / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["results"]["spearman"] is None
+    assert [r["max_ratio"] for r in summary["results"]["rows"]] == [0.0, 0.0]
+    # an undefined correlation cannot meet a spearman_min tolerance
+    assert code == 1 and not summary["passed"]
+
+
 def test_verify_decay(tmp_path):
     cfg = {
         "weights": WEIGHTS,

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from nash_horizon import holder
 from nash_horizon.holder import (
-    FULL_PAIR_LIMIT,
     Field,
     GridError,
     SpatialGrid,
@@ -78,6 +77,18 @@ def test_finite_diff_bilinear_mixed():
     np.testing.assert_allclose(d.values, 1.0, atol=1e-10)
 
 
+def test_finite_diff_sorts_axes_and_caps_order():
+    g = grid2()
+    f = still(g, lambda X: np.sin(X[0]) * np.exp(X[1]) * X[0] ** 2)
+    for alpha in ((1, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)):
+        got = finite_diff(f, alpha).values
+        assert np.array_equal(got, finite_diff(f, tuple(sorted(alpha))).values)
+    with pytest.raises(GridError):
+        finite_diff(f, (0, 0, 1, 1))
+    with pytest.raises(GridError):
+        finite_diff(f, (2,))
+
+
 def test_finite_diff_third_order_sin():
     # D^3 sin(x) at 0 is -cos(0) = -1, error O(h^2) under refinement
     errs = []
@@ -119,14 +130,14 @@ def test_finite_diff_refinement_order(alpha):
 def test_weighted_sup_norm():
     g = grid2(11)
     zero = still(g, lambda X: 0 * X[0])
-    assert weighted_sup_norm(zero, BETA, {}) == 0.0
+    assert weighted_sup_norm(zero, BETA, ()) == 0.0
     two = still(g, lambda X: 2.0 + 0 * X[0])
-    assert weighted_sup_norm(two, BETA, {}) == 2.0
+    assert weighted_sup_norm(two, BETA, ()) == 2.0
     one = still(g, lambda X: 1.0 + 0 * X[0])
     j, k = 0, 1
     w = min(BETA.value(j), BETA.value(k),
             np.sqrt(BETA.value(j) * BETA.value(k)))
-    assert weighted_sup_norm(one, BETA, {j: 1, k: 1}) == pytest.approx(1 / w)
+    assert weighted_sup_norm(one, BETA, (j, k)) == pytest.approx(1 / w)
 
 
 def test_holder_seminorm_basics():
@@ -147,37 +158,28 @@ def test_holder_seminorm_scaling():
     assert holder_seminorm(f.map(lambda v: -2.5 * v), 0.5) == pytest.approx(2.5 * s)
 
 
-def test_lag_ladder_matches_full_enumeration():
-    g = SpatialGrid(1, 1.0, 129)
-    f = still(g, lambda X: np.sin(3 * X[0]))
-    full = holder_seminorm(f, 0.6, full_pairs=True)
-    ladder = holder_seminorm(f, 0.6, full_pairs=False)
-    assert ladder <= full + 1e-12
-    assert ladder >= 0.8 * full
-
-
 def test_parabolic_seminorm():
     g = grid2(11)
     times = np.linspace(0, 0.5, 6)
     const_t = Field.from_function(g, times, lambda t, X: np.cos(X[0]))
     # time-constant field has zero time part
-    s = parabolic_seminorm(const_t, 0.5, ONES, {})
+    s = parabolic_seminorm(const_t, 0.5, ONES, ())
     assert s == pytest.approx(holder_seminorm(
         Field(g, [0.0], const_t.values[:1]), 0.5))
     # V = t with gamma = 1/2: time part sup |t-s|^(3/4), space part 0
     lin_t = Field.from_function(g, times, lambda t, X: t + 0 * X[0])
-    s = parabolic_seminorm(lin_t, 0.5, ONES, {}, full_pairs=True)
+    s = parabolic_seminorm(lin_t, 0.5, ONES, ())
     assert s == pytest.approx(0.5 ** 0.75)
     with pytest.raises(GridError):
-        parabolic_seminorm(Field(g, [0.0], lin_t.values[:1]), 0.5, ONES, {})
+        parabolic_seminorm(Field(g, [0.0], lin_t.values[:1]), 0.5, ONES, ())
 
 
 def test_parabolic_all_ones_reduces_to_unweighted():
     g = grid2(11)
     times = np.linspace(0, 0.3, 4)
     f = Field.from_function(g, times, lambda t, X: np.sin(X[0] + t))
-    a = parabolic_seminorm(f, 0.5, ONES, {})
-    b = parabolic_seminorm(f, 0.5, ONES, {1: 2})
+    a = parabolic_seminorm(f, 0.5, ONES, ())
+    b = parabolic_seminorm(f, 0.5, ONES, (1, 1))
     assert a == pytest.approx(b)
 
 
@@ -217,7 +219,7 @@ def test_minus_norm_dominated_by_full_norm():
 def test_sup_norm_monotone_in_alpha():
     g = grid2(11)
     f = still(g, lambda X: np.cos(X[0]) * np.sin(X[1]))
-    pairs = [({0: 1}, {0: 2}), ({1: 1}, {0: 1, 1: 1}), ({}, {0: 1})]
+    pairs = [((0,), (0, 0)), ((1,), (0, 1)), ((), (0,))]
     for a, a2 in pairs:
         assert weighted_sup_norm(f, BETA, a) <= weighted_sup_norm(f, BETA, a2) + 1e-12
 
@@ -230,12 +232,12 @@ def test_remark_hcd_inequality_on_grid():
     f = still(g, lambda X: np.sin(X[0]) * np.cos(0.5 * X[1]))
     alpha = (0,)
     da = finite_diff(f, alpha)
-    lhs = holder_seminorm(da, 1.0) / multi_index_weight(BETA, {0: 1})
+    lhs = holder_seminorm(da, 1.0) / multi_index_weight(BETA, (0,))
     succ = []
     for c in range(2):
         d2 = finite_diff(da, (c,))
-        succ.append(np.max(np.abs(d2.values)) / multi_index_weight(BETA, {0: 1}))
-    rhs = max(max(succ), 2 * weighted_sup_norm(da, BETA, {0: 1}))
+        succ.append(np.max(np.abs(d2.values)) / multi_index_weight(BETA, (0,)))
+    rhs = max(max(succ), 2 * weighted_sup_norm(da, BETA, (0,)))
     assert lhs <= rhs * (1 + 0.05)
 
 
@@ -313,23 +315,17 @@ def test_load_field_rejects_sidecar_mismatch(tmp_path, key, value):
 # whole-field seminorm against its brute-force twin
 
 
-def _brute_seminorm(values, h, gamma, full):
+def _brute_seminorm(values, h, gamma):
     """Max over slices, axes and every axis-aligned node pair of
-    |V(j) - V(i)| / ((j - i) h)^gamma; for 0 < gamma < 1 on long axes
-    without full_pairs, only pairs whose lag is a power of two or M - 1."""
+    |V(j) - V(i)| / ((j - i) h)^gamma."""
     best = 0.0
     for ax in range(1, values.ndim):
         v = np.moveaxis(values, ax, -1)
         M = v.shape[-1]
-        lags = set(range(1, M))
-        if 0 < gamma < 1 and not full and M > FULL_PAIR_LIMIT:
-            lags = {2 ** k for k in range(M.bit_length()) if 2 ** k < M}
-            lags.add(M - 1)
         for i in range(M):
             for j in range(i + 1, M):
-                if j - i in lags:
-                    d = np.max(np.abs(v[..., j] - v[..., i]))
-                    best = max(best, float(d) / ((j - i) * h) ** gamma)
+                d = np.max(np.abs(v[..., j] - v[..., i]))
+                best = max(best, float(d) / ((j - i) * h) ** gamma)
     return best
 
 
@@ -343,29 +339,28 @@ def _fields(draw):
 
 
 @settings(max_examples=200, deadline=None)
-# a ramp on a long axis: at gamma = 1/2 only the end-to-end lag M - 1 of the
-# ladder attains the sup
-@example(values=np.linspace(0.0, 1.0, 101)[None], h=0.1, gamma=0.5,
-         full=False)
+# a ramp on a long axis: at gamma = 1/2 only the end-to-end lag M - 1
+# attains the sup
+@example(values=np.linspace(0.0, 1.0, 101)[None], h=0.1, gamma=0.5)
 @given(values=_fields(), h=st.floats(0.01, 2.0),
-       gamma=st.sampled_from([0.0, 0.5, 1.0]), full=st.booleans())
-def test_axis_seminorm_matches_all_pairs(values, h, gamma, full):
-    fast = holder._axis_seminorm(values, h, gamma, full)
-    brute = _brute_seminorm(values, h, gamma, full)
+       gamma=st.sampled_from([0.0, 0.5, 1.0]))
+def test_axis_seminorm_matches_all_pairs(values, h, gamma):
+    fast = holder._axis_seminorm(values, h, gamma)
+    brute = _brute_seminorm(values, h, gamma)
     if gamma == 0:
         assert fast == brute
     else:
         assert math.isclose(fast, brute, rel_tol=1e-12, abs_tol=0.0)
 
 
-def _per_slice_seminorm(values, h, gamma, full):
+def _per_slice_seminorm(values, h, gamma):
     """The seminorm as first written: Python loops over slices, axes and
-    ladder lags, one slice at a time."""
+    lags, one slice at a time."""
     best = 0.0
     for vals in values:
         for ax in range(vals.ndim):
             v = np.moveaxis(vals, ax, -1)
-            for lag in holder._pair_lags(vals.shape[ax], full):
+            for lag in range(1, vals.shape[ax]):
                 d = np.max(np.abs(v[..., lag:] - v[..., :-lag]))
                 best = max(best, d / (lag * h) ** gamma)
     return best
@@ -373,7 +368,6 @@ def _per_slice_seminorm(values, h, gamma, full):
 
 @pytest.mark.parametrize("N, M, seed", [(2, 21, 0), (3, 11, 1)])
 def test_triple_norm_matches_per_slice_formula(monkeypatch, N, M, seed):
-    # M <= FULL_PAIR_LIMIT, so the per-slice loop visits every lag
     spec = decay_lq_game(N, BETA, 0.1, 0.2, 0.25, 0.1)
     game = lq_game(spec, BETA, SpatialGrid(N, 2.0, M), 0.01)
     u = probe_fields(game, seed)

@@ -298,7 +298,7 @@ def test_horizon_scan_spearman_matches_scipy(monkeypatch):
     ratio = {}
     monkeypatch.setattr(nash, "probe_fields", lambda game, seed: game)
     monkeypatch.setattr(nash, "contraction_probe",
-                        lambda game, u, v: nash.ProbeResult(ratio[game], 0, 0, 0))
+                        lambda game, u, v: nash.ProbeResult(ratio[game], 0, 0))
     monkeypatch.setattr(nash, "picard_solve", lambda game, **kw: (
         None, SimpleNamespace(converged=False)))
     rng = np.random.default_rng(0)

@@ -1,12 +1,14 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nash_horizon.weights import (
     CscCertificate,
-    MultiIndex,
     ShiftedWeight,
     WeightError,
     WeightSequence,
@@ -14,6 +16,7 @@ from nash_horizon.weights import (
     certify_csc,
     lp_norm,
     multi_index_weight,
+    predecessors,
     self_convolve,
     shift,
 )
@@ -144,46 +147,94 @@ def test_shift_symmetry_property():
 
 def test_multi_index_weight_cases():
     b = build_weight("polynomial", {"a": 3}, 32)
-    assert multi_index_weight(b, {}) == 1.0
+    assert multi_index_weight(b, ()) == 1.0
     # single coordinate
-    assert multi_index_weight(b, {3: 1}) == pytest.approx(b.value(3))
+    assert multi_index_weight(b, (3,)) == pytest.approx(b.value(3))
     # off-diagonal pair: beta^j ^ beta^k ^ sqrt(beta^j beta^k)
     j, k = 1, 4
     expected = min(b.value(j), b.value(k), np.sqrt(b.value(j) * b.value(k)))
-    assert multi_index_weight(b, {j: 1, k: 1}) == pytest.approx(expected)
+    assert multi_index_weight(b, (j, k)) == pytest.approx(expected)
+    assert multi_index_weight(b, (k, j)) == multi_index_weight(b, (j, k))
+    # one predecessor per distinct coordinate
+    assert predecessors((0, 1, 1)) == [(0, 1), (1, 1)]
+    assert predecessors((2, 2, 2)) == [(2, 2)]
+    assert predecessors(()) == []
 
 
 def test_multi_index_weight_order_cap():
     b = build_weight("polynomial", {"a": 3}, 32)
     with pytest.raises(WeightError):
-        multi_index_weight(b, {0: 4})
+        multi_index_weight(b, (0, 0, 0, 0))
 
 
 def test_multi_index_weight_all_ones():
     ones = build_weight("table", {"values": np.ones(33)}, 16)
-    for alpha in ({0: 1}, {1: 2}, {0: 1, 2: 1, 3: 1}, {5: 3}):
+    for alpha in ((0,), (1, 1), (0, 2, 3), (5, 5, 5)):
         assert multi_index_weight(ones, alpha) == 1.0
 
 
 def enumerate_alphas(coords, max_order):
     """All multi-indices over the given coordinates with order <= max_order."""
-    out = [{}]
-    for k in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(coords, k):
-            d = {}
-            for c in combo:
-                d[c] = d.get(c, 0) + 1
-            out.append(d)
-    return out
+    return [combo for k in range(max_order + 1)
+            for combo in itertools.combinations_with_replacement(coords, k)]
+
+
+def sub_multiset(a1, a2) -> bool:
+    """alpha1 <= alpha2 componentwise."""
+    return not Counter(a1) - Counter(a2)
 
 
 def test_multi_index_weight_monotone_in_alpha():
     b = build_weight("polynomial", {"a": 3}, 32)
-    alphas = [MultiIndex.from_dict(d) for d in enumerate_alphas(range(4), 3)]
+    alphas = enumerate_alphas(range(4), 3)
     vals = {a: multi_index_weight(b, a) for a in alphas}
     for a1, a2 in itertools.product(alphas, repeat=2):
-        if a1 <= a2:
+        if sub_multiset(a1, a2):
             assert vals[a1] >= vals[a2] - 1e-15
+
+
+def _old_multi_index_weight(beta, entries):
+    """multi_index_weight as first written, on the sorted (coordinate,
+    multiplicity) pairs its MultiIndex argument held."""
+    k = sum(m for _, m in entries)
+    if k == 0:
+        return 1.0
+    logs = sum(m * np.log(beta.value(c)) for c, m in entries)
+    geo = float(np.exp(logs / k))
+    preds = []
+    for c, m in entries:
+        d = dict(entries)
+        if m == 1:
+            del d[c]
+        else:
+            d[c] = m - 1
+        preds.append(tuple(sorted(d.items())))
+    return min(geo, min(_old_multi_index_weight(beta, p) for p in preds))
+
+
+@st.composite
+def _weights_and_alphas(draw):
+    N = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        beta = build_weight("polynomial", {"a": draw(st.floats(2.1, 6.0))}, 16)
+    else:
+        beta = build_weight("geometric-polynomial",
+                            {"r": draw(st.floats(0.05, 0.95)),
+                             "a": draw(st.floats(1.1, 4.0))}, 16)
+    if draw(st.booleans()):
+        beta = shift(beta, draw(st.integers(0, N - 1)), N=N)
+    if draw(st.booleans()):
+        beta = beta.power(0.5)
+    alpha = tuple(draw(st.lists(st.integers(0, N - 1), max_size=3)))
+    return beta, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_weights_and_alphas())
+def test_multi_index_weight_matches_multiindex_recursion(case):
+    beta, alpha = case
+    entries = tuple(sorted(Counter(alpha).items()))
+    assert multi_index_weight(beta, alpha) == _old_multi_index_weight(beta, entries)
 
 
 def test_lp_norm():
