@@ -125,7 +125,8 @@ def _run_solve(cfg, out, seed):
     game, _ = _game_from(cfg, beta)
     tol = cfg.get("tolerances", {})
     sol, rep = picard_solve(game, tol=float(tol.get("picard_tol", 1e-6)),
-                            max_iter=int(cfg.get("max_iter", 30)))
+                            max_iter=int(cfg.get("max_iter", 30)),
+                            iterate_norm=True)
     _write_csv(out / "picard.csv", ("iteration", "increment"),
                list(enumerate(rep.increments, start=1)))
     results = {"picard": rep.to_dict()}

@@ -343,7 +343,7 @@ class PicardReport:
     converged: bool
     diverged: bool
     tol: float
-    max_norm: float                 # largest triple norm attained
+    max_norm: float | None          # largest iterate norm; None: not computed
     envelope_exceeded: bool
 
     def to_dict(self):
@@ -355,26 +355,30 @@ class PicardReport:
 
 
 def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
-                 max_iter: int = 30):
+                 max_iter: int = 30, *, iterate_norm: bool = False):
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
 
     Returns (per-player Fields | None, PicardReport); divergence (three
     consecutive growing increments) and non-convergence yield a flagged
-    report without a solution.
+    report without a solution. The iterate norm |||S(u)||| costs one more
+    triple norm per sweep, so it is only computed when ``iterate_norm`` is
+    set or ``game.R`` asks for the envelope check; otherwise the report's
+    ``max_norm`` is None (not computed).
     """
     if tol <= 0:
         raise NashError("tol must be positive")
     u = game.zero_fields() if u0 is None else [
         _resample(f, game.times) for f in u0]
     increments = []
-    max_norm = 0.0
+    max_norm = 0.0 if iterate_norm or game.R is not None else None
     converged = diverged = False
     it = 0
     for it in range(1, max_iter + 1):
         new = picard_step(game, u)
         inc = triple_norm(game, [a - b for a, b in zip(new, u)])
         increments.append(inc)
-        max_norm = max(max_norm, triple_norm(game, new))
+        if max_norm is not None:
+            max_norm = max(max_norm, triple_norm(game, new))
         u = new
         if inc < tol:
             converged = True

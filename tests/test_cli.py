@@ -79,6 +79,24 @@ def test_solve_trivial_game(tmp_path):
     assert (o / "u0.bin").exists() and (o / "u0.bin.json").exists()
 
 
+def test_solve_records_finite_max_norm_as_strict_json(tmp_path):
+    from nash_horizon.nash import PicardReport
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, _, o = run(tmp_path, "solve", lq_config())
+    assert code == 0
+    summary = json.loads((o / "summary.json").read_text(),
+                         parse_constant=reject)
+    max_norm = summary["results"]["picard"]["max_norm"]
+    assert isinstance(max_norm, float) and np.isfinite(max_norm)
+    # a norm that was not computed is written as null, never as 0 or NaN
+    skipped = PicardReport([], [], 0, False, False, 1e-6, None, False)
+    doc = json.loads(json.dumps(skipped.to_dict(), allow_nan=False))
+    assert doc["max_norm"] is None
+
+
 def test_solve_numerical_failure_exits_1(tmp_path):
     # blow-up scale: huge costs push the explicit solver to divergence
     cfg = lq_config()

@@ -209,9 +209,46 @@ def test_picard_long_horizon_fails():
 
 
 def test_envelope_warning():
+    # setting R alone turns the iterate norm on
     game, _ = mini_game(R=1e-9)
     with pytest.warns(UserWarning):
-        picard_solve(game, tol=1e-4, max_iter=8)
+        _, rep = picard_solve(game, tol=1e-4, max_iter=8)
+    assert rep.envelope_exceeded
+    assert rep.max_norm > game.R
+
+
+def test_iterate_norm_flag_changes_only_max_norm():
+    game, _ = mini_game()
+    off_sol, off = picard_solve(game, tol=1e-6, max_iter=20)
+    on_sol, on = picard_solve(game, tol=1e-6, max_iter=20, iterate_norm=True)
+    assert off.max_norm is None and not off.envelope_exceeded
+    assert (on.increments, on.ratios, on.iterations, on.converged) == (
+        off.increments, off.ratios, off.iterations, off.converged)
+    for a, b in zip(on_sol, off_sol):
+        assert np.array_equal(a.values, b.values)
+    # brute force: the largest triple norm over the replayed iterates
+    u, norms = game.zero_fields(), []
+    for _ in range(on.iterations):
+        u = picard_step(game, u)
+        norms.append(triple_norm(game, u))
+    assert on.max_norm == max(norms)
+
+
+def test_unread_iterate_norm_costs_no_triple_norm(monkeypatch):
+    from nash_horizon import nash
+    calls = []
+
+    def counting(game, fields):
+        calls.append(1)
+        return triple_norm(game, fields)
+
+    monkeypatch.setattr(nash, "triple_norm", counting)
+    game, _ = mini_game(M=21)
+    _, rep = picard_solve(game, tol=1e-6, max_iter=20)
+    assert len(calls) == rep.iterations
+    calls.clear()
+    _, rep = picard_solve(game, tol=1e-6, max_iter=20, iterate_norm=True)
+    assert len(calls) == 2 * rep.iterations
 
 
 def test_fixed_point_property():
