@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .holder import Field, SpatialGrid, save_field
+from .holder import Field, SpatialGrid, derivative_family, save_field
 from .nash import (
     dimension_stability,
     horizon_scan,
@@ -93,7 +93,14 @@ def _game_from(cfg: dict, beta, T=None, N=None):
                          float(_need(blk, "sigma", (int, float))), T)
     grid = _grid_from(cfg, N)
     kind = blk.get("hamiltonian", "lq")
-    kappa = blk.get("kappa")
+    if kind not in ("lq", "saturated"):
+        raise ConfigError(f"unknown hamiltonian {kind!r}: use 'lq' or "
+                          "'saturated'")
+    kappa = None
+    if kind == "saturated":
+        kappa = float(_need(blk, "kappa", (int, float)))
+        if not kappa > 0:
+            raise ConfigError("the saturated hamiltonian needs kappa > 0")
     game = lq_game(spec, beta, grid, float(_need(cfg, "dt", (int, float))),
                    kind=kind, kappa=kappa)
     return game, spec
@@ -134,11 +141,12 @@ def _run_solve(cfg, out, seed):
     if sol is not None:
         for i, f in enumerate(sol):
             save_field(f, out / f"u{i}.bin")
-        res = residual(game, sol)
+        fams = [derivative_family(f, 2) for f in sol]
+        res = residual(game, fams)
         results["residual_sup"] = [r[0] for r in res]
-        results["decay"] = [verify_decay(f, game.player_weight(i),
+        results["decay"] = [verify_decay(fam, game.player_weight(i),
                                          third_order=False).values()
-                            for i, f in enumerate(sol)]
+                            for i, fam in enumerate(fams)]
         if "residual_max" in tol:
             passed &= max(r[0] for r in res) <= tol["residual_max"]
     return results, passed
@@ -180,12 +188,13 @@ def _run_verify_decay(cfg, out, seed):
         N, beta, float(blk.get("c_B", 0.0)), float(blk.get("c_F", 0.0)),
         float(blk.get("c_G", 0.0)), float(_need(blk, "a", (int, float))),
         float(_need(blk, "T", (int, float))))
-    if problem.drift is not None and not problem.drift.probe_decay(
-            N, _grid_from(cfg, N).L, seed=seed):
-        raise RuntimeError("drift decay probe failed")
     grid = _grid_from(cfg, N)
+    if problem.drift is not None and not problem.drift.probe_decay(
+            N, grid.L, seed=seed):
+        raise RuntimeError("drift decay probe failed")
     w = solve_grid(problem, grid, float(_need(cfg, "dt", (int, float))))
-    rep = verify_decay(w, beta, collar=float(cfg.get("collar", 0.1)))
+    rep = verify_decay(derivative_family(w, 2), beta,
+                       collar=float(cfg.get("collar", 0.1)))
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
     tol = cfg.get("tolerances", {})

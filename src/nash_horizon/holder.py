@@ -5,11 +5,11 @@ carry a time axis.  Derivatives are central second-order differences in the
 interior with second-order one-sided stencils at the boundary; Hoelder
 quotients are evaluated over axis-aligned node pairs only, matching the
 one-coordinate-at-a-time seminorm the weighted spaces are built on.
-Exact closed forms cover gamma = 1 (the difference quotient peaks at lag 1,
-by the triangle inequality) and gamma = 0 (the largest pair difference on an
-axis line is its range); 0 < gamma < 1 visits every pair lag.  Multi-indices
-alpha are tuples of coordinates with repetition, e.g. (0, 1, 1) for
-D_0 D_1^2, the keys of derivative_family.
+The norms use two exponents, both in exact closed form: gamma = 1 (the
+difference quotient peaks at lag 1, by the triangle inequality) and
+gamma = 0 (the largest pair difference on an axis line is its range).
+Multi-indices alpha are tuples of coordinates with repetition, e.g.
+(0, 1, 1) for D_0 D_1^2, the keys of derivative_family.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from .weights import MAX_ORDER, multi_index_weight, predecessors
 __all__ = [
     "SpatialGrid",
     "Field",
-    "NormReport",
     "finite_diff",
     "derivative_family",
     "weighted_sup_norm",
-    "holder_seminorm",
-    "parabolic_seminorm",
     "space_norm",
     "time_nodes",
     "interp_time",
@@ -120,9 +117,6 @@ class Field:
                                          grid.shape) for t in times])
         return Field(grid, times, vals, player)
 
-    def map(self, fn) -> "Field":
-        return Field(self.grid, self.times, fn(self.values), self.player)
-
     def __sub__(self, other: "Field") -> "Field":
         return Field(self.grid, self.times, self.values - other.values,
                      self.player)
@@ -180,71 +174,28 @@ def weighted_sup_norm(field: Field, beta, alpha) -> float:
 
 
 def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
-    """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma:
-    sup over spatial axes and axis-aligned node pairs."""
+    """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma
+    for gamma = 1 or 0: sup over spatial axes and axis-aligned node pairs."""
     best = 0.0
     for ax in range(1, values.ndim):
         if gamma == 1:
             d = np.max(np.abs(np.diff(values, axis=ax))) / h
-        elif gamma == 0:
-            d = np.max(np.ptp(values, axis=ax))
         else:
-            v = np.moveaxis(values, ax, -1)
-            d = max(np.max(np.abs(v[..., k:] - v[..., :-k])) / (k * h) ** gamma
-                    for k in range(1, values.shape[ax]))
+            d = np.max(np.ptp(values, axis=ax))
         best = max(best, float(d))
     return best
 
 
-def holder_seminorm(field: Field, gamma: float) -> float:
-    """Axis-aligned Hoelder seminorm [V]_gamma of a single time slice."""
-    if not 0 <= gamma <= 1:
-        raise GridError("gamma must lie in [0, 1]")
-    if field.times.size != 1:
-        raise GridError("holder_seminorm expects a single time slice")
-    return _axis_seminorm(field.values, field.grid.h, gamma)
-
-
-def _time_holder(values: np.ndarray, times: np.ndarray, expo: float) -> float:
-    """sup over time-node pairs of |V(t)-V(s)|_inf / |t-s|^expo."""
-    K = times.size
-    best = 0.0
-    for lag in range(1, K):
-        d = np.abs(values[lag:] - values[:-lag])
-        d = d.reshape(K - lag, -1).max(axis=1)
-        dt = (times[lag:] - times[:-lag]) ** expo
-        best = max(best, float(np.max(d / dt)))
-    return best
-
-
-def parabolic_seminorm(field: Field, gamma: float, beta, alpha) -> float:
-    """[V]_{gamma/2,gamma;beta,alpha}: time part over (beta^alpha)^(1/2),
-    space part over beta^alpha."""
-    if not 0 < gamma < 1:
-        raise GridError("gamma must lie in (0, 1)")
-    if field.times.size < 2:
-        raise GridError("need at least two time nodes")
-    w = multi_index_weight(beta, alpha)
-    tpart = _time_holder(field.values, field.times, gamma / 2)
-    spart = _axis_seminorm(field.values, field.grid.h, gamma)
-    return tpart / np.sqrt(w) + spart / w
-
-
-@dataclass
-class NormReport:
-    """Itemized weighted-norm evaluation."""
-
-    entries: dict
-    total: float
-
-
 def space_norm(derivs: dict, m: int, gamma: float, beta,
-               minus_variant: bool = False) -> NormReport:
+               minus_variant: bool = False) -> float:
     """Assemble ||V||_{m+gamma;beta} (or the minus variant) from a family of
     derivative fields keyed by ascending coordinate tuples (see
-    derivative_family).  Sup norms run over all time and space nodes; Hoelder
-    seminorms over axis-aligned pairs within each slice, max over slices.
+    derivative_family), for gamma = 1 or 0.  Sup norms run over all time and
+    space nodes; Hoelder seminorms over axis-aligned pairs within each slice,
+    max over slices.
     """
+    if gamma not in (0, 1):
+        raise GridError(f"gamma = {gamma} unsupported: the norms use 0 or 1")
     if () not in derivs:
         raise GridError("derivative family must contain the raw field ()")
     base = derivs[()]
@@ -255,18 +206,13 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
             if a not in derivs:
                 raise GridError(f"missing derivative order {a}")
 
-    entries = {}
     top = m - 1 if minus_variant else m
     total = 0.0
     for k in range(top + 1):
-        sup_k = max(weighted_sup_norm(derivs[a], beta, a) for a in alphas[k])
-        entries[("sup", k)] = sup_k
-        total += sup_k
+        total += max(weighted_sup_norm(derivs[a], beta, a) for a in alphas[k])
     if not minus_variant:
-        semi = max(_axis_seminorm(derivs[a].values, base.grid.h, gamma)
-                   / multi_index_weight(beta, a) for a in alphas[m])
-        entries[("holder", m, gamma)] = semi
-        total += semi
+        total += max(_axis_seminorm(derivs[a].values, base.grid.h, gamma)
+                     / multi_index_weight(beta, a) for a in alphas[m])
     else:
         # top-order sup and Hoelder terms weighted by predecessor weights
         # beta^alpha' (the equivalent norm on the minus space; predecessor
@@ -280,9 +226,8 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
             for ap in predecessors(a):
                 w = multi_index_weight(beta, ap)
                 best = max(best, (raw_sup + raw_semi) / w)
-        entries[("minus-top", m, gamma)] = best
         total += best
-    return NormReport(entries, total)
+    return total
 
 
 # ---------------------------------------------------------------------------

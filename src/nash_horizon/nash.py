@@ -70,81 +70,44 @@ class NashError(RuntimeError):
 class HamiltonianFamily:
     """H^i(t, x, p) with the diagonal momentum partials dH^j/dp^j.
 
-    Built-in kinds: "lq" with H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x, and
+    Two kinds: "lq" with H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x, and
     "saturated" where p^i enters through psi_k(p) = kappa tanh(p/kappa), so
-    all p-derivatives stay globally bounded.  "user" takes raw callbacks.
+    all p-derivatives stay globally bounded.
     """
 
-    def __init__(self, kind, N, Q=None, kappa=None, value_fn=None, dpj_fn=None):
-        if kind not in ("lq", "saturated", "user"):
+    def __init__(self, kind, Q, kappa=None):
+        if kind not in ("lq", "saturated"):
             raise NashError(f"unknown Hamiltonian kind {kind!r}")
+        if kind == "saturated" and (kappa is None or kappa <= 0):
+            raise NashError("saturation level must be positive")
         self.kind = kind
-        self.N = N
-        self.Q = None if Q is None else np.asarray(Q, dtype=float)
+        self.Q = np.asarray(Q, dtype=float)
         self.kappa = kappa
-        self.value_fn = value_fn
-        self.dpj_fn = dpj_fn
 
     @staticmethod
     def lq(Q) -> "HamiltonianFamily":
-        Q = np.asarray(Q, dtype=float)
-        return HamiltonianFamily("lq", Q.shape[0], Q=Q)
+        return HamiltonianFamily("lq", Q)
 
     @staticmethod
     def saturated(Q, kappa: float) -> "HamiltonianFamily":
-        if kappa <= 0:
-            raise NashError("saturation level must be positive")
-        Q = np.asarray(Q, dtype=float)
-        return HamiltonianFamily("saturated", Q.shape[0], Q=Q, kappa=kappa)
-
-    @staticmethod
-    def user(N, value_fn, dpj_fn) -> "HamiltonianFamily":
-        return HamiltonianFamily("user", N, value_fn=value_fn, dpj_fn=dpj_fn)
+        return HamiltonianFamily("saturated", Q, kappa)
 
     def _spatial(self, i, X):
-        if self.Q is None:
-            return 0.0
         return 0.5 * np.einsum("jk,j...,k...->...", self.Q[i], X, X)
 
     def value(self, i, t, X, p):
         """H^i(t, x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
         if self.kind == "lq":
             return 0.5 * p[i] ** 2 - self._spatial(i, X)
-        if self.kind == "saturated":
-            psi = self.kappa * np.tanh(p[i] / self.kappa)
-            return 0.5 * psi ** 2 - self._spatial(i, X)
-        return np.asarray(self.value_fn(i, t, X, p), dtype=float)
+        psi = self.kappa * np.tanh(p[i] / self.kappa)
+        return 0.5 * psi ** 2 - self._spatial(i, X)
 
     def dpj(self, j, t, X, p):
         """dH^j/dp^j(t, x, p): the only momentum partials the drift needs."""
         if self.kind == "lq":
             return p[j]
-        if self.kind == "saturated":
-            z = p[j] / self.kappa
-            return self.kappa * np.tanh(z) / np.cosh(z) ** 2
-        return np.asarray(self.dpj_fn(j, t, X, p), dtype=float)
-
-    def probe_derivatives(self, n_points: int = 100, seed: int = 0,
-                          tol: float = 1e-4, span: float = 2.0) -> float:
-        """Max relative error of dpj against central differences of value at
-        random (t, x, p); raises above tol.
-        """
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-span, span, (self.N, n_points))
-        p = rng.uniform(-span, span, (self.N, n_points))
-        t = float(rng.uniform(0, 1))
-        h = 1e-5
-        worst = 0.0
-        for j in range(self.N):
-            e = np.zeros_like(p)
-            e[j] = h
-            fd = (self.value(j, t, X, p + e) - self.value(j, t, X, p - e)) / (2 * h)
-            an = np.broadcast_to(self.dpj(j, t, X, p), fd.shape)
-            scale = np.maximum(np.abs(an), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
-        if worst > tol:
-            raise NashError(f"derivative probe failed: rel err {worst:.2e}")
-        return worst
+        z = p[j] / self.kappa
+        return self.kappa * np.tanh(z) / np.cosh(z) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +160,9 @@ class GameSpec:
 
 def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
             kind: str = "lq", kappa: float | None = None, R=None) -> GameSpec:
-    """GameSpec matching an LQ oracle specification."""
-    if kind == "lq":
-        ham = HamiltonianFamily.lq(spec.Q)
-    else:
-        ham = HamiltonianFamily.saturated(spec.Q, kappa)
+    """GameSpec matching an LQ oracle specification; kind is "lq" or
+    "saturated" (which needs kappa)."""
+    ham = HamiltonianFamily(kind, spec.Q, kappa)
     diffusion = DiffusionSpec.isotropic(spec.N, 0.5 * spec.sigma ** 2)
     terms = [
         (lambda X, G=spec.Gamma[i]: 0.5 * np.einsum("jk,j...,k...->...", G, X, X))
@@ -316,11 +277,11 @@ def triple_norm(game: GameSpec, fields) -> float:
     worst = 0.0
     for i, f in enumerate(fields):
         fam = derivative_family(f, 2)
-        total = space_norm(fam, 2, 1.0, game.player_weight(i)).total
+        total = space_norm(fam, 2, 1.0, game.player_weight(i))
         if f.times.size >= 2:
             lip = _lipschitz_family(fam, f.times)
             total += space_norm(lip, 2, 0.0, game.player_weight(i, sqrt=True),
-                                minus_variant=True).total
+                                minus_variant=True)
         worst = max(worst, total)
     return worst
 
@@ -401,23 +362,23 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 # diagnostics
 
 
-def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
+def residual(game: GameSpec, fams, collar: float = 0.1) -> list:
     """Per-player sup of the Nash equation left side over interior nodes,
-    with the location of the max."""
+    with the location of the max.  fams[i] is derivative_family(u^i, 2); the
+    frozen gradients D_j u^j are read from fams[j][(j,)]."""
     grid = game.grid
-    times = fields[0].times
+    times = fams[0][()].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
     X = grid.meshgrid()
-    cache = GradientCache.from_fields(fields)
+    grads = np.stack([fam[(j,)].values for j, fam in enumerate(fams)])
     inner = grid.interior(collar)
     out = []
-    for i, f in enumerate(fields):
-        fam = derivative_family(f, 2)
-        ut = np.gradient(f.values, times, axis=0, edge_order=2)
+    for i, fam in enumerate(fams):
+        ut = np.gradient(fam[()].values, times, axis=0, edge_order=2)
         res = -ut
         for k, t in enumerate(times):
-            Du = cache.values[:, k]
+            Du = grads[:, k]
             diag = game.diffusion.diag_values(t, X)
             acc = np.zeros(grid.shape)
             for c in range(game.N):

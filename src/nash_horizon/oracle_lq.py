@@ -65,20 +65,6 @@ class LQGameSpec:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Gamma", G)
 
-    def check_decay(self, beta, c_Q: float, c_G: float,
-                    slack: float = 1e-9) -> bool:
-        """Entries bounded by c (beta^(i-j) ^ sqrt(beta^(i-j) beta^(i-k)))."""
-        for stack, c in ((self.Q, c_Q), (self.Gamma, c_G)):
-            for i in range(self.N):
-                for j in range(self.N):
-                    for k in range(self.N):
-                        bj = beta.value(i - j)
-                        bk = beta.value(i - k)
-                        bound = c * min(bj, np.sqrt(bj * bk))
-                        if abs(stack[i, j, k]) > bound + slack:
-                            return False
-        return True
-
 
 def decay_lq_game(N: int, beta, c_Q: float, c_G: float, sigma: float,
                   T: float) -> LQGameSpec:

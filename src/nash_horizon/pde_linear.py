@@ -62,15 +62,13 @@ class DiffusionSpec:
     N: int
     diag: list          # k -> callable (t, xk) -> array like xk
     offdiag: dict       # (i, j), i < j -> callable t -> float
-    lam: float          # ellipticity floor
 
     @staticmethod
-    def constant(matrix, lam=None) -> "DiffusionSpec":
+    def constant(matrix) -> "DiffusionSpec":
         m = np.asarray(matrix, dtype=float)
         if not np.allclose(m, m.T):
             raise SpecError("diffusion matrix must be symmetric")
-        lam = float(np.linalg.eigvalsh(m).min()) if lam is None else lam
-        if lam <= 0:
+        if np.linalg.eigvalsh(m).min() <= 0:
             raise SpecError("diffusion must satisfy A >= lam I with lam > 0")
         N = m.shape[0]
         diag = [
@@ -78,7 +76,7 @@ class DiffusionSpec:
         ]
         off = {(i, j): (lambda t, v=m[i, j]: v)
                for i in range(N) for j in range(i + 1, N) if m[i, j] != 0.0}
-        return DiffusionSpec(N, diag, off, lam)
+        return DiffusionSpec(N, diag, off)
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
@@ -116,16 +114,6 @@ class DiffusionSpec:
             for (i, j) in self.offdiag:
                 best = max(best, abs(self.offdiag_value(i, j, t)))
         return best
-
-    def check_ellipticity(self, t_samples, pts) -> float:
-        """Smallest sampled eigenvalue; raises if below the declared floor."""
-        lo = np.inf
-        for t in t_samples:
-            m = self.matrix_points(t, pts)
-            lo = min(lo, float(np.linalg.eigvalsh(m).min()))
-        if lo < self.lam - 1e-12:
-            raise SpecError(f"sampled eigenvalue {lo} below floor {self.lam}")
-        return lo
 
 
 @dataclass
@@ -526,12 +514,15 @@ class DecayReport:
                 "time_lip_hess": self.time_lip_hess, "collar": self.collar}
 
 
-def verify_decay(w: Field, beta, collar: float = 0.1,
+def verify_decay(fam: dict, beta, collar: float = 0.1,
                  third_order: bool = True) -> DecayReport:
     """Measure the decay constants  sup |D_j w| / beta^j,
     sup |D2_jk w| / (beta^j ^ sqrt(beta^j beta^k))  (and the third-order
-    analogue) over interior nodes, plus the time-Lipschitz quotients.
+    analogue) over interior nodes, plus the time-Lipschitz quotients, from
+    fam = derivative_family(w, 2).  Each third derivative is taken from a
+    Hessian, reduced and dropped in turn, so only one is held at a time.
     """
+    w = fam[()]
     grid = w.grid
     N = grid.N
     inner = (slice(None),) + grid.interior(collar)
@@ -542,18 +533,14 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     def wpair(j, k):
         return min(bv(j), np.sqrt(bv(j) * bv(k)))
 
-    grads = [finite_diff(w, (j,)) for j in range(N)]
-    K1 = max(float(np.max(np.abs(grads[j].values[inner]))) / bv(j)
+    K1 = max(float(np.max(np.abs(fam[(j,)].values[inner]))) / bv(j)
              for j in range(N))
 
-    hess = {}
+    hess = {a: f for a, f in fam.items() if len(a) == 2}
     K2 = 0.0
-    for j in range(N):
-        for k in range(j, N):
-            d2 = finite_diff(grads[j], (k,))
-            hess[(j, k)] = d2
-            sup = float(np.max(np.abs(d2.values[inner])))
-            K2 = max(K2, sup / wpair(j, k), sup / wpair(k, j))
+    for (j, k), d2 in hess.items():
+        sup = float(np.max(np.abs(d2.values[inner])))
+        K2 = max(K2, sup / wpair(j, k), sup / wpair(k, j))
 
     K3 = 0.0
     if third_order:
@@ -567,7 +554,7 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     lip2 = 0.0
     if w.times.size >= 2:
         for j in range(N):
-            dtd = np.gradient(grads[j].values, w.times, axis=0)
+            dtd = np.gradient(fam[(j,)].values, w.times, axis=0)
             lip1 = max(lip1, float(np.max(np.abs(dtd[inner]))) / np.sqrt(bv(j)))
         dts = np.diff(w.times)
         for (j, k), d2 in hess.items():

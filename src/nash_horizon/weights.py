@@ -9,7 +9,6 @@ with minima over predecessor multi-indices and govern all weighted norms.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -25,15 +24,10 @@ __all__ = [
     "shift",
     "multi_index_weight",
     "predecessors",
-    "lp_norm",
 ]
 
 # fraction of the window treated as the edge guard band
 EDGE_GUARD_FRACTION = 0.1
-# relative tail contribution of sqrt(beta) below which the partial sum is
-# considered converged on the window (recorded, not enforced: slowly decaying
-# admissible sequences never meet it at desk-scale windows)
-TAIL_CONVERGENCE_TOL = 1e-6
 # largest multi-index order |alpha| the weighted spaces use
 MAX_ORDER = 3
 
@@ -75,38 +69,10 @@ class WeightSequence:
         out = self.values[np.abs(i) + self.W]
         return float(out) if out.ndim == 0 else out
 
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.W, self.W + 1)
-
-    @property
-    def tail_fraction(self) -> float:
-        """Share of sum (beta^i)^(1/2) carried by the outer 10% of the window."""
-        half = np.sqrt(self.values)
-        guard = max(1, int(round(EDGE_GUARD_FRACTION * self.W)))
-        outer = np.abs(self.offsets()) > self.W - guard
-        return float(half[outer].sum() / half.sum())
-
-    @property
-    def tail_converged(self) -> bool:
-        return self.tail_fraction < TAIL_CONVERGENCE_TOL
-
     def power(self, q: float) -> "WeightSequence":
         """Pointwise power, e.g. sqrt(beta) for q = 1/2 (still beta^0 = 1)."""
         return WeightSequence("table", {"power": q, "of": self.kind},
                               self.W, self.values ** q)
-
-    def to_json(self) -> str:
-        doc = {"kind": self.kind, "params": self.params, "W": self.W}
-        if self.kind == "table":
-            doc["values"] = self.values.tolist()
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "WeightSequence":
-        doc = json.loads(text)
-        if doc["kind"] == "table":
-            return build_weight("table", {"values": doc["values"]}, doc["W"])
-        return build_weight(doc["kind"], doc["params"], doc["W"])
 
 
 class ShiftedWeight:
@@ -253,9 +219,3 @@ def multi_index_weight(beta, alpha) -> float:
     pred = min(multi_index_weight(beta, a) for a in predecessors(alpha))
     return min(geo, pred)
 
-
-def lp_norm(beta: WeightSequence, p: float) -> float:
-    """Plain sum over the window of (beta^i)^p, for p in {1/2, 1}."""
-    if p not in (0.5, 1.0, 1):
-        raise WeightError("supported exponents are p = 1/2 and p = 1")
-    return float(np.sum(beta.values ** p))

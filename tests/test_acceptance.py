@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from nash_horizon.cli import main as cli_main
-from nash_horizon.holder import Field, SpatialGrid
+from nash_horizon.holder import Field, SpatialGrid, derivative_family
 from nash_horizon.nash import (
     dimension_stability,
     horizon_scan,
@@ -95,7 +95,7 @@ def test_04_linear_decay_estimate():
         p = build_decay_problem(3, BETA32, c_B=0.2, c_F=0.3, c_G=c_G,
                                 a=0.5, T=T)
         w = solve_grid(p, g, 0.9 * g.h ** 2 / (2 * 3 * 0.5))
-        return verify_decay(w, BETA32, collar=0.1)
+        return verify_decay(derivative_family(w, 2), BETA32, collar=0.1)
 
     coarse = solve(25, 0.2, 0.3)
     fine = solve(49, 0.2, 0.3)

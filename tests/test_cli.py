@@ -97,6 +97,71 @@ def test_solve_records_finite_max_norm_as_strict_json(tmp_path):
     assert doc["max_norm"] is None
 
 
+@pytest.mark.parametrize("game", [{"hamiltonian": "LQ", "kappa": 2},
+                                  {"hamiltonian": "user"}])
+def test_solve_unknown_hamiltonian_exits_2(tmp_path, game):
+    cfg = lq_config()
+    cfg["game"].update(game)
+    code, summary, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert summary is None
+
+
+@pytest.mark.parametrize("kappa", [None, 0, -1.0, "2"])
+def test_solve_saturated_needs_positive_kappa_exits_2(tmp_path, kappa):
+    cfg = lq_config()
+    cfg["game"]["hamiltonian"] = "saturated"
+    if kappa is not None:
+        cfg["game"]["kappa"] = kappa
+    code, summary, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert summary is None
+
+
+def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
+    # after Picard, residual and verify_decay share one order-2 family per
+    # player and take no other derivative
+    from nash_horizon import cli, holder
+    real = {"picard_solve": cli.picard_solve,
+            "derivative_family": holder.derivative_family,
+            "finite_diff": holder.finite_diff}
+    calls = []
+
+    def solve(*a, **kw):
+        out = real["picard_solve"](*a, **kw)
+        calls.append("picard")
+        return out
+
+    def family(f, m):
+        if calls:
+            calls.append(("family", f.player, m))
+        return real["derivative_family"](f, m)
+
+    def diff(f, alpha):
+        if calls:
+            calls.append("finite_diff")
+        return real["finite_diff"](f, alpha)
+
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("nash_horizon"):
+            continue
+        for attr, fake in (("picard_solve", solve), ("derivative_family",
+                                                     family),
+                           ("finite_diff", diff)):
+            if getattr(mod, attr, None) is real[attr]:
+                monkeypatch.setattr(mod, attr, fake)
+    cfg = lq_config()
+    cfg["game"]["N"] = 3
+    cfg["grid"]["M"] = 11
+    code, summary, _ = run(tmp_path, "solve", cfg)
+    assert code == 0 and len(summary["results"]["decay"]) == 3
+    families = [c for c in calls if c not in ("picard", "finite_diff")]
+    assert calls[0] == "picard"
+    assert families == [("family", i, 2) for i in range(3)]
+    # each family: 3 first and 6 second derivatives
+    assert calls.count("finite_diff") == 3 * (3 + 6)
+
+
 def test_solve_numerical_failure_exits_1(tmp_path):
     # blow-up scale: huge costs push the explicit solver to divergence
     cfg = lq_config()

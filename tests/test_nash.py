@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from nash_horizon.holder import Field, SpatialGrid, finite_diff
+from nash_horizon.holder import (
+    Field,
+    SpatialGrid,
+    derivative_family,
+    finite_diff,
+)
 from nash_horizon.nash import (
     GameSpec,
     GradientCache,
@@ -41,6 +46,10 @@ def zero_game(N=2, T=0.1, M=21, L=2.0):
     return GameSpec(N, diff, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
 
 
+def fams_of(fields):
+    return [derivative_family(f, 2) for f in fields]
+
+
 def test_game_step_under_diffusion_cfl_margin():
     for dt in (10.0, 0.3, 0.02):
         game, spec = mini_game(dt=dt)
@@ -53,18 +62,49 @@ def test_game_step_under_diffusion_cfl_margin():
 # Hamiltonian families
 
 
+def probe_derivatives(ham):
+    """Finite-difference reference for the momentum partials: the max
+    relative error of dpj against central differences of value at 100
+    random (t, x, p) with |x|, |p| <= 2."""
+    N = ham.Q.shape[0]
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2.0, 2.0, (N, 100))
+    p = rng.uniform(-2.0, 2.0, (N, 100))
+    t = float(rng.uniform(0, 1))
+    h = 1e-5
+    worst = 0.0
+    for j in range(N):
+        e = np.zeros_like(p)
+        e[j] = h
+        fd = (ham.value(j, t, X, p + e) - ham.value(j, t, X, p - e)) / (2 * h)
+        an = np.broadcast_to(ham.dpj(j, t, X, p), fd.shape)
+        scale = np.maximum(np.abs(an), 1.0)
+        worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
+    return worst
+
+
 def test_hamiltonian_probe_passes_builtin():
     Q = decay_lq_game(3, BETA, 0.3, 0.3, 0.2, 1.0).Q
-    assert HamiltonianFamily.lq(Q).probe_derivatives() < 1e-6
-    assert HamiltonianFamily.saturated(Q, 2.0).probe_derivatives() < 1e-4
+    assert probe_derivatives(HamiltonianFamily.lq(Q)) < 1e-6
+    assert probe_derivatives(HamiltonianFamily.saturated(Q, 2.0)) < 1e-4
 
 
 def test_hamiltonian_probe_catches_wrong_derivative():
-    bad = HamiltonianFamily.user(
-        2, lambda i, t, X, p: 0.5 * p[i] ** 2,
-        lambda j, t, X, p: 1.5 * p[j])
-    with pytest.raises(NashError):
-        bad.probe_derivatives()
+    class WrongPartial(HamiltonianFamily):
+        def dpj(self, j, t, X, p):
+            return 1.5 * p[j]
+
+    assert probe_derivatives(WrongPartial("lq", np.zeros((2, 2, 2)))) > 1e-4
+
+
+def test_unknown_hamiltonian_kind_rejected():
+    spec = decay_lq_game(2, BETA, 0.1, 0.2, 0.25, 0.2)
+    grid = SpatialGrid(2, 3.0, 21)
+    for kind in ("LQ", "user", ""):
+        with pytest.raises(NashError, match="unknown Hamiltonian kind"):
+            lq_game(spec, BETA, grid, 0.02, kind=kind, kappa=2.0)
+    with pytest.raises(NashError, match="saturation level"):
+        lq_game(spec, BETA, grid, 0.02, kind="saturated")
 
 
 def test_saturated_matches_lq_at_small_momenta():
@@ -183,10 +223,10 @@ def test_picard_matches_oracle_mini():
         err = np.max(np.abs(sol[i].values - exact)[(slice(None),) + inner])
         assert err < 2e-2
     # decay reports and residuals of the fixed point are finite
-    assert all(np.isfinite(verify_decay(f, game.player_weight(i),
+    assert all(np.isfinite(verify_decay(fam, game.player_weight(i),
                                         third_order=False).K2)
-               for i, f in enumerate(sol))
-    assert all(np.isfinite(r[0]) for r in residual(game, sol))
+               for i, fam in enumerate(fams_of(sol)))
+    assert all(np.isfinite(r[0]) for r in residual(game, fams_of(sol)))
 
 
 def test_picard_determinism():
@@ -372,7 +412,7 @@ def test_horizon_scan_degenerate_game():
 
 def test_residual_zero_on_trivial_game():
     game = zero_game()
-    res = residual(game, game.zero_fields())
+    res = residual(game, fams_of(game.zero_fields()))
     assert all(r[0] == 0.0 for r in res)
 
 
@@ -387,20 +427,20 @@ def test_residual_refines_on_oracle_fields():
         u = [Field(game.grid, times,
                    np.stack([lq_value(traj, i, t, X)[0] for t in times]),
                    player=i) for i in range(2)]
-        sups.append(max(r[0] for r in residual(game, u)))
+        sups.append(max(r[0] for r in residual(game, fams_of(u))))
     assert np.log2(sups[0] / sups[1]) >= 1.0
 
 
 def test_residual_perturbation_slope():
     game, spec = mini_game()
     sol, _ = picard_solve(game, tol=1e-7)
-    base = max(r[0] for r in residual(game, sol))
+    base = max(r[0] for r in residual(game, fams_of(sol)))
     X = game.grid.meshgrid()
 
     def perturbed(delta):
         u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]), f.player)
              for f in sol]
-        return max(r[0] for r in residual(game, u))
+        return max(r[0] for r in residual(game, fams_of(u)))
 
     e1 = perturbed(0.1) - base
     e2 = perturbed(0.05) - base
@@ -413,7 +453,48 @@ def test_residual_needs_time_nodes():
     short = [Field(game.grid, [0.0, 0.1],
                    np.zeros((2,) + game.grid.shape)) for _ in range(game.N)]
     with pytest.raises(NashError):
-        residual(game, short)
+        residual(game, fams_of(short))
+
+
+def _residual_first_form(game, fields, collar=0.1):
+    """residual as first written: its own GradientCache for D_j u^j and its
+    own derivative family per player."""
+    grid = game.grid
+    times = fields[0].times
+    X = grid.meshgrid()
+    cache = GradientCache.from_fields(fields)
+    inner = grid.interior(collar)
+    out = []
+    for i, f in enumerate(fields):
+        fam = derivative_family(f, 2)
+        res = -np.gradient(f.values, times, axis=0, edge_order=2)
+        for k, t in enumerate(times):
+            Du = cache.values[:, k]
+            diag = game.diffusion.diag_values(t, X)
+            acc = np.zeros(grid.shape)
+            for c in range(game.N):
+                acc += diag[c] * fam[(c, c)].values[k]
+            for (a, b) in game.diffusion.offdiag:
+                acc += 2 * game.diffusion.offdiag_value(a, b, t) * \
+                    fam[tuple(sorted((a, b)))].values[k]
+            res[k] -= acc
+            res[k] += game.hamiltonian.value(i, t, X, Du)
+            for j in range(game.N):
+                if j != i:
+                    res[k] += game.hamiltonian.dpj(j, t, X, Du) * \
+                        fam[(j,)].values[k]
+        body = np.abs(res[(slice(None),) + inner])
+        loc = np.unravel_index(int(np.argmax(body)), body.shape)
+        out.append((float(body.max()), loc))
+    return out
+
+
+@pytest.mark.parametrize("N, M, kind", [(1, 21, "lq"), (2, 15, "saturated"),
+                                        (3, 9, "lq")])
+def test_residual_on_shared_families_matches_first_form(N, M, kind):
+    game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
+    u = probe_fields(game, seed=N, scale=0.5)
+    assert residual(game, fams_of(u)) == _residual_first_form(game, u)
 
 
 # ---------------------------------------------------------------------------

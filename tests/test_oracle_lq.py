@@ -145,8 +145,14 @@ def test_lq_value_evaluation():
 def test_decay_builder_and_inheritance():
     beta = BETA
     spec = decay_lq_game(4, beta, c_Q=0.2, c_G=0.3, sigma=0.25, T=0.2)
-    assert spec.check_decay(beta, 0.2, 0.3)
-    assert not spec.check_decay(beta, 0.01, 0.3)
+    # entries obey |Q_i^{jk}| <= c_Q (beta^(i-j) ^ sqrt(beta^(i-j) beta^(i-k)))
+    # (likewise Gamma with c_G), and the constants are attained
+    i, j, k = np.meshgrid(*[np.arange(4)] * 3, indexing="ij")
+    bj, bk = beta.value(i - j), beta.value(i - k)
+    envelope = np.minimum(bj, np.sqrt(bj * bk))
+    for stack, c in ((spec.Q, 0.2), (spec.Gamma, 0.3)):
+        assert np.all(np.abs(stack) <= c * envelope + 1e-15)
+        assert np.max(np.abs(stack) / envelope) == pytest.approx(c)
     # integrated P_i inherit the decay profile: fitted K_P stable under
     # refinement
     def fitted_K(dt):

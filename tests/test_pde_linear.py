@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from nash_horizon.holder import SpatialGrid
+from nash_horizon.holder import (
+    Field,
+    SpatialGrid,
+    derivative_family,
+    finite_diff,
+)
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
@@ -132,11 +137,13 @@ def test_drift_decay_probe():
 def test_ellipticity_check():
     diff = DiffusionSpec.constant(np.array([[1.0, 0.2], [0.2, 1.0]]))
     pts = np.random.default_rng(0).uniform(-1, 1, (2, 10))
-    lo = diff.check_ellipticity([0.0], pts)
-    assert lo == pytest.approx(0.8)
-    bad = DiffusionSpec(2, diff.diag, {(0, 1): lambda t: 2.0}, lam=0.5)
-    with pytest.raises(SpecError):
-        bad.check_ellipticity([0.0], pts)
+    assert np.linalg.eigvalsh(diff.matrix_points(0.0, pts)).min() == \
+        pytest.approx(0.8)
+    # constant() refuses a matrix that is not positive definite or symmetric
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                [[1.0, 0.2], [0.0, 1.0]]):
+        with pytest.raises(SpecError):
+            DiffusionSpec.constant(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +280,12 @@ def decayed_field(N, M=33, L=2.0, n_times=3):
     def f(t, X):
         return sum(BETA.value(j) * np.sin(X[j] + t) for j in range(N))
 
-    from nash_horizon.holder import Field
     return Field.from_function(g, np.linspace(0, 0.2, n_times), f)
 
 
 def test_verify_decay_separable_field():
     w = decayed_field(3)
-    rep = verify_decay(w, BETA, collar=0.1)
+    rep = verify_decay(derivative_family(w, 2), BETA, collar=0.1)
     # each K is bounded by ~1 up to discretization error
     assert rep.K1 < 1.05
     assert rep.K2 < 1.05
@@ -292,21 +298,81 @@ def test_verify_decay_separable_field():
 def test_verify_decay_flags_slow_decay():
     # a field leaning on the last coordinate violates the weighted bounds
     g = SpatialGrid(3, 2.0, 33)
-    from nash_horizon.holder import Field
     w = Field.from_function(g, [0.0, 0.1],
                             lambda t, X: np.sin(3 * X[2]))
-    rep = verify_decay(w, BETA, collar=0.1)
+    rep = verify_decay(derivative_family(w, 2), BETA, collar=0.1)
     assert rep.K1 > 1.0 / BETA.value(2)
 
 
 def test_verify_decay_collar_excludes_boundary():
     # boundary-localized wiggle is invisible to the interior sup
     g = SpatialGrid(1, 2.0, 81)
-    from nash_horizon.holder import Field
     bump = np.zeros((1, 81))
     bump[0, :3] = [0.0, 1.0, 0.0]
     clean = Field(g, [0.0], np.zeros((1, 81)))
     dirty = Field(g, [0.0], bump)
-    r_clean = verify_decay(clean, BETA, collar=0.1, third_order=False)
-    r_dirty = verify_decay(dirty, BETA, collar=0.1, third_order=False)
+    r_clean = verify_decay(derivative_family(clean, 2), BETA, collar=0.1,
+                           third_order=False)
+    r_dirty = verify_decay(derivative_family(dirty, 2), BETA, collar=0.1,
+                           third_order=False)
     assert r_dirty.K1 == r_clean.K1 == 0.0
+
+
+def _verify_decay_first_form(w, beta, collar, third_order):
+    """verify_decay as first written: its own finite_diff chain from w."""
+    grid = w.grid
+    N = grid.N
+    inner = (slice(None),) + grid.interior(collar)
+
+    def wpair(j, k):
+        return min(beta.value(j), np.sqrt(beta.value(j) * beta.value(k)))
+
+    grads = [finite_diff(w, (j,)) for j in range(N)]
+    K1 = max(float(np.max(np.abs(grads[j].values[inner]))) / beta.value(j)
+             for j in range(N))
+    hess = {}
+    K2 = 0.0
+    for j in range(N):
+        for k in range(j, N):
+            d2 = finite_diff(grads[j], (k,))
+            hess[(j, k)] = d2
+            sup = float(np.max(np.abs(d2.values[inner])))
+            K2 = max(K2, sup / wpair(j, k), sup / wpair(k, j))
+    K3 = 0.0
+    if third_order:
+        for (j, k), d2 in hess.items():
+            for l in range(k, N):
+                sup = float(np.max(np.abs(finite_diff(d2, (l,)).values[inner])))
+                for a, b in ((j, k), (k, j), (j, l), (l, j), (k, l), (l, k)):
+                    K3 = max(K3, sup / wpair(a, b))
+    lip1 = lip2 = 0.0
+    if w.times.size >= 2:
+        for j in range(N):
+            dtd = np.gradient(grads[j].values, w.times, axis=0)
+            lip1 = max(lip1, float(np.max(np.abs(dtd[inner])))
+                       / np.sqrt(beta.value(j)))
+        dts = np.diff(w.times)
+        for (j, k), d2 in hess.items():
+            diffs = np.abs(np.diff(d2.values, axis=0))[inner]
+            sup = float(np.max(diffs.reshape(diffs.shape[0], -1).max(axis=1)
+                               / dts))
+            lip2 = max(lip2, sup / np.sqrt(beta.value(j)),
+                       sup / np.sqrt(beta.value(k)))
+    return K1, K2, K3, lip1, lip2, collar
+
+
+@pytest.mark.parametrize("N, M", [(1, 41), (2, 21), (3, 13)])
+def test_verify_decay_on_family_matches_first_form(N, M):
+    rng = np.random.default_rng(N)
+    c = rng.uniform(0.5, 1.5, (3, N))
+    w = Field.from_function(
+        SpatialGrid(N, 2.0, M), np.linspace(0.0, 0.2, 4),
+        lambda t, X: sum(c[0, j] * np.sin(c[1, j] * X[j] + c[2, j] * t)
+                         * BETA.value(j) for j in range(N))
+        + X[0] * X[-1] ** 2)
+    fam = derivative_family(w, 2)
+    for third in (False, True):
+        rep = verify_decay(fam, BETA, collar=0.1, third_order=third)
+        first = _verify_decay_first_form(w, BETA, 0.1, third)
+        assert tuple(rep.values().values()) == first
+        assert (rep.K3 > 0) == third

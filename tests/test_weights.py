@@ -1,5 +1,4 @@
 import itertools
-import json
 from collections import Counter
 
 import numpy as np
@@ -11,10 +10,8 @@ from nash_horizon.weights import (
     CscCertificate,
     ShiftedWeight,
     WeightError,
-    WeightSequence,
     build_weight,
     certify_csc,
-    lp_norm,
     multi_index_weight,
     predecessors,
     self_convolve,
@@ -235,30 +232,6 @@ def test_multi_index_weight_matches_multiindex_recursion(case):
     beta, alpha = case
     entries = tuple(sorted(Counter(alpha).items()))
     assert multi_index_weight(beta, alpha) == _old_multi_index_weight(beta, entries)
-
-
-def test_lp_norm():
-    b = build_weight("polynomial", {"a": 3}, 4000)
-    zeta3 = 1.2020569031595943
-    assert lp_norm(b, 1) == pytest.approx(2 * zeta3 - 1, rel=1e-5)
-    assert lp_norm(b, 0.5) >= lp_norm(b, 1)
-    assert lp_norm(near_delta(), 1) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(WeightError):
-        lp_norm(b, 2)
-
-
-def test_tail_fraction_diagnostic():
-    poly = build_weight("polynomial", {"a": 3}, 64)
-    geo = build_weight("geometric-polynomial", {"r": 0.3, "a": 2}, 64)
-    assert 0 < poly.tail_fraction < 1
-    assert geo.tail_converged
-
-
-def test_json_roundtrip():
-    for b in (build_weight("polynomial", {"a": 3}, 16), near_delta(16)):
-        b2 = WeightSequence.from_json(b.to_json())
-        np.testing.assert_allclose(b2.values, b.values)
-        assert b2.kind == b.kind and b2.W == b.W
 
 
 def test_power_view():
