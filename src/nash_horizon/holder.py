@@ -10,6 +10,11 @@ difference quotient peaks at lag 1, by the triangle inequality) and
 gamma = 0 (the largest pair difference on an axis line is its range).
 Multi-indices alpha are tuples of coordinates with repetition, e.g.
 (0, 1, 1) for D_0 D_1^2, the keys of derivative_family.
+
+space_norm over a derivative_family is the plain definition of the weighted
+norms.  The Picard triple norm (nash.triple_norm) does not build the family:
+it streams each derivative through the same np.gradient calls, reduces it as
+it is made and drops it, and agrees with space_norm bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "Field",
     "finite_diff",
     "derivative_family",
+    "sup_abs",
     "weighted_sup_norm",
     "space_norm",
     "time_nodes",
@@ -168,9 +174,15 @@ def derivative_family(field: Field, m: int) -> dict:
     return fam
 
 
+def sup_abs(x: np.ndarray) -> float:
+    """max |x| without an |x| temporary.  Negation is exact and abs() turns
+    a -0.0 into 0.0, so the value is that of np.max(np.abs(x)), NaN too."""
+    return abs(max(float(x.max()), -float(x.min())))
+
+
 def weighted_sup_norm(field: Field, beta, alpha) -> float:
     """sup |field| / beta^alpha; the field is D^alpha V (or V for alpha = 0)."""
-    return float(np.max(np.abs(field.values))) / multi_index_weight(beta, alpha)
+    return sup_abs(field.values) / multi_index_weight(beta, alpha)
 
 
 def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
@@ -179,10 +191,15 @@ def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     best = 0.0
     for ax in range(1, values.ndim):
         if gamma == 1:
-            d = np.max(np.abs(np.diff(values, axis=ax))) / h
+            head = (slice(None),) * ax
+            d = sup_abs(values[head + (slice(1, None),)]
+                        - values[head + (slice(None, -1),)]) / h
         else:
-            d = np.max(np.ptp(values, axis=ax))
-        best = max(best, float(d))
+            # a range along the leading axis of a contiguous copy is a fast
+            # elementwise max/min; np.ptp along an inner axis is not
+            lead = np.moveaxis(values, ax, 0).copy()
+            d = float(np.max(lead.max(axis=0) - lead.min(axis=0)))
+        best = max(best, d)
     return best
 
 
@@ -206,13 +223,15 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
             if a not in derivs:
                 raise GridError(f"missing derivative order {a}")
 
+    weight = {a: multi_index_weight(beta, a) for ak in alphas for a in ak}
+    h = base.grid.h
     top = m - 1 if minus_variant else m
     total = 0.0
     for k in range(top + 1):
-        total += max(weighted_sup_norm(derivs[a], beta, a) for a in alphas[k])
+        total += max(sup_abs(derivs[a].values) / weight[a] for a in alphas[k])
     if not minus_variant:
-        total += max(_axis_seminorm(derivs[a].values, base.grid.h, gamma)
-                     / multi_index_weight(beta, a) for a in alphas[m])
+        total += max(_axis_seminorm(derivs[a].values, h, gamma) / weight[a]
+                     for a in alphas[m])
     else:
         # top-order sup and Hoelder terms weighted by predecessor weights
         # beta^alpha' (the equivalent norm on the minus space; predecessor
@@ -220,12 +239,10 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
         # full norm)
         best = 0.0
         for a in alphas[m]:
-            f = derivs[a]
-            raw_sup = float(np.max(np.abs(f.values)))
-            raw_semi = _axis_seminorm(f.values, f.grid.h, gamma)
+            v = derivs[a].values
+            raw = sup_abs(v) + _axis_seminorm(v, h, gamma)
             for ap in predecessors(a):
-                w = multi_index_weight(beta, ap)
-                best = max(best, (raw_sup + raw_semi) / w)
+                best = max(best, raw / weight[ap])
         total += best
     return total
 

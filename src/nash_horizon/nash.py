@@ -10,18 +10,21 @@ combining the C^{2,1}-in-space weighted norm with a time-Lipschitz part.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import holder  # _axis_seminorm is looked up at call time
 from .holder import (
     Field,
+    GridError,
     SpatialGrid,
-    derivative_family,
     finite_diff,
     interp_time,
-    space_norm,
+    sup_abs,
     time_nodes,
 )
 from .oracle_lq import LQGameSpec
@@ -34,7 +37,7 @@ from .pde_linear import (
     solve_grid,
     stable_step,
 )
-from .weights import shift
+from .weights import multi_index_weight, predecessors, shift
 
 __all__ = [
     "HamiltonianFamily",
@@ -261,13 +264,69 @@ def picard_step(game: GameSpec, fields) -> list:
 # triple norm
 
 
-def _lipschitz_family(fam: dict, times: np.ndarray) -> dict:
-    dts = np.diff(times).reshape((-1,) + (1,) * (fam[()].values.ndim - 1))
-    out = {}
-    for a, f in fam.items():
-        quot = np.diff(f.values, axis=0) / dts
-        out[a] = Field(f.grid, times[:-1], quot, f.player)
-    return out
+def _finite_sup(x: np.ndarray) -> float:
+    s = sup_abs(x)
+    if not math.isfinite(s):
+        raise GridError("field contains non-finite values")
+    return s
+
+
+def _player_norm(values: np.ndarray, times: np.ndarray, h: float, beta,
+                 sqrt_beta) -> float:
+    """One player's triple norm, streamed over raw arrays.
+
+    Each D^alpha u (|alpha| <= 2) is made by the np.gradient call and in the
+    order of derivative_family, reduced at once (sup; gamma = 1 seminorm at
+    order 2; sup of the time quotient diff/dt, and its gamma = 0 seminorm at
+    order 2) and dropped; only orders <= 1 stay alive as parents.  The
+    per-order maxima are summed with space_norm's association, so the value
+    equals space_norm(family, 2, 1, beta) + space_norm(quotients, 2, 0,
+    sqrt_beta, minus_variant=True) bit for bit.  A non-finite derivative or
+    quotient raises GridError, as building it as a Field would.
+    """
+    N = values.ndim - 1
+    alphas = [a for k in range(3)
+              for a in itertools.combinations_with_replacement(range(N), k)]
+    weight = {a: multi_index_weight(beta, a) for a in alphas}
+    sqrt_weight = {a: multi_index_weight(sqrt_beta, a)
+                   for a in alphas if len(a) < 2}
+    lip = times.size >= 2
+    dts = np.diff(times).reshape((-1,) + (1,) * N)
+    sups, semis = ([], [], []), []
+    lip_sups, lip_top = ([], []), 0.0
+    parents = {}
+    for a in alphas:
+        k = len(a)
+        d = values if k == 0 else np.gradient(parents[a[:-1]], h,
+                                              axis=1 + a[-1], edge_order=2)
+        sups[k].append(_finite_sup(d) / weight[a])
+        if k < 2:
+            parents[a] = d
+        else:
+            semis.append(holder._axis_seminorm(d, h, 1.0) / weight[a])
+        if lip:
+            q = np.diff(d, axis=0) / dts
+            s = _finite_sup(q)
+            if k < 2:
+                lip_sups[k].append(s / sqrt_weight[a])
+            else:
+                raw = s + holder._axis_seminorm(q, h, 0.0)
+                for ap in predecessors(a):
+                    lip_top = max(lip_top, raw / sqrt_weight[ap])
+            del q
+        del d
+    total = 0.0
+    for m in sups:
+        total += max(m)
+    total += max(semis)
+    if lip:
+        # the Lipschitz part is its own sum, added once
+        lip_total = 0.0
+        for m in lip_sups:
+            lip_total += max(m)
+        lip_total += lip_top
+        total += lip_total
+    return total
 
 
 def triple_norm(game: GameSpec, fields) -> float:
@@ -276,13 +335,9 @@ def triple_norm(game: GameSpec, fields) -> float:
     """
     worst = 0.0
     for i, f in enumerate(fields):
-        fam = derivative_family(f, 2)
-        total = space_norm(fam, 2, 1.0, game.player_weight(i))
-        if f.times.size >= 2:
-            lip = _lipschitz_family(fam, f.times)
-            total += space_norm(lip, 2, 0.0, game.player_weight(i, sqrt=True),
-                                minus_variant=True)
-        worst = max(worst, total)
+        worst = max(worst, _player_norm(f.values, f.times, f.grid.h,
+                                        game.player_weight(i),
+                                        game.player_weight(i, sqrt=True)))
     return worst
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holder import Field, SpatialGrid, finite_diff, time_nodes
+from .holder import Field, SpatialGrid, finite_diff, sup_abs, time_nodes
 
 __all__ = [
     "DiffusionSpec",
@@ -533,33 +533,34 @@ def verify_decay(fam: dict, beta, collar: float = 0.1,
     def wpair(j, k):
         return min(bv(j), np.sqrt(bv(j) * bv(k)))
 
-    K1 = max(float(np.max(np.abs(fam[(j,)].values[inner]))) / bv(j)
-             for j in range(N))
+    K1 = max(sup_abs(fam[(j,)].values[inner]) / bv(j) for j in range(N))
 
     hess = {a: f for a, f in fam.items() if len(a) == 2}
     K2 = 0.0
     for (j, k), d2 in hess.items():
-        sup = float(np.max(np.abs(d2.values[inner])))
+        sup = sup_abs(d2.values[inner])
         K2 = max(K2, sup / wpair(j, k), sup / wpair(k, j))
 
     K3 = 0.0
     if third_order:
         for (j, k), d2 in hess.items():
             for l in range(k, N):
-                sup = float(np.max(np.abs(finite_diff(d2, (l,)).values[inner])))
+                sup = sup_abs(finite_diff(d2, (l,)).values[inner])
                 for a, b in ((j, k), (k, j), (j, l), (l, j), (k, l), (l, k)):
                     K3 = max(K3, sup / wpair(a, b))
 
+    # time differences are taken over the interior view only: the quotients
+    # are pointwise in space, so no full-size temporary is needed
     lip1 = 0.0
     lip2 = 0.0
     if w.times.size >= 2:
         for j in range(N):
-            dtd = np.gradient(fam[(j,)].values, w.times, axis=0)
-            lip1 = max(lip1, float(np.max(np.abs(dtd[inner]))) / np.sqrt(bv(j)))
+            dtd = np.gradient(fam[(j,)].values[inner], w.times, axis=0)
+            lip1 = max(lip1, sup_abs(dtd) / np.sqrt(bv(j)))
         dts = np.diff(w.times)
         for (j, k), d2 in hess.items():
-            diffs = np.abs(np.diff(d2.values, axis=0))[
-                (slice(None),) + grid.interior(collar)]
-            sup = float(np.max(diffs.reshape(diffs.shape[0], -1).max(axis=1) / dts))
+            d = np.diff(d2.values[inner], axis=0).reshape(dts.size, -1)
+            rows = np.maximum(d.max(axis=1), -d.min(axis=1))
+            sup = float(np.max(rows / dts))
             lip2 = max(lip2, sup / np.sqrt(bv(j)), sup / np.sqrt(bv(k)))
     return DecayReport(K1, K2, K3, lip1, lip2, collar)

@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nash_horizon import holder
 from nash_horizon.holder import (
     Field,
+    GridError,
     SpatialGrid,
     derivative_family,
     finite_diff,
+    space_norm,
 )
 from nash_horizon.nash import (
     GameSpec,
@@ -326,6 +333,113 @@ def test_triple_norm_zero_and_positive():
     game, _ = mini_game(M=21)
     assert triple_norm(game, game.zero_fields()) == 0.0
     assert triple_norm(game, probe_fields(game, 0)) > 0
+
+
+def _lipschitz_family(fam, times):
+    """Time quotients (D^a u(t_{k+1}) - D^a u(t_k)) / dt_k of a family."""
+    dts = np.diff(times).reshape((-1,) + (1,) * (fam[()].values.ndim - 1))
+    return {a: Field(f.grid, times[:-1], np.diff(f.values, axis=0) / dts,
+                     f.player) for a, f in fam.items()}
+
+
+def _axis_seminorm_as_before(values, h, gamma):
+    """holder._axis_seminorm before its rewrite: |np.diff| at gamma = 1 and
+    np.ptp along each axis at gamma = 0."""
+    best = 0.0
+    for ax in range(1, values.ndim):
+        if gamma == 1:
+            d = np.max(np.abs(np.diff(values, axis=ax))) / h
+        else:
+            d = np.max(np.ptp(values, axis=ax))
+        best = max(best, float(d))
+    return best
+
+
+def _triple_norm_by_definition(game, fields):
+    """The triple norm from whole derivative and Lipschitz families and
+    space_norm (with the seminorm as first vectorised), the reference the
+    streamed kernel must equal."""
+    worst = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holder, "_axis_seminorm", _axis_seminorm_as_before)
+        for i, f in enumerate(fields):
+            fam = derivative_family(f, 2)
+            total = space_norm(fam, 2, 1.0, game.player_weight(i))
+            if f.times.size >= 2:
+                total += space_norm(_lipschitz_family(fam, f.times), 2, 0.0,
+                                    game.player_weight(i, sqrt=True),
+                                    minus_variant=True)
+            worst = max(worst, total)
+    return worst
+
+
+@st.composite
+def _norm_inputs(draw):
+    N = draw(st.integers(1, 4))
+    M = draw(st.sampled_from([5, 7, 9, 11]))
+    game, _ = mini_game(N=N, M=M, L=2.0, T=0.1, dt=0.01)
+    n_times = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        fields = [Field(f.grid, f.times[:n_times], f.values[:n_times], i)
+                  for i, f in enumerate(probe_fields(game, seed))]
+    else:
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+        shape = (n_times,) + game.grid.shape
+        fields = [Field(game.grid, times,
+                        rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3), i)
+                  for i in range(N)]
+    return game, fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_norm_inputs())
+def test_triple_norm_equals_space_norm_definition(inputs):
+    game, fields = inputs
+    assert triple_norm(game, fields) == _triple_norm_by_definition(game, fields)
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_triple_norm_equals_definition_on_iterate_differences(N):
+    # probe-field differences on the full time grid, like a sweep increment
+    game, _ = mini_game(N=N, M=11, L=2.0, T=0.1, dt=0.01)
+    for seed in (0, 2):
+        u, v = probe_fields(game, seed), probe_fields(game, seed + 1)
+        for fields in (u, [a - b for a, b in zip(u, v)]):
+            assert triple_norm(game, fields) == \
+                _triple_norm_by_definition(game, fields)
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_triple_norm_rejects_overflowing_derivative(bad):
+    # alternating +-1e308 is finite, but its one-sided edge stencil
+    # overflows: the norm must fail as a Field of that derivative would,
+    # not let max() drop the inf or nan
+    game, _ = mini_game(N=2, M=11, L=2.0, T=0.1, dt=0.01)
+    fields = probe_fields(game, 0)
+    sign = (-1.0) ** np.indices(game.grid.shape).sum(axis=0)
+    vals = np.broadcast_to(1e308 * sign, fields[bad].values.shape)
+    fields[bad] = Field(game.grid, game.times, vals.copy(), bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridError, match="non-finite"):
+            _triple_norm_by_definition(game, fields)
+        with pytest.raises(GridError, match="non-finite"):
+            triple_norm(game, fields)
+
+
+def test_triple_norm_peak_memory_is_a_few_fields():
+    # the streamed kernel holds u, its first derivatives and one second
+    # derivative at a time; the whole families held about 43 fields
+    game, _ = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
+    u = probe_fields(game, 0)
+    tracemalloc.start()
+    try:
+        triple_norm(game, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * u[0].values.nbytes
 
 
 def test_contraction_probe_small_T():

@@ -376,3 +376,20 @@ def test_verify_decay_on_family_matches_first_form(N, M):
         first = _verify_decay_first_form(w, BETA, 0.1, third)
         assert tuple(rep.values().values()) == first
         assert (rep.K3 > 0) == third
+
+
+@pytest.mark.parametrize("N, M, n_times", [(1, 41, 1), (1, 41, 2), (2, 21, 3),
+                                           (3, 13, 4), (3, 13, 5)])
+def test_verify_decay_matches_full_size_reductions(N, M, n_times):
+    # signed random fields on uneven time steps: the interior-view time
+    # differences and signed row extrema give the DecayReport of the
+    # full-size |x| reductions
+    rng = np.random.default_rng(10 * N + n_times)
+    times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+    vals = rng.normal(size=(n_times,) + (M,) * N) - rng.uniform(-2, 2)
+    w = Field(SpatialGrid(N, 2.0, M), times, vals)
+    fam = derivative_family(w, 2)
+    for collar, third in ((0.1, False), (0.2, True), (0.0, True)):
+        rep = verify_decay(fam, BETA, collar=collar, third_order=third)
+        want = _verify_decay_first_form(w, BETA, collar, third)
+        assert tuple(rep.values().values()) == want

@@ -12,9 +12,11 @@ def test_readme_quick_start_runs():
     for code in blocks:
         scope = {}
         exec(compile(code, str(README), "exec"), scope)
-    # the quick start ends with the PDE fixed point against the Riccati oracle
+    # the quick start ends with the PDE fixed point against the Riccati oracle;
+    # a zero error would mean it compares at the terminal time, where both
+    # sides are the terminal cost
     assert scope["rep"].converged
-    assert scope["err"] < 1e-2
+    assert 1e-12 < scope["err"] < 1e-2
 
 
 if __name__ == "__main__":
