@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .holder import Field, SpatialGrid, derivative_family, save_field
+from .holder import Field, GridError, SpatialGrid, derivative_family, save_field
 from .nash import (
     dimension_stability,
     horizon_scan,
@@ -61,8 +61,11 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _need(cfg: dict, key: str, typ) -> object:
+def _need(cfg: dict, key: str, typ, *default) -> object:
+    """cfg[key] of type typ (an int passes as a float), else the default."""
     if key not in cfg:
+        if default:
+            return default[0]
         raise ConfigError(f"missing config key {key!r}")
     v = cfg[key]
     if typ is float and isinstance(v, int):
@@ -74,23 +77,28 @@ def _need(cfg: dict, key: str, typ) -> object:
 
 def _weight_from(cfg: dict):
     blk = _need(cfg, "weights", dict)
-    return build_weight(_need(blk, "kind", str), _need(blk, "params", dict),
-                        int(_need(blk, "W", int)))
+    try:
+        return build_weight(_need(blk, "kind", str),
+                            _need(blk, "params", dict), _need(blk, "W", int))
+    except (KeyError, TypeError, ValueError) as e:
+        # a WeightError, or a missing or non-numeric parameter
+        raise ConfigError(f"invalid weights: {e}") from e
 
 
 def _grid_from(cfg: dict, N: int) -> SpatialGrid:
     blk = _need(cfg, "grid", dict)
-    return SpatialGrid(N, float(_need(blk, "L", (int, float))),
-                       int(_need(blk, "M", int)))
+    try:
+        return SpatialGrid(N, _need(blk, "L", float), _need(blk, "M", int))
+    except GridError as e:
+        raise ConfigError(f"invalid grid: {e}") from e
 
 
 def _game_from(cfg: dict, beta, T=None, N=None):
     blk = _need(cfg, "game", dict)
-    N = int(_need(blk, "N", int)) if N is None else N
-    T = float(_need(blk, "T", (int, float))) if T is None else T
-    spec = decay_lq_game(N, beta, float(_need(blk, "c_Q", (int, float))),
-                         float(_need(blk, "c_G", (int, float))),
-                         float(_need(blk, "sigma", (int, float))), T)
+    N = _need(blk, "N", int) if N is None else N
+    T = _need(blk, "T", float) if T is None else T
+    spec = decay_lq_game(N, beta, _need(blk, "c_Q", float),
+                         _need(blk, "c_G", float), _need(blk, "sigma", float), T)
     grid = _grid_from(cfg, N)
     kind = blk.get("hamiltonian", "lq")
     if kind not in ("lq", "saturated"):
@@ -98,10 +106,10 @@ def _game_from(cfg: dict, beta, T=None, N=None):
                           "'saturated'")
     kappa = None
     if kind == "saturated":
-        kappa = float(_need(blk, "kappa", (int, float)))
+        kappa = _need(blk, "kappa", float)
         if not kappa > 0:
             raise ConfigError("the saturated hamiltonian needs kappa > 0")
-    game = lq_game(spec, beta, grid, float(_need(cfg, "dt", (int, float))),
+    game = lq_game(spec, beta, grid, _need(cfg, "dt", float),
                    kind=kind, kappa=kappa)
     return game, spec
 
@@ -117,9 +125,9 @@ def _run_certify_weights(cfg, out, seed):
     _write_csv(out / "ratios.csv", ("offset", "beta", "selfconv", "ratio"),
                zip(range(beta.W + 1), beta.values[beta.W:],
                    conv[beta.W:], cert.ratios))
-    tol = cfg.get("tolerances", {})
+    tol = _need(cfg, "tolerances", dict, {})
     passed = cert.certified == tol.get("certified", True)
-    if "max_c" in tol and cert.c > tol["max_c"]:
+    if "max_c" in tol and cert.c > _need(tol, "max_c", float):
         passed = False
     doc = {"c": cert.c, "W": cert.W, "certified": cert.certified,
            "edge_contaminated": cert.edge_contaminated,
@@ -130,9 +138,9 @@ def _run_certify_weights(cfg, out, seed):
 def _run_solve(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
-    tol = cfg.get("tolerances", {})
-    sol, rep = picard_solve(game, tol=float(tol.get("picard_tol", 1e-6)),
-                            max_iter=int(cfg.get("max_iter", 30)),
+    tol = _need(cfg, "tolerances", dict, {})
+    sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
+                            max_iter=_need(cfg, "max_iter", int, 30),
                             iterate_norm=True)
     _write_csv(out / "picard.csv", ("iteration", "increment"),
                list(enumerate(rep.increments, start=1)))
@@ -148,28 +156,28 @@ def _run_solve(cfg, out, seed):
                                          third_order=False).values()
                             for i, fam in enumerate(fams)]
         if "residual_max" in tol:
-            passed &= max(r[0] for r in res) <= tol["residual_max"]
+            passed &= max(r[0] for r in res) <= _need(tol, "residual_max", float)
     return results, passed
 
 
 def _run_scan_horizon(cfg, out, seed):
     beta = _weight_from(cfg)
     T_list = [float(t) for t in _need(cfg, "T_list", list)]
+    tol = _need(cfg, "tolerances", dict, {})
     scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
-                        n_pairs=int(cfg.get("n_pairs", 3)), seed=seed,
-                        tol=float(cfg.get("tolerances", {}).get("picard_tol", 1e-6)),
-                        max_iter=int(cfg.get("max_iter", 30)))
+                        n_pairs=_need(cfg, "n_pairs", int, 3), seed=seed,
+                        tol=_need(tol, "picard_tol", float, 1e-6),
+                        max_iter=_need(cfg, "max_iter", int, 30))
     npairs = len(scan.rows[0].ratios)
     _write_csv(out / "scan.csv",
                ("T", "max_ratio", "converged") +
                tuple(f"ratio_{k}" for k in range(npairs)),
                scan.to_csv_rows())
-    tol = cfg.get("tolerances", {})
     passed = True
     if tol.get("contract_at_smallest", True):
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
     if "spearman_min" in tol:
-        passed &= scan.spearman > tol["spearman_min"]
+        passed &= scan.spearman > _need(tol, "spearman_min", float)
     # a scan whose max ratios all tie has no rank correlation (NaN), which
     # strict JSON cannot hold: it is written as null
     spearman = scan.spearman if np.isfinite(scan.spearman) else None
@@ -183,42 +191,44 @@ def _run_scan_horizon(cfg, out, seed):
 def _run_verify_decay(cfg, out, seed):
     beta = _weight_from(cfg)
     blk = _need(cfg, "problem", dict)
-    N = int(_need(blk, "N", int))
+    N = _need(blk, "N", int)
     problem = build_decay_problem(
-        N, beta, float(blk.get("c_B", 0.0)), float(blk.get("c_F", 0.0)),
-        float(blk.get("c_G", 0.0)), float(_need(blk, "a", (int, float))),
-        float(_need(blk, "T", (int, float))))
+        N, beta, _need(blk, "c_B", float, 0.0), _need(blk, "c_F", float, 0.0),
+        _need(blk, "c_G", float, 0.0), _need(blk, "a", float),
+        _need(blk, "T", float))
     grid = _grid_from(cfg, N)
     if problem.drift is not None and not problem.drift.probe_decay(
             N, grid.L, seed=seed):
         raise RuntimeError("drift decay probe failed")
-    w = solve_grid(problem, grid, float(_need(cfg, "dt", (int, float))))
+    w = solve_grid(problem, grid, _need(cfg, "dt", float))
     rep = verify_decay(derivative_family(w, 2), beta,
-                       collar=float(cfg.get("collar", 0.1)))
+                       collar=_need(cfg, "collar", float, 0.1))
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
-    tol = cfg.get("tolerances", {})
+    tol = _need(cfg, "tolerances", dict, {})
     passed = all(np.isfinite(v) for v in rep.values().values())
     if "K2_max" in tol:
-        passed &= rep.K2 <= tol["K2_max"]
+        passed &= rep.K2 <= _need(tol, "K2_max", float)
     return {"decay": rep.values()}, passed
 
 
 def _run_fpk_diagnostic(cfg, out, seed):
     blk = _need(cfg, "fpk", dict)
-    N = int(blk.get("N", 1))
+    N = _need(blk, "N", int, 1)
     grid = _grid_from(cfg, N)
-    a = float(_need(blk, "a", (int, float)))
+    a = _need(blk, "a", float)
     diff = DiffusionSpec.isotropic(N, a)
-    eps = float(blk.get("eps_factor", 4)) * grid.h
-    T = float(_need(blk, "T", (int, float)))
-    dt = float(cfg["dt"]) if "dt" in cfg else stable_step(
-        diff, grid.meshgrid(), grid.h, (0.0, T / 2, T), np.inf, margin=0.9)
+    eps = _need(blk, "eps_factor", float, 4.0) * grid.h
+    T = _need(blk, "T", float)
+    dt = _need(cfg, "dt", float, None)
+    if dt is None:
+        dt = stable_step(diff, grid.meshgrid(), grid.h, (0.0, T / 2, T),
+                         np.inf, margin=0.9)
     res = solve_fpk_grid(diff, None, blk.get("y", [0.0] * N), eps, grid, dt, T)
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
                                            "cumulative"), rep.to_csv_rows())
-    tol = cfg.get("tolerances", {})
+    tol = _need(cfg, "tolerances", dict, {})
     lo, hi = tol.get("slope_range", [0.4, 0.6])
     passed = lo <= rep.slope <= hi and res.undershoot <= 1e-12
     return {"slope": rep.slope, "C": rep.C, "mass_error":
@@ -229,15 +239,15 @@ def _run_fpk_diagnostic(cfg, out, seed):
 def _run_oracle_compare(cfg, out, seed):
     beta = _weight_from(cfg)
     game, spec = _game_from(cfg, beta)
-    tol = cfg.get("tolerances", {})
-    sol, rep = picard_solve(game, tol=float(tol.get("picard_tol", 1e-6)),
-                            max_iter=int(cfg.get("max_iter", 30)))
+    tol = _need(cfg, "tolerances", dict, {})
+    sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
+                            max_iter=_need(cfg, "max_iter", int, 30))
     if sol is None:
         raise RuntimeError("Picard iteration did not converge")
     traj = riccati_integrate(spec, spec.T / 200)
     (out / "riccati.csv").write_text(trajectory_to_csv(traj))
     X = game.grid.meshgrid()
-    inner = game.grid.interior(float(cfg.get("collar", 0.1)))
+    inner = game.grid.interior(_need(cfg, "collar", float, 0.1))
     rows = []
     for i in range(game.N):
         exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])
@@ -248,9 +258,9 @@ def _run_oracle_compare(cfg, out, seed):
     worst = max(e for _, e in rows)
     passed = rep.converged
     if "max_err" in tol:
-        passed &= worst <= tol["max_err"]
+        passed &= worst <= _need(tol, "max_err", float)
     if "max_iterations" in tol:
-        passed &= rep.iterations <= tol["max_iterations"]
+        passed &= rep.iterations <= _need(tol, "max_iterations", int)
     return {"max_err": worst, "iterations": rep.iterations,
             "final_increment": rep.increments[-1]}, passed
 
@@ -258,17 +268,17 @@ def _run_oracle_compare(cfg, out, seed):
 def _run_stability(cfg, out, seed):
     beta = _weight_from(cfg)
     N_list = [int(n) for n in _need(cfg, "N_list", list)]
-    tol = cfg.get("tolerances", {})
+    tol = _need(cfg, "tolerances", dict, {})
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,
-        tol=float(tol.get("picard_tol", 1e-6)),
-        max_iter=int(cfg.get("max_iter", 30)))
+        tol=_need(tol, "picard_tol", float, 1e-6),
+        max_iter=_need(cfg, "max_iter", int, 30))
     _write_csv(out / "stability.csv", ("N_small", "N_large", "diff", "tail"),
                rep.to_csv_rows())
     diffs = [r.diff for r in rep.rows]
     passed = all(b <= a for a, b in zip(diffs, diffs[1:]))
     if "C_max" in tol:
-        passed &= rep.fitted_C <= tol["C_max"]
+        passed &= rep.fitted_C <= _need(tol, "C_max", float)
     return {"fitted_C": rep.fitted_C,
             "rows": [(r.N_small, r.N_large, r.diff, r.tail)
                      for r in rep.rows]}, passed
@@ -277,15 +287,15 @@ def _run_stability(cfg, out, seed):
 def _run_uniqueness(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
-    tol = cfg.get("tolerances", {})
-    ptol = float(tol.get("picard_tol", 1e-6))
+    tol = _need(cfg, "tolerances", dict, {})
+    ptol = _need(tol, "picard_tol", float, 1e-6)
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(game.terminal_field(i),
                                   (game.times.size,) + game.grid.shape).copy(),
                   player=i) for i in range(game.N)]
     d = uniqueness_probe(game, None, u0_b, tol=ptol,
-                         max_iter=int(cfg.get("max_iter", 30)))
-    factor = float(tol.get("factor", 10.0))
+                         max_iter=_need(cfg, "max_iter", int, 30))
+    factor = _need(tol, "factor", float, 10.0)
     passed = d <= factor * ptol
     _write_csv(out / "uniqueness.csv", ("sup_difference", "picard_tol"),
                [(d, ptol)])
@@ -322,7 +332,7 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        seed = int(cfg.get("seed", 0))
+        seed = _need(cfg, "seed", int, 0)
         if args.seed_override is not None:
             seed = args.seed_override
             cfg["seed"] = seed

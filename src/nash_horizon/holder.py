@@ -9,7 +9,8 @@ The norms use two exponents, both in exact closed form: gamma = 1 (the
 difference quotient peaks at lag 1, by the triangle inequality) and
 gamma = 0 (the largest pair difference on an axis line is its range).
 Multi-indices alpha are tuples of coordinates with repetition, e.g.
-(0, 1, 1) for D_0 D_1^2, the keys of derivative_family.
+(0, 1, 1) for D_0 D_1^2, the keys of derivative_family.  Each D^alpha V is
+divided by weights.multi_index_weight(beta, alpha) and by nothing else.
 
 space_norm over a derivative_family is the plain definition of the weighted
 norms.  The Picard triple norm (nash.triple_norm) does not build the family:
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import MAX_ORDER, multi_index_weight, predecessors
+from .weights import MAX_ORDER, multi_index_weight
 
 __all__ = [
     "SpatialGrid",
@@ -35,7 +36,6 @@ __all__ = [
     "finite_diff",
     "derivative_family",
     "sup_abs",
-    "weighted_sup_norm",
     "space_norm",
     "time_nodes",
     "interp_time",
@@ -180,11 +180,6 @@ def sup_abs(x: np.ndarray) -> float:
     return abs(max(float(x.max()), -float(x.min())))
 
 
-def weighted_sup_norm(field: Field, beta, alpha) -> float:
-    """sup |field| / beta^alpha; the field is D^alpha V (or V for alpha = 0)."""
-    return sup_abs(field.values) / multi_index_weight(beta, alpha)
-
-
 def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma
     for gamma = 1 or 0: sup over spatial axes and axis-aligned node pairs."""
@@ -213,6 +208,8 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
     """
     if gamma not in (0, 1):
         raise GridError(f"gamma = {gamma} unsupported: the norms use 0 or 1")
+    if minus_variant and m < 2:
+        raise GridError("the minus variant needs m >= 2")
     if () not in derivs:
         raise GridError("derivative family must contain the raw field ()")
     base = derivs[()]
@@ -233,17 +230,11 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
         total += max(_axis_seminorm(derivs[a].values, h, gamma) / weight[a]
                      for a in alphas[m])
     else:
-        # top-order sup and Hoelder terms weighted by predecessor weights
-        # beta^alpha' (the equivalent norm on the minus space; predecessor
-        # weights dominate beta^alpha, so the minus norm nests below the
-        # full norm)
-        best = 0.0
-        for a in alphas[m]:
-            v = derivs[a].values
-            raw = sup_abs(v) + _axis_seminorm(v, h, gamma)
-            for ap in predecessors(a):
-                best = max(best, raw / weight[ap])
-        total += best
+        # the top order's smallest predecessor weight is beta^alpha itself
+        # at |alpha| >= 2, so the minus norm nests below the full norm
+        total += max((sup_abs(derivs[a].values)
+                      + _axis_seminorm(derivs[a].values, h, gamma)) / weight[a]
+                     for a in alphas[m])
     return total
 
 

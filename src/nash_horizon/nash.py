@@ -37,7 +37,7 @@ from .pde_linear import (
     solve_grid,
     stable_step,
 )
-from .weights import multi_index_weight, predecessors, shift
+from .weights import multi_index_weight, shift
 
 __all__ = [
     "HamiltonianFamily",
@@ -156,9 +156,8 @@ class GameSpec:
         return np.broadcast_to(np.asarray(self.terminals[i](X), dtype=float),
                                self.grid.shape)
 
-    def player_weight(self, i, sqrt=False):
-        w = shift(self.beta, i, self.N)
-        return w.power(0.5) if sqrt else w
+    def player_weight(self, i):
+        return shift(self.beta, i, self.N)
 
 
 def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
@@ -271,8 +270,8 @@ def _finite_sup(x: np.ndarray) -> float:
     return s
 
 
-def _player_norm(values: np.ndarray, times: np.ndarray, h: float, beta,
-                 sqrt_beta) -> float:
+def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
+                 beta) -> float:
     """One player's triple norm, streamed over raw arrays.
 
     Each D^alpha u (|alpha| <= 2) is made by the np.gradient call and in the
@@ -281,15 +280,16 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float, beta,
     order 2) and dropped; only orders <= 1 stay alive as parents.  The
     per-order maxima are summed with space_norm's association, so the value
     equals space_norm(family, 2, 1, beta) + space_norm(quotients, 2, 0,
-    sqrt_beta, minus_variant=True) bit for bit.  A non-finite derivative or
+    sqrt(beta), minus_variant=True) bit for bit.  The Lipschitz part divides
+    by math.sqrt(beta^alpha), which is the sqrt(beta) weight of alpha because
+    sqrt is monotone and correctly rounded.  A non-finite derivative or
     quotient raises GridError, as building it as a Field would.
     """
     N = values.ndim - 1
     alphas = [a for k in range(3)
               for a in itertools.combinations_with_replacement(range(N), k)]
     weight = {a: multi_index_weight(beta, a) for a in alphas}
-    sqrt_weight = {a: multi_index_weight(sqrt_beta, a)
-                   for a in alphas if len(a) < 2}
+    sqrt_weight = {a: math.sqrt(w) for a, w in weight.items()}
     lip = times.size >= 2
     dts = np.diff(times).reshape((-1,) + (1,) * N)
     sups, semis = ([], [], []), []
@@ -310,9 +310,10 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float, beta,
             if k < 2:
                 lip_sups[k].append(s / sqrt_weight[a])
             else:
-                raw = s + holder._axis_seminorm(q, h, 0.0)
-                for ap in predecessors(a):
-                    lip_top = max(lip_top, raw / sqrt_weight[ap])
+                # the minus variant's smallest predecessor weight is the
+                # weight of alpha itself at |alpha| = 2
+                lip_top = max(lip_top, (s + holder._axis_seminorm(q, h, 0.0))
+                              / sqrt_weight[a])
             del q
         del d
     total = 0.0
@@ -336,8 +337,7 @@ def triple_norm(game: GameSpec, fields) -> float:
     worst = 0.0
     for i, f in enumerate(fields):
         worst = max(worst, _player_norm(f.values, f.times, f.grid.h,
-                                        game.player_weight(i),
-                                        game.player_weight(i, sqrt=True)))
+                                        game.player_weight(i)))
     return worst
 
 

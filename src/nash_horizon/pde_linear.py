@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .holder import Field, SpatialGrid, finite_diff, sup_abs, time_nodes
+from .weights import multi_index_weight
 
 __all__ = [
     "DiffusionSpec",
@@ -516,9 +517,9 @@ class DecayReport:
 
 def verify_decay(fam: dict, beta, collar: float = 0.1,
                  third_order: bool = True) -> DecayReport:
-    """Measure the decay constants  sup |D_j w| / beta^j,
-    sup |D2_jk w| / (beta^j ^ sqrt(beta^j beta^k))  (and the third-order
-    analogue) over interior nodes, plus the time-Lipschitz quotients, from
+    """Measure the decay constants  sup |D^alpha w| / beta^alpha  for
+    |alpha| = 1, 2 (and 3) over interior nodes, plus the time-Lipschitz
+    quotients divided by sqrt(beta^alpha), from
     fam = derivative_family(w, 2).  Each third derivative is taken from a
     Hessian, reduced and dropped in turn, so only one is held at a time.
     """
@@ -527,27 +528,20 @@ def verify_decay(fam: dict, beta, collar: float = 0.1,
     N = grid.N
     inner = (slice(None),) + grid.interior(collar)
 
-    def bv(j):
-        return beta.value(j)
-
-    def wpair(j, k):
-        return min(bv(j), np.sqrt(bv(j) * bv(k)))
-
-    K1 = max(sup_abs(fam[(j,)].values[inner]) / bv(j) for j in range(N))
+    K1 = max(sup_abs(fam[(j,)].values[inner]) / multi_index_weight(beta, (j,))
+             for j in range(N))
 
     hess = {a: f for a, f in fam.items() if len(a) == 2}
     K2 = 0.0
-    for (j, k), d2 in hess.items():
-        sup = sup_abs(d2.values[inner])
-        K2 = max(K2, sup / wpair(j, k), sup / wpair(k, j))
+    for a, d2 in hess.items():
+        K2 = max(K2, sup_abs(d2.values[inner]) / multi_index_weight(beta, a))
 
     K3 = 0.0
     if third_order:
         for (j, k), d2 in hess.items():
             for l in range(k, N):
                 sup = sup_abs(finite_diff(d2, (l,)).values[inner])
-                for a, b in ((j, k), (k, j), (j, l), (l, j), (k, l), (l, k)):
-                    K3 = max(K3, sup / wpair(a, b))
+                K3 = max(K3, sup / multi_index_weight(beta, (j, k, l)))
 
     # time differences are taken over the interior view only: the quotients
     # are pointwise in space, so no full-size temporary is needed
@@ -556,11 +550,12 @@ def verify_decay(fam: dict, beta, collar: float = 0.1,
     if w.times.size >= 2:
         for j in range(N):
             dtd = np.gradient(fam[(j,)].values[inner], w.times, axis=0)
-            lip1 = max(lip1, sup_abs(dtd) / np.sqrt(bv(j)))
+            lip1 = max(lip1,
+                       sup_abs(dtd) / np.sqrt(multi_index_weight(beta, (j,))))
         dts = np.diff(w.times)
-        for (j, k), d2 in hess.items():
+        for a, d2 in hess.items():
             d = np.diff(d2.values[inner], axis=0).reshape(dts.size, -1)
             rows = np.maximum(d.max(axis=1), -d.min(axis=1))
             sup = float(np.max(rows / dts))
-            lip2 = max(lip2, sup / np.sqrt(bv(j)), sup / np.sqrt(bv(k)))
+            lip2 = max(lip2, sup / np.sqrt(multi_index_weight(beta, a)))
     return DecayReport(K1, K2, K3, lip1, lip2, collar)

@@ -3,13 +3,12 @@
 A weight sequence beta is a positive, even, non-increasing sequence on the
 integer window |i| <= W, normalized so that beta^0 = 1.  The key property of
 interest is c-self-control: (beta * beta)^i <= c beta^i, with * the discrete
-self-convolution.  Multi-index weights beta^alpha combine geometric means
-with minima over predecessor multi-indices and govern all weighted norms.
+self-convolution.  The multi-index weight beta^alpha = min over c in alpha of
+beta^c, formed only by multi_index_weight, governs all weighted norms.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "certify_csc",
     "shift",
     "multi_index_weight",
-    "predecessors",
 ]
 
 # fraction of the window treated as the edge guard band
@@ -69,30 +67,20 @@ class WeightSequence:
         out = self.values[np.abs(i) + self.W]
         return float(out) if out.ndim == 0 else out
 
-    def power(self, q: float) -> "WeightSequence":
-        """Pointwise power, e.g. sqrt(beta) for q = 1/2 (still beta^0 = 1)."""
-        return WeightSequence("table", {"power": q, "of": self.kind},
-                              self.W, self.values ** q)
-
 
 class ShiftedWeight:
     """View beta_i with (beta_i)^j = beta^(i-j), for ambient coordinates j.
 
-    Exposes the same ``value``/``power`` interface that the norm machinery
-    uses, so shifted sequences can be passed anywhere a WeightSequence can.
+    Exposes the same ``value`` interface that the norm machinery uses, so
+    shifted sequences can be passed anywhere a WeightSequence can.
     """
 
-    def __init__(self, base: WeightSequence, center: int, q: float = 1.0):
+    def __init__(self, base: WeightSequence, center: int):
         self.base = base
         self.center = center
-        self.q = q
 
     def value(self, j):
-        v = self.base.value(np.asarray(self.center) - np.asarray(j))
-        return v ** self.q if self.q != 1.0 else v
-
-    def power(self, q: float) -> "ShiftedWeight":
-        return ShiftedWeight(self.base, self.center, self.q * q)
+        return self.base.value(np.asarray(self.center) - np.asarray(j))
 
 
 def build_weight(kind: str, params: dict, W: int) -> WeightSequence:
@@ -193,29 +181,20 @@ def shift(beta: WeightSequence, i: int, N: int | None = None) -> ShiftedWeight:
     return ShiftedWeight(beta, i)
 
 
-def predecessors(alpha: tuple) -> list:
-    """The multi-indices alpha - e_k, one per distinct coordinate k of the
-    ascending coordinate tuple alpha."""
-    return sorted({alpha[:i] + alpha[i + 1:] for i in range(len(alpha))})
-
-
 def multi_index_weight(beta, alpha) -> float:
-    """The multi-index weight beta^alpha.
+    """The multi-index weight beta^alpha = min over c in alpha of beta^c
+    (1 for alpha = ()).
 
-    beta^alpha = 1 for |alpha| = 0; for |alpha| >= 1 it is the geometric mean
-    (prod (beta^i)^(alpha^i))^(1/|alpha|) capped by the minimum of beta^alpha'
-    over predecessors alpha' = alpha - e_k.  ``beta`` may be a WeightSequence
-    or a ShiftedWeight; ``alpha`` is a tuple of coordinates with repetition,
-    e.g. (0, 1, 1) for D_0 D_1^2, in any order.
+    This is the exact value of the recursion that defines it: the geometric
+    mean (prod (beta^c)^(alpha^c))^(1/|alpha|) capped by the smallest
+    beta^alpha' over each predecessor alpha' = alpha - e_k.  By induction each
+    beta^alpha' is the minimum of beta^c over c in alpha', and every c in
+    alpha survives in some predecessor (for |alpha| = 1 the cap is
+    beta^() = 1 >= beta^c), so the cap is the minimum over alpha.  That
+    minimum is at most the geometric mean, which therefore never binds.
+    ``beta`` may be a WeightSequence or a ShiftedWeight; ``alpha`` is a tuple
+    of coordinates with repetition, e.g. (0, 1, 1) for D_0 D_1^2.
     """
-    alpha = tuple(sorted(alpha))
-    k = len(alpha)
-    if k > MAX_ORDER:
-        raise WeightError(f"|alpha| = {k} exceeds {MAX_ORDER}")
-    if k == 0:
-        return 1.0
-    logs = sum(m * np.log(beta.value(c)) for c, m in Counter(alpha).items())
-    geo = float(np.exp(logs / k))
-    pred = min(multi_index_weight(beta, a) for a in predecessors(alpha))
-    return min(geo, pred)
-
+    if len(alpha) > MAX_ORDER:
+        raise WeightError(f"|alpha| = {len(alpha)} exceeds {MAX_ORDER}")
+    return min((beta.value(c) for c in alpha), default=1.0)

@@ -118,6 +118,22 @@ def test_solve_saturated_needs_positive_kappa_exits_2(tmp_path, kappa):
     assert summary is None
 
 
+@pytest.mark.parametrize("command, over", [
+    ("solve", {"max_iter": "many"}),
+    ("solve", {"tolerances": {"picard_tol": "tight"}}),
+    ("solve", {"grid": {"L": 3.0, "M": 10}}),
+    ("solve", {"seed": "zero"}),
+    ("certify-weights", {"weights": {"kind": "bogus", "params": {}, "W": 64}}),
+    ("certify-weights", {"weights": {"kind": "polynomial", "params": {},
+                                     "W": 64}}),
+    ("certify-weights", {"tolerances": {"max_c": "small"}}),
+])
+def test_malformed_config_value_exits_2(tmp_path, command, over):
+    code, summary, _ = run(tmp_path, command, lq_config(**over))
+    assert code == 2
+    assert summary is None
+
+
 def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
     # after Picard, residual and verify_decay share one order-2 family per
     # player and take no other derivative

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -22,12 +23,12 @@ from nash_horizon.holder import (
     load_field,
     save_field,
     space_norm,
+    sup_abs,
     time_nodes,
-    weighted_sup_norm,
 )
 from nash_horizon.nash import lq_game, probe_fields, triple_norm
 from nash_horizon.oracle_lq import decay_lq_game
-from nash_horizon.weights import build_weight, multi_index_weight
+from nash_horizon.weights import build_weight, multi_index_weight, shift
 
 BETA = build_weight("polynomial", {"a": 3}, 32)
 
@@ -131,17 +132,22 @@ def test_finite_diff_refinement_order(alpha):
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
+def weighted_sup(f, alpha):
+    """sup |D^alpha V| / beta^alpha for the field f = D^alpha V."""
+    return sup_abs(f.values) / multi_index_weight(BETA, alpha)
+
+
 def test_weighted_sup_norm():
     g = grid2(11)
     zero = still(g, lambda X: 0 * X[0])
-    assert weighted_sup_norm(zero, BETA, ()) == 0.0
+    assert weighted_sup(zero, ()) == 0.0
     two = still(g, lambda X: 2.0 + 0 * X[0])
-    assert weighted_sup_norm(two, BETA, ()) == 2.0
+    assert weighted_sup(two, ()) == 2.0
     one = still(g, lambda X: 1.0 + 0 * X[0])
     j, k = 0, 1
     w = min(BETA.value(j), BETA.value(k),
             np.sqrt(BETA.value(j) * BETA.value(k)))
-    assert weighted_sup_norm(one, BETA, (j, k)) == pytest.approx(1 / w)
+    assert weighted_sup(one, (j, k)) == pytest.approx(1 / w)
 
 
 def test_holder_seminorm_basics():
@@ -202,12 +208,51 @@ def test_minus_norm_dominated_by_full_norm():
             assert minus <= full + 1e-9
 
 
+def _minus_norm_by_predecessor_loop(fam, m, gamma, beta):
+    """space_norm's minus variant as first written: the top-order sup and
+    seminorm divided by each predecessor's weight, the largest quotient
+    kept."""
+    N = fam[()].grid.N
+    h = fam[()].grid.h
+    total = 0.0
+    for k in range(m):
+        total += max(sup_abs(fam[a].values) / multi_index_weight(beta, a)
+                     for a in itertools.combinations_with_replacement(range(N), k))
+    best = 0.0
+    for a in itertools.combinations_with_replacement(range(N), m):
+        v = fam[a].values
+        raw = sup_abs(v) + holder._axis_seminorm(v, h, gamma)
+        for ap in sorted({a[:i] + a[i + 1:] for i in range(len(a))}):
+            best = max(best, raw / multi_index_weight(beta, ap))
+    return total + best
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_minus_norm_equals_predecessor_loop(N):
+    rng = np.random.default_rng(11 + N)
+    g = SpatialGrid(N, 1.5, 9)
+    for beta in (BETA, shift(BETA, N - 1, N=N)):
+        for _ in range(3):
+            vals = rng.normal(size=(2,) + g.shape) * 10.0 ** rng.uniform(-3, 3)
+            fam = derivative_family(Field(g, [0.0, 0.1], vals), 2)
+            for gamma in (0.0, 1.0):
+                assert space_norm(fam, 2, gamma, beta, minus_variant=True) == \
+                    _minus_norm_by_predecessor_loop(fam, 2, gamma, beta)
+
+
+def test_minus_norm_needs_order_two():
+    fam = derivative_family(still(grid2(11), lambda X: np.sin(X[0])), 2)
+    for m in (0, 1):
+        with pytest.raises(GridError, match="minus variant"):
+            space_norm(fam, m, 1.0, BETA, minus_variant=True)
+
+
 def test_sup_norm_monotone_in_alpha():
     g = grid2(11)
     f = still(g, lambda X: np.cos(X[0]) * np.sin(X[1]))
     pairs = [((0,), (0, 0)), ((1,), (0, 1)), ((), (0,))]
     for a, a2 in pairs:
-        assert weighted_sup_norm(f, BETA, a) <= weighted_sup_norm(f, BETA, a2) + 1e-12
+        assert weighted_sup(f, a) <= weighted_sup(f, a2) + 1e-12
 
 
 def test_remark_hcd_inequality_on_grid():
@@ -223,7 +268,7 @@ def test_remark_hcd_inequality_on_grid():
     for c in range(2):
         d2 = finite_diff(da, (c,))
         succ.append(np.max(np.abs(d2.values)) / multi_index_weight(BETA, (0,)))
-    rhs = max(max(succ), 2 * weighted_sup_norm(da, BETA, (0,)))
+    rhs = max(max(succ), 2 * weighted_sup(da, (0,)))
     assert lhs <= rhs * (1 + 0.05)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,16 @@ def _axis_seminorm_as_before(values, h, gamma):
     return best
 
 
+class _SqrtView:
+    """sqrt(beta_i): (sqrt beta_i)^j = sqrt(beta_i^j)."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def value(self, j):
+        return math.sqrt(self.w.value(j))
+
+
 def _triple_norm_by_definition(game, fields):
     """The triple norm from whole derivative and Lipschitz families and
     space_norm (with the seminorm as first vectorised), the reference the
@@ -367,7 +378,7 @@ def _triple_norm_by_definition(game, fields):
             total = space_norm(fam, 2, 1.0, game.player_weight(i))
             if f.times.size >= 2:
                 total += space_norm(_lipschitz_family(fam, f.times), 2, 0.0,
-                                    game.player_weight(i, sqrt=True),
+                                    _SqrtView(game.player_weight(i)),
                                     minus_variant=True)
             worst = max(worst, total)
     return worst
