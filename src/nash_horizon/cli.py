@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .holder import Field, GridError, SpatialGrid, derivative_family, save_field
+from .holder import Field, GridError, SpatialGrid, save_field
 from .nash import (
     dimension_stability,
     horizon_scan,
@@ -75,6 +75,14 @@ def _need(cfg: dict, key: str, typ, *default) -> object:
     return v
 
 
+def _need_list(cfg: dict, key: str, typ, n=None, *default) -> list:
+    """cfg[key]: a list of typ values (see _need), n of them if n is given."""
+    items = _need(cfg, key, list, *default)
+    if n is not None and len(items) != n:
+        raise ConfigError(f"config key {key!r} must list {n} values")
+    return [_need({key: v}, key, typ) for v in items]
+
+
 def _weight_from(cfg: dict):
     blk = _need(cfg, "weights", dict)
     try:
@@ -120,13 +128,14 @@ def _game_from(cfg: dict, beta, T=None, N=None):
 
 def _run_certify_weights(cfg, out, seed):
     beta = _weight_from(cfg)
+    tol = _need(cfg, "tolerances", dict, {})
+    want = _need(tol, "certified", bool, True)
     cert = certify_csc(beta)
     conv = self_convolve(beta)
     _write_csv(out / "ratios.csv", ("offset", "beta", "selfconv", "ratio"),
                zip(range(beta.W + 1), beta.values[beta.W:],
                    conv[beta.W:], cert.ratios))
-    tol = _need(cfg, "tolerances", dict, {})
-    passed = cert.certified == tol.get("certified", True)
+    passed = cert.certified == want
     if "max_c" in tol and cert.c > _need(tol, "max_c", float):
         passed = False
     doc = {"c": cert.c, "W": cert.W, "certified": cert.certified,
@@ -149,12 +158,11 @@ def _run_solve(cfg, out, seed):
     if sol is not None:
         for i, f in enumerate(sol):
             save_field(f, out / f"u{i}.bin")
-        fams = [derivative_family(f, 2) for f in sol]
-        res = residual(game, fams)
+        res = residual(game, sol)
         results["residual_sup"] = [r[0] for r in res]
-        results["decay"] = [verify_decay(fam, game.player_weight(i),
+        results["decay"] = [verify_decay(f, game.player_weight(i),
                                          third_order=False).values()
-                            for i, fam in enumerate(fams)]
+                            for i, f in enumerate(sol)]
         if "residual_max" in tol:
             passed &= max(r[0] for r in res) <= _need(tol, "residual_max", float)
     return results, passed
@@ -162,8 +170,9 @@ def _run_solve(cfg, out, seed):
 
 def _run_scan_horizon(cfg, out, seed):
     beta = _weight_from(cfg)
-    T_list = [float(t) for t in _need(cfg, "T_list", list)]
+    T_list = _need_list(cfg, "T_list", float)
     tol = _need(cfg, "tolerances", dict, {})
+    contract = _need(tol, "contract_at_smallest", bool, True)
     scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
                         n_pairs=_need(cfg, "n_pairs", int, 3), seed=seed,
                         tol=_need(tol, "picard_tol", float, 1e-6),
@@ -174,7 +183,7 @@ def _run_scan_horizon(cfg, out, seed):
                tuple(f"ratio_{k}" for k in range(npairs)),
                scan.to_csv_rows())
     passed = True
-    if tol.get("contract_at_smallest", True):
+    if contract:
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
     if "spearman_min" in tol:
         passed &= scan.spearman > _need(tol, "spearman_min", float)
@@ -201,8 +210,7 @@ def _run_verify_decay(cfg, out, seed):
             N, grid.L, seed=seed):
         raise RuntimeError("drift decay probe failed")
     w = solve_grid(problem, grid, _need(cfg, "dt", float))
-    rep = verify_decay(derivative_family(w, 2), beta,
-                       collar=_need(cfg, "collar", float, 0.1))
+    rep = verify_decay(w, beta, collar=_need(cfg, "collar", float, 0.1))
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
     tol = _need(cfg, "tolerances", dict, {})
@@ -220,16 +228,17 @@ def _run_fpk_diagnostic(cfg, out, seed):
     diff = DiffusionSpec.isotropic(N, a)
     eps = _need(blk, "eps_factor", float, 4.0) * grid.h
     T = _need(blk, "T", float)
+    y = _need_list(blk, "y", float, N, [0.0] * N)
+    tol = _need(cfg, "tolerances", dict, {})
+    lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
     dt = _need(cfg, "dt", float, None)
     if dt is None:
         dt = stable_step(diff, grid.meshgrid(), grid.h, (0.0, T / 2, T),
                          np.inf, margin=0.9)
-    res = solve_fpk_grid(diff, None, blk.get("y", [0.0] * N), eps, grid, dt, T)
+    res = solve_fpk_grid(diff, None, y, eps, grid, dt, T)
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
                                            "cumulative"), rep.to_csv_rows())
-    tol = _need(cfg, "tolerances", dict, {})
-    lo, hi = tol.get("slope_range", [0.4, 0.6])
     passed = lo <= rep.slope <= hi and res.undershoot <= 1e-12
     return {"slope": rep.slope, "C": rep.C, "mass_error":
             float(np.max(np.abs(res.mass - 1.0))),
@@ -267,7 +276,7 @@ def _run_oracle_compare(cfg, out, seed):
 
 def _run_stability(cfg, out, seed):
     beta = _weight_from(cfg)
-    N_list = [int(n) for n in _need(cfg, "N_list", list)]
+    N_list = _need_list(cfg, "N_list", int)
     tol = _need(cfg, "tolerances", dict, {})
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,

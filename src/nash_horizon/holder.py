@@ -12,10 +12,10 @@ Multi-indices alpha are tuples of coordinates with repetition, e.g.
 (0, 1, 1) for D_0 D_1^2, the keys of derivative_family.  Each D^alpha V is
 divided by weights.multi_index_weight(beta, alpha) and by nothing else.
 
-space_norm over a derivative_family is the plain definition of the weighted
-norms.  The Picard triple norm (nash.triple_norm) does not build the family:
-it streams each derivative through the same np.gradient calls, reduces it as
-it is made and drops it, and agrees with space_norm bit for bit.
+Every derivative is made by derivatives(), depth first, each one np.gradient
+of its parent: finite_diff, derivative_family, nash.triple_norm and
+pde_linear.verify_decay all draw from it.  space_norm over a
+derivative_family is the plain definition of the weighted norms.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .weights import MAX_ORDER, multi_index_weight
 __all__ = [
     "SpatialGrid",
     "Field",
+    "derivatives",
     "finite_diff",
     "derivative_family",
     "sup_abs",
@@ -146,32 +147,44 @@ def interp_time(times: np.ndarray, values: np.ndarray, t):
     return (1 - w) * values[k] + w * values[k + 1]
 
 
-def finite_diff(field: Field, alpha) -> Field:
-    """Grid derivative D^alpha, axes applied in ascending coordinate order.
+def _partial(values: np.ndarray, h: float, c: int) -> np.ndarray:
+    """D_c of values (time on axis 0), second order inside and at edges."""
+    return np.gradient(values, h, axis=1 + c, edge_order=2)
 
-    Second-order central stencils in the interior, second-order one-sided at
-    the boundary layers (np.gradient with edge_order=2).
-    """
+
+def derivatives(values: np.ndarray, h: float, m: int):
+    """Yield (alpha, D^alpha values) for each ascending coordinate tuple,
+    |alpha| <= m, depth first: each D^alpha is one _partial of its parent
+    alpha[:-1], and only the path of parents (m + 1 arrays) stays alive."""
+    if m > MAX_ORDER:
+        raise GridError(f"derivative order {m} exceeds {MAX_ORDER}")
+    return _descend(values, h, m, ())
+
+
+def _descend(d: np.ndarray, h: float, m: int, alpha: tuple):
+    yield alpha, d
+    if len(alpha) < m:
+        for c in range(alpha[-1] if alpha else 0, d.ndim - 1):
+            yield from _descend(_partial(d, h, c), h, m, alpha + (c,))
+
+
+def finite_diff(field: Field, alpha) -> Field:
+    """Grid derivative D^alpha, axes applied in ascending coordinate order."""
     if len(alpha) > MAX_ORDER:
         raise GridError(f"derivative order {len(alpha)} exceeds {MAX_ORDER}")
     out = field.values
-    h = field.grid.h
     for c in sorted(alpha):
         if not 0 <= c < field.grid.N:
             raise GridError(f"coordinate {c} outside grid dimension")
-        out = np.gradient(out, h, axis=1 + c, edge_order=2)
+        out = _partial(out, field.grid.h, c)
     return Field(field.grid, field.times, out, field.player)
 
 
 def derivative_family(field: Field, m: int) -> dict:
-    """All D^alpha fields for |alpha| <= m, keyed by ascending coord tuples."""
-    N = field.grid.N
-    fam = {(): field}
-    for k in range(1, m + 1):
-        for coords in itertools.combinations_with_replacement(range(N), k):
-            parent = fam[coords[:-1]]
-            fam[coords] = finite_diff(parent, (coords[-1],))
-    return fam
+    """All D^alpha fields for |alpha| <= m, keyed by ascending coord tuples
+    (depth-first key order, see derivatives)."""
+    return {a: Field(field.grid, field.times, d, field.player) if a else field
+            for a, d in derivatives(field.values, field.grid.h, m)}
 
 
 def sup_abs(x: np.ndarray) -> float:

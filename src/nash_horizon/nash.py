@@ -10,18 +10,18 @@ combining the C^{2,1}-in-space weighted norm with a time-Lipschitz part.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import holder  # _axis_seminorm is looked up at call time
+from . import holder  # derivatives, _axis_seminorm: looked up at call time
 from .holder import (
     Field,
     GridError,
     SpatialGrid,
+    derivative_family,
     finite_diff,
     interp_time,
     sup_abs,
@@ -274,10 +274,9 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
                  beta) -> float:
     """One player's triple norm, streamed over raw arrays.
 
-    Each D^alpha u (|alpha| <= 2) is made by the np.gradient call and in the
-    order of derivative_family, reduced at once (sup; gamma = 1 seminorm at
-    order 2; sup of the time quotient diff/dt, and its gamma = 0 seminorm at
-    order 2) and dropped; only orders <= 1 stay alive as parents.  The
+    Each D^alpha u (|alpha| <= 2) comes from holder.derivatives, is reduced
+    at once (sup; gamma = 1 seminorm at order 2; sup of the time quotient
+    diff/dt, and its gamma = 0 seminorm at order 2) and dropped.  The
     per-order maxima are summed with space_norm's association, so the value
     equals space_norm(family, 2, 1, beta) + space_norm(quotients, 2, 0,
     sqrt(beta), minus_variant=True) bit for bit.  The Lipschitz part divides
@@ -285,37 +284,27 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
     sqrt is monotone and correctly rounded.  A non-finite derivative or
     quotient raises GridError, as building it as a Field would.
     """
-    N = values.ndim - 1
-    alphas = [a for k in range(3)
-              for a in itertools.combinations_with_replacement(range(N), k)]
-    weight = {a: multi_index_weight(beta, a) for a in alphas}
-    sqrt_weight = {a: math.sqrt(w) for a, w in weight.items()}
     lip = times.size >= 2
-    dts = np.diff(times).reshape((-1,) + (1,) * N)
+    dts = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
     sups, semis = ([], [], []), []
     lip_sups, lip_top = ([], []), 0.0
-    parents = {}
-    for a in alphas:
+    for a, d in holder.derivatives(values, h, 2):
         k = len(a)
-        d = values if k == 0 else np.gradient(parents[a[:-1]], h,
-                                              axis=1 + a[-1], edge_order=2)
-        sups[k].append(_finite_sup(d) / weight[a])
-        if k < 2:
-            parents[a] = d
-        else:
-            semis.append(holder._axis_seminorm(d, h, 1.0) / weight[a])
+        weight = multi_index_weight(beta, a)
+        sups[k].append(_finite_sup(d) / weight)
+        if k == 2:
+            semis.append(holder._axis_seminorm(d, h, 1.0) / weight)
         if lip:
             q = np.diff(d, axis=0) / dts
             s = _finite_sup(q)
             if k < 2:
-                lip_sups[k].append(s / sqrt_weight[a])
+                lip_sups[k].append(s / math.sqrt(weight))
             else:
                 # the minus variant's smallest predecessor weight is the
                 # weight of alpha itself at |alpha| = 2
                 lip_top = max(lip_top, (s + holder._axis_seminorm(q, h, 0.0))
-                              / sqrt_weight[a])
+                              / math.sqrt(weight))
             del q
-        del d
     total = 0.0
     for m in sups:
         total += max(m)
@@ -417,14 +406,15 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 # diagnostics
 
 
-def residual(game: GameSpec, fams, collar: float = 0.1) -> list:
+def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
     """Per-player sup of the Nash equation left side over interior nodes,
-    with the location of the max.  fams[i] is derivative_family(u^i, 2); the
-    frozen gradients D_j u^j are read from fams[j][(j,)]."""
+    with the location of the max.  One derivative_family(u^i, 2) is built per
+    player; the frozen gradients D_j u^j are read from its (j,) entries."""
     grid = game.grid
-    times = fams[0][()].times
+    times = fields[0].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
+    fams = [derivative_family(f, 2) for f in fields]
     X = grid.meshgrid()
     grads = np.stack([fam[(j,)].values for j, fam in enumerate(fams)])
     inner = grid.interior(collar)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holder import Field, SpatialGrid, finite_diff, sup_abs, time_nodes
+from .holder import (Field, GridError, SpatialGrid, derivatives, sup_abs,
+                     time_nodes)
 from .weights import multi_index_weight
 
 __all__ = [
@@ -515,47 +516,31 @@ class DecayReport:
                 "time_lip_hess": self.time_lip_hess, "collar": self.collar}
 
 
-def verify_decay(fam: dict, beta, collar: float = 0.1,
+def verify_decay(w: Field, beta, collar: float = 0.1,
                  third_order: bool = True) -> DecayReport:
     """Measure the decay constants  sup |D^alpha w| / beta^alpha  for
     |alpha| = 1, 2 (and 3) over interior nodes, plus the time-Lipschitz
-    quotients divided by sqrt(beta^alpha), from
-    fam = derivative_family(w, 2).  Each third derivative is taken from a
-    Hessian, reduced and dropped in turn, so only one is held at a time.
-    """
-    w = fam[()]
-    grid = w.grid
-    N = grid.N
-    inner = (slice(None),) + grid.interior(collar)
-
-    K1 = max(sup_abs(fam[(j,)].values[inner]) / multi_index_weight(beta, (j,))
-             for j in range(N))
-
-    hess = {a: f for a, f in fam.items() if len(a) == 2}
-    K2 = 0.0
-    for a, d2 in hess.items():
-        K2 = max(K2, sup_abs(d2.values[inner]) / multi_index_weight(beta, a))
-
-    K3 = 0.0
-    if third_order:
-        for (j, k), d2 in hess.items():
-            for l in range(k, N):
-                sup = sup_abs(finite_diff(d2, (l,)).values[inner])
-                K3 = max(K3, sup / multi_index_weight(beta, (j, k, l)))
-
-    # time differences are taken over the interior view only: the quotients
-    # are pointwise in space, so no full-size temporary is needed
-    lip1 = 0.0
-    lip2 = 0.0
-    if w.times.size >= 2:
-        for j in range(N):
-            dtd = np.gradient(fam[(j,)].values[inner], w.times, axis=0)
-            lip1 = max(lip1,
-                       sup_abs(dtd) / np.sqrt(multi_index_weight(beta, (j,))))
-        dts = np.diff(w.times)
-        for a, d2 in hess.items():
-            d = np.diff(d2.values[inner], axis=0).reshape(dts.size, -1)
-            rows = np.maximum(d.max(axis=1), -d.min(axis=1))
-            sup = float(np.max(rows / dts))
-            lip2 = max(lip2, sup / np.sqrt(multi_index_weight(beta, a)))
-    return DecayReport(K1, K2, K3, lip1, lip2, collar)
+    quotients divided by sqrt(beta^alpha).  Each derivative is streamed from
+    holder.derivatives and reduced; a non-finite one raises GridError."""
+    inner = (slice(None),) + w.grid.interior(collar)
+    dts = np.diff(w.times)
+    K, lip = [0.0] * 4, [0.0] * 3
+    for a, d in derivatives(w.values, w.grid.h, 3 if third_order else 2):
+        if not a:
+            continue
+        if not np.all(np.isfinite(d)):
+            raise GridError("field contains non-finite values")
+        weight = multi_index_weight(beta, a)
+        body = d[inner]
+        K[len(a)] = max(K[len(a)], sup_abs(body) / weight)
+        # time differences are taken over the interior view only: the
+        # quotients are pointwise in space, so no full-size temporary is needed
+        if dts.size and len(a) == 1:
+            dtd = np.gradient(body, w.times, axis=0)
+            lip[1] = max(lip[1], sup_abs(dtd) / np.sqrt(weight))
+        elif dts.size and len(a) == 2:
+            q = np.diff(body, axis=0).reshape(dts.size, -1)
+            rows = np.maximum(q.max(axis=1), -q.min(axis=1))
+            lip[2] = max(lip[2], float(np.max(rows / dts)) / np.sqrt(weight))
+        del d, body
+    return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)

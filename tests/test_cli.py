@@ -134,48 +134,84 @@ def test_malformed_config_value_exits_2(tmp_path, command, over):
     assert summary is None
 
 
-def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
-    # after Picard, residual and verify_decay share one order-2 family per
-    # player and take no other derivative
-    from nash_horizon import cli, holder
-    real = {"picard_solve": cli.picard_solve,
-            "derivative_family": holder.derivative_family,
-            "finite_diff": holder.finite_diff}
-    calls = []
+FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
 
-    def solve(*a, **kw):
-        out = real["picard_solve"](*a, **kw)
-        calls.append("picard")
-        return out
+
+@pytest.mark.parametrize("command, cfg", [
+    ("fpk-diagnostic", {**FPK, "tolerances": {"slope_range": ["low", "high"]}}),
+    ("fpk-diagnostic", {**FPK, "tolerances": {"slope_range": 0.5}}),
+    ("fpk-diagnostic", {**FPK, "tolerances": {"slope_range": [0.6]}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "y": "origin"}}),
+    ("scan-horizon", lq_config(T_list=["soon"])),
+    ("scan-horizon", lq_config(T_list=[0.05], tolerances={
+        "contract_at_smallest": "no"})),
+    ("stability", lq_config(N_list=[2, "three"])),
+    ("certify-weights", {"weights": WEIGHTS,
+                         "tolerances": {"certified": "yes"}}),
+])
+def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
+    # read and checked before any solve: no summary is written
+    code, summary, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert summary is None
+
+
+def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
+    # after Picard, residual builds one order-2 family per player and
+    # verify_decay streams its derivatives without a family: 27 _partial
+    # calls each at N = 3, so a third pass over the derivatives shows here
+    from nash_horizon import cli, holder
+    real = {"derivative_family": holder.derivative_family,
+            "_partial": holder._partial}
+    running, log = [], []
+
+    def span(name, fn):
+        def inner(*a, **kw):
+            running.append(name)
+            try:
+                return fn(*a, **kw)
+            finally:
+                running.pop()
+        return inner
 
     def family(f, m):
-        if calls:
-            calls.append(("family", f.player, m))
+        if log:
+            log.append((running[-1], "family", f.player, m))
         return real["derivative_family"](f, m)
 
-    def diff(f, alpha):
-        if calls:
-            calls.append("finite_diff")
-        return real["finite_diff"](f, alpha)
+    def partial(values, h, c):
+        if log:
+            log.append((running[-1], "_partial"))
+        return real["_partial"](values, h, c)
 
+    def solve(*a, **kw):
+        out = real_solve(*a, **kw)
+        log.append("picard")
+        return out
+
+    real_solve = cli.picard_solve
+    monkeypatch.setattr(cli, "picard_solve", solve)
+    monkeypatch.setattr(cli, "residual", span("residual", cli.residual))
+    monkeypatch.setattr(cli, "verify_decay",
+                        span("verify_decay", cli.verify_decay))
+    monkeypatch.setattr(holder, "_partial", partial)
     for name, mod in list(sys.modules.items()):
-        if not name.startswith("nash_horizon"):
-            continue
-        for attr, fake in (("picard_solve", solve), ("derivative_family",
-                                                     family),
-                           ("finite_diff", diff)):
-            if getattr(mod, attr, None) is real[attr]:
-                monkeypatch.setattr(mod, attr, fake)
+        if (name.startswith("nash_horizon")
+                and getattr(mod, "derivative_family", None)
+                is real["derivative_family"]):
+            monkeypatch.setattr(mod, "derivative_family", family)
     cfg = lq_config()
     cfg["game"]["N"] = 3
     cfg["grid"]["M"] = 11
     code, summary, _ = run(tmp_path, "solve", cfg)
     assert code == 0 and len(summary["results"]["decay"]) == 3
-    families = [c for c in calls if c not in ("picard", "finite_diff")]
-    assert calls[0] == "picard"
-    assert families == [("family", i, 2) for i in range(3)]
-    # each family: 3 first and 6 second derivatives
-    assert calls.count("finite_diff") == 3 * (3 + 6)
+    assert log[0] == "picard"
+    families = [c for c in log[1:] if c[1] == "family"]
+    assert families == [("residual", "family", i, 2) for i in range(3)]
+    # per player 3 first and 6 second derivatives, in each of the two
+    assert log.count(("residual", "_partial")) == 27
+    assert log.count(("verify_decay", "_partial")) == 27
+    assert len(log) == 1 + 3 + 54
 
 
 def test_solve_numerical_failure_exits_1(tmp_path):

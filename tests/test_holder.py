@@ -94,6 +94,26 @@ def test_finite_diff_sorts_axes_and_caps_order():
         finite_diff(f, (2,))
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 4), M=st.sampled_from([5, 7, 9]), K=st.integers(1, 3),
+       m=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_derivatives_stream_matches_finite_diff(N, M, K, m, seed):
+    # every ascending tuple of order <= m exactly once, depth first (which is
+    # lexicographic order on ascending tuples), each the finite_diff bits
+    rng = np.random.default_rng(seed)
+    f = Field(SpatialGrid(N, 1.0, M), 0.1 * np.arange(K),
+              rng.normal(size=(K,) + (M,) * N))
+    seen = []
+    for a, d in holder.derivatives(f.values, f.grid.h, m):
+        seen.append(a)
+        assert np.array_equal(d, finite_diff(f, a).values)
+    want = [a for k in range(m + 1)
+            for a in itertools.combinations_with_replacement(range(N), k)]
+    assert seen == sorted(want)
+    with pytest.raises(GridError, match="exceeds"):
+        list(holder.derivatives(f.values, f.grid.h, 4))
+
+
 def test_finite_diff_third_order_sin():
     # D^3 sin(x) at 0 is -cos(0) = -1, error O(h^2) under refinement
     errs = []

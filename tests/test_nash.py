@@ -54,10 +54,6 @@ def zero_game(N=2, T=0.1, M=21, L=2.0):
     return GameSpec(N, diff, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
 
 
-def fams_of(fields):
-    return [derivative_family(f, 2) for f in fields]
-
-
 def test_game_step_under_diffusion_cfl_margin():
     for dt in (10.0, 0.3, 0.02):
         game, spec = mini_game(dt=dt)
@@ -231,10 +227,10 @@ def test_picard_matches_oracle_mini():
         err = np.max(np.abs(sol[i].values - exact)[(slice(None),) + inner])
         assert err < 2e-2
     # decay reports and residuals of the fixed point are finite
-    assert all(np.isfinite(verify_decay(fam, game.player_weight(i),
+    assert all(np.isfinite(verify_decay(f, game.player_weight(i),
                                         third_order=False).K2)
-               for i, fam in enumerate(fams_of(sol)))
-    assert all(np.isfinite(r[0]) for r in residual(game, fams_of(sol)))
+               for i, f in enumerate(sol))
+    assert all(np.isfinite(r[0]) for r in residual(game, sol))
 
 
 def test_picard_determinism():
@@ -440,9 +436,9 @@ def test_triple_norm_rejects_overflowing_derivative(bad):
 
 
 def test_triple_norm_peak_memory_is_a_few_fields():
-    # the streamed kernel holds u, its first derivatives and one second
-    # derivative at a time; the whole families held about 43 fields
-    game, _ = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
+    # the depth-first stream holds the path of parents (one first and one
+    # second derivative), the derivative being made and its time quotient
+    game, _ = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
     u = probe_fields(game, 0)
     tracemalloc.start()
     try:
@@ -450,7 +446,7 @@ def test_triple_norm_peak_memory_is_a_few_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * u[0].values.nbytes
+    assert peak <= 6 * u[0].values.nbytes
 
 
 def test_contraction_probe_small_T():
@@ -537,7 +533,7 @@ def test_horizon_scan_degenerate_game():
 
 def test_residual_zero_on_trivial_game():
     game = zero_game()
-    res = residual(game, fams_of(game.zero_fields()))
+    res = residual(game, game.zero_fields())
     assert all(r[0] == 0.0 for r in res)
 
 
@@ -552,20 +548,20 @@ def test_residual_refines_on_oracle_fields():
         u = [Field(game.grid, times,
                    np.stack([lq_value(traj, i, t, X)[0] for t in times]),
                    player=i) for i in range(2)]
-        sups.append(max(r[0] for r in residual(game, fams_of(u))))
+        sups.append(max(r[0] for r in residual(game, u)))
     assert np.log2(sups[0] / sups[1]) >= 1.0
 
 
 def test_residual_perturbation_slope():
     game, spec = mini_game()
     sol, _ = picard_solve(game, tol=1e-7)
-    base = max(r[0] for r in residual(game, fams_of(sol)))
+    base = max(r[0] for r in residual(game, sol))
     X = game.grid.meshgrid()
 
     def perturbed(delta):
         u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]), f.player)
              for f in sol]
-        return max(r[0] for r in residual(game, fams_of(u)))
+        return max(r[0] for r in residual(game, u))
 
     e1 = perturbed(0.1) - base
     e2 = perturbed(0.05) - base
@@ -578,7 +574,7 @@ def test_residual_needs_time_nodes():
     short = [Field(game.grid, [0.0, 0.1],
                    np.zeros((2,) + game.grid.shape)) for _ in range(game.N)]
     with pytest.raises(NashError):
-        residual(game, fams_of(short))
+        residual(game, short)
 
 
 def _residual_first_form(game, fields, collar=0.1):
@@ -619,7 +615,7 @@ def _residual_first_form(game, fields, collar=0.1):
 def test_residual_on_shared_families_matches_first_form(N, M, kind):
     game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
     u = probe_fields(game, seed=N, scale=0.5)
-    assert residual(game, fams_of(u)) == _residual_first_form(game, u)
+    assert residual(game, u) == _residual_first_form(game, u)
 
 
 # ---------------------------------------------------------------------------

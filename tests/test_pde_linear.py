@@ -1,12 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nash_horizon.holder import (
-    Field,
-    SpatialGrid,
-    derivative_family,
-    finite_diff,
-)
+from nash_horizon.holder import Field, GridError, SpatialGrid, finite_diff
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
@@ -285,7 +282,7 @@ def decayed_field(N, M=33, L=2.0, n_times=3):
 
 def test_verify_decay_separable_field():
     w = decayed_field(3)
-    rep = verify_decay(derivative_family(w, 2), BETA, collar=0.1)
+    rep = verify_decay(w, BETA, collar=0.1)
     # each K is bounded by ~1 up to discretization error
     assert rep.K1 < 1.05
     assert rep.K2 < 1.05
@@ -300,7 +297,7 @@ def test_verify_decay_flags_slow_decay():
     g = SpatialGrid(3, 2.0, 33)
     w = Field.from_function(g, [0.0, 0.1],
                             lambda t, X: np.sin(3 * X[2]))
-    rep = verify_decay(derivative_family(w, 2), BETA, collar=0.1)
+    rep = verify_decay(w, BETA, collar=0.1)
     assert rep.K1 > 1.0 / BETA.value(2)
 
 
@@ -311,10 +308,8 @@ def test_verify_decay_collar_excludes_boundary():
     bump[0, :3] = [0.0, 1.0, 0.0]
     clean = Field(g, [0.0], np.zeros((1, 81)))
     dirty = Field(g, [0.0], bump)
-    r_clean = verify_decay(derivative_family(clean, 2), BETA, collar=0.1,
-                           third_order=False)
-    r_dirty = verify_decay(derivative_family(dirty, 2), BETA, collar=0.1,
-                           third_order=False)
+    r_clean = verify_decay(clean, BETA, collar=0.1, third_order=False)
+    r_dirty = verify_decay(dirty, BETA, collar=0.1, third_order=False)
     assert r_dirty.K1 == r_clean.K1 == 0.0
 
 
@@ -370,9 +365,8 @@ def test_verify_decay_on_family_matches_first_form(N, M):
         lambda t, X: sum(c[0, j] * np.sin(c[1, j] * X[j] + c[2, j] * t)
                          * BETA.value(j) for j in range(N))
         + X[0] * X[-1] ** 2)
-    fam = derivative_family(w, 2)
     for third in (False, True):
-        rep = verify_decay(fam, BETA, collar=0.1, third_order=third)
+        rep = verify_decay(w, BETA, collar=0.1, third_order=third)
         first = _verify_decay_first_form(w, BETA, 0.1, third)
         assert tuple(rep.values().values()) == first
         assert (rep.K3 > 0) == third
@@ -388,8 +382,33 @@ def test_verify_decay_matches_full_size_reductions(N, M, n_times):
     times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
     vals = rng.normal(size=(n_times,) + (M,) * N) - rng.uniform(-2, 2)
     w = Field(SpatialGrid(N, 2.0, M), times, vals)
-    fam = derivative_family(w, 2)
     for collar, third in ((0.1, False), (0.2, True), (0.0, True)):
-        rep = verify_decay(fam, BETA, collar=collar, third_order=third)
+        rep = verify_decay(w, BETA, collar=collar, third_order=third)
         want = _verify_decay_first_form(w, BETA, collar, third)
         assert tuple(rep.values().values()) == want
+
+
+def test_verify_decay_rejects_a_non_finite_derivative():
+    # the differences of a finite field overflow in the boundary stencils
+    # only: the whole-field check catches what the interior sup cannot see
+    g = SpatialGrid(2, 2.0, 11)
+    sign = (-1.0) ** np.indices(g.shape).sum(axis=0)
+    w = Field(g, [0.0, 0.1], np.stack([1e308 * sign] * 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridError, match="non-finite"):
+            verify_decay(w, BETA, collar=0.2, third_order=False)
+
+
+def test_verify_decay_peak_memory_is_a_few_fields():
+    # the stream holds the path of parents (at most three derivatives at
+    # order 3) and the derivative being made, never a whole family
+    g = SpatialGrid(3, 2.0, 33)
+    w = Field.from_function(g, np.linspace(0.0, 0.2, 20),
+                            lambda t, X: np.sin(X[0] + t) * X[1] * X[2] ** 2)
+    tracemalloc.start()
+    try:
+        verify_decay(w, BETA, collar=0.1, third_order=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * w.values.nbytes
