@@ -62,15 +62,17 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _need(cfg: dict, key: str, typ, *default) -> object:
-    """cfg[key] of type typ (an int passes as a float), else the default."""
+    """cfg[key] of type typ (an int passes as a float, a boolean passes only
+    as a bool), else the default."""
     if key not in cfg:
         if default:
             return default[0]
         raise ConfigError(f"missing config key {key!r}")
     v = cfg[key]
-    if typ is float and isinstance(v, int):
+    if typ is float and isinstance(v, int) and not isinstance(v, bool):
         v = float(v)
-    if not isinstance(v, typ):
+    # bool is a subclass of int: a JSON true is not a number
+    if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
         raise ConfigError(f"config key {key!r} must be {typ}")
     return v
 
@@ -187,12 +189,14 @@ def _run_scan_horizon(cfg, out, seed):
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
     if "spearman_min" in tol:
         passed &= scan.spearman > _need(tol, "spearman_min", float)
-    # a scan whose max ratios all tie has no rank correlation (NaN), which
-    # strict JSON cannot hold: it is written as null
-    spearman = scan.spearman if np.isfinite(scan.spearman) else None
-    results = {"spearman": spearman, "T_star_low": scan.T_star_low,
+    # strict JSON holds neither the rank correlation of a scan whose max
+    # ratios all tie (NaN) nor a refused probe's ratio (inf): both are null
+    def finite(x):
+        return x if np.isfinite(x) else None
+
+    results = {"spearman": finite(scan.spearman), "T_star_low": scan.T_star_low,
                "T_fail": scan.T_fail,
-               "rows": [{"T": r.T, "max_ratio": r.max_ratio,
+               "rows": [{"T": r.T, "max_ratio": finite(r.max_ratio),
                          "converged": r.converged} for r in scan.rows]}
     return results, passed
 

@@ -2,17 +2,19 @@
 
 Each sweep freezes the diagonal gradient vector Du = (D_j u^j)_j, assembles
 per-player drifts B^j_i = dH^j/dp^j (with the own slot replaced by the
-s-averaged derivative int_0^1 dH^i/dp^i(p^-i, s p^i) ds) and sources
-F^i = H^i(t, x, Du^-i, 0), and solves the N decoupled backward linear
-equations.  Contraction of the sweep map is measured in the triple norm
-combining the C^{2,1}-in-space weighted norm with a time-Lipschitz part.
+s-averaged derivative int_0^1 dH^i/dp^i(p^-i, s p^i) ds), and solves the N
+decoupled backward linear equations.  Their sources F^i = -H^i(t, x, Du^-i, 0)
+depend neither on the iterate nor on t (see HamiltonianFamily), so each is
+formed once per player per sweep.  Contraction of the sweep map is measured
+in the triple norm combining the C^{2,1}-in-space weighted norm with a
+time-Lipschitz part.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .pde_linear import (
     LinearProblem,
     SourceSpec,
     TerminalSpec,
+    TransportBoundError,
     solve_grid,
     stable_step,
 )
@@ -66,6 +69,10 @@ class NashError(RuntimeError):
     pass
 
 
+class StepBoundError(NashError):
+    """A sweep's step exceeds the upwind transport stability bound."""
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian families
 
@@ -75,7 +82,9 @@ class HamiltonianFamily:
 
     Two kinds: "lq" with H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x, and
     "saturated" where p^i enters through psi_k(p) = kappa tanh(p/kappa), so
-    all p-derivatives stay globally bounded.
+    all p-derivatives stay globally bounded.  In both, H^i depends on p only
+    through p^i and not on t; assemble_source relies on this to evaluate the
+    source H^i(t, x, Du^-i, 0) once, at zero momentum.
     """
 
     def __init__(self, kind, Q, kappa=None):
@@ -212,8 +221,8 @@ def assemble_drift(game: GameSpec, cache: GradientCache, i: int) -> DriftSpec:
             if j != i:
                 out[j] = ham.dpj(j, t, X, Du)
         acc = np.zeros(X.shape[1:])
+        ps = Du.copy()          # only the own slot changes between nodes
         for s, w in zip(_GL_S, _GL_W):
-            ps = Du.copy()
             ps[i] = s * Du[i]
             acc += w * np.asarray(ham.dpj(i, t, X, ps), dtype=float)
         if not np.all(np.isfinite(acc)):
@@ -224,16 +233,13 @@ def assemble_drift(game: GameSpec, cache: GradientCache, i: int) -> DriftSpec:
     return DriftSpec(b)
 
 
-def assemble_source(game: GameSpec, cache: GradientCache, i: int) -> SourceSpec:
-    """F^i(t, x) = H^i(t, x, Du^-i, 0): the own momentum slot zeroed."""
-    ham = game.hamiltonian
-
-    def f(t, X):
-        p = cache.at(t).copy()
-        p[i] = 0.0
-        return ham.value(i, t, X, p)
-
-    return SourceSpec(f)
+def assemble_source(game: GameSpec, i: int) -> np.ndarray:
+    """Right-hand side source -H^i(t, x, Du^-i, 0) on the grid: the own
+    momentum slot zeroed and moved across the equation.  H^i depends on p
+    only through p^i and not on t, so this is H^i at zero momentum, the same
+    array for every iterate and step."""
+    X = game.grid.meshgrid()
+    return -game.hamiltonian.value(i, 0.0, X, np.zeros_like(X))
 
 
 def picard_step(game: GameSpec, fields) -> list:
@@ -243,16 +249,16 @@ def picard_step(game: GameSpec, fields) -> list:
     cache = GradientCache.from_fields(fields)
     out = []
     for i in range(game.N):
-        src = assemble_source(game, cache, i)
-        # moving H^i(., Du^-i, 0) to the right-hand side flips its sign
         problem = LinearProblem(
             game.diffusion,
             assemble_drift(game, cache, i),
-            SourceSpec(lambda t, X, s=src: -s.eval(t, X)),
+            SourceSpec(lambda t, X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)
         try:
             w = solve_grid(problem, game.grid, game.step, strict_dt=True)
+        except TransportBoundError as e:
+            raise StepBoundError(f"linear solve refused for player {i}: {e}") from e
         except Exception as e:
             raise NashError(f"linear solve failed for player {i}: {e}") from e
         out.append(w)
@@ -350,13 +356,13 @@ class PicardReport:
     tol: float
     max_norm: float | None          # largest iterate norm; None: not computed
     envelope_exceeded: bool
+    refused: str | None = None      # why a sweep was refused; None: none was
 
     def to_dict(self):
-        return {"increments": self.increments, "ratios": self.ratios,
-                "iterations": self.iterations, "converged": self.converged,
-                "diverged": self.diverged, "tol": self.tol,
-                "max_norm": self.max_norm,
-                "envelope_exceeded": self.envelope_exceeded}
+        d = asdict(self)
+        if self.refused is None:        # the key only marks a refused run
+            del d["refused"]
+        return d
 
 
 def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
@@ -364,8 +370,9 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
 
     Returns (per-player Fields | None, PicardReport); divergence (three
-    consecutive growing increments) and non-convergence yield a flagged
-    report without a solution. The iterate norm |||S(u)||| costs one more
+    consecutive growing increments), non-convergence and a sweep refused at
+    the transport stability bound (``refused``) yield a flagged report
+    without a solution. The iterate norm |||S(u)||| costs one more
     triple norm per sweep, so it is only computed when ``iterate_norm`` is
     set or ``game.R`` asks for the envelope check; otherwise the report's
     ``max_norm`` is None (not computed).
@@ -377,9 +384,14 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     increments = []
     max_norm = 0.0 if iterate_norm or game.R is not None else None
     converged = diverged = False
+    refused = None
     it = 0
     for it in range(1, max_iter + 1):
-        new = picard_step(game, u)
+        try:
+            new = picard_step(game, u)
+        except StepBoundError as e:
+            refused = str(e)
+            break
         inc = triple_norm(game, [a - b for a, b in zip(new, u)])
         increments.append(inc)
         if max_norm is not None:
@@ -398,7 +410,7 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
         warnings.warn(f"iterates left the R envelope: {max_norm:.3g} > "
                       f"{game.R:.3g}", stacklevel=2)
     report = PicardReport(increments, ratios, it, converged, diverged, tol,
-                          max_norm, exceeded)
+                          max_norm, exceeded, refused)
     return (u if converged else None), report
 
 
@@ -452,7 +464,8 @@ class ProbeResult:
 
 
 def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
-    """||S(u) - S(v)|| / ||u - v|| in the triple norm."""
+    """||S(u) - S(v)|| / ||u - v|| in the triple norm; StepBoundError if
+    either sweep is refused."""
     u = [_resample(f, game.times) for f in u]
     v = [_resample(f, game.times) for f in v]
     den = triple_norm(game, [a - b for a, b in zip(u, v)])
@@ -513,7 +526,9 @@ def _average_ranks(x) -> np.ndarray:
 def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
                  tol: float = 1e-6, max_iter: int = 30) -> HorizonScan:
     """Contraction probes and a Picard attempt at each horizon; emits the
-    empirical bracket of the short-time threshold."""
+    empirical bracket of the short-time threshold.  A probe refused at the
+    transport stability bound counts as ratio inf and a refused Picard run
+    as not converged, so such a horizon is a failure, not an error."""
     T_list = list(T_list)
     if not T_list:
         raise NashError("empty horizon list")
@@ -526,7 +541,10 @@ def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
         for k in range(n_pairs):
             u = probe_fields(game, seed + 2 * k)
             v = probe_fields(game, seed + 2 * k + 1)
-            ratios.append(contraction_probe(game, u, v).ratio)
+            try:
+                ratios.append(contraction_probe(game, u, v).ratio)
+            except StepBoundError:
+                ratios.append(math.inf)
         _, rep = picard_solve(game, tol=tol, max_iter=max_iter)
         rows.append(HorizonRow(T, ratios, max(ratios), rep.converged))
     ok = [r for r in rows if r.max_ratio < 1 and r.converged]

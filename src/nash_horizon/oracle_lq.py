@@ -94,18 +94,16 @@ def riccati_rhs(state: RiccatiState, spec: LQGameSpec):
     """Time derivatives (dP, dr) of the coupled Riccati system."""
     P = state.P
     N = spec.N
-    # d_j := column j of P_j, i.e. P_j e_j, for each player j
-    d = np.stack([P[j, :, j] for j in range(N)])          # (N, N)
-    dP = np.empty_like(P)
-    for i in range(N):
-        own = np.outer(d[i], d[i])
-        cross = np.zeros((N, N))
-        for j in range(N):
-            if j == i:
-                continue
-            m = np.outer(d[j], P[i, j, :])                # P_j e_j e_j' P_i
-            cross += m + m.T
-        dP[i] = own - spec.Q[i] + cross
+    j = np.arange(N)
+    d = P[j, :, j]               # d_j := column j of P_j, i.e. P_j e_j
+    # m[i, j] = P_j e_j e_j' P_i = outer(d_j, row j of P_i); no j = i term
+    m = d[None, :, :, None] * P[:, :, None, :]            # (N, N, N, N)
+    m[j, j] = 0.0
+    m = m + np.swapaxes(m, 2, 3)
+    cross = np.zeros_like(P)
+    for k in range(N):                                    # summed in order
+        cross += m[:, k]
+    dP = d[:, :, None] * d[:, None, :] - spec.Q + cross
     dr = -0.5 * spec.sigma ** 2 * np.trace(P, axis1=1, axis2=2)
     return dP, dr
 

@@ -47,6 +47,10 @@ class SolveError(RuntimeError):
     """Numerical failure during time stepping."""
 
 
+class TransportBoundError(SolveError):
+    """A strict step exceeds the upwind transport stability bound."""
+
+
 class SpecError(ValueError):
     """Invalid problem specification."""
 
@@ -208,50 +212,30 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
 
 
 # ---------------------------------------------------------------------------
-# grid stencils (homogeneous Neumann via mirror ghost nodes)
+# grid stencils (homogeneous Neumann via mirror ghost nodes): solve_grid makes
+# each axis's (lower, upper) neighbours once per step, and the diffusion and
+# upwind transport stencils both read them
 
 
-def _pad_reflect(v: np.ndarray, axis: int) -> np.ndarray:
-    width = [(0, 0)] * v.ndim
-    width[axis] = (1, 1)
-    return np.pad(v, width, mode="reflect")
-
-
-def _second_diff(v, axis, h):
-    p = _pad_reflect(v, axis)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return (p[tuple(lo)] - 2 * v + p[tuple(hi)]) / h ** 2
+def _neighbours(v: np.ndarray, axis: int) -> tuple:
+    """(lower, upper) mirror neighbours of v along axis: the ghost node below
+    the first node is v[1], the one above the last is v[M-2]."""
+    idx = np.arange(v.shape[axis])
+    lo = np.take(v, np.concatenate(([1], idx[:-1])), axis=axis)
+    hi = np.take(v, np.concatenate((idx[1:], [idx[-2]])), axis=axis)
+    return lo, hi
 
 
 def _centered_diff(v, axis, h):
-    p = _pad_reflect(v, axis)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return (p[tuple(hi)] - p[tuple(lo)]) / (2 * h)
+    lo, hi = _neighbours(v, axis)
+    return (hi - lo) / (2 * h)
 
 
-def _one_sided_diffs(v, axis, h):
-    """(backward, forward) first differences with mirror ghosts."""
-    p = _pad_reflect(v, axis)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    backward = (v - p[tuple(lo)]) / h
-    forward = (p[tuple(hi)] - v) / h
-    return backward, forward
-
-
-def _diffusion_term(diff: DiffusionSpec, t, X, v, h):
+def _diffusion_term(diff: DiffusionSpec, t, X, v, nbrs, h):
     out = np.zeros_like(v)
     diag = diff.diag_values(t, X)
-    for k in range(diff.N):
-        out += diag[k] * _second_diff(v, k, h)
+    for k, (lo, hi) in enumerate(nbrs):
+        out += diag[k] * ((lo - 2 * v + hi) / h ** 2)
     for (i, j) in diff.offdiag:
         a = diff.offdiag_value(i, j, t)
         if a != 0.0:
@@ -259,13 +243,19 @@ def _diffusion_term(diff: DiffusionSpec, t, X, v, h):
     return out
 
 
-def _transport_term(B, v, h):
+def _transport_term(B, v, nbrs, h):
     """Upwinded <B, Dv>: backward difference where B > 0, forward where B < 0."""
     out = np.zeros_like(v)
-    for j in range(B.shape[0]):
-        backward, forward = _one_sided_diffs(v, j, h)
-        out += np.where(B[j] > 0, B[j] * backward, B[j] * forward)
+    for j, (lo, hi) in enumerate(nbrs):
+        out += np.where(B[j] > 0, B[j] * ((v - lo) / h), B[j] * ((hi - v) / h))
     return out
+
+
+def _transport_step(N: int, supA: float, supB: float, h: float) -> float:
+    """Largest explicit step that covers upwind transport at sup|B| as well
+    as diffusion at sup|A|, with a 0.9 margin."""
+    rate = 2 * N * supA / h ** 2 + N * supB / h
+    return 0.9 / rate if rate > 0 else np.inf
 
 
 def stable_step(diffusion: DiffusionSpec, X: np.ndarray, h: float, t_samples,
@@ -284,7 +274,7 @@ def stable_step(diffusion: DiffusionSpec, X: np.ndarray, h: float, t_samples,
     if drift is not None:
         supB = max(float(np.max(np.abs(drift.eval(t, X)))) for t in t_samples)
         if supB > 0:
-            dt = min(dt, 0.9 / (2 * N * supA / h ** 2 + N * supB / h))
+            dt = min(dt, _transport_step(N, supA, supB, h))
     return dt
 
 
@@ -292,8 +282,9 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
                strict_dt: bool = False) -> Field:
     """Backward explicit Euler for the transport-diffusion equation.
 
-    With strict_dt the requested step is used verbatim (the caller owns the
-    transport stability margin); otherwise the step shrinks to cover the
+    With strict_dt the requested step is used verbatim, and a step raises
+    TransportBoundError if it exceeds 0.9 / (2 N sup|A| / h^2 + N sup|B| / h)
+    for the drift B of that step; otherwise the step shrinks to cover the
     upwind transport term as well.
     """
     N = grid.N
@@ -306,6 +297,8 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     t_samples = (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T)
     dt = stable_step(problem.diffusion, X, h, t_samples, dt,
                      None if strict_dt else problem.drift)
+    if strict_dt:
+        supA = problem.diffusion.sup_norm(t_samples, X)
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
@@ -313,11 +306,20 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     for k in range(times.size - 2, -1, -1):
         t = times[k + 1]
         v = vals[k + 1]
+        nbrs = [_neighbours(v, axis) for axis in range(N)]
         # blow-up is caught below; silence the transient overflow noise
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = _diffusion_term(problem.diffusion, t, X, v, h)
+            rhs = _diffusion_term(problem.diffusion, t, X, v, nbrs, h)
             if problem.drift is not None:
-                rhs -= _transport_term(problem.drift.eval(t, X), v, h)
+                B = problem.drift.eval(t, X)
+                if strict_dt:
+                    bound = _transport_step(N, supA, sup_abs(B), h)
+                    if step > bound:
+                        raise TransportBoundError(
+                            f"step {step:.4g} is {step / bound:.3g} times the "
+                            f"transport stability bound {bound:.4g} at "
+                            f"t={t:.5g}")
+                rhs -= _transport_term(B, v, nbrs, h)
             if problem.source is not None:
                 rhs += problem.source.eval(t, X)
             vals[k] = v + step * rhs

@@ -156,6 +156,20 @@ def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     assert summary is None
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "N": True}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "a": True}}),
+    ("solve", lq_config(grid={"L": 3.0, "M": True})),
+    ("solve", lq_config(max_iter=False)),
+    ("solve", lq_config(dt=True)),
+])
+def test_boolean_for_a_number_exits_2(tmp_path, command, cfg):
+    # bool is a subclass of int, yet a JSON true is not a number
+    code, summary, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert summary is None
+
+
 def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
     # after Picard, residual builds one order-2 family per player and
     # verify_decay streams its derivatives without a family: 27 _partial
@@ -263,6 +277,43 @@ def test_scan_horizon_tied_ratios_write_strict_json(tmp_path):
     assert [r["max_ratio"] for r in summary["results"]["rows"]] == [0.0, 0.0]
     # an undefined correlation cannot meet a spearman_min tolerance
     assert code == 1 and not summary["passed"]
+
+
+def test_scan_horizon_past_the_transport_bound_reports_t_fail(tmp_path):
+    # the Picard run at T = 0.8 is refused at the transport stability bound;
+    # the scan still writes its rows and reports that horizon as T_fail
+    cfg = lq_config(dt=1.0)
+    cfg["T_list"] = [0.2, 0.8]
+    cfg["n_pairs"] = 1
+    code, summary, o = run(tmp_path, "scan-horizon", cfg)
+    assert code == 0 and summary["passed"]
+    res = summary["results"]
+    assert [r["converged"] for r in res["rows"]] == [True, False]
+    assert res["T_star_low"] == 0.2 and res["T_fail"] == 0.8
+    assert len((o / "scan.csv").read_text().splitlines()) == 3
+
+
+def test_scan_horizon_refused_probe_writes_strict_json(tmp_path, monkeypatch):
+    from nash_horizon import nash
+
+    def refuse(game, u, v):
+        raise nash.StepBoundError("refused")
+
+    monkeypatch.setattr(nash, "contraction_probe", refuse)
+    cfg = lq_config()
+    cfg["T_list"] = [0.05]
+    cfg["n_pairs"] = 1
+    cfg["tolerances"].update({"contract_at_smallest": False})
+    code, _, o = run(tmp_path, "scan-horizon", cfg)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((o / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert code == 0
+    assert summary["results"]["rows"][0]["max_ratio"] is None
+    assert summary["results"]["T_fail"] == 0.05
 
 
 def test_verify_decay(tmp_path):

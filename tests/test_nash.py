@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nash_horizon import holder
+from nash_horizon import holder, nash
 from nash_horizon.holder import (
     Field,
     GridError,
@@ -20,6 +20,7 @@ from nash_horizon.nash import (
     GradientCache,
     HamiltonianFamily,
     NashError,
+    StepBoundError,
     assemble_drift,
     assemble_source,
     contraction_probe,
@@ -156,11 +157,11 @@ def test_assemble_drift_zero_field():
 
 
 def test_assemble_source_zero_field_is_spatial_part():
+    # the right-hand side source -H^0(., 0) is the spatial part (1/2) x'Q_0 x
     game, spec = mini_game()
-    cache = GradientCache.from_fields(game.zero_fields())
     X = game.grid.meshgrid()
-    F = assemble_source(game, cache, 0).eval(0.0, X)
-    spatial = -0.5 * np.einsum("jk,j...,k...->...", spec.Q[0], X, X)
+    F = assemble_source(game, 0)
+    spatial = 0.5 * np.einsum("jk,j...,k...->...", spec.Q[0], X, X)
     np.testing.assert_allclose(F, spatial, atol=1e-12)
 
 
@@ -175,10 +176,50 @@ def test_source_consistency_split():
     Du = cache.at(t)
     i = 1
     H = game.hamiltonian.value(i, t, X, Du)
-    F = assemble_source(game, cache, i).eval(t, X)
+    F = -assemble_source(game, i)
     bracket = H - F
     # for LQ the bracket is exactly (D_i u^i)^2 / 2
     np.testing.assert_allclose(bracket, 0.5 * Du[i] ** 2, atol=1e-12)
+
+
+def _drift_first_form(game, cache, i, t, X):
+    """assemble_drift's drift as first written: a copy of Du per Gauss node."""
+    ham = game.hamiltonian
+    Du = cache.at(t)
+    out = np.empty((game.N,) + X.shape[1:])
+    for j in range(game.N):
+        if j != i:
+            out[j] = ham.dpj(j, t, X, Du)
+    acc = np.zeros(X.shape[1:])
+    for s, w in zip(nash._GL_S, nash._GL_W):
+        ps = Du.copy()
+        ps[i] = s * Du[i]
+        acc += w * np.asarray(ham.dpj(i, t, X, ps), dtype=float)
+    out[i] = acc
+    return out
+
+
+@pytest.mark.parametrize("kind", ["lq", "saturated"])
+def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
+    # the source is H^i at zero momentum, formed once; the general formula
+    # -H^i(t, x, Du^-i, 0) gives the same bits at every t and every Du
+    game, _ = mini_game(N=3, M=9, kind=kind, kappa=0.7)
+    X = game.grid.meshgrid()
+    rng = np.random.default_rng(11)
+    times = game.times
+    for _ in range(3):
+        cache = nash.GradientCache(times, 2 * rng.standard_normal(
+            (game.N, times.size) + game.grid.shape))
+        for t in (times[0], 0.5 * (times[1] + times[2]), rng.uniform(0, game.T),
+                  times[-1]):
+            for i in range(game.N):
+                p = cache.at(t).copy()
+                p[i] = 0.0
+                assert same_bits(assemble_source(game, i),
+                                 -game.hamiltonian.value(i, t, X, p))
+                assert same_bits(
+                    assemble_drift(game, cache, i).eval(t, X),
+                    _drift_first_form(game, cache, i, t, X))
 
 
 def test_picard_step_zero_game():
@@ -250,6 +291,57 @@ def test_picard_long_horizon_fails():
     except NashError:
         return  # solver blow-up counts as detected failure
     assert (sol is None) or rep.diverged or (rep.ratios and max(rep.ratios) > 1)
+
+
+def test_picard_rejects_a_step_above_the_transport_bound():
+    # the uniqueness game with dt 1.0: GameSpec caps the step at 0.45 of the
+    # diffusion CFL only, which leaves it about 3.08 times the upwind
+    # transport bound on the converged iterates; the sweep must refuse it
+    # and the run must come back as a flagged failure
+    game, _ = mini_game(M=41, dt=1.0, c_Q=0.4, c_G=0.8)
+    sol, rep = picard_solve(game, tol=1e-6, max_iter=25)
+    assert sol is None and not rep.converged and not rep.diverged
+    assert "times the transport stability bound" in rep.refused
+    assert rep.to_dict()["refused"] == rep.refused
+    assert len(rep.increments) == rep.iterations - 1
+    ok, _ = mini_game(M=41, c_Q=0.4, c_G=0.8)
+    sol, rep = picard_solve(ok, tol=1e-6, max_iter=25)
+    assert sol is not None and rep.refused is None
+    assert "refused" not in rep.to_dict()
+
+
+def test_picard_step_raises_step_bound_error(monkeypatch):
+    from nash_horizon import pde_linear
+
+    def refuse(*a, **k):
+        raise pde_linear.TransportBoundError("step 1 is 2 times the bound")
+
+    game, _ = mini_game(M=21)
+    monkeypatch.setattr(nash, "solve_grid", refuse)
+    with pytest.raises(StepBoundError, match="refused for player 0"):
+        picard_step(game, game.zero_fields())
+
+
+def test_oracle_error_is_first_order_in_h():
+    # acceptance 5's game: the interior sup error against the Riccati oracle
+    # must fall at least like h^0.8 from M = 25 to 51 to 101
+    spec = decay_lq_game(2, BETA, c_Q=0.1, c_G=0.2, sigma=0.25, T=0.2)
+    traj = riccati_integrate(spec, spec.T / 400)
+    hs, errs = [], []
+    for M in (25, 51, 101):
+        game = lq_game(spec, BETA, SpatialGrid(2, 4.0, M), 0.01)
+        sol, rep = picard_solve(game, tol=1e-9, max_iter=30)
+        assert rep.converged
+        X = game.grid.meshgrid()
+        inner = (slice(None),) + game.grid.interior(0.1)
+        hs.append(game.grid.h)
+        errs.append(max(
+            float(np.max(np.abs(sol[i].values - np.stack(
+                [lq_value(traj, i, t, X)[0] for t in game.times]))[inner]))
+            for i in range(2)))
+    orders = np.log(np.divide(errs[:-1], errs[1:])) / np.log(
+        np.divide(hs[:-1], hs[1:]))
+    assert np.all(orders >= 0.8), (errs, orders)
 
 
 def test_envelope_warning():
@@ -485,6 +577,37 @@ def test_horizon_scan():
         horizon_scan(make, [])
     with pytest.raises(NashError):
         horizon_scan(make, [0.2, 0.1])
+
+
+def test_horizon_scan_reports_a_refused_horizon():
+    # dt 1.0 leaves the step at GameSpec's diffusion cap; at T = 0.8 the
+    # Picard iterates' drift takes it past the transport stability bound,
+    # and the scan records that horizon as a failure, not an error
+    def make(T):
+        return mini_game(T=T, M=31, dt=1.0, c_Q=0.05, c_G=0.1)[0]
+
+    scan = horizon_scan(make, [0.2, 0.8], n_pairs=1, tol=1e-8, max_iter=25)
+    assert scan.rows[0].converged and scan.rows[0].max_ratio < 1
+    assert not scan.rows[1].converged
+    assert scan.T_star_low == 0.2 and scan.T_fail == 0.8
+
+
+def test_horizon_scan_counts_a_refused_probe_as_inf(monkeypatch):
+    from types import SimpleNamespace
+
+    def probe(game, u, v):
+        if game > 0.5:
+            raise StepBoundError("refused")
+        return nash.ProbeResult(0.5, 0, 0)
+
+    monkeypatch.setattr(nash, "probe_fields", lambda game, seed: game)
+    monkeypatch.setattr(nash, "contraction_probe", probe)
+    monkeypatch.setattr(nash, "picard_solve", lambda game, **kw: (
+        None, SimpleNamespace(converged=True)))
+    scan = nash.horizon_scan(lambda T: T, [0.1, 0.2, 1.0], n_pairs=2)
+    assert [r.max_ratio for r in scan.rows] == [0.5, 0.5, math.inf]
+    assert scan.T_star_low == 0.2 and scan.T_fail == 1.0
+    assert scan.spearman > 0
 
 
 def test_horizon_scan_spearman_matches_scipy(monkeypatch):

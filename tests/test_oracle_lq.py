@@ -53,6 +53,49 @@ def test_rhs_decoupled_stays_diagonal():
     assert np.max(np.abs(off)) < 1e-12
 
 
+def _riccati_rhs_first_form(state, spec):
+    """riccati_rhs as first written: one player and one j at a time."""
+    P = state.P
+    N = spec.N
+    d = np.stack([P[j, :, j] for j in range(N)])
+    dP = np.empty_like(P)
+    for i in range(N):
+        own = np.outer(d[i], d[i])
+        cross = np.zeros((N, N))
+        for j in range(N):
+            if j == i:
+                continue
+            m = np.outer(d[j], P[i, j, :])
+            cross += m + m.T
+        dP[i] = own - spec.Q[i] + cross
+    dr = -0.5 * spec.sigma ** 2 * np.trace(P, axis1=1, axis2=2)
+    return dP, dr
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_rhs_matches_first_form(N, same_bits):
+    rng = np.random.default_rng(N)
+    spec = decay_lq_game(N, BETA, c_Q=0.7, c_G=0.3, sigma=0.4, T=1.0)
+    for _ in range(5):
+        A = rng.standard_normal((N, N, N))
+        A.reshape(-1)[::3] = 0.0                # signed zeros in the products
+        state = RiccatiState(0.0, A + np.swapaxes(A, 1, 2),
+                             rng.standard_normal(N))
+        new, old = riccati_rhs(state, spec), _riccati_rhs_first_form(state, spec)
+        assert same_bits(new[0], old[0]) and same_bits(new[1], old[1])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_integrate_matches_first_form_rhs(N, monkeypatch, same_bits):
+    from nash_horizon import oracle_lq
+    spec = decay_lq_game(N, BETA, c_Q=0.5, c_G=1.0, sigma=0.3, T=0.5)
+    new = riccati_integrate(spec, spec.T / 50)
+    monkeypatch.setattr(oracle_lq, "riccati_rhs", _riccati_rhs_first_form)
+    old = riccati_integrate(spec, spec.T / 50)
+    assert same_bits(new.P, old.P) and same_bits(new.r, old.r)
+    assert same_bits(new.error_estimate, old.error_estimate)
+
+
 def test_scalar_riccati_closed_form():
     # dP/dt = P^2 - q backward from gamma: P(T - tau) = sqrt(q) tanh(
     #   sqrt(q) tau + atanh(gamma/sqrt(q)))

@@ -10,8 +10,14 @@ from nash_horizon.pde_linear import (
     DriftSpec,
     LinearProblem,
     SourceSpec,
+    SolveError,
     SpecError,
     TerminalSpec,
+    TransportBoundError,
+    _centered_diff,
+    _diffusion_term,
+    _neighbours,
+    _transport_term,
     fpk_gradient_mass,
     solve_fpk_grid,
     solve_grid,
@@ -107,6 +113,23 @@ def test_cfl_violation_raises():
         solve_grid(heat_problem(2), g, 10 * cfl_dt(g, 2, 0.5))
 
 
+def test_strict_step_checks_the_transport_bound():
+    # strict_dt keeps the requested step, and raises above the transport
+    # bound 0.9 / (2 N sup|A| / h^2 + N sup|B| / h) of the step's drift
+    g = SpatialGrid(1, 2.0, 21)
+    bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
+    for dt, ok in ((0.99 * bound, True), (1.1 * bound, False)):
+        p = LinearProblem(DiffusionSpec.isotropic(1, 0.5),
+                          DriftSpec(lambda t, X: 3.0 * np.cos(X)), None,
+                          TerminalSpec(lambda X: np.sin(X[0])), 0.0, 4 * dt)
+        if ok:
+            assert solve_grid(p, g, dt, strict_dt=True).times.size == 5
+        else:
+            with pytest.raises(TransportBoundError,
+                               match="is 1.1 times the transport"):
+                solve_grid(p, g, dt, strict_dt=True)
+
+
 def test_offdiagonal_diffusion_quadratic():
     # w(t,x) = x0*x1 + 2*A01*(T-t) solves the pure diffusion equation exactly
     g = SpatialGrid(2, 2.0, 41)
@@ -119,6 +142,93 @@ def test_offdiagonal_diffusion_quadratic():
     inner = g.interior(0.2)
     exact = X[0] * X[1] + 2 * 0.2 * p.T
     assert np.max(np.abs(w.values[0][inner] - exact[inner])) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# grid stencils against their first form: slices of an np.pad-reflect copy
+
+
+def _pad_reflect(v, axis):
+    width = [(0, 0)] * v.ndim
+    width[axis] = (1, 1)
+    return np.pad(v, width, mode="reflect")
+
+
+def _second_diff_first_form(v, axis, h):
+    p = _pad_reflect(v, axis)
+    lo = [slice(None)] * v.ndim
+    hi = [slice(None)] * v.ndim
+    lo[axis] = slice(0, -2)
+    hi[axis] = slice(2, None)
+    return (p[tuple(lo)] - 2 * v + p[tuple(hi)]) / h ** 2
+
+
+def _centered_diff_first_form(v, axis, h):
+    p = _pad_reflect(v, axis)
+    lo = [slice(None)] * v.ndim
+    hi = [slice(None)] * v.ndim
+    lo[axis] = slice(0, -2)
+    hi[axis] = slice(2, None)
+    return (p[tuple(hi)] - p[tuple(lo)]) / (2 * h)
+
+
+def _one_sided_diffs_first_form(v, axis, h):
+    p = _pad_reflect(v, axis)
+    lo = [slice(None)] * v.ndim
+    hi = [slice(None)] * v.ndim
+    lo[axis] = slice(0, -2)
+    hi[axis] = slice(2, None)
+    backward = (v - p[tuple(lo)]) / h
+    forward = (p[tuple(hi)] - v) / h
+    return backward, forward
+
+
+def _diffusion_term_first_form(diff, t, X, v, h):
+    out = np.zeros_like(v)
+    diag = diff.diag_values(t, X)
+    for k in range(diff.N):
+        out += diag[k] * _second_diff_first_form(v, k, h)
+    for (i, j) in diff.offdiag:
+        a = diff.offdiag_value(i, j, t)
+        if a != 0.0:
+            out += 2 * a * _centered_diff_first_form(
+                _centered_diff_first_form(v, i, h), j, h)
+    return out
+
+
+def _transport_term_first_form(B, v, h):
+    out = np.zeros_like(v)
+    for j in range(B.shape[0]):
+        backward, forward = _one_sided_diffs_first_form(v, j, h)
+        out += np.where(B[j] > 0, B[j] * backward, B[j] * forward)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (3, 3), (5, 3), (4, 3, 6),
+                                   (3, 3, 3, 3), (5, 4, 3, 5)])
+def test_stencils_match_pad_reflect_first_form(shape, same_bits):
+    rng = np.random.default_rng(sum(shape) * len(shape))
+    N = len(shape)
+    X = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, m) for m in shape],
+                             indexing="ij"))
+    h = 0.37
+    v = rng.standard_normal(shape)
+    B = rng.standard_normal((N,) + shape)
+    B.reshape(-1)[::3] = 0.0                    # ties of the upwind switch
+    # x-dependent diagonal and, from N = 2, off-diagonal entries
+    diff = DiffusionSpec(
+        N, [(lambda t, xk, k=k: 1.0 + 0.1 * k + 0.2 * np.sin(xk))
+            for k in range(N)],
+        {(i, j): (lambda t, c=0.05 * (i + 2 * j): c)
+         for i in range(N) for j in range(i + 1, N)})
+    nbrs = [_neighbours(v, k) for k in range(N)]
+    assert same_bits(_diffusion_term(diff, 0.3, X, v, nbrs, h),
+                     _diffusion_term_first_form(diff, 0.3, X, v, h))
+    assert same_bits(_transport_term(B, v, nbrs, h),
+                     _transport_term_first_form(B, v, h))
+    for k in range(N):
+        assert same_bits(_centered_diff(v, k, h),
+                         _centered_diff_first_form(v, k, h))
 
 
 def test_drift_decay_probe():
