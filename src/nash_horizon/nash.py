@@ -1,13 +1,13 @@
 """Picard fixed-point solver for finite Nash systems.
 
-Each sweep freezes the diagonal gradient vector Du = (D_j u^j)_j, assembles
-per-player drifts B^j_i = dH^j/dp^j (with the own slot replaced by the
-s-averaged derivative int_0^1 dH^i/dp^i(p^-i, s p^i) ds), and solves the N
-decoupled backward linear equations.  Their sources F^i = -H^i(t, x, Du^-i, 0)
-depend neither on the iterate nor on t (see HamiltonianFamily), so each is
-formed once per player per sweep.  Contraction of the sweep map is measured
-in the triple norm combining the C^{2,1}-in-space weighted norm with a
-time-Lipschitz part.
+Each sweep freezes the diagonal gradient vector Du = (D_j u^j)_j on its time
+nodes, assembles per-player drifts B^j_i = dH^j/dp^j (with the own slot
+replaced by the s-averaged derivative int_0^1 dH^i/dp^i(p^-i, s p^i) ds, in
+closed form), and solves the N decoupled backward linear equations.  Their
+sources F^i = -H^i(t, x, Du^-i, 0) depend neither on the iterate nor on t
+(see HamiltonianFamily), so each is formed once per player per sweep.
+Contraction of the sweep map is measured in the triple norm combining the
+C^{2,1}-in-space weighted norm with a time-Lipschitz part.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ __all__ = [
     "uniqueness_probe",
     "probe_fields",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_S = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
 
 
 class NashError(RuntimeError):
@@ -120,6 +116,17 @@ class HamiltonianFamily:
             return p[j]
         z = p[j] / self.kappa
         return self.kappa * np.tanh(z) / np.cosh(z) ** 2
+
+    def own_average(self, i, p):
+        """int_0^1 dH^i/dp^i(p^-i, s p^i) ds in closed form: p^i / 2 for "lq",
+        psi^2 / (2 p^i) with psi = kappa tanh(p^i / kappa) for "saturated",
+        and 0 at p^i = 0.  Both are (H^i(p) - H^i(p^-i, 0)) / p^i, not formed
+        literally because its x'Q_i x parts would cancel to round-off."""
+        if self.kind == "lq":
+            return 0.5 * p[i]
+        psi = self.kappa * np.tanh(p[i] / self.kappa)
+        return np.divide(0.5 * psi ** 2, p[i], out=np.zeros(np.shape(p[i])),
+                         where=p[i] != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,51 +190,35 @@ def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# gradient cache and sweep assembly
+# frozen drift and sweep assembly
 
 
-class GradientCache:
-    """Frozen diagonal gradients D_j u^j on the solve grid, interpolated
-    linearly in time."""
-
-    def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = values            # (N, K+1, M, ..., M)
-
-    @staticmethod
-    def from_fields(fields) -> "GradientCache":
-        vals = np.stack([finite_diff(f, (j,)).values
-                         for j, f in enumerate(fields)])
-        return GradientCache(fields[0].times, vals)
-
-    def at(self, t: float) -> np.ndarray:
-        return interp_time(self.times, self.values.swapaxes(0, 1), t)
-
-
-def assemble_drift(game: GameSpec, cache: GradientCache, i: int) -> DriftSpec:
-    """B^j_i = dH^j/dp^j(Du) for j != i; the own slot is the s-averaged
-    derivative int_0^1 dH^i/dp^i(Du^-i, s D_i u^i) ds by 8-node Gauss-Legendre
-    quadrature (exact for LQ, where it gives D_i u^i / 2).
+def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
+    """Player i's drift from the frozen gradients Du (N, K+1, M, ..., M),
+    D_j u^j on game.times: B^j_i = dH^j/dp^j(Du) for j != i, and the own slot
+    is the s-average int_0^1 dH^i/dp^i(Du^-i, s D_i u^i) ds in closed form
+    (HamiltonianFamily.own_average).  The drift is read at the time nodes of
+    the game's grid only; anywhere else it raises NashError.
     """
     ham = game.hamiltonian
+    times = game.times
 
     def b(t, X):
         if X.shape[1:] != game.grid.shape:
-            raise NashError("drift cache is grid-aligned; off-grid evaluation "
-                            "is not supported")
-        Du = cache.at(t)
+            raise NashError("frozen drift is grid-aligned; off-grid "
+                            "evaluation is not supported")
+        k = int(np.searchsorted(times, t))
+        if k == times.size or times[k] != t:
+            raise NashError(f"frozen drift is read at time nodes only; "
+                            f"t={t:.6g} is not one")
+        p = Du[:, k]
         out = np.empty((game.N,) + X.shape[1:])
         for j in range(game.N):
             if j != i:
-                out[j] = ham.dpj(j, t, X, Du)
-        acc = np.zeros(X.shape[1:])
-        ps = Du.copy()          # only the own slot changes between nodes
-        for s, w in zip(_GL_S, _GL_W):
-            ps[i] = s * Du[i]
-            acc += w * np.asarray(ham.dpj(i, t, X, ps), dtype=float)
-        if not np.all(np.isfinite(acc)):
-            raise NashError(f"non-finite quadrature integrand for player {i}")
-        out[i] = acc
+                out[j] = ham.dpj(j, t, X, p)
+        out[i] = ham.own_average(i, p)
+        if not np.all(np.isfinite(out[i])):
+            raise NashError(f"non-finite own-momentum drift for player {i}")
         return out
 
     return DriftSpec(b)
@@ -243,15 +234,17 @@ def assemble_source(game: GameSpec, i: int) -> np.ndarray:
 
 
 def picard_step(game: GameSpec, fields) -> list:
-    """One sweep of the fixed-point map S: all players solved against the
-    gradient cache frozen from the incoming iterate.
+    """One sweep of the fixed-point map S: the incoming iterate is resampled
+    to game.times, its diagonal gradients D_j u^j are frozen there, and every
+    player is solved against them on the same nodes.
     """
-    cache = GradientCache.from_fields(fields)
+    fields = [_resample(f, game.times) for f in fields]
+    Du = np.stack([finite_diff(f, (j,)).values for j, f in enumerate(fields)])
     out = []
     for i in range(game.N):
         problem = LinearProblem(
             game.diffusion,
-            assemble_drift(game, cache, i),
+            assemble_drift(game, Du, i),
             SourceSpec(lambda t, X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)

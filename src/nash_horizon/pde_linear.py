@@ -325,7 +325,8 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
             vals[k] = v + step * rhs
         if not np.all(np.isfinite(vals[k])):
             bad = np.argwhere(~np.isfinite(vals[k]))[0]
-            raise SolveError(f"non-finite value at t={times[k]:.5g}, node {tuple(bad)}")
+            raise SolveError(f"non-finite value at t={times[k]:.5g}, "
+                             f"node {tuple(bad.tolist())}")
     return Field(grid, times, vals, problem.player)
 
 

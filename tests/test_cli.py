@@ -228,14 +228,38 @@ def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
     assert len(log) == 1 + 3 + 54
 
 
-def test_solve_numerical_failure_exits_1(tmp_path):
-    # blow-up scale: huge costs push the explicit solver to divergence
+def test_solve_refused_sweep_exits_1(tmp_path):
+    # huge costs: the transport stability check refuses the first sweep, so
+    # the run is reported as refused, not as a numerical error
     cfg = lq_config()
     cfg["game"].update({"c_Q": 50.0, "c_G": 50.0, "T": 1.0})
     cfg["max_iter"] = 8
     code, summary, _ = run(tmp_path, "solve", cfg)
     assert code == 1
     assert not summary["passed"]
+    assert summary["results"]["picard"]["refused"]
+    assert "error" not in summary
+
+
+def test_verify_decay_non_finite_exits_1(tmp_path):
+    # a terminal cost at the edge of the float range blows the explicit
+    # solve up: solve_grid raises SolveError naming the first bad node
+    cfg = {"weights": WEIGHTS, "grid": {"L": 3.0, "M": 21}, "dt": 0.01,
+           "problem": {"N": 2, "c_G": 1e308, "a": 0.5, "T": 0.05}}
+    code, summary, _ = run(tmp_path, "verify-decay", cfg)
+    assert code == 1
+    assert not summary["passed"]
+    assert summary["error"].startswith("SolveError: non-finite value")
+    assert "node (0, 0)" in summary["error"]
+
+
+def test_solve_saturated_converges(tmp_path):
+    cfg = lq_config()
+    cfg["game"].update({"hamiltonian": "saturated", "kappa": 0.5})
+    code, summary, o = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert summary["results"]["picard"]["converged"]
+    assert (o / "u1.bin").exists()
 
 
 def test_oracle_compare(tmp_path):

@@ -13,11 +13,11 @@ from nash_horizon.holder import (
     SpatialGrid,
     derivative_family,
     finite_diff,
+    interp_time,
     space_norm,
 )
 from nash_horizon.nash import (
     GameSpec,
-    GradientCache,
     HamiltonianFamily,
     NashError,
     StepBoundError,
@@ -35,7 +35,14 @@ from nash_horizon.nash import (
     uniqueness_probe,
 )
 from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
-from nash_horizon.pde_linear import verify_decay
+from nash_horizon.pde_linear import (
+    DriftSpec,
+    LinearProblem,
+    SourceSpec,
+    TerminalSpec,
+    solve_grid,
+    verify_decay,
+)
 from nash_horizon.weights import build_weight
 
 BETA = build_weight("polynomial", {"a": 3}, 32)
@@ -133,27 +140,45 @@ def test_saturated_derivatives_bounded():
 # sweep assembly
 
 
+def frozen_gradients(fields):
+    """Du = (D_j u^j)_j stacked as picard_step freezes it: (N, K+1, M, ...)."""
+    return np.stack([finite_diff(f, (j,)).values for j, f in enumerate(fields)])
+
+
 def test_assemble_drift_lq_structure():
     # for LQ, B^j_i = D_j u^j (j != i) and B^i_i = D_i u^i / 2
     game, _ = mini_game()
     u = [Field.from_function(game.grid, game.times,
                              lambda t, X, i=i: np.sin(X[i]) * (1 + i))
          for i in range(2)]
-    cache = GradientCache.from_fields(u)
+    Du = frozen_gradients(u)
     X = game.grid.meshgrid()
     t = game.times[3]
-    Du = cache.at(t)
-    B0 = assemble_drift(game, cache, 0).eval(t, X)
-    np.testing.assert_allclose(B0[0], 0.5 * Du[0], atol=1e-12)
-    np.testing.assert_allclose(B0[1], Du[1], atol=1e-12)
+    B0 = assemble_drift(game, Du, 0).eval(t, X)
+    np.testing.assert_allclose(B0[0], 0.5 * Du[0, 3], atol=1e-12)
+    np.testing.assert_allclose(B0[1], Du[1, 3], atol=1e-12)
 
 
 def test_assemble_drift_zero_field():
     game, _ = mini_game()
-    cache = GradientCache.from_fields(game.zero_fields())
+    Du = frozen_gradients(game.zero_fields())
     X = game.grid.meshgrid()
-    B = assemble_drift(game, cache, 1).eval(0.05, X)
+    B = assemble_drift(game, Du, 1).eval(game.times[2], X)
     np.testing.assert_allclose(B, 0.0, atol=1e-15)
+
+
+def test_assemble_drift_reads_nodes_only():
+    # the drift is frozen on game.times: between nodes, past the ends and
+    # off the game's grid it refuses to answer
+    game, _ = mini_game()
+    drift = assemble_drift(game, frozen_gradients(game.zero_fields()), 0)
+    X = game.grid.meshgrid()
+    for t in (0.05, 0.5 * (game.times[0] + game.times[1]), -0.01,
+              game.T + 0.01):
+        with pytest.raises(NashError, match="time nodes"):
+            drift.eval(t, X)
+    with pytest.raises(NashError, match="grid-aligned"):
+        drift.eval(game.times[1], X[:, :5])
 
 
 def test_assemble_source_zero_field_is_spatial_part():
@@ -168,12 +193,10 @@ def test_assemble_source_zero_field_is_spatial_part():
 def test_source_consistency_split():
     # H^i(Du) = F^i + bracket, bracket = 0 wherever D_i u^i = 0
     game, _ = mini_game()
-    rng = np.random.default_rng(5)
     u = probe_fields(game, seed=9, scale=0.5)
-    cache = GradientCache.from_fields(u)
     X = game.grid.meshgrid()
     t = float(game.times[2])
-    Du = cache.at(t)
+    Du = frozen_gradients(u)[:, 2]
     i = 1
     H = game.hamiltonian.value(i, t, X, Du)
     F = -assemble_source(game, i)
@@ -182,16 +205,21 @@ def test_source_consistency_split():
     np.testing.assert_allclose(bracket, 0.5 * Du[i] ** 2, atol=1e-12)
 
 
-def _drift_first_form(game, cache, i, t, X):
-    """assemble_drift's drift as first written: a copy of Du per Gauss node."""
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_S = 0.5 * (_GL_NODES + 1.0)
+_GL_W = 0.5 * _GL_WEIGHTS
+
+
+def _drift_first_form(game, Du, i, t, X):
+    """assemble_drift's drift as first written, on the gradients Du at t: the
+    own slot by 8-node Gauss-Legendre quadrature, a copy of Du per node."""
     ham = game.hamiltonian
-    Du = cache.at(t)
     out = np.empty((game.N,) + X.shape[1:])
     for j in range(game.N):
         if j != i:
             out[j] = ham.dpj(j, t, X, Du)
     acc = np.zeros(X.shape[1:])
-    for s, w in zip(nash._GL_S, nash._GL_W):
+    for s, w in zip(_GL_S, _GL_W):
         ps = Du.copy()
         ps[i] = s * Du[i]
         acc += w * np.asarray(ham.dpj(i, t, X, ps), dtype=float)
@@ -202,24 +230,122 @@ def _drift_first_form(game, cache, i, t, X):
 @pytest.mark.parametrize("kind", ["lq", "saturated"])
 def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
     # the source is H^i at zero momentum, formed once; the general formula
-    # -H^i(t, x, Du^-i, 0) gives the same bits at every t and every Du
+    # -H^i(t, x, Du^-i, 0) gives the same bits at every t and every Du.  The
+    # drift's j != i slots keep the first form's bits; the own slot is the
+    # closed form (exactly D_i u^i / 2 for LQ)
     game, _ = mini_game(N=3, M=9, kind=kind, kappa=0.7)
     X = game.grid.meshgrid()
     rng = np.random.default_rng(11)
     times = game.times
     for _ in range(3):
-        cache = nash.GradientCache(times, 2 * rng.standard_normal(
-            (game.N, times.size) + game.grid.shape))
+        Du = 2 * rng.standard_normal((game.N, times.size) + game.grid.shape)
         for t in (times[0], 0.5 * (times[1] + times[2]), rng.uniform(0, game.T),
                   times[-1]):
             for i in range(game.N):
-                p = cache.at(t).copy()
+                p = interp_time(times, Du.swapaxes(0, 1), t).copy()
                 p[i] = 0.0
                 assert same_bits(assemble_source(game, i),
                                  -game.hamiltonian.value(i, t, X, p))
-                assert same_bits(
-                    assemble_drift(game, cache, i).eval(t, X),
-                    _drift_first_form(game, cache, i, t, X))
+        for k in (0, 1, int(rng.integers(times.size)), times.size - 1):
+            t = times[k]
+            for i in range(game.N):
+                got = assemble_drift(game, Du, i).eval(t, X)
+                ref = _drift_first_form(game, Du[:, k], i, t, X)
+                others = [j for j in range(game.N) if j != i]
+                assert same_bits(got[others], ref[others])
+                if kind == "lq":
+                    assert same_bits(got[i], 0.5 * Du[i, k])
+                else:
+                    assert same_bits(got[i], game.hamiltonian.own_average(
+                        i, Du[:, k]))
+
+
+def test_saturated_own_average_matches_adaptive_quadrature():
+    # the closed form psi^2 / (2 p) is the s-average of dH/dp to round-off
+    # for |p| / kappa <= 12, where the 8-node rule is off by up to 2%
+    quad = pytest.importorskip("scipy.integrate").quad
+    kappa = 0.7
+    sat = HamiltonianFamily.saturated(np.zeros((2, 2, 2)), kappa)
+    X = np.zeros((2, 1))
+    worst_closed = worst_rule = 0.0
+    for r in np.concatenate((np.linspace(-12, 12, 97), [1e-8, -3e-5])):
+        p = np.array([[r * kappa], [0.3]])
+        ref, _ = quad(lambda s: float(sat.dpj(0, 0.0, X, np.array(
+            [[s * p[0, 0]], [0.3]]))[0]), 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+            limit=200)
+        if ref == 0.0:
+            continue
+        rule = sum(w * sat.dpj(0, 0.0, X, np.array([[s * p[0, 0]], [0.3]]))[0]
+                   for s, w in zip(_GL_S, _GL_W))
+        worst_closed = max(worst_closed,
+                           abs(sat.own_average(0, p)[0] - ref) / abs(ref))
+        worst_rule = max(worst_rule, abs(rule - ref) / abs(ref))
+    assert worst_closed < 1e-13
+    assert worst_rule > 1e-3
+    zero = sat.own_average(0, np.array([[0.0, -0.0], [1.0, 1.0]]))
+    assert np.all(np.isfinite(zero)) and np.all(zero == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["lq", "saturated"])
+def test_picard_step_matches_interpolating_reference(kind, same_bits):
+    # the drift read at its node and the drift interpolated there (the old
+    # cache) differ only in the sign of a zero, which cannot reach the
+    # solution: the sweep keeps its bits
+    from test_holder import _old_cache_at
+
+    game, _ = mini_game(N=2, M=21, kind=kind, kappa=0.7)
+    u = probe_fields(game, seed=4, scale=0.5)
+    for f in u:
+        # signed zeros of both signs side by side, so some D_j u^j is -0.0
+        # where its interpolated value is +0.0
+        zeros = np.where(np.indices(f.values.shape).sum(axis=0) % 2, -0.0, 0.0)
+        f.values[:, :8] = zeros[:, :8]
+    Du = frozen_gradients(u)
+    times = game.times
+    X = game.grid.meshgrid()
+
+    def old_drift(i):
+        def b(t, X):
+            p = _old_cache_at(times, Du, t)
+            out = np.empty_like(p)
+            for j in range(game.N):
+                out[j] = (game.hamiltonian.own_average(i, p) if j == i
+                          else game.hamiltonian.dpj(j, t, X, p))
+            return out
+        return DriftSpec(b)
+
+    flipped = False
+    for i in range(game.N):
+        new, old = assemble_drift(game, Du, i), old_drift(i)
+        for t in times[1:]:
+            a, b = new.eval(t, X), old.eval(t, X)
+            assert np.array_equal(a, b)
+            flipped |= not same_bits(a, b)
+    assert flipped
+    got = picard_step(game, u)
+    for i, w in enumerate(got):
+        problem = LinearProblem(
+            game.diffusion, old_drift(i),
+            SourceSpec(lambda t, X, F=assemble_source(game, i): F),
+            TerminalSpec(lambda X, i=i: game.terminals[i](X)),
+            0.0, game.T, player=i)
+        ref = solve_grid(problem, game.grid, game.step, strict_dt=True)
+        assert same_bits(w.times, ref.times)
+        assert same_bits(w.values, ref.values)
+
+
+def test_picard_step_resamples_off_node_fields(same_bits):
+    game, _ = mini_game(N=2, M=21)
+    coarse = np.linspace(0.0, game.T, 5)
+    u = [Field.from_function(game.grid, coarse,
+                             lambda t, X, i=i: (1 + t) * np.sin(X[i] + i))
+         for i in range(game.N)]
+    assert coarse.size != game.times.size
+    resampled = [Field(f.grid, game.times,
+                       interp_time(coarse, f.values, game.times), f.player)
+                 for f in u]
+    for a, b in zip(picard_step(game, u), picard_step(game, resampled)):
+        assert same_bits(a.values, b.values)
 
 
 def test_picard_step_zero_game():
@@ -701,19 +827,19 @@ def test_residual_needs_time_nodes():
 
 
 def _residual_first_form(game, fields, collar=0.1):
-    """residual as first written: its own GradientCache for D_j u^j and its
-    own derivative family per player."""
+    """residual as first written: its own stacked D_j u^j and its own
+    derivative family per player."""
     grid = game.grid
     times = fields[0].times
     X = grid.meshgrid()
-    cache = GradientCache.from_fields(fields)
+    grads = frozen_gradients(fields)
     inner = grid.interior(collar)
     out = []
     for i, f in enumerate(fields):
         fam = derivative_family(f, 2)
         res = -np.gradient(f.values, times, axis=0, edge_order=2)
         for k, t in enumerate(times):
-            Du = cache.values[:, k]
+            Du = grads[:, k]
             diag = game.diffusion.diag_values(t, X)
             acc = np.zeros(grid.shape)
             for c in range(game.N):
