@@ -5,9 +5,11 @@ nodes, assembles per-player drifts B^j_i = dH^j/dp^j (with the own slot
 replaced by the s-averaged derivative int_0^1 dH^i/dp^i(p^-i, s p^i) ds, in
 closed form), and solves the N decoupled backward linear equations.  Their
 sources F^i = -H^i(t, x, Du^-i, 0) depend neither on the iterate nor on t
-(see HamiltonianFamily), so each is formed once per player per sweep.
+(see HamiltonianFamily), so each is formed once per game (GameSpec.sources).
 Contraction of the sweep map is measured in the triple norm combining the
-C^{2,1}-in-space weighted norm with a time-Lipschitz part.
+C^{2,1}-in-space weighted norm with a time-Lipschitz part.  Its order-2
+seminorms are each skipped when a bound read from the derivative's max and
+min cannot raise their running max, which leaves the value bit-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .holder import (
     derivative_family,
     finite_diff,
     interp_time,
-    sup_abs,
     time_nodes,
 )
 from .oracle_lq import LQGameSpec
@@ -34,6 +35,7 @@ from .pde_linear import (
     DiffusionSpec,
     DriftSpec,
     LinearProblem,
+    SolveError,
     SourceSpec,
     TerminalSpec,
     TransportBoundError,
@@ -67,6 +69,10 @@ class NashError(RuntimeError):
 
 class StepBoundError(NashError):
     """A sweep's step exceeds the upwind transport stability bound."""
+
+
+class DivergedError(NashError):
+    """A sweep went non-finite: in the linear solve or the frozen drift."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +151,7 @@ class GameSpec:
     dt: float                       # requested step; capped by the CFL bound
     R: float | None = None          # soft triple-norm envelope
     times: np.ndarray = field(init=False, repr=False)
+    sources: list = field(init=False, repr=False)   # assemble_source per player
 
     def __post_init__(self):
         if self.T <= 0:
@@ -158,6 +165,7 @@ class GameSpec:
         step = stable_step(self.diffusion, self.grid.meshgrid(), self.grid.h,
                            (0.0, self.T / 2, self.T), self.dt, margin=0.45)
         self.times = time_nodes(0.0, self.T, step, min_steps=2)
+        self.sources = [assemble_source(self, i) for i in range(self.N)]
 
     @property
     def step(self) -> float:
@@ -218,7 +226,7 @@ def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
                 out[j] = ham.dpj(j, t, X, p)
         out[i] = ham.own_average(i, p)
         if not np.all(np.isfinite(out[i])):
-            raise NashError(f"non-finite own-momentum drift for player {i}")
+            raise DivergedError(f"non-finite own-momentum drift for player {i}")
         return out
 
     return DriftSpec(b)
@@ -245,13 +253,15 @@ def picard_step(game: GameSpec, fields) -> list:
         problem = LinearProblem(
             game.diffusion,
             assemble_drift(game, Du, i),
-            SourceSpec(lambda t, X, F=assemble_source(game, i): F),
+            SourceSpec(lambda t, X, F=game.sources[i]: F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)
         try:
             w = solve_grid(problem, game.grid, game.step, strict_dt=True)
         except TransportBoundError as e:
             raise StepBoundError(f"linear solve refused for player {i}: {e}") from e
+        except (SolveError, DivergedError) as e:
+            raise DivergedError(f"linear solve failed for player {i}: {e}") from e
         except Exception as e:
             raise NashError(f"linear solve failed for player {i}: {e}") from e
         out.append(w)
@@ -262,11 +272,14 @@ def picard_step(game: GameSpec, fields) -> list:
 # triple norm
 
 
-def _finite_sup(x: np.ndarray) -> float:
-    s = sup_abs(x)
+def _extremes(x: np.ndarray) -> tuple:
+    """(sup |x|, max x, min x), the sup as sup_abs forms it; GridError if x
+    is not finite."""
+    hi, lo = float(x.max()), float(x.min())
+    s = abs(max(hi, -lo))
     if not math.isfinite(s):
         raise GridError("field contains non-finite values")
-    return s
+    return s, hi, lo
 
 
 def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
@@ -282,32 +295,41 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
     by math.sqrt(beta^alpha), which is the sqrt(beta) weight of alpha because
     sqrt is monotone and correctly rounded.  A non-finite derivative or
     quotient raises GridError, as building it as a Field would.
+
+    The two order-2 maxima are running maxima.  A seminorm is skipped when a
+    bound from the max hi and min lo that the sup reads, (hi - lo) / h /
+    beta^alpha for [D^alpha u]_1 or (s + hi - lo) / sqrt(beta^alpha) for the
+    Lipschitz top, is <= its running max.  Every lag-1 difference and line
+    range is at most hi - lo exactly and round-to-nearest is monotone, so the
+    value keeps its bits; an overflowing hi - lo is inf and never skips.
     """
     lip = times.size >= 2
     dts = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    sups, semis = ([], [], []), []
+    sups, semi = ([], [], []), 0.0
     lip_sups, lip_top = ([], []), 0.0
     for a, d in holder.derivatives(values, h, 2):
         k = len(a)
         weight = multi_index_weight(beta, a)
-        sups[k].append(_finite_sup(d) / weight)
-        if k == 2:
-            semis.append(holder._axis_seminorm(d, h, 1.0) / weight)
+        s, hi, lo = _extremes(d)
+        sups[k].append(s / weight)
+        if k == 2 and (hi - lo) / h / weight > semi:
+            semi = max(semi, holder._axis_seminorm(d, h, 1.0) / weight)
         if lip:
             q = np.diff(d, axis=0) / dts
-            s = _finite_sup(q)
+            s, hi, lo = _extremes(q)
+            root = math.sqrt(weight)
             if k < 2:
-                lip_sups[k].append(s / math.sqrt(weight))
-            else:
+                lip_sups[k].append(s / root)
+            elif (s + (hi - lo)) / root > lip_top:
                 # the minus variant's smallest predecessor weight is the
                 # weight of alpha itself at |alpha| = 2
-                lip_top = max(lip_top, (s + holder._axis_seminorm(q, h, 0.0))
-                              / math.sqrt(weight))
+                lip_top = max(lip_top,
+                              (s + holder._axis_seminorm(q, h, 0.0)) / root)
             del q
     total = 0.0
     for m in sups:
         total += max(m)
-    total += max(semis)
+    total += semi
     if lip:
         # the Lipschitz part is its own sum, added once
         lip_total = 0.0
@@ -363,12 +385,12 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
 
     Returns (per-player Fields | None, PicardReport); divergence (three
-    consecutive growing increments), non-convergence and a sweep refused at
-    the transport stability bound (``refused``) yield a flagged report
-    without a solution. The iterate norm |||S(u)||| costs one more
-    triple norm per sweep, so it is only computed when ``iterate_norm`` is
-    set or ``game.R`` asks for the envelope check; otherwise the report's
-    ``max_norm`` is None (not computed).
+    consecutive growing increments, or a non-finite sweep), non-convergence
+    and a sweep refused at the transport stability bound (``refused``) yield
+    a flagged report without a solution. The iterate norm |||S(u)||| costs
+    one more triple norm per sweep, so it is only computed when
+    ``iterate_norm`` is set or ``game.R`` asks for the envelope check;
+    otherwise the report's ``max_norm`` is None (not computed).
     """
     if tol <= 0:
         raise NashError("tol must be positive")
@@ -384,6 +406,9 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
             new = picard_step(game, u)
         except StepBoundError as e:
             refused = str(e)
+            break
+        except DivergedError:
+            diverged = True
             break
         inc = triple_norm(game, [a - b for a, b in zip(new, u)])
         increments.append(inc)
@@ -520,8 +545,8 @@ def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
                  tol: float = 1e-6, max_iter: int = 30) -> HorizonScan:
     """Contraction probes and a Picard attempt at each horizon; emits the
     empirical bracket of the short-time threshold.  A probe refused at the
-    transport stability bound counts as ratio inf and a refused Picard run
-    as not converged, so such a horizon is a failure, not an error."""
+    transport bound or gone non-finite counts as ratio inf and such a Picard
+    run as not converged, so the horizon is a failure, not an error."""
     T_list = list(T_list)
     if not T_list:
         raise NashError("empty horizon list")
@@ -536,7 +561,7 @@ def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
             v = probe_fields(game, seed + 2 * k + 1)
             try:
                 ratios.append(contraction_probe(game, u, v).ratio)
-            except StepBoundError:
+            except (StepBoundError, DivergedError):
                 ratios.append(math.inf)
         _, rep = picard_solve(game, tol=tol, max_iter=max_iter)
         rows.append(HorizonRow(T, ratios, max(ratios), rep.converged))

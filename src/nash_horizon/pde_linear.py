@@ -66,7 +66,7 @@ class DiffusionSpec:
     """
 
     N: int
-    diag: list          # k -> callable (t, xk) -> array like xk
+    diag: list          # k -> callable (t, xk) -> array like xk, or scalar
     offdiag: dict       # (i, j), i < j -> callable t -> float
 
     @staticmethod
@@ -77,9 +77,7 @@ class DiffusionSpec:
         if np.linalg.eigvalsh(m).min() <= 0:
             raise SpecError("diffusion must satisfy A >= lam I with lam > 0")
         N = m.shape[0]
-        diag = [
-            (lambda t, xk, v=m[k, k]: v + 0.0 * xk) for k in range(N)
-        ]
+        diag = [(lambda t, xk, v=m[k, k]: v) for k in range(N)]
         off = {(i, j): (lambda t, v=m[i, j]: v)
                for i in range(N) for j in range(i + 1, N) if m[i, j] != 0.0}
         return DiffusionSpec(N, diag, off)
@@ -116,7 +114,7 @@ class DiffusionSpec:
         best = 0.0
         for t in t_samples:
             for a in self.diag_values(t, X):
-                best = max(best, float(np.max(np.abs(a))))
+                best = max(best, sup_abs(a))
             for (i, j) in self.offdiag:
                 best = max(best, abs(self.offdiag_value(i, j, t)))
         return best

@@ -210,6 +210,14 @@ _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
+@pytest.mark.parametrize("kind", ["lq", "saturated"])
+def test_game_sources_are_formed_once(kind, same_bits):
+    game, _ = mini_game(N=3, M=9, kind=kind, kappa=0.7)
+    assert len(game.sources) == game.N
+    for i in range(game.N):
+        assert same_bits(game.sources[i], assemble_source(game, i))
+
+
 def _drift_first_form(game, Du, i, t, X):
     """assemble_drift's drift as first written, on the gradients Du at t: the
     own slot by 8-node Gauss-Legendre quadrature, a copy of Du per node."""
@@ -436,6 +444,35 @@ def test_picard_rejects_a_step_above_the_transport_bound():
     assert "refused" not in rep.to_dict()
 
 
+def overflow_game(T=0.05):
+    """A game whose terminal c_G sum_j beta^j tanh(x^j), c_G = 1e308, is
+    finite but overflows the first explicit step (as in the CLI's
+    verify-decay overflow test)."""
+    game, _ = mini_game(T=T, M=21, L=3.0, dt=0.01)
+    game.terminals = [lambda X: 1e308 * sum(BETA.value(j) * np.tanh(X[j])
+                                            for j in range(len(X)))] * game.N
+    return game
+
+
+def test_picard_reports_a_non_finite_sweep_as_diverged():
+    game = overflow_game()
+    with pytest.raises(nash.DivergedError, match="non-finite value"):
+        picard_step(game, game.zero_fields())
+    sol, rep = picard_solve(game, tol=1e-6, max_iter=5)
+    assert sol is None and rep.diverged and not rep.converged
+    assert rep.iterations == 1 and rep.increments == []
+    assert rep.refused is None
+
+
+def test_non_finite_own_drift_is_a_divergence():
+    game, _ = mini_game(M=9)
+    Du = np.zeros((game.N, game.times.size) + game.grid.shape)
+    Du[0, 0, 4, 4] = np.inf
+    drift = assemble_drift(game, Du, 0)
+    with pytest.raises(nash.DivergedError, match="own-momentum drift"):
+        drift.eval(game.times[0], game.grid.meshgrid())
+
+
 def test_picard_step_raises_step_bound_error(monkeypatch):
     from nash_horizon import pde_linear
 
@@ -636,6 +673,77 @@ def test_triple_norm_equals_definition_on_iterate_differences(N):
                 _triple_norm_by_definition(game, fields)
 
 
+def _count_seminorms(monkeypatch):
+    """Patch holder._axis_seminorm to count its calls by gamma."""
+    calls = {1.0: 0, 0.0: 0}
+    inner = holder._axis_seminorm
+
+    def counted(values, h, gamma):
+        calls[gamma] += 1
+        return inner(values, h, gamma)
+
+    monkeypatch.setattr(holder, "_axis_seminorm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_pruned_norm_equals_definition_on_rough_fields(N):
+    # seeded noise: a lag-1 difference can come close to the whole range of
+    # D^alpha u, so a later seminorm often raises the running max with a
+    # bound only just above it.  A bound smaller than (hi - lo) / h, or than
+    # s + (hi - lo) for the Lipschitz top, skips such a term and drops below
+    # the definition here
+    game, _ = mini_game(N=N, M=7, L=2.0, T=0.1, dt=0.01)
+    times = game.times[:3]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        fields = [Field(game.grid, times,
+                        rng.normal(size=(times.size,) + game.grid.shape), i)
+                  for i in range(N)]
+        assert triple_norm(game, fields) == \
+            _triple_norm_by_definition(game, fields)
+
+
+def test_pruned_norm_skips_seminorms_on_increments(monkeypatch):
+    # an unpruned kernel makes one gamma = 1 and one gamma = 0 seminorm for
+    # each of the 10 second derivatives at N = 4, per player
+    game, _ = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
+    u, v = probe_fields(game, 0), probe_fields(game, 1)
+    fields = [a - b for a, b in zip(u, v)]
+    calls = _count_seminorms(monkeypatch)
+    value = triple_norm(game, fields)
+    assert 0 < calls[1.0] + calls[0.0] < 2 * 10 * game.N
+    monkeypatch.undo()
+    assert value == _triple_norm_by_definition(game, fields)
+
+
+def test_pruned_norm_skips_a_bound_that_ties_the_running_max(monkeypatch):
+    # u = step(x^0) + step(x^2) at t = 1 (0 at t = 0), h = 1/2: D_00 u and
+    # D_22 u take the values 0, 1 and -1 exactly, with the max and min next
+    # to each other, and the other second derivatives are 0.  Player 1's
+    # weights of (0, 0) and (2, 2) are both beta^1, so after (0, 0) each
+    # bound of (2, 2) equals its running max: only (0, 0) is computed
+    game, _ = mini_game(N=3, M=9, L=2.0, T=0.1, dt=0.01)
+    X = game.grid.meshgrid()
+    times = np.array([0.0, 1.0])
+    step = (X[0] > 0).astype(float) + (X[2] > 0).astype(float)
+    zero = np.zeros((2,) + game.grid.shape)
+    fields = [Field(game.grid, times, zero, 0),
+              Field(game.grid, times, np.stack([0 * step, step]), 1),
+              Field(game.grid, times, zero, 2)]
+    d00 = finite_diff(fields[1], (0, 0)).values
+    d22 = finite_diff(fields[1], (2, 2)).values
+    assert set(np.unique(d00)) == {-1.0, 0.0, 1.0}
+    assert np.array_equal(d22, np.moveaxis(d00, 1, 3))
+    h, w = game.grid.h, game.player_weight(1).value(0)
+    assert holder._axis_seminorm(d00, h, 1.0) / w == 2.0 / h / w
+    calls = _count_seminorms(monkeypatch)
+    value = triple_norm(game, fields)
+    assert calls == {1.0: 1, 0.0: 1}
+    monkeypatch.undo()
+    assert value == _triple_norm_by_definition(game, fields)
+
+
 @pytest.mark.parametrize("bad", [0, 1])
 def test_triple_norm_rejects_overflowing_derivative(bad):
     # alternating +-1e308 is finite, but its one-sided edge stencil
@@ -716,6 +824,22 @@ def test_horizon_scan_reports_a_refused_horizon():
     assert scan.rows[0].converged and scan.rows[0].max_ratio < 1
     assert not scan.rows[1].converged
     assert scan.T_star_low == 0.2 and scan.T_fail == 0.8
+
+
+def test_horizon_scan_reports_a_non_finite_horizon():
+    # the longer horizon's game blows up in its first sweep: its probes
+    # count as ratio inf and its Picard run as not converged, and the scan
+    # keeps its bracket
+    def make(T):
+        if T > 0.1:
+            return overflow_game(T)
+        return mini_game(T=T, M=21, L=3.0, dt=0.01, c_Q=0.01, c_G=0.01)[0]
+
+    scan = horizon_scan(make, [0.05, 0.2], n_pairs=1, tol=1e-8, max_iter=25)
+    assert scan.rows[0].converged and scan.rows[0].max_ratio < 1
+    assert not scan.rows[1].converged
+    assert scan.rows[1].max_ratio == math.inf
+    assert scan.T_star_low == 0.05 and scan.T_fail == 0.2
 
 
 def test_horizon_scan_counts_a_refused_probe_as_inf(monkeypatch):
