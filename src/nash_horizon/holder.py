@@ -12,10 +12,12 @@ Multi-indices alpha are tuples of coordinates with repetition, e.g.
 (0, 1, 1) for D_0 D_1^2, the keys of derivative_family.  Each D^alpha V is
 divided by weights.multi_index_weight(beta, alpha) and by nothing else.
 
-Every derivative is made by derivatives(), depth first, each one np.gradient
-of its parent: finite_diff, derivative_family, nash.triple_norm and
-pde_linear.verify_decay all draw from it.  space_norm over a
-derivative_family is the plain definition of the weighted norms.
+Every derivative is one np.gradient (_partial) of its parent.
+derivatives() streams all of them up to an order, depth first, for
+derivative_family, nash.triple_norm and pde_linear.verify_decay;
+finite_diff makes only the one named by alpha, for nash.picard_step and
+nash.residual.  space_norm over a derivative_family is the plain definition
+of the weighted norms.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ MAX_NODES = 2 ** 24
 
 class GridError(ValueError):
     """Invalid grid or field geometry."""
+
+
+class NonFiniteError(GridError):
+    """A field or one of its derivatives holds a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class Field:
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise GridError("time nodes must be strictly increasing")
         if not np.all(np.isfinite(v)):
-            raise GridError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

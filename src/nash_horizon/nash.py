@@ -23,9 +23,8 @@ import numpy as np
 from . import holder  # derivatives, _axis_seminorm: looked up at call time
 from .holder import (
     Field,
-    GridError,
+    NonFiniteError,
     SpatialGrid,
-    derivative_family,
     finite_diff,
     interp_time,
     time_nodes,
@@ -273,12 +272,12 @@ def picard_step(game: GameSpec, fields) -> list:
 
 
 def _extremes(x: np.ndarray) -> tuple:
-    """(sup |x|, max x, min x), the sup as sup_abs forms it; GridError if x
-    is not finite."""
+    """(sup |x|, max x, min x), the sup as sup_abs forms it; NonFiniteError
+    if x is not finite."""
     hi, lo = float(x.max()), float(x.min())
     s = abs(max(hi, -lo))
     if not math.isfinite(s):
-        raise GridError("field contains non-finite values")
+        raise NonFiniteError("field contains non-finite values")
     return s, hi, lo
 
 
@@ -294,7 +293,7 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
     sqrt(beta), minus_variant=True) bit for bit.  The Lipschitz part divides
     by math.sqrt(beta^alpha), which is the sqrt(beta) weight of alpha because
     sqrt is monotone and correctly rounded.  A non-finite derivative or
-    quotient raises GridError, as building it as a Field would.
+    quotient raises NonFiniteError, as building it as a Field would.
 
     The two order-2 maxima are running maxima.  A seminorm is skipped when a
     bound from the max hi and min lo that the sup reads, (hi - lo) / h /
@@ -385,12 +384,13 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
 
     Returns (per-player Fields | None, PicardReport); divergence (three
-    consecutive growing increments, or a non-finite sweep), non-convergence
-    and a sweep refused at the transport stability bound (``refused``) yield
-    a flagged report without a solution. The iterate norm |||S(u)||| costs
-    one more triple norm per sweep, so it is only computed when
-    ``iterate_norm`` is set or ``game.R`` asks for the envelope check;
-    otherwise the report's ``max_norm`` is None (not computed).
+    consecutive growing increments, or a sweep, frozen gradient or norm gone
+    non-finite), non-convergence and a sweep refused at the transport
+    stability bound (``refused``) yield a flagged report without a
+    solution. The iterate norm |||S(u)||| costs one more triple norm per
+    sweep, so it is only computed when ``iterate_norm`` is set or ``game.R``
+    asks for the envelope check; otherwise the report's ``max_norm`` is None
+    (not computed).
     """
     if tol <= 0:
         raise NashError("tol must be positive")
@@ -404,16 +404,16 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     for it in range(1, max_iter + 1):
         try:
             new = picard_step(game, u)
+            inc = triple_norm(game, [a - b for a, b in zip(new, u)])
+            if max_norm is not None:
+                max_norm = max(max_norm, triple_norm(game, new))
         except StepBoundError as e:
             refused = str(e)
             break
-        except DivergedError:
+        except (DivergedError, NonFiniteError):
             diverged = True
             break
-        inc = triple_norm(game, [a - b for a, b in zip(new, u)])
         increments.append(inc)
-        if max_norm is not None:
-            max_norm = max(max_norm, triple_norm(game, new))
         u = new
         if inc < tol:
             converged = True
@@ -438,35 +438,37 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 
 def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
     """Per-player sup of the Nash equation left side over interior nodes,
-    with the location of the max.  One derivative_family(u^i, 2) is built per
-    player; the frozen gradients D_j u^j are read from its (j,) entries."""
+    with the location of the max.  Only the derivatives it reads are made:
+    D_j u^i (the frozen gradients Du are the j = i ones), D_c D_c u^i and
+    D_a D_b u^i for the off-diagonal diffusion keys."""
     grid = game.grid
     times = fields[0].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
-    fams = [derivative_family(f, 2) for f in fields]
+    Du = np.stack([finite_diff(f, (i,)).values for i, f in enumerate(fields)])
     X = grid.meshgrid()
-    grads = np.stack([fam[(j,)].values for j, fam in enumerate(fams)])
+    ham, diff = game.hamiltonian, game.diffusion
+    pairs = [(c, c) for c in range(game.N)] + list(diff.offdiag)
     inner = grid.interior(collar)
     out = []
-    for i, fam in enumerate(fams):
-        ut = np.gradient(fam[()].values, times, axis=0, edge_order=2)
-        res = -ut
+    for i, f in enumerate(fields):
+        D = [Field(grid, times, Du[i]) if j == i else finite_diff(f, (j,))
+             for j in range(game.N)]
+        second = [finite_diff(D[min(a, b)], (max(a, b),)).values
+                  for a, b in pairs]
+        res = -np.gradient(f.values, times, axis=0, edge_order=2)
         for k, t in enumerate(times):
-            Du = grads[:, k]
-            diag = game.diffusion.diag_values(t, X)
+            coef = diff.diag_values(t, X) + [
+                2 * diff.offdiag_value(a, b, t) for a, b in diff.offdiag]
             acc = np.zeros(grid.shape)
-            for c in range(game.N):
-                acc += diag[c] * fam[(c, c)].values[k]
-            for (a, b) in game.diffusion.offdiag:
-                acc += 2 * game.diffusion.offdiag_value(a, b, t) * \
-                    fam[tuple(sorted((a, b)))].values[k]
+            for w, d in zip(coef, second):
+                acc += w * d[k]
             res[k] -= acc
-            res[k] += game.hamiltonian.value(i, t, X, Du)
-            for j in range(game.N):
-                if j != i:
-                    res[k] += game.hamiltonian.dpj(j, t, X, Du) * \
-                        fam[(j,)].values[k]
+        # H^i is t-independent (HamiltonianFamily): all time nodes at once
+        res += ham.value(i, None, X, Du)
+        for j in range(game.N):
+            if j != i:
+                res += ham.dpj(j, None, X, Du) * D[j].values
         body = np.abs(res[(slice(None),) + inner])
         flat = int(np.argmax(body))
         loc = np.unravel_index(flat, body.shape)

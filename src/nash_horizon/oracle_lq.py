@@ -116,7 +116,6 @@ class RiccatiTrajectory:
     r: np.ndarray              # (K+1, N)
     blown_up: bool
     blowup_bracket: tuple | None   # (t_low, t_high) if blown up
-    error_estimate: float          # step-halving estimate at t = times[0]
 
     def interpolate(self, t: float):
         ts = self.times
@@ -125,7 +124,12 @@ class RiccatiTrajectory:
         return interp_time(ts, self.P, t), interp_time(ts, self.r, t)
 
 
-def _integrate(spec: LQGameSpec, dt: float):
+def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
+    """Backward RK4 at step <= dt with per-step symmetrization; blow-up
+    (||P|| > 1e6) is reported with a time bracket.
+    """
+    if dt > spec.T / 50 + 1e-15:
+        raise LQError("need dt <= T/50")
     times = time_nodes(0.0, spec.T, dt)
     K = times.size - 1
     step = times[1] - times[0]
@@ -148,25 +152,11 @@ def _integrate(spec: LQGameSpec, dt: float):
         rn = r[k] + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         Pn = 0.5 * (Pn + np.swapaxes(Pn, 1, 2))
         if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn)) > BLOWUP_NORM:
-            return times[k - 1:], P[k:], r[k:], (times[k - 1], times[k])
+            return RiccatiTrajectory(spec, times[k - 1:], P[k:], r[k:], True,
+                                     (times[k - 1], times[k]))
         P[k - 1] = Pn
         r[k - 1] = rn
-    return times, P, r, None
-
-
-def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
-    """Backward RK4 with per-step symmetrization and step-halving error
-    estimate; blow-up (||P|| > 1e6) is reported with a time bracket.
-    """
-    if dt > spec.T / 50 + 1e-15:
-        raise LQError("need dt <= T/50")
-    times, P, r, bracket = _integrate(spec, dt)
-    if bracket is not None:
-        return RiccatiTrajectory(spec, times, P, r, True, bracket, np.inf)
-    _, P2, _, bracket2 = _integrate(spec, dt / 2)
-    err = (np.inf if bracket2 is not None
-           else float(np.max(np.abs(P2[0] - P[0]))))
-    return RiccatiTrajectory(spec, times, P, r, False, None, err)
+    return RiccatiTrajectory(spec, times, P, r, False, None)
 
 
 def lq_value(traj: RiccatiTrajectory, i: int, t: float, x):

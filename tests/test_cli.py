@@ -170,10 +170,12 @@ def test_boolean_for_a_number_exits_2(tmp_path, command, cfg):
     assert summary is None
 
 
-def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
-    # after Picard, residual builds one order-2 family per player and
-    # verify_decay streams its derivatives without a family: 27 _partial
-    # calls each at N = 3, so a third pass over the derivatives shows here
+def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
+                                                                monkeypatch):
+    # after Picard, residual makes D_j u^i for each pair and D_c D_c u^i (no
+    # mixed ones: the diffusion is diagonal) without a derivative family, and
+    # verify_decay streams every order-<=2 derivative: at N = 3 that is 18
+    # and 27 _partial calls, so a further pass over the derivatives shows here
     from nash_horizon import cli, holder
     real = {"derivative_family": holder.derivative_family,
             "_partial": holder._partial}
@@ -220,12 +222,27 @@ def test_solve_builds_one_derivative_family_per_player(tmp_path, monkeypatch):
     code, summary, _ = run(tmp_path, "solve", cfg)
     assert code == 0 and len(summary["results"]["decay"]) == 3
     assert log[0] == "picard"
-    families = [c for c in log[1:] if c[1] == "family"]
-    assert families == [("residual", "family", i, 2) for i in range(3)]
-    # per player 3 first and 6 second derivatives, in each of the two
-    assert log.count(("residual", "_partial")) == 27
+    assert not [c for c in log[1:] if c[1] == "family"]
+    # per player 3 first and 3 second derivatives in residual; 3 first and
+    # 6 second in verify_decay
+    assert log.count(("residual", "_partial")) == 18
     assert log.count(("verify_decay", "_partial")) == 27
-    assert len(log) == 1 + 3 + 54
+    assert len(log) == 1 + 18 + 27
+
+
+def test_solve_diverged_sweep_exits_1(tmp_path):
+    # a terminal cost of 1e308 overflows the first explicit step: the run is
+    # reported as diverged, not refused and not as a numerical error, and
+    # writes no fields
+    cfg = lq_config()
+    cfg["game"]["c_G"] = 1e308
+    code, summary, o = run(tmp_path, "solve", cfg)
+    assert code == 1
+    picard = summary["results"]["picard"]
+    assert picard["diverged"] is True and not picard["converged"]
+    assert "refused" not in picard
+    assert "error" not in summary
+    assert not list(o.glob("u*.bin"))
 
 
 def test_solve_refused_sweep_exits_1(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -36,6 +37,7 @@ from nash_horizon.nash import (
 )
 from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
 from nash_horizon.pde_linear import (
+    DiffusionSpec,
     DriftSpec,
     LinearProblem,
     SourceSpec,
@@ -459,6 +461,26 @@ def test_picard_reports_a_non_finite_sweep_as_diverged():
     with pytest.raises(nash.DivergedError, match="non-finite value"):
         picard_step(game, game.zero_fields())
     sol, rep = picard_solve(game, tol=1e-6, max_iter=5)
+    assert sol is None and rep.diverged and not rep.converged
+    assert rep.iterations == 1 and rep.increments == []
+    assert rep.refused is None
+
+
+@pytest.mark.parametrize("pattern", ["checkerboard", "stripes"])
+def test_picard_reports_an_overflowing_gradient_as_diverged(pattern):
+    # +-1e308 fields are finite, but their one-sided edge differences
+    # overflow: the checkerboard in the frozen gradients D_j u^j, the stripes
+    # (constant along the player's own axis, so D_j u^j = 0) only in the
+    # increment's norm
+    game, _ = mini_game(N=2, M=15)
+    k = np.indices(game.grid.shape)
+    signs = ([(-1.0) ** (k[0] + k[1])] * 2 if pattern == "checkerboard"
+             else [(-1.0) ** k[1], (-1.0) ** k[0]])
+    u0 = [Field(game.grid, game.times,
+                np.broadcast_to(1e308 * s, (game.times.size,) + s.shape), i)
+          for i, s in enumerate(signs)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol, rep = picard_solve(game, u0=u0, max_iter=5, iterate_norm=True)
     assert sol is None and rep.diverged and not rep.converged
     assert rep.iterations == 1 and rep.increments == []
     assert rep.refused is None
@@ -983,11 +1005,30 @@ def _residual_first_form(game, fields, collar=0.1):
     return out
 
 
-@pytest.mark.parametrize("N, M, kind", [(1, 21, "lq"), (2, 15, "saturated"),
-                                        (3, 9, "lq")])
-def test_residual_on_shared_families_matches_first_form(N, M, kind):
+@pytest.mark.parametrize("N, M, kind, matrix", [
+    pytest.param(1, 21, "lq", None, id="1-21-lq"),
+    pytest.param(2, 15, "saturated", None, id="2-15-saturated"),
+    pytest.param(3, 9, "lq", None, id="3-9-lq"),
+    # off-diagonal diffusion: the residual reads mixed second derivatives
+    pytest.param(2, 15, "saturated", [[0.1, 0.03], [0.03, 0.08]],
+                 id="2-15-saturated-offdiag"),
+    pytest.param(3, 9, "lq", [[0.1, 0, 0.02], [0, 0.1, 0.01],
+                              [0.02, 0.01, 0.1]], id="3-9-lq-offdiag"),
+])
+def test_residual_on_shared_families_matches_first_form(N, M, kind, matrix):
     game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
+    if matrix is not None:
+        game = dataclasses.replace(game,
+                                   diffusion=DiffusionSpec.constant(matrix))
+        assert game.diffusion.offdiag
     u = probe_fields(game, seed=N, scale=0.5)
+    if matrix is not None:
+        # probe fields are sums of one-coordinate terms, whose mixed
+        # derivatives vanish; add a term coupling each off-diagonal pair
+        X = game.grid.meshgrid()
+        mixed = 0.3 * np.sin(sum(X[a] * X[b]
+                                 for a, b in game.diffusion.offdiag))
+        u = [Field(f.grid, f.times, f.values + mixed, f.player) for f in u]
     assert residual(game, u) == _residual_first_form(game, u)
 
 

@@ -93,7 +93,23 @@ def test_integrate_matches_first_form_rhs(N, monkeypatch, same_bits):
     monkeypatch.setattr(oracle_lq, "riccati_rhs", _riccati_rhs_first_form)
     old = riccati_integrate(spec, spec.T / 50)
     assert same_bits(new.P, old.P) and same_bits(new.r, old.r)
-    assert same_bits(new.error_estimate, old.error_estimate)
+
+
+def test_integrate_is_one_rk4_pass(monkeypatch):
+    # four right-hand side evaluations per RK4 step, and no second pass
+    from nash_horizon import oracle_lq
+    calls = []
+
+    def rhs(state, spec):
+        calls.append(state.t)
+        return riccati_rhs(state, spec)
+
+    spec = decay_lq_game(3, BETA, c_Q=0.5, c_G=1.0, sigma=0.3, T=0.5)
+    monkeypatch.setattr(oracle_lq, "riccati_rhs", rhs)
+    traj = riccati_integrate(spec, spec.T / 60)
+    K = traj.times.size - 1
+    assert K == 60 and not traj.blown_up
+    assert len(calls) == 4 * K
 
 
 def test_scalar_riccati_closed_form():
@@ -139,11 +155,16 @@ def test_rk4_refinement_ratio():
 
 
 def test_step_halving_error_estimate():
+    # max |P_{dt/2}(0) - P_dt(0)|, each from its own riccati_integrate call
     spec = decay_lq_game(2, BETA, c_Q=0.5, c_G=0.8, sigma=0.3, T=1.0)
-    t1 = riccati_integrate(spec, 0.02)
-    t2 = riccati_integrate(spec, 0.005)
-    assert t2.error_estimate < t1.error_estimate
-    assert t1.error_estimate < 1e-6
+
+    def estimate(dt):
+        P = [riccati_integrate(spec, s).P[0] for s in (dt, dt / 2)]
+        return np.max(np.abs(P[1] - P[0]))
+
+    e1, e2 = estimate(0.02), estimate(0.005)
+    assert e2 < e1
+    assert e1 < 1e-6
 
 
 def test_blowup_detection():
