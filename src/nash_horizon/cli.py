@@ -37,10 +37,10 @@ from .oracle_lq import (
 from .pde_linear import (
     DiffusionSpec,
     build_decay_problem,
+    cfl_step,
     fpk_gradient_mass,
     solve_fpk_grid,
     solve_grid,
-    stable_step,
     verify_decay,
 )
 from .weights import build_weight, certify_csc, self_convolve
@@ -85,6 +85,22 @@ def _need_list(cfg: dict, key: str, typ, n=None, *default) -> list:
     return [_need({key: v}, key, typ) for v in items]
 
 
+def _positive(cfg: dict, key: str, typ, *default) -> object:
+    """_need(cfg, key, typ, *default), refused unless it is > 0."""
+    v = _need(cfg, key, typ, *default)
+    if not v > 0:
+        raise ConfigError(f"config key {key!r} must be > 0")
+    return v
+
+
+def _ascending(cfg: dict, key: str, typ) -> list:
+    """_need_list(cfg, key, typ), refused unless non-empty and ascending."""
+    items = _need_list(cfg, key, typ)
+    if not items or any(b <= a for a, b in zip(items, items[1:])):
+        raise ConfigError(f"config key {key!r} must list ascending values")
+    return items
+
+
 def _weight_from(cfg: dict):
     blk = _need(cfg, "weights", dict)
     try:
@@ -116,10 +132,8 @@ def _game_from(cfg: dict, beta, T=None, N=None):
                           "'saturated'")
     kappa = None
     if kind == "saturated":
-        kappa = _need(blk, "kappa", float)
-        if not kappa > 0:
-            raise ConfigError("the saturated hamiltonian needs kappa > 0")
-    game = lq_game(spec, beta, grid, _need(cfg, "dt", float),
+        kappa = _positive(blk, "kappa", float)
+    game = lq_game(spec, beta, grid, _positive(cfg, "dt", float),
                    kind=kind, kappa=kappa)
     return game, spec
 
@@ -172,17 +186,17 @@ def _run_solve(cfg, out, seed):
 
 def _run_scan_horizon(cfg, out, seed):
     beta = _weight_from(cfg)
-    T_list = _need_list(cfg, "T_list", float)
+    T_list = _ascending(cfg, "T_list", float)
+    n_pairs = _positive(cfg, "n_pairs", int, 3)
     tol = _need(cfg, "tolerances", dict, {})
     contract = _need(tol, "contract_at_smallest", bool, True)
     scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
-                        n_pairs=_need(cfg, "n_pairs", int, 3), seed=seed,
+                        n_pairs=n_pairs, seed=seed,
                         tol=_need(tol, "picard_tol", float, 1e-6),
                         max_iter=_need(cfg, "max_iter", int, 30))
-    npairs = len(scan.rows[0].ratios)
     _write_csv(out / "scan.csv",
                ("T", "max_ratio", "converged") +
-               tuple(f"ratio_{k}" for k in range(npairs)),
+               tuple(f"ratio_{k}" for k in range(n_pairs)),
                scan.to_csv_rows())
     passed = True
     if contract:
@@ -213,7 +227,7 @@ def _run_verify_decay(cfg, out, seed):
     if problem.drift is not None and not problem.drift.probe_decay(
             N, grid.L, seed=seed):
         raise RuntimeError("drift decay probe failed")
-    w = solve_grid(problem, grid, _need(cfg, "dt", float))
+    w = solve_grid(problem, grid, _positive(cfg, "dt", float))
     rep = verify_decay(w, beta, collar=_need(cfg, "collar", float, 0.1))
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
@@ -235,10 +249,7 @@ def _run_fpk_diagnostic(cfg, out, seed):
     y = _need_list(blk, "y", float, N, [0.0] * N)
     tol = _need(cfg, "tolerances", dict, {})
     lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
-    dt = _need(cfg, "dt", float, None)
-    if dt is None:
-        dt = stable_step(diff, grid.meshgrid(), grid.h, (0.0, T / 2, T),
-                         np.inf, margin=0.9)
+    dt = _positive(cfg, "dt", float, 0.9 * cfl_step(diff, grid.h))
     res = solve_fpk_grid(diff, None, y, eps, grid, dt, T)
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
@@ -280,7 +291,7 @@ def _run_oracle_compare(cfg, out, seed):
 
 def _run_stability(cfg, out, seed):
     beta = _weight_from(cfg)
-    N_list = _need_list(cfg, "N_list", int)
+    N_list = _ascending(cfg, "N_list", int)
     tol = _need(cfg, "tolerances", dict, {})
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,

@@ -137,7 +137,9 @@ class Field:
 
 def time_nodes(t0: float, T: float, dt: float, min_steps: int = 1) -> np.ndarray:
     """Uniform time nodes on [t0, T]: the fewest steps (at least min_steps)
-    whose size does not exceed dt."""
+    whose size does not exceed dt; GridError unless dt > 0."""
+    if not dt > 0:
+        raise GridError(f"time step must be > 0, got {dt}")
     K = max(min_steps, int(np.ceil((T - t0) / dt - 1e-12)))
     return np.linspace(t0, T, K + 1)
 

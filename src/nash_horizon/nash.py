@@ -38,8 +38,8 @@ from .pde_linear import (
     SourceSpec,
     TerminalSpec,
     TransportBoundError,
+    cfl_step,
     solve_grid,
-    stable_step,
 )
 from .weights import multi_index_weight, shift
 
@@ -79,13 +79,13 @@ class DivergedError(NashError):
 
 
 class HamiltonianFamily:
-    """H^i(t, x, p) with the diagonal momentum partials dH^j/dp^j.
+    """H^i(x, p) with the diagonal momentum partials dH^j/dp^j.
 
     Two kinds: "lq" with H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x, and
     "saturated" where p^i enters through psi_k(p) = kappa tanh(p/kappa), so
     all p-derivatives stay globally bounded.  In both, H^i depends on p only
-    through p^i and not on t; assemble_source relies on this to evaluate the
-    source H^i(t, x, Du^-i, 0) once, at zero momentum.
+    through p^i and not on t (hence no t argument); assemble_source relies on
+    this to evaluate the source H^i(x, Du^-i, 0) once, at zero momentum.
     """
 
     def __init__(self, kind, Q, kappa=None):
@@ -97,26 +97,18 @@ class HamiltonianFamily:
         self.Q = np.asarray(Q, dtype=float)
         self.kappa = kappa
 
-    @staticmethod
-    def lq(Q) -> "HamiltonianFamily":
-        return HamiltonianFamily("lq", Q)
-
-    @staticmethod
-    def saturated(Q, kappa: float) -> "HamiltonianFamily":
-        return HamiltonianFamily("saturated", Q, kappa)
-
     def _spatial(self, i, X):
         return 0.5 * np.einsum("jk,j...,k...->...", self.Q[i], X, X)
 
-    def value(self, i, t, X, p):
-        """H^i(t, x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
+    def value(self, i, X, p):
+        """H^i(x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
         if self.kind == "lq":
             return 0.5 * p[i] ** 2 - self._spatial(i, X)
         psi = self.kappa * np.tanh(p[i] / self.kappa)
         return 0.5 * psi ** 2 - self._spatial(i, X)
 
-    def dpj(self, j, t, X, p):
-        """dH^j/dp^j(t, x, p): the only momentum partials the drift needs."""
+    def dpj(self, j, X, p):
+        """dH^j/dp^j(x, p): the only momentum partials the drift needs."""
         if self.kind == "lq":
             return p[j]
         z = p[j] / self.kappa
@@ -161,8 +153,7 @@ class GameSpec:
             raise NashError("need one terminal cost per player")
         # keep a margin under the diffusion CFL so the upwind transport term
         # added during Picard sweeps stays stable at the shared step
-        step = stable_step(self.diffusion, self.grid.meshgrid(), self.grid.h,
-                           (0.0, self.T / 2, self.T), self.dt, margin=0.45)
+        step = min(self.dt, 0.45 * cfl_step(self.diffusion, self.grid.h))
         self.times = time_nodes(0.0, self.T, step, min_steps=2)
         self.sources = [assemble_source(self, i) for i in range(self.N)]
 
@@ -222,7 +213,7 @@ def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
         out = np.empty((game.N,) + X.shape[1:])
         for j in range(game.N):
             if j != i:
-                out[j] = ham.dpj(j, t, X, p)
+                out[j] = ham.dpj(j, X, p)
         out[i] = ham.own_average(i, p)
         if not np.all(np.isfinite(out[i])):
             raise DivergedError(f"non-finite own-momentum drift for player {i}")
@@ -232,12 +223,12 @@ def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
 
 
 def assemble_source(game: GameSpec, i: int) -> np.ndarray:
-    """Right-hand side source -H^i(t, x, Du^-i, 0) on the grid: the own
+    """Right-hand side source -H^i(x, Du^-i, 0) on the grid: the own
     momentum slot zeroed and moved across the equation.  H^i depends on p
     only through p^i and not on t, so this is H^i at zero momentum, the same
     array for every iterate and step."""
     X = game.grid.meshgrid()
-    return -game.hamiltonian.value(i, 0.0, X, np.zeros_like(X))
+    return -game.hamiltonian.value(i, X, np.zeros_like(X))
 
 
 def picard_step(game: GameSpec, fields) -> list:
@@ -449,6 +440,7 @@ def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
     X = grid.meshgrid()
     ham, diff = game.hamiltonian, game.diffusion
     pairs = [(c, c) for c in range(game.N)] + list(diff.offdiag)
+    coef = [diff.A[a, b] if a == b else 2 * diff.A[a, b] for a, b in pairs]
     inner = grid.interior(collar)
     out = []
     for i, f in enumerate(fields):
@@ -457,18 +449,16 @@ def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
         second = [finite_diff(D[min(a, b)], (max(a, b),)).values
                   for a, b in pairs]
         res = -np.gradient(f.values, times, axis=0, edge_order=2)
-        for k, t in enumerate(times):
-            coef = diff.diag_values(t, X) + [
-                2 * diff.offdiag_value(a, b, t) for a, b in diff.offdiag]
+        for k in range(times.size):
             acc = np.zeros(grid.shape)
             for w, d in zip(coef, second):
                 acc += w * d[k]
             res[k] -= acc
         # H^i is t-independent (HamiltonianFamily): all time nodes at once
-        res += ham.value(i, None, X, Du)
+        res += ham.value(i, X, Du)
         for j in range(game.N):
             if j != i:
-                res += ham.dpj(j, None, X, Du) * D[j].values
+                res += ham.dpj(j, X, Du) * D[j].values
         body = np.abs(res[(slice(None),) + inner])
         flat = int(np.argmax(body))
         loc = np.unravel_index(flat, body.shape)

@@ -128,8 +128,8 @@ def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
     """Backward RK4 at step <= dt with per-step symmetrization; blow-up
     (||P|| > 1e6) is reported with a time bracket.
     """
-    if dt > spec.T / 50 + 1e-15:
-        raise LQError("need dt <= T/50")
+    if not 0 < dt <= spec.T / 50 + 1e-15:
+        raise LQError("need 0 < dt <= T/50")
     times = time_nodes(0.0, spec.T, dt)
     K = times.size - 1
     step = times[1] - times[0]

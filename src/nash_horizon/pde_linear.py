@@ -1,8 +1,9 @@
 """Backward transport-diffusion and forward Fokker-Planck solvers.
 
 The backward equation is  -dw/dt - tr(A D^2 w) + <B, Dw> = F,  w(T) = G,
-solved by explicit Euler stepping from t = T with centered diffusion stencils
-and drift-sign upwinded transport, homogeneous Neumann walls.  The forward
+with a constant diffusion matrix A (DiffusionSpec), solved by explicit Euler
+stepping from t = T with centered diffusion stencils and drift-sign upwinded
+transport, homogeneous Neumann walls, at a step under cfl_step.  The forward
 density equation is its formal adjoint, integrated in conservative flux form
 so that total mass is preserved up to the no-flux walls.  A Feynman-Kac
 Monte Carlo backend provides an independent route to the same values.
@@ -28,6 +29,7 @@ __all__ = [
     "DecayReport",
     "FPKResult",
     "GradientMassReport",
+    "cfl_step",
     "stable_step",
     "solve_grid",
     "solve_mc",
@@ -59,65 +61,40 @@ class SpecError(ValueError):
 # problem data
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiffusionSpec:
-    """Diffusion matrix A(t,x): time-only off-diagonals A^{ij}(t) (i != j),
-    diagonals A^{kk}(t, x^k) depending on x only through x^k.
-    """
+    """Constant diffusion matrix A, square, symmetric and uniformly elliptic
+    (least eigenvalue > 0), held read-only.  offdiag maps each (i, j), i < j,
+    with A[i, j] != 0 to that entry, and sup is max |A_ij|, the entry the
+    CFL bound reads (cfl_step)."""
 
-    N: int
-    diag: list          # k -> callable (t, xk) -> array like xk, or scalar
-    offdiag: dict       # (i, j), i < j -> callable t -> float
+    A: np.ndarray
+    offdiag: dict = field(init=False, repr=False)
+    sup: float = field(init=False, repr=False)
 
-    @staticmethod
-    def constant(matrix) -> "DiffusionSpec":
-        m = np.asarray(matrix, dtype=float)
+    def __post_init__(self):
+        m = np.array(self.A, dtype=float)
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+            raise SpecError("diffusion matrix must be square")
         if not np.allclose(m, m.T):
             raise SpecError("diffusion matrix must be symmetric")
         if np.linalg.eigvalsh(m).min() <= 0:
             raise SpecError("diffusion must satisfy A >= lam I with lam > 0")
+        m.setflags(write=False)
         N = m.shape[0]
-        diag = [(lambda t, xk, v=m[k, k]: v) for k in range(N)]
-        off = {(i, j): (lambda t, v=m[i, j]: v)
-               for i in range(N) for j in range(i + 1, N) if m[i, j] != 0.0}
-        return DiffusionSpec(N, diag, off)
+        object.__setattr__(self, "A", m)
+        object.__setattr__(self, "offdiag", {
+            (i, j): m[i, j] for i in range(N) for j in range(i + 1, N)
+            if m[i, j] != 0.0})
+        object.__setattr__(self, "sup", float(np.max(np.abs(m))))
+
+    @property
+    def N(self) -> int:
+        return self.A.shape[0]
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
-        return DiffusionSpec.constant(a * np.eye(N))
-
-    def diag_values(self, t: float, X: np.ndarray) -> list:
-        """A^{kk}(t, x^k) for each k, on coordinates X of shape (N, ...)."""
-        return [np.broadcast_to(np.asarray(self.diag[k](t, X[k]), dtype=float),
-                                X[k].shape)
-                for k in range(self.N)]
-
-    def offdiag_value(self, i: int, j: int, t: float) -> float:
-        key = (min(i, j), max(i, j))
-        fn = self.offdiag.get(key)
-        return float(fn(t)) if fn is not None else 0.0
-
-    def matrix_points(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Full matrices at points pts of shape (N, P): returns (P, N, N)."""
-        P = pts.shape[1]
-        out = np.zeros((P, self.N, self.N))
-        for k in range(self.N):
-            out[:, k, k] = np.asarray(self.diag[k](t, pts[k]), dtype=float)
-        for (i, j) in self.offdiag:
-            v = self.offdiag_value(i, j, t)
-            out[:, i, j] = v
-            out[:, j, i] = v
-        return out
-
-    def sup_norm(self, t_samples, X) -> float:
-        """Max absolute entry over sampled times and grid coordinates."""
-        best = 0.0
-        for t in t_samples:
-            for a in self.diag_values(t, X):
-                best = max(best, sup_abs(a))
-            for (i, j) in self.offdiag:
-                best = max(best, abs(self.offdiag_value(i, j, t)))
-        return best
+        return DiffusionSpec(a * np.eye(N))
 
 
 @dataclass
@@ -229,15 +206,12 @@ def _centered_diff(v, axis, h):
     return (hi - lo) / (2 * h)
 
 
-def _diffusion_term(diff: DiffusionSpec, t, X, v, nbrs, h):
+def _diffusion_term(diff: DiffusionSpec, v, nbrs, h):
     out = np.zeros_like(v)
-    diag = diff.diag_values(t, X)
     for k, (lo, hi) in enumerate(nbrs):
-        out += diag[k] * ((lo - 2 * v + hi) / h ** 2)
-    for (i, j) in diff.offdiag:
-        a = diff.offdiag_value(i, j, t)
-        if a != 0.0:
-            out += 2 * a * _centered_diff(_centered_diff(v, i, h), j, h)
+        out += diff.A[k, k] * ((lo - 2 * v + hi) / h ** 2)
+    for (i, j), a in diff.offdiag.items():
+        out += 2 * a * _centered_diff(_centered_diff(v, i, h), j, h)
     return out
 
 
@@ -252,27 +226,28 @@ def _transport_term(B, v, nbrs, h):
 def _transport_step(N: int, supA: float, supB: float, h: float) -> float:
     """Largest explicit step that covers upwind transport at sup|B| as well
     as diffusion at sup|A|, with a 0.9 margin."""
-    rate = 2 * N * supA / h ** 2 + N * supB / h
-    return 0.9 / rate if rate > 0 else np.inf
+    return 0.9 / (2 * N * supA / h ** 2 + N * supB / h)
+
+
+def cfl_step(diffusion: DiffusionSpec, h: float) -> float:
+    """The explicit diffusion bound h^2 / (2 N sup|A|)."""
+    return h ** 2 / (2 * diffusion.N * diffusion.sup)
 
 
 def stable_step(diffusion: DiffusionSpec, X: np.ndarray, h: float, t_samples,
-                dt: float, drift: DriftSpec | None = None,
-                margin: float | None = None) -> float:
-    """Explicit step for a requested dt on coordinates X: capped at margin *
-    h^2/(2 N sup|A|) when a margin is given; otherwise CFLError above that
-    bound, then shrunk (never coarsened) to cover a drift's upwind transport."""
-    N = X.shape[0]
-    supA = diffusion.sup_norm(t_samples, X)
-    cfl = h ** 2 / (2 * N * supA) if supA > 0 else np.inf
-    if margin is not None:
-        return min(dt, margin * cfl)
+                dt: float, drift: DriftSpec | None = None) -> float:
+    """Explicit step for a requested dt on coordinates X, of the diffusion's
+    dimension: CFLError above cfl_step, then shrunk (never coarsened) to
+    cover the upwind transport of a drift sampled at t_samples."""
+    if X.shape[0] != diffusion.N:
+        raise SpecError("grid dimension does not match diffusion spec")
+    cfl = cfl_step(diffusion, h)
     if dt > cfl * (1 + 1e-9):
         raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
     if drift is not None:
         supB = max(float(np.max(np.abs(drift.eval(t, X)))) for t in t_samples)
         if supB > 0:
-            dt = min(dt, _transport_step(N, supA, supB, h))
+            dt = min(dt, _transport_step(diffusion.N, diffusion.sup, supB, h))
     return dt
 
 
@@ -286,8 +261,6 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     upwind transport term as well.
     """
     N = grid.N
-    if N != problem.diffusion.N:
-        raise SpecError("grid dimension does not match diffusion spec")
     if N > MAX_GRID_DIM:
         raise SpecError(f"grid backend limited to N <= {MAX_GRID_DIM}")
     X = grid.meshgrid()
@@ -295,8 +268,6 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     t_samples = (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T)
     dt = stable_step(problem.diffusion, X, h, t_samples, dt,
                      None if strict_dt else problem.drift)
-    if strict_dt:
-        supA = problem.diffusion.sup_norm(t_samples, X)
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
@@ -307,11 +278,12 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
         nbrs = [_neighbours(v, axis) for axis in range(N)]
         # blow-up is caught below; silence the transient overflow noise
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = _diffusion_term(problem.diffusion, t, X, v, nbrs, h)
+            rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
             if problem.drift is not None:
                 B = problem.drift.eval(t, X)
                 if strict_dt:
-                    bound = _transport_step(N, supA, sup_abs(B), h)
+                    bound = _transport_step(N, problem.diffusion.sup,
+                                            sup_abs(B), h)
                     if step > bound:
                         raise TransportBoundError(
                             f"step {step:.4g} is {step / bound:.3g} times the "
@@ -348,6 +320,10 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
         raise SpecError("query points must have shape (Q, N)")
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
+    try:
+        chol = np.linalg.cholesky(2.0 * problem.diffusion.A)
+    except np.linalg.LinAlgError as e:
+        raise SolveError("2A is not positive definite") from e
     out = []
     for qi, x0 in enumerate(pts):
         rng = np.random.Generator(np.random.Philox(
@@ -358,17 +334,12 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
             Xt = X.T  # (N, P)
             if problem.source is not None:
                 run += step * np.broadcast_to(problem.source.eval(t, Xt), (paths,))
-            m = 2.0 * problem.diffusion.matrix_points(t, Xt)
-            try:
-                chol = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as e:
-                raise SolveError("2A is not positive definite") from e
             dW = rng.standard_normal((paths, N))
             drift = np.zeros((paths, N))
             if problem.drift is not None:
                 drift = -problem.drift.eval(t, Xt).T
             X = X + step * drift + np.sqrt(step) * np.einsum(
-                "pij,pj->pi", chol, dW)
+                "ij,pj->pi", chol, dW)
         payoff = run + np.broadcast_to(problem.terminal.eval(X.T), (paths,))
         est = float(payoff.mean())
         ci = 1.96 * float(payoff.std(ddof=1)) / np.sqrt(paths)
@@ -428,10 +399,9 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
     for k in range(times.size - 1):
         t = times[k]
         B = drift.eval(t, X) if drift is not None else None
-        diag = diffusion.diag_values(t, X)
         div = np.zeros_like(rho)
         for ax in range(N):
-            G = diag[ax] * rho
+            G = diffusion.A[ax, ax] * rho
             lo = [slice(None)] * N
             hi = [slice(None)] * N
             lo[ax] = slice(0, -1)
@@ -440,13 +410,9 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
             if B is not None:
                 bf = _face_avg(B[ax], ax)
                 flux += np.where(bf > 0, bf * rho[tuple(hi)], bf * rho[tuple(lo)])
-            for (i, j) in diffusion.offdiag:
-                if ax not in (i, j):
-                    continue
-                other = j if ax == i else i
-                a = diffusion.offdiag_value(i, j, t)
-                if a != 0.0:
-                    flux += a * _face_avg(_centered_diff(rho, other, h), ax)
+            for (i, j), a in diffusion.offdiag.items():
+                if ax in (i, j):   # the pair's other axis is i + j - ax
+                    flux += a * _face_avg(_centered_diff(rho, i + j - ax, h), ax)
             # zero flux at the walls
             width = [(0, 0)] * N
             width[ax] = (1, 1)

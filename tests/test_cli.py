@@ -148,9 +148,47 @@ FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
     ("stability", lq_config(N_list=[2, "three"])),
     ("certify-weights", {"weights": WEIGHTS,
                          "tolerances": {"certified": "yes"}}),
+    # an empty or unordered horizon or player list, and no probe pairs
+    ("scan-horizon", lq_config(T_list=[])),
+    ("scan-horizon", lq_config(T_list=[0.1, 0.05])),
+    ("scan-horizon", lq_config(T_list=[0.05, 0.05])),
+    ("scan-horizon", lq_config(T_list=[0.05], n_pairs=0)),
+    ("stability", lq_config(N_list=[])),
+    ("stability", lq_config(N_list=[3, 2])),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written
+    code, summary, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert summary is None
+
+
+DECAY = {
+    "weights": WEIGHTS,
+    "grid": {"L": 3.0, "M": 25},
+    "problem": {"N": 3, "c_B": 0.2, "c_F": 0.3, "c_G": 0.3, "a": 0.5,
+                "T": 0.2},
+    "dt": 0.005,
+    "tolerances": {"K2_max": 10.0},
+}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", lq_config(dt=0.0)),
+    ("solve", lq_config(dt=-0.005)),
+    # the README's scan-horizon example with a negative step
+    ("scan-horizon", lq_config(
+        grid={"L": 3.0, "M": 31},
+        game={"N": 2, "c_Q": 0.01, "c_G": 0.01, "sigma": 0.25, "T": 0.2},
+        dt=-0.02, T_list=[0.05, 0.1, 0.2],
+        tolerances={"picard_tol": 1e-5, "spearman_min": 0.0})),
+    ("verify-decay", {**DECAY, "dt": -0.005}),
+    ("verify-decay", {**DECAY, "dt": 0.0}),
+    ("fpk-diagnostic", {**FPK, "dt": -0.005}),
+])
+def test_non_positive_dt_exits_2(tmp_path, command, cfg):
+    # a step <= 0 once ran as one step of the whole span, or failed as a
+    # numerical error
     code, summary, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert summary is None
@@ -358,15 +396,7 @@ def test_scan_horizon_refused_probe_writes_strict_json(tmp_path, monkeypatch):
 
 
 def test_verify_decay(tmp_path):
-    cfg = {
-        "weights": WEIGHTS,
-        "grid": {"L": 3.0, "M": 25},
-        "problem": {"N": 3, "c_B": 0.2, "c_F": 0.3, "c_G": 0.3, "a": 0.5,
-                    "T": 0.2},
-        "dt": 0.005,
-        "tolerances": {"K2_max": 10.0},
-    }
-    code, summary, o = run(tmp_path, "verify-decay", cfg)
+    code, summary, o = run(tmp_path, "verify-decay", DECAY)
     assert code == 0
     assert np.isfinite(summary["results"]["decay"]["K2"])
     assert (o / "decay.csv").exists()

@@ -469,6 +469,13 @@ def test_time_nodes_rounding():
                                   np.linspace(0.0, 0.2, 11))
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.005, -1.0, float("nan")])
+def test_time_nodes_refuses_a_non_positive_step(dt):
+    # (0, 0.2, -0.005) once gave [0, 0.2]: one silent step of the whole span
+    with pytest.raises(GridError, match="time step must be > 0"):
+        time_nodes(0.0, 0.2, dt)
+
+
 def _old_cache_at(ts, values, t):
     """GradientCache.at as first written: values (N, K+1, ...)."""
     if ts.size == 1:

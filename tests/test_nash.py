@@ -58,7 +58,7 @@ def mini_game(N=2, T=0.2, M=41, L=3.0, c_Q=0.1, c_G=0.2, sigma=0.25, dt=0.02,
 
 def zero_game(N=2, T=0.1, M=21, L=2.0):
     from nash_horizon.pde_linear import DiffusionSpec
-    ham = HamiltonianFamily.lq(np.zeros((N, N, N)))
+    ham = HamiltonianFamily("lq", np.zeros((N, N, N)))
     diff = DiffusionSpec.isotropic(N, 0.05)
     terms = [lambda X: 0.0 * X[0] for _ in range(N)]
     return GameSpec(N, diff, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
@@ -79,19 +79,18 @@ def test_game_step_under_diffusion_cfl_margin():
 def probe_derivatives(ham):
     """Finite-difference reference for the momentum partials: the max
     relative error of dpj against central differences of value at 100
-    random (t, x, p) with |x|, |p| <= 2."""
+    random (x, p) with |x|, |p| <= 2."""
     N = ham.Q.shape[0]
     rng = np.random.default_rng(0)
     X = rng.uniform(-2.0, 2.0, (N, 100))
     p = rng.uniform(-2.0, 2.0, (N, 100))
-    t = float(rng.uniform(0, 1))
     h = 1e-5
     worst = 0.0
     for j in range(N):
         e = np.zeros_like(p)
         e[j] = h
-        fd = (ham.value(j, t, X, p + e) - ham.value(j, t, X, p - e)) / (2 * h)
-        an = np.broadcast_to(ham.dpj(j, t, X, p), fd.shape)
+        fd = (ham.value(j, X, p + e) - ham.value(j, X, p - e)) / (2 * h)
+        an = np.broadcast_to(ham.dpj(j, X, p), fd.shape)
         scale = np.maximum(np.abs(an), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
     return worst
@@ -99,13 +98,13 @@ def probe_derivatives(ham):
 
 def test_hamiltonian_probe_passes_builtin():
     Q = decay_lq_game(3, BETA, 0.3, 0.3, 0.2, 1.0).Q
-    assert probe_derivatives(HamiltonianFamily.lq(Q)) < 1e-6
-    assert probe_derivatives(HamiltonianFamily.saturated(Q, 2.0)) < 1e-4
+    assert probe_derivatives(HamiltonianFamily("lq", Q)) < 1e-6
+    assert probe_derivatives(HamiltonianFamily("saturated", Q, 2.0)) < 1e-4
 
 
 def test_hamiltonian_probe_catches_wrong_derivative():
     class WrongPartial(HamiltonianFamily):
-        def dpj(self, j, t, X, p):
+        def dpj(self, j, X, p):
             return 1.5 * p[j]
 
     assert probe_derivatives(WrongPartial("lq", np.zeros((2, 2, 2)))) > 1e-4
@@ -123,19 +122,18 @@ def test_unknown_hamiltonian_kind_rejected():
 
 def test_saturated_matches_lq_at_small_momenta():
     Q = np.zeros((2, 2, 2))
-    lq = HamiltonianFamily.lq(Q)
-    sat = HamiltonianFamily.saturated(Q, kappa=10.0)
+    lq = HamiltonianFamily("lq", Q)
+    sat = HamiltonianFamily("saturated", Q, kappa=10.0)
     p = np.array([[0.3], [-0.8]])
     X = np.zeros((2, 1))
     for j in range(2):
-        assert sat.dpj(j, 0.0, X, p) == pytest.approx(
-            lq.dpj(j, 0.0, X, p), abs=2e-2)
+        assert sat.dpj(j, X, p) == pytest.approx(lq.dpj(j, X, p), abs=2e-2)
 
 
 def test_saturated_derivatives_bounded():
-    sat = HamiltonianFamily.saturated(np.zeros((1, 1, 1)), kappa=2.0)
+    sat = HamiltonianFamily("saturated", np.zeros((1, 1, 1)), kappa=2.0)
     p = np.linspace(-100, 100, 1001)[None]
-    assert np.max(np.abs(sat.dpj(0, 0.0, np.zeros_like(p), p))) <= 2.0
+    assert np.max(np.abs(sat.dpj(0, np.zeros_like(p), p))) <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +195,9 @@ def test_source_consistency_split():
     game, _ = mini_game()
     u = probe_fields(game, seed=9, scale=0.5)
     X = game.grid.meshgrid()
-    t = float(game.times[2])
     Du = frozen_gradients(u)[:, 2]
     i = 1
-    H = game.hamiltonian.value(i, t, X, Du)
+    H = game.hamiltonian.value(i, X, Du)
     F = -assemble_source(game, i)
     bracket = H - F
     # for LQ the bracket is exactly (D_i u^i)^2 / 2
@@ -227,12 +224,12 @@ def _drift_first_form(game, Du, i, t, X):
     out = np.empty((game.N,) + X.shape[1:])
     for j in range(game.N):
         if j != i:
-            out[j] = ham.dpj(j, t, X, Du)
+            out[j] = ham.dpj(j, X, Du)
     acc = np.zeros(X.shape[1:])
     for s, w in zip(_GL_S, _GL_W):
         ps = Du.copy()
         ps[i] = s * Du[i]
-        acc += w * np.asarray(ham.dpj(i, t, X, ps), dtype=float)
+        acc += w * np.asarray(ham.dpj(i, X, ps), dtype=float)
     out[i] = acc
     return out
 
@@ -255,7 +252,7 @@ def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
                 p = interp_time(times, Du.swapaxes(0, 1), t).copy()
                 p[i] = 0.0
                 assert same_bits(assemble_source(game, i),
-                                 -game.hamiltonian.value(i, t, X, p))
+                                 -game.hamiltonian.value(i, X, p))
         for k in (0, 1, int(rng.integers(times.size)), times.size - 1):
             t = times[k]
             for i in range(game.N):
@@ -275,17 +272,17 @@ def test_saturated_own_average_matches_adaptive_quadrature():
     # for |p| / kappa <= 12, where the 8-node rule is off by up to 2%
     quad = pytest.importorskip("scipy.integrate").quad
     kappa = 0.7
-    sat = HamiltonianFamily.saturated(np.zeros((2, 2, 2)), kappa)
+    sat = HamiltonianFamily("saturated", np.zeros((2, 2, 2)), kappa)
     X = np.zeros((2, 1))
     worst_closed = worst_rule = 0.0
     for r in np.concatenate((np.linspace(-12, 12, 97), [1e-8, -3e-5])):
         p = np.array([[r * kappa], [0.3]])
-        ref, _ = quad(lambda s: float(sat.dpj(0, 0.0, X, np.array(
+        ref, _ = quad(lambda s: float(sat.dpj(0, X, np.array(
             [[s * p[0, 0]], [0.3]]))[0]), 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
             limit=200)
         if ref == 0.0:
             continue
-        rule = sum(w * sat.dpj(0, 0.0, X, np.array([[s * p[0, 0]], [0.3]]))[0]
+        rule = sum(w * sat.dpj(0, X, np.array([[s * p[0, 0]], [0.3]]))[0]
                    for s, w in zip(_GL_S, _GL_W))
         worst_closed = max(worst_closed,
                            abs(sat.own_average(0, p)[0] - ref) / abs(ref))
@@ -320,7 +317,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
             out = np.empty_like(p)
             for j in range(game.N):
                 out[j] = (game.hamiltonian.own_average(i, p) if j == i
-                          else game.hamiltonian.dpj(j, t, X, p))
+                          else game.hamiltonian.dpj(j, X, p))
             return out
         return DriftSpec(b)
 
@@ -978,26 +975,27 @@ def _residual_first_form(game, fields, collar=0.1):
     grid = game.grid
     times = fields[0].times
     X = grid.meshgrid()
+    A = game.diffusion.A
     grads = frozen_gradients(fields)
     inner = grid.interior(collar)
     out = []
     for i, f in enumerate(fields):
         fam = derivative_family(f, 2)
         res = -np.gradient(f.values, times, axis=0, edge_order=2)
-        for k, t in enumerate(times):
+        for k in range(times.size):
             Du = grads[:, k]
-            diag = game.diffusion.diag_values(t, X)
             acc = np.zeros(grid.shape)
             for c in range(game.N):
-                acc += diag[c] * fam[(c, c)].values[k]
-            for (a, b) in game.diffusion.offdiag:
-                acc += 2 * game.diffusion.offdiag_value(a, b, t) * \
-                    fam[tuple(sorted((a, b)))].values[k]
+                acc += A[c, c] * fam[(c, c)].values[k]
+            for a in range(game.N):
+                for b in range(a + 1, game.N):
+                    if A[a, b] != 0.0:
+                        acc += 2 * A[a, b] * fam[(a, b)].values[k]
             res[k] -= acc
-            res[k] += game.hamiltonian.value(i, t, X, Du)
+            res[k] += game.hamiltonian.value(i, X, Du)
             for j in range(game.N):
                 if j != i:
-                    res[k] += game.hamiltonian.dpj(j, t, X, Du) * \
+                    res[k] += game.hamiltonian.dpj(j, X, Du) * \
                         fam[(j,)].values[k]
         body = np.abs(res[(slice(None),) + inner])
         loc = np.unravel_index(int(np.argmax(body)), body.shape)
@@ -1019,7 +1017,7 @@ def test_residual_on_shared_families_matches_first_form(N, M, kind, matrix):
     game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
     if matrix is not None:
         game = dataclasses.replace(game,
-                                   diffusion=DiffusionSpec.constant(matrix))
+                                   diffusion=DiffusionSpec(matrix))
         assert game.diffusion.offdiag
     u = probe_fields(game, seed=N, scale=0.5)
     if matrix is not None:

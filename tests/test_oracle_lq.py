@@ -184,6 +184,13 @@ def test_dt_precondition():
         riccati_integrate(scalar_spec(T=1.0), 0.1)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, -0.005])
+def test_non_positive_dt_refused(dt):
+    # a negative step once ran a single RK4 step of size T, not blown up
+    with pytest.raises(LQError, match="need 0 < dt"):
+        riccati_integrate(scalar_spec(T=1.0), dt)
+
+
 def test_lq_value_evaluation():
     spec = decay_lq_game(2, BETA, c_Q=0.2, c_G=0.4, sigma=0.25, T=0.5)
     traj = riccati_integrate(spec, 0.005)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nash_horizon.holder import Field, GridError, SpatialGrid, finite_diff
+from nash_horizon.holder import (Field, GridError, SpatialGrid, finite_diff,
+                                 time_nodes)
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
@@ -113,6 +114,18 @@ def test_cfl_violation_raises():
         solve_grid(heat_problem(2), g, 10 * cfl_dt(g, 2, 0.5))
 
 
+def test_grid_and_diffusion_dimensions_must_match():
+    # both grid solvers refuse a diffusion matrix of another dimension
+    g = SpatialGrid(1, 6.0, 61)
+    p = LinearProblem(DiffusionSpec.isotropic(2, 0.5), None, None,
+                      TerminalSpec(lambda X: X[0]), 0.0, 0.1)
+    with pytest.raises(SpecError, match="does not match"):
+        solve_grid(p, g, 1e-3)
+    with pytest.raises(SpecError, match="does not match"):
+        solve_fpk_grid(DiffusionSpec.isotropic(2, 0.5), None, [0.0],
+                       4 * g.h, g, 1e-3, T=0.1)
+
+
 def test_strict_step_checks_the_transport_bound():
     # strict_dt keeps the requested step, and raises above the transport
     # bound 0.9 / (2 N sup|A| / h^2 + N sup|B| / h) of the step's drift
@@ -134,7 +147,7 @@ def test_offdiagonal_diffusion_quadratic():
     # w(t,x) = x0*x1 + 2*A01*(T-t) solves the pure diffusion equation exactly
     g = SpatialGrid(2, 2.0, 41)
     A = np.array([[0.5, 0.2], [0.2, 0.5]])
-    diff = DiffusionSpec.constant(A)
+    diff = DiffusionSpec(A)
     p = LinearProblem(diff, None, None,
                       TerminalSpec(lambda X: X[0] * X[1]), 0.0, 0.1)
     w = solve_grid(p, g, cfl_dt(g, 2, 0.5))
@@ -183,16 +196,16 @@ def _one_sided_diffs_first_form(v, axis, h):
     return backward, forward
 
 
-def _diffusion_term_first_form(diff, t, X, v, h):
+def _diffusion_term_first_form(A, v, h):
     out = np.zeros_like(v)
-    diag = diff.diag_values(t, X)
-    for k in range(diff.N):
-        out += diag[k] * _second_diff_first_form(v, k, h)
-    for (i, j) in diff.offdiag:
-        a = diff.offdiag_value(i, j, t)
-        if a != 0.0:
-            out += 2 * a * _centered_diff_first_form(
-                _centered_diff_first_form(v, i, h), j, h)
+    N = A.shape[0]
+    for k in range(N):
+        out += A[k, k] * _second_diff_first_form(v, k, h)
+    for i in range(N):
+        for j in range(i + 1, N):
+            if A[i, j] != 0.0:
+                out += 2 * A[i, j] * _centered_diff_first_form(
+                    _centered_diff_first_form(v, i, h), j, h)
     return out
 
 
@@ -209,21 +222,20 @@ def _transport_term_first_form(B, v, h):
 def test_stencils_match_pad_reflect_first_form(shape, same_bits):
     rng = np.random.default_rng(sum(shape) * len(shape))
     N = len(shape)
-    X = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, m) for m in shape],
-                             indexing="ij"))
     h = 0.37
     v = rng.standard_normal(shape)
     B = rng.standard_normal((N,) + shape)
     B.reshape(-1)[::3] = 0.0                    # ties of the upwind switch
-    # x-dependent diagonal and, from N = 2, off-diagonal entries
-    diff = DiffusionSpec(
-        N, [(lambda t, xk, k=k: 1.0 + 0.1 * k + 0.2 * np.sin(xk))
-            for k in range(N)],
-        {(i, j): (lambda t, c=0.05 * (i + 2 * j): c)
-         for i in range(N) for j in range(i + 1, N)})
+    # an anisotropic diagonal and, from N = 2, off-diagonal entries, one of
+    # them zero from N = 3
+    A = np.diag(1.0 + 0.1 * np.arange(N))
+    for i in range(N):
+        for j in range(i + 1, N):
+            A[i, j] = A[j, i] = 0.05 * (i + 2 * j) if (i, j) != (0, 2) else 0.0
+    diff = DiffusionSpec(A)
     nbrs = [_neighbours(v, k) for k in range(N)]
-    assert same_bits(_diffusion_term(diff, 0.3, X, v, nbrs, h),
-                     _diffusion_term_first_form(diff, 0.3, X, v, h))
+    assert same_bits(_diffusion_term(diff, v, nbrs, h),
+                     _diffusion_term_first_form(A, v, h))
     assert same_bits(_transport_term(B, v, nbrs, h),
                      _transport_term_first_form(B, v, h))
     for k in range(N):
@@ -242,15 +254,22 @@ def test_drift_decay_probe():
 
 
 def test_ellipticity_check():
-    diff = DiffusionSpec.constant(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    pts = np.random.default_rng(0).uniform(-1, 1, (2, 10))
-    assert np.linalg.eigvalsh(diff.matrix_points(0.0, pts)).min() == \
-        pytest.approx(0.8)
-    # constant() refuses a matrix that is not positive definite or symmetric
+    diff = DiffusionSpec(np.array([[1.0, 0.2], [0.2, 1.0]]))
+    assert np.linalg.eigvalsh(diff.A).min() == pytest.approx(0.8)
+    assert diff.N == 2 and diff.offdiag == {(0, 1): 0.2} and diff.sup == 1.0
+    # the constructor refuses a matrix that is not positive definite or
+    # symmetric
     for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
                 [[1.0, 0.2], [0.0, 1.0]]):
         with pytest.raises(SpecError):
-            DiffusionSpec.constant(np.array(bad))
+            DiffusionSpec(np.array(bad))
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 0.0]], [1.0, 2.0], [[[1.0]]], 1.0,
+                                 np.zeros((0, 0))])
+def test_diffusion_refuses_a_matrix_that_is_not_square(bad):
+    with pytest.raises(SpecError, match="must be square"):
+        DiffusionSpec(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +309,56 @@ def test_mc_matches_grid():
     grid_val = w.values[0, mid, mid]
     [(est, ci)] = solve_mc(p, [[0.0, 0.0]], paths=20000, dt=0.005, seed=7)
     assert abs(est - grid_val) < max(3 * ci, 5e-3)
+
+
+def _solve_mc_first_form(problem, query_points, paths, dt, seed):
+    """solve_mc as first written: 2A factored batched, once per path and per
+    step, and each path's factor applied to its own increment."""
+    pts = np.atleast_2d(np.asarray(query_points, dtype=float))
+    N = problem.diffusion.N
+    times = time_nodes(problem.t0, problem.T, dt)
+    step = times[1] - times[0]
+    out = []
+    for qi, x0 in enumerate(pts):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(qi,))))
+        X = np.tile(x0, (paths, 1))
+        run = np.zeros(paths)
+        for t in times[:-1]:
+            Xt = X.T
+            if problem.source is not None:
+                run += step * np.broadcast_to(problem.source.eval(t, Xt),
+                                              (paths,))
+            chol = np.linalg.cholesky(
+                2.0 * np.tile(problem.diffusion.A, (paths, 1, 1)))
+            dW = rng.standard_normal((paths, N))
+            drift = np.zeros((paths, N))
+            if problem.drift is not None:
+                drift = -problem.drift.eval(t, Xt).T
+            X = X + step * drift + np.sqrt(step) * np.einsum(
+                "pij,pj->pi", chol, dW)
+        payoff = run + np.broadcast_to(problem.terminal.eval(X.T), (paths,))
+        ci = 1.96 * float(payoff.std(ddof=1)) / np.sqrt(paths)
+        out.append((float(payoff.mean()), ci))
+    return out
+
+
+@pytest.mark.parametrize("A", [[[0.5, 0.15], [0.15, 0.3]],
+                               [[0.4, 0.1, 0.0], [0.1, 0.3, -0.05],
+                                [0.0, -0.05, 0.5]]])
+def test_mc_factors_once_and_matches_first_form(A):
+    # one factor of 2A applied to every path gives the per-path factors' bits
+    N = len(A)
+    p = LinearProblem(
+        DiffusionSpec(A),
+        DriftSpec(lambda t, X: np.stack(
+            [0.3 * np.sin(X[(k + 1) % N]) + 0.1 * t for k in range(N)])),
+        SourceSpec(lambda t, X: np.cos(X[0]) * X[-1] + t),
+        TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2)
+                     + X[0] * X[-1]), 0.0, 0.2)
+    pts = [[0.3] * N, [-0.5] + [0.2] * (N - 1)]
+    got = solve_mc(p, pts, paths=4000, dt=0.02, seed=5)
+    assert got == _solve_mc_first_form(p, pts, 4000, 0.02, 5)
 
 
 def test_mc_input_validation():
