@@ -231,12 +231,19 @@ def assemble_source(game: GameSpec, i: int) -> np.ndarray:
     return -game.hamiltonian.value(i, X, np.zeros_like(X))
 
 
+def _require_nodes(game: GameSpec, fields) -> None:
+    """NashError unless every field is given on game.times."""
+    if any(f.times.size != game.times.size
+           or not np.allclose(f.times, game.times) for f in fields):
+        raise NashError("fields must be given on the game's time nodes")
+
+
 def picard_step(game: GameSpec, fields) -> list:
-    """One sweep of the fixed-point map S: the incoming iterate is resampled
-    to game.times, its diagonal gradients D_j u^j are frozen there, and every
-    player is solved against them on the same nodes.
+    """One sweep of the fixed-point map S: the iterate's diagonal gradients
+    D_j u^j are frozen on game.times, and every player is solved against them
+    on the same nodes.  A field on other time nodes raises NashError.
     """
-    fields = [_resample(f, game.times) for f in fields]
+    _require_nodes(game, fields)
     Du = np.stack([finite_diff(f, (j,)).values for j, f in enumerate(fields)])
     out = []
     for i in range(game.N):
@@ -244,7 +251,7 @@ def picard_step(game: GameSpec, fields) -> list:
             game.diffusion,
             assemble_drift(game, Du, i),
             SourceSpec(lambda t, X, F=game.sources[i]: F),
-            TerminalSpec(lambda X, i=i: game.terminals[i](X)),
+            TerminalSpec(game.terminals[i]),
             0.0, game.T, player=i)
         try:
             w = solve_grid(problem, game.grid, game.step, strict_dt=True)
@@ -341,12 +348,6 @@ def triple_norm(game: GameSpec, fields) -> float:
     return worst
 
 
-def _resample(f: Field, times: np.ndarray) -> Field:
-    if f.times.size == times.size and np.allclose(f.times, times):
-        return f
-    return Field(f.grid, times, interp_time(f.times, f.values, times), f.player)
-
-
 # ---------------------------------------------------------------------------
 # Picard driver
 
@@ -378,15 +379,15 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     consecutive growing increments, or a sweep, frozen gradient or norm gone
     non-finite), non-convergence and a sweep refused at the transport
     stability bound (``refused``) yield a flagged report without a
-    solution. The iterate norm |||S(u)||| costs one more triple norm per
+    solution; a u0 field off game.times raises NashError (picard_step).
+    The iterate norm |||S(u)||| costs one more triple norm per
     sweep, so it is only computed when ``iterate_norm`` is set or ``game.R``
     asks for the envelope check; otherwise the report's ``max_norm`` is None
     (not computed).
     """
     if tol <= 0:
         raise NashError("tol must be positive")
-    u = game.zero_fields() if u0 is None else [
-        _resample(f, game.times) for f in u0]
+    u = game.zero_fields() if u0 is None else list(u0)
     increments = []
     max_norm = 0.0 if iterate_norm or game.R is not None else None
     converged = diverged = False
@@ -427,11 +428,11 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 # diagnostics
 
 
-def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
-    """Per-player sup of the Nash equation left side over interior nodes,
-    with the location of the max.  Only the derivatives it reads are made:
-    D_j u^i (the frozen gradients Du are the j = i ones), D_c D_c u^i and
-    D_a D_b u^i for the off-diagonal diffusion keys."""
+def residual(game: GameSpec, fields) -> list:
+    """Per-player sup of the Nash equation left side over the interior nodes
+    (collar 0.1), with the location of the max.  Only the derivatives it
+    reads are made: D_j u^i (the frozen gradients Du are the j = i ones),
+    D_c D_c u^i and D_a D_b u^i for the off-diagonal diffusion keys."""
     grid = game.grid
     times = fields[0].times
     if times.size < 3:
@@ -441,7 +442,7 @@ def residual(game: GameSpec, fields, collar: float = 0.1) -> list:
     ham, diff = game.hamiltonian, game.diffusion
     pairs = [(c, c) for c in range(game.N)] + list(diff.offdiag)
     coef = [diff.A[a, b] if a == b else 2 * diff.A[a, b] for a, b in pairs]
-    inner = grid.interior(collar)
+    inner = grid.interior(0.1)
     out = []
     for i, f in enumerate(fields):
         D = [Field(grid, times, Du[i]) if j == i else finite_diff(f, (j,))
@@ -475,9 +476,8 @@ class ProbeResult:
 
 def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
     """||S(u) - S(v)|| / ||u - v|| in the triple norm; StepBoundError if
-    either sweep is refused."""
-    u = [_resample(f, game.times) for f in u]
-    v = [_resample(f, game.times) for f in v]
+    either sweep is refused, NashError if a field is off game.times."""
+    _require_nodes(game, [*u, *v])
     den = triple_norm(game, [a - b for a, b in zip(u, v)])
     if den < 1e-10:
         raise NashError("degenerate probe pair: ||u - v|| < 1e-10")
@@ -590,9 +590,13 @@ class StabilityReport:
 
 def dimension_stability(make_game, N_list, tol: float = 1e-6,
                         max_iter: int = 30) -> StabilityReport:
-    """Solve the same family at each N and compare players' values on the
-    shared sub-grid, extra coordinates of the larger system frozen at 0."""
+    """Solve the same family at each N (at least two, ascending) and compare
+    players' values on the shared sub-grid, extra coordinates of the larger
+    system frozen at 0.  The CFL cap can give each N its own time nodes; the
+    larger system is then interpolated linearly onto the smaller one's."""
     N_list = list(N_list)
+    if len(N_list) < 2:
+        raise NashError("N_list needs at least two dimensions to compare")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise NashError("N_list must be ascending")
     sols = {}
@@ -615,14 +619,13 @@ def dimension_stability(make_game, N_list, tol: float = 1e-6,
                          for j in range(a, ga.beta.W + 1)))
         worst = 0.0
         for i in range(n_common):
-            fa = sols[a][i]
             fb = sols[b][i]
-            sliced = fb.values[(slice(None),) + (slice(None),) * a
-                               + (center,) * (b - a)]
-            fb_shared = Field(ga.grid, fb.times, sliced, player=i)
-            fa_c = _resample(fa, ga.times)
-            fb_c = _resample(fb_shared, ga.times)
-            worst = max(worst, float(np.max(np.abs(fa_c.values - fb_c.values))))
+            shared = fb.values[(slice(None),) * (1 + a) + (center,) * (b - a)]
+            if not (fb.times.size == ga.times.size
+                    and np.allclose(fb.times, ga.times)):
+                shared = interp_time(fb.times, shared, ga.times)
+            worst = max(worst, float(np.max(np.abs(sols[a][i].values
+                                                   - shared))))
         rows.append(StabilityRow(a, b, worst, tail))
     C = max((r.diff / r.tail for r in rows if r.tail > 0), default=0.0)
     return StabilityReport(rows, C)

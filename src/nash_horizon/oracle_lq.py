@@ -136,7 +136,6 @@ def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
     P = np.empty((K + 1,) + spec.Gamma.shape)
     r = np.zeros((K + 1, spec.N))
     P[K] = spec.Gamma
-    state = RiccatiState(spec.T, spec.Gamma.copy(), np.zeros(spec.N))
 
     def rhs(P_, r_, t_):
         return riccati_rhs(RiccatiState(t_, P_, r_), spec)

@@ -7,6 +7,8 @@ transport, homogeneous Neumann walls, at a step under cfl_step.  The forward
 density equation is its formal adjoint, integrated in conservative flux form
 so that total mass is preserved up to the no-flux walls.  A Feynman-Kac
 Monte Carlo backend provides an independent route to the same values.
+Drift, source and terminal data are plain callables; the decay of their
+derivatives is built in by build_decay_problem, not checked at run time.
 """
 
 from __future__ import annotations
@@ -99,11 +101,11 @@ class DiffusionSpec:
 
 @dataclass
 class DriftSpec:
-    """Drift B(t, x) in R^N with decay metadata ||D_j B^i|| <= c_B beta^(j-i)."""
+    """Drift B(t, x) in R^N, broadcast to the coordinates' shape.  Decay of
+    its derivatives is a property of the data (build_decay_problem builds
+    ||D_j B^i|| <= c_B beta^(j-i) into its formula), not checked here."""
 
     b: object                     # callable (t, X:(N,...)) -> (N,...)
-    c_B: float = 0.0
-    beta: object = None           # weight-like with .value(offset)
 
     def eval(self, t: float, X: np.ndarray) -> np.ndarray:
         out = np.asarray(self.b(t, X), dtype=float)
@@ -111,31 +113,12 @@ class DriftSpec:
             out = np.broadcast_to(out, X.shape)
         return out
 
-    def probe_decay(self, N: int, L: float, t: float = 0.0, n_points: int = 20,
-                    seed: int = 0, slack: float = 0.1, h: float = 1e-4) -> bool:
-        """Sampled finite-difference check of the declared decay bounds."""
-        if self.beta is None:
-            return True
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-L, L, size=(N, n_points))
-        for j in range(N):
-            e = np.zeros((N, 1))
-            e[j] = h
-            dB = (self.eval(t, pts + e) - self.eval(t, pts - e)) / (2 * h)
-            for i in range(N):
-                bound = (1 + slack) * self.c_B * self.beta.value(j - i)
-                if np.max(np.abs(dB[i])) > bound:
-                    return False
-        return True
-
 
 @dataclass
 class SourceSpec:
-    f: object                     # callable (t, X:(N,...)) -> array, or None
+    f: object                     # callable (t, X:(N,...)) -> array
 
     def eval(self, t, X):
-        if self.f is None:
-            return 0.0
         return np.asarray(self.f(t, X), dtype=float)
 
 
@@ -163,8 +146,8 @@ class LinearProblem:
 
 
 def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
-                        a: float, T: float, t0: float = 0.0) -> LinearProblem:
-    """Coupled linear problem with builder-enforced decay:
+                        a: float, T: float) -> LinearProblem:
+    """Coupled linear problem on [0, T] with builder-enforced decay:
     B^i = c_B sum_j beta^(j-i) tanh(x^j), F and G = c sum_j beta^j tanh(x^j),
     so ||D_j B^i|| <= c_B beta^(j-i), ||D_j F|| <= c_F beta^j and likewise
     for G (higher derivatives of tanh are bounded by 1 as well).
@@ -180,10 +163,10 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
 
     return LinearProblem(
         DiffusionSpec.isotropic(N, a),
-        DriftSpec(drift, c_B=c_B, beta=beta) if c_B else None,
+        DriftSpec(drift) if c_B else None,
         SourceSpec(lambda t, X: ramp(X, c_F)) if c_F else None,
         TerminalSpec(lambda X: ramp(X, c_G)),
-        t0, T)
+        0.0, T)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +351,9 @@ def _face_avg(v, axis):
 
 
 def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
-                   grid: SpatialGrid, dt: float, T: float,
-                   t0: float = 0.0) -> FPKResult:
-    """Forward conservative scheme for
-    d rho/dt = sum_jk D^2_jk(A^jk rho) + div(B rho),  rho(t0) = N(y, eps^2 I).
+                   grid: SpatialGrid, dt: float, T: float) -> FPKResult:
+    """Forward conservative scheme on [0, T] for
+    d rho/dt = sum_jk D^2_jk(A^jk rho) + div(B rho),  rho(0) = N(y, eps^2 I).
     No-flux walls conserve mass exactly; negative undershoot is clipped and
     tracked.
     """
@@ -383,8 +365,8 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
     X = grid.meshgrid()
     h = grid.h
     y = np.asarray(y, dtype=float).reshape(N)
-    dt = stable_step(diffusion, X, h, (t0, 0.5 * (t0 + T), T), dt, drift)
-    times = time_nodes(t0, T, dt)
+    dt = stable_step(diffusion, X, h, (0.0, 0.5 * T, T), dt, drift)
+    times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
 
     r2 = sum((X[k] - y[k]) ** 2 for k in range(N))
@@ -444,8 +426,10 @@ class GradientMassReport:
         return list(zip(self.times, self.gradient_mass, self.cumulative))
 
 
-def fpk_gradient_mass(result: FPKResult, t_min: float | None = None) -> GradientMassReport:
-    """Cumulative time integral of sup_k int |D_k rho| and its log-log fit."""
+def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
+    """Cumulative time integral of sup_k int |D_k rho| and its log-log fit
+    over the nodes at elapsed time >= 10 eps^2, where the mollifier's
+    offset has washed out."""
     f = result.field
     h = f.grid.h
     N = f.grid.N
@@ -455,9 +439,7 @@ def fpk_gradient_mass(result: FPKResult, t_min: float | None = None) -> Gradient
         g[k] = max(float(np.sum(np.abs(np.gradient(slc, h, axis=ax))) * h ** N)
                    for ax in range(N))
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(elapsed))))
-    if t_min is None:
-        t_min = 10 * result.eps ** 2
-    mask = elapsed >= t_min
+    mask = elapsed >= 10 * result.eps ** 2
     if mask.sum() < 4:
         raise SpecError("fewer than 4 usable time nodes for the fit")
     slope, logc = np.polyfit(np.log(elapsed[mask]), np.log(cum[mask]), 1)

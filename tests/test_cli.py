@@ -155,6 +155,8 @@ FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
     ("scan-horizon", lq_config(T_list=[0.05], n_pairs=0)),
     ("stability", lq_config(N_list=[])),
     ("stability", lq_config(N_list=[3, 2])),
+    # one player count compares nothing, so it cannot pass a stability check
+    ("stability", lq_config(N_list=[2])),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

@@ -341,18 +341,22 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
         assert same_bits(w.values, ref.values)
 
 
-def test_picard_step_resamples_off_node_fields(same_bits):
+def test_picard_step_refuses_off_node_fields():
     game, _ = mini_game(N=2, M=21)
+    on = game.zero_fields()
     coarse = np.linspace(0.0, game.T, 5)
-    u = [Field.from_function(game.grid, coarse,
-                             lambda t, X, i=i: (1 + t) * np.sin(X[i] + i))
-         for i in range(game.N)]
     assert coarse.size != game.times.size
-    resampled = [Field(f.grid, game.times,
-                       interp_time(coarse, f.values, game.times), f.player)
-                 for f in u]
-    for a, b in zip(picard_step(game, u), picard_step(game, resampled)):
-        assert same_bits(a.values, b.values)
+    shifted = game.times + 1e-3
+    for times in (coarse, shifted):
+        off = [Field.from_function(game.grid, times,
+                                   lambda t, X, i=i: (1 + t) * np.sin(X[i]))
+               for i in range(game.N)]
+        with pytest.raises(NashError, match="time nodes"):
+            picard_step(game, off)
+        with pytest.raises(NashError, match="time nodes"):
+            contraction_probe(game, on, off)
+        with pytest.raises(NashError, match="time nodes"):
+            picard_solve(game, u0=off)
 
 
 def test_picard_step_zero_game():
@@ -1048,6 +1052,31 @@ def test_dimension_stability_decoupled():
 
     rep = dimension_stability(make, [2, 3], tol=1e-7)
     assert rep.rows[0].diff < 1e-6
+
+
+def test_dimension_stability_needs_two_dimensions():
+    with pytest.raises(NashError, match="at least two"):
+        dimension_stability(lambda N: pytest.fail("no game is solved"), [2])
+
+
+def test_dimension_stability_interpolates_across_time_nodes():
+    # at sigma = 1 and M = 11 the 0.45 CFL cap binds at every N and gives N
+    # players the step 0.45 h^2 / (N sigma^2): N = 2 and 3 share no time grid
+    def make(N):
+        spec = decay_lq_game(N, BETA, c_Q=0.1, c_G=0.2, sigma=1.0, T=0.2)
+        return lq_game(spec, BETA, SpatialGrid(N, 2.0, 11), 0.1)
+
+    g2, g3 = make(2), make(3)
+    assert g2.times.size != g3.times.size
+    rep = dimension_stability(make, [2, 3], tol=1e-7)
+    sol2, _ = picard_solve(g2, tol=1e-7)
+    sol3, _ = picard_solve(g3, tol=1e-7)
+    center = (g2.grid.M - 1) // 2
+    ref = max(float(np.max(np.abs(
+        a.values - interp_time(b.times, b.values[..., center], a.times))))
+        for a, b in zip(sol2, sol3))
+    assert ref > 0
+    assert rep.rows[0].diff == ref
 
 
 def test_uniqueness_probe_identical_guesses():

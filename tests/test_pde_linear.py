@@ -19,6 +19,8 @@ from nash_horizon.pde_linear import (
     _diffusion_term,
     _neighbours,
     _transport_term,
+    build_decay_problem,
+    cfl_step,
     fpk_gradient_mass,
     solve_fpk_grid,
     solve_grid,
@@ -243,14 +245,28 @@ def test_stencils_match_pad_reflect_first_form(shape, same_bits):
                          _centered_diff_first_form(v, k, h))
 
 
+def decay_probe(drift, N, c_B):
+    """Central-difference check, with 10% slack, of ||D_j B^i|| <= c_B
+    BETA^(j-i) at 20 seeded points of [-2, 2]^N."""
+    pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(N, 20))
+    h = 1e-4
+    for j in range(N):
+        e = np.zeros((N, 1))
+        e[j] = h
+        dB = (drift.eval(0.0, pts + e) - drift.eval(0.0, pts - e)) / (2 * h)
+        for i in range(N):
+            if np.max(np.abs(dB[i])) > 1.1 * c_B * BETA.value(j - i):
+                return False
+    return True
+
+
 def test_drift_decay_probe():
-    ok = DriftSpec(lambda t, X: np.stack(
-        [sum(0.5 * BETA.value(j - i) * np.tanh(X[j]) for j in range(3))
-         for i in range(3)]), c_B=0.6, beta=BETA)
-    assert ok.probe_decay(3, 2.0)
-    bad = DriftSpec(lambda t, X: np.stack([np.sin(X[2]), 0 * X[1], 0 * X[2]]),
-                    c_B=0.1, beta=BETA)
-    assert not bad.probe_decay(3, 2.0)
+    # build_decay_problem's drift holds the decay it is built with
+    for N in (1, 3, 5):
+        drift = build_decay_problem(N, BETA, 0.6, 0.0, 0.0, 0.5, 0.2).drift
+        assert decay_probe(drift, N, 0.6)
+    bad = DriftSpec(lambda t, X: np.stack([np.sin(X[2]), 0 * X[1], 0 * X[2]]))
+    assert not decay_probe(bad, 3, 0.1)
 
 
 def test_ellipticity_check():
@@ -441,8 +457,9 @@ def test_fpk_gradient_mass_needs_nodes():
     g = SpatialGrid(1, 4.0, 81)
     res = solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), None, [0.0],
                          4 * g.h, g, cfl_dt(g, 1, 0.5), T=0.02)
-    with pytest.raises(SpecError):
-        fpk_gradient_mass(res, t_min=0.02)
+    # the fit starts at 10 eps^2 = 1.6, past T
+    with pytest.raises(SpecError, match="fewer than 4"):
+        fpk_gradient_mass(res)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +507,23 @@ def test_verify_decay_collar_excludes_boundary():
     r_clean = verify_decay(clean, BETA, collar=0.1, third_order=False)
     r_dirty = verify_decay(dirty, BETA, collar=0.1, third_order=False)
     assert r_dirty.K1 == r_clean.K1 == 0.0
+
+
+def test_linear_estimate_is_stable_in_the_dimension():
+    # the a priori constants of build_decay_problem's solution stay put as
+    # players are added (K1 0.2896 -> 0.2910 from N = 1 to 4); with the data
+    # built at beta = 1 instead, K1 reaches 18.3 at N = 4
+    def constants(N):
+        p = build_decay_problem(N, BETA, 0.2, 0.3, 0.3, 0.5, 0.2)
+        g = SpatialGrid(N, 3.0, 15)
+        rep = verify_decay(solve_grid(p, g, 0.9 * cfl_step(p.diffusion, g.h)),
+                           BETA)
+        return np.array([rep.K1, rep.K2, rep.K3])
+
+    base = constants(1)
+    assert np.all(base > 0)
+    for N in (2, 3, 4):
+        assert np.all(constants(N) / base <= 1.05)
 
 
 def _verify_decay_first_form(w, beta, collar, third_order):
