@@ -119,6 +119,16 @@ def _grid_from(cfg: dict, N: int) -> SpatialGrid:
         raise ConfigError(f"invalid grid: {e}") from e
 
 
+def _collar_for(cfg: dict, grid: SpatialGrid) -> float:
+    """cfg's collar (default 0.1), refused unless grid.interior takes it."""
+    collar = _need(cfg, "collar", float, 0.1)
+    try:
+        grid.interior(collar)
+    except GridError as e:
+        raise ConfigError(f"invalid collar: {e}") from e
+    return collar
+
+
 def _game_from(cfg: dict, beta, T=None, N=None):
     blk = _need(cfg, "game", dict)
     N = _need(blk, "N", int) if N is None else N
@@ -223,8 +233,10 @@ def _run_verify_decay(cfg, out, seed):
         N, beta, _need(blk, "c_B", float, 0.0), _need(blk, "c_F", float, 0.0),
         _need(blk, "c_G", float, 0.0), _need(blk, "a", float),
         _need(blk, "T", float))
-    w = solve_grid(problem, _grid_from(cfg, N), _positive(cfg, "dt", float))
-    rep = verify_decay(w, beta, collar=_need(cfg, "collar", float, 0.1))
+    grid = _grid_from(cfg, N)
+    collar = _collar_for(cfg, grid)
+    w = solve_grid(problem, grid, _positive(cfg, "dt", float))
+    rep = verify_decay(w, beta, collar=collar)
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
     tol = _need(cfg, "tolerances", dict, {})
@@ -259,6 +271,7 @@ def _run_fpk_diagnostic(cfg, out, seed):
 def _run_oracle_compare(cfg, out, seed):
     beta = _weight_from(cfg)
     game, spec = _game_from(cfg, beta)
+    collar = _collar_for(cfg, game.grid)
     tol = _need(cfg, "tolerances", dict, {})
     sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
                             max_iter=_need(cfg, "max_iter", int, 30))
@@ -267,7 +280,7 @@ def _run_oracle_compare(cfg, out, seed):
     traj = riccati_integrate(spec, spec.T / 200)
     (out / "riccati.csv").write_text(trajectory_to_csv(traj))
     X = game.grid.meshgrid()
-    inner = game.grid.interior(_need(cfg, "collar", float, 0.1))
+    inner = game.grid.interior(collar)
     rows = []
     for i in range(game.N):
         exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])

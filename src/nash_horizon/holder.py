@@ -92,7 +92,10 @@ class SpatialGrid:
         return np.stack(axes)
 
     def interior(self, collar: float) -> tuple:
-        """Slice tuple excluding a boundary collar (fraction of M per side)."""
+        """Slice tuple excluding a boundary collar (fraction of M per side;
+        above 0.5 it leaves no node)."""
+        if not 0 <= collar <= 0.5:
+            raise GridError(f"collar must lie in [0, 0.5], got {collar}")
         g = int(round(collar * self.M))
         if 2 * g >= self.M:
             raise GridError("collar consumes entire grid")
@@ -207,9 +210,7 @@ def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     best = 0.0
     for ax in range(1, values.ndim):
         if gamma == 1:
-            head = (slice(None),) * ax
-            d = sup_abs(values[head + (slice(1, None),)]
-                        - values[head + (slice(None, -1),)]) / h
+            d = sup_abs(np.diff(values, axis=ax)) / h
         else:
             # a range along the leading axis of a contiguous copy is a fast
             # elementwise max/min; np.ptp along an inner axis is not

@@ -467,14 +467,7 @@ def residual(game: GameSpec, fields) -> list:
     return out
 
 
-@dataclass
-class ProbeResult:
-    ratio: float
-    numerator: float
-    denominator: float
-
-
-def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
+def contraction_probe(game: GameSpec, u, v) -> float:
     """||S(u) - S(v)|| / ||u - v|| in the triple norm; StepBoundError if
     either sweep is refused, NashError if a field is off game.times."""
     _require_nodes(game, [*u, *v])
@@ -484,7 +477,7 @@ def contraction_probe(game: GameSpec, u, v) -> ProbeResult:
     Su = picard_step(game, u)
     Sv = picard_step(game, v)
     num = triple_norm(game, [a - b for a, b in zip(Su, Sv)])
-    return ProbeResult(num / den, num, den)
+    return num / den
 
 
 def probe_fields(game: GameSpec, seed: int, scale: float = 0.05) -> list:
@@ -552,7 +545,7 @@ def horizon_scan(make_game, T_list, n_pairs: int = 3, seed: int = 0,
             u = probe_fields(game, seed + 2 * k)
             v = probe_fields(game, seed + 2 * k + 1)
             try:
-                ratios.append(contraction_probe(game, u, v).ratio)
+                ratios.append(contraction_probe(game, u, v))
             except (StepBoundError, DivergedError):
                 ratios.append(math.inf)
         _, rep = picard_solve(game, tol=tol, max_iter=max_iter)

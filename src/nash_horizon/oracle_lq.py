@@ -28,7 +28,6 @@ from .holder import interp_time, time_nodes
 
 __all__ = [
     "LQGameSpec",
-    "RiccatiState",
     "RiccatiTrajectory",
     "decay_lq_game",
     "riccati_rhs",
@@ -77,22 +76,9 @@ def decay_lq_game(N: int, beta, c_Q: float, c_G: float, sigma: float,
     return LQGameSpec(N, sigma, c_Q * Q, c_G * Q, T)
 
 
-@dataclass(frozen=True)
-class RiccatiState:
-    t: float
-    P: np.ndarray       # (N, N, N)
-    r: np.ndarray       # (N,)
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.r))):
-            raise LQError("non-finite Riccati state")
-        if np.max(np.abs(self.P - np.swapaxes(self.P, 1, 2))) > 1e-10:
-            raise LQError("P_i asymmetry exceeds 1e-10")
-
-
-def riccati_rhs(state: RiccatiState, spec: LQGameSpec):
-    """Time derivatives (dP, dr) of the coupled Riccati system."""
-    P = state.P
+def riccati_rhs(P: np.ndarray, spec: LQGameSpec):
+    """Time derivatives (dP, dr) of the coupled Riccati system at the stack
+    P of shape (N, N, N); neither depends on t or r."""
     N = spec.N
     j = np.arange(N)
     d = P[j, :, j]               # d_j := column j of P_j, i.e. P_j e_j
@@ -126,7 +112,8 @@ class RiccatiTrajectory:
 
 def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
     """Backward RK4 at step <= dt with per-step symmetrization; blow-up
-    (||P|| > 1e6) is reported with a time bracket.
+    (||P|| > 1e6, or a non-finite P from any stage) is reported with a time
+    bracket.
     """
     if not 0 < dt <= spec.T / 50 + 1e-15:
         raise LQError("need 0 < dt <= T/50")
@@ -136,17 +123,12 @@ def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
     P = np.empty((K + 1,) + spec.Gamma.shape)
     r = np.zeros((K + 1, spec.N))
     P[K] = spec.Gamma
-
-    def rhs(P_, r_, t_):
-        return riccati_rhs(RiccatiState(t_, P_, r_), spec)
-
     for k in range(K, 0, -1):
-        t = times[k]
         h = -step
-        k1 = rhs(P[k], r[k], t)
-        k2 = rhs(P[k] + 0.5 * h * k1[0], r[k] + 0.5 * h * k1[1], t + 0.5 * h)
-        k3 = rhs(P[k] + 0.5 * h * k2[0], r[k] + 0.5 * h * k2[1], t + 0.5 * h)
-        k4 = rhs(P[k] + h * k3[0], r[k] + h * k3[1], t + h)
+        k1 = riccati_rhs(P[k], spec)
+        k2 = riccati_rhs(P[k] + 0.5 * h * k1[0], spec)
+        k3 = riccati_rhs(P[k] + 0.5 * h * k2[0], spec)
+        k4 = riccati_rhs(P[k] + h * k3[0], spec)
         Pn = P[k] + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         rn = r[k] + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         Pn = 0.5 * (Pn + np.swapaxes(Pn, 1, 2))

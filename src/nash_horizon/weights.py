@@ -41,8 +41,6 @@ class WeightSequence:
     ``values`` stores beta^i for i = -W..W (length 2W+1).
     """
 
-    kind: str
-    params: dict
     W: int
     values: np.ndarray = field(repr=False)
 
@@ -112,9 +110,7 @@ def build_weight(kind: str, params: dict, W: int) -> WeightSequence:
             raise WeightError("table values must have length 2W+1")
     else:
         raise WeightError(f"unknown weight kind {kind!r}")
-    vals = vals / vals[W]
-    stored = {} if kind == "table" else dict(params)
-    return WeightSequence(kind, stored, W, vals)
+    return WeightSequence(W, vals / vals[W])
 
 
 def self_convolve(beta: WeightSequence) -> np.ndarray:

@@ -137,6 +137,16 @@ def test_malformed_config_value_exits_2(tmp_path, command, over):
 FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
 
 
+# verify-decay on the README's weights at N = 2
+DECAY_2D = {
+    "weights": WEIGHTS,
+    "grid": {"L": 3.0, "M": 25},
+    "problem": {"N": 2, "c_B": 0.2, "c_F": 0.3, "c_G": 0.3, "a": 0.5,
+                "T": 0.1},
+    "dt": 0.005,
+}
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("fpk-diagnostic", {**FPK, "tolerances": {"slope_range": ["low", "high"]}}),
     ("fpk-diagnostic", {**FPK, "tolerances": {"slope_range": 0.5}}),
@@ -157,6 +167,12 @@ FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
     ("stability", lq_config(N_list=[3, 2])),
     # one player count compares nothing, so it cannot pass a stability check
     ("stability", lq_config(N_list=[2])),
+    # a negative collar once measured the grid's far corner, and one that
+    # consumes the grid once failed only after the solve
+    ("verify-decay", {**DECAY_2D, "collar": -0.2}),
+    ("verify-decay", {**DECAY_2D, "collar": 0.6}),
+    ("oracle-compare", lq_config(collar=-0.2)),
+    ("oracle-compare", lq_config(collar=0.6)),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

@@ -58,6 +58,19 @@ def test_grid_validation():
     assert g.axis[10] == 0.0
 
 
+def test_interior_refuses_a_collar_out_of_range():
+    # round(-0.2 * 25) = -5 once made slice(-5, 30): the last 5 nodes
+    g = SpatialGrid(2, 3.0, 25)
+    for collar in (-0.2, -1e-3, float("nan"), 0.6, float("inf")):
+        with pytest.raises(GridError, match=r"collar must lie in \[0, 0.5\]"):
+            g.interior(collar)
+    assert g.interior(0.0) == (slice(None),) * 2
+    assert g.interior(0.1) == (slice(2, 23),) * 2
+    assert g.interior(0.5) == (slice(12, 13),) * 2
+    with pytest.raises(GridError, match="consumes"):
+        SpatialGrid(1, 1.0, 7).interior(0.5)
+
+
 def test_field_validation():
     g = grid2(11)
     with pytest.raises(GridError):

@@ -805,12 +805,10 @@ def test_contraction_probe_small_T():
     game, _ = mini_game(M=31, T=0.05, c_Q=0.01, c_G=0.01)
     u = probe_fields(game, 0)
     v = probe_fields(game, 1)
-    res = contraction_probe(game, u, v)
-    assert res.ratio < 1.0
-    assert res.denominator > 0
+    ratio = contraction_probe(game, u, v)
+    assert 0 < ratio < 1.0
     # swap symmetry is exact
-    res2 = contraction_probe(game, v, u)
-    assert res2.ratio == res.ratio
+    assert contraction_probe(game, v, u) == ratio
 
 
 def test_contraction_probe_degenerate_pair():
@@ -871,7 +869,7 @@ def test_horizon_scan_counts_a_refused_probe_as_inf(monkeypatch):
     def probe(game, u, v):
         if game > 0.5:
             raise StepBoundError("refused")
-        return nash.ProbeResult(0.5, 0, 0)
+        return 0.5
 
     monkeypatch.setattr(nash, "probe_fields", lambda game, seed: game)
     monkeypatch.setattr(nash, "contraction_probe", probe)
@@ -892,7 +890,7 @@ def test_horizon_scan_spearman_matches_scipy(monkeypatch):
     ratio = {}
     monkeypatch.setattr(nash, "probe_fields", lambda game, seed: game)
     monkeypatch.setattr(nash, "contraction_probe",
-                        lambda game, u, v: nash.ProbeResult(ratio[game], 0, 0))
+                        lambda game, u, v: ratio[game])
     monkeypatch.setattr(nash, "picard_solve", lambda game, **kw: (
         None, SimpleNamespace(converged=False)))
     rng = np.random.default_rng(0)

@@ -4,7 +4,6 @@ import pytest
 from nash_horizon.oracle_lq import (
     LQError,
     LQGameSpec,
-    RiccatiState,
     decay_lq_game,
     lq_value,
     riccati_integrate,
@@ -32,8 +31,7 @@ def test_spec_validation():
 
 def test_rhs_zero_data():
     spec = scalar_spec(q=0.0, gamma=0.0)
-    dP, dr = riccati_rhs(RiccatiState(0.0, np.zeros((1, 1, 1)), np.zeros(1)),
-                         spec)
+    dP, dr = riccati_rhs(np.zeros((1, 1, 1)), spec)
     assert np.all(dP == 0) and np.all(dr == 0)
 
 
@@ -53,9 +51,8 @@ def test_rhs_decoupled_stays_diagonal():
     assert np.max(np.abs(off)) < 1e-12
 
 
-def _riccati_rhs_first_form(state, spec):
+def _riccati_rhs_first_form(P, spec):
     """riccati_rhs as first written: one player and one j at a time."""
-    P = state.P
     N = spec.N
     d = np.stack([P[j, :, j] for j in range(N)])
     dP = np.empty_like(P)
@@ -79,9 +76,8 @@ def test_rhs_matches_first_form(N, same_bits):
     for _ in range(5):
         A = rng.standard_normal((N, N, N))
         A.reshape(-1)[::3] = 0.0                # signed zeros in the products
-        state = RiccatiState(0.0, A + np.swapaxes(A, 1, 2),
-                             rng.standard_normal(N))
-        new, old = riccati_rhs(state, spec), _riccati_rhs_first_form(state, spec)
+        P = A + np.swapaxes(A, 1, 2)
+        new, old = riccati_rhs(P, spec), _riccati_rhs_first_form(P, spec)
         assert same_bits(new[0], old[0]) and same_bits(new[1], old[1])
 
 
@@ -100,9 +96,9 @@ def test_integrate_is_one_rk4_pass(monkeypatch):
     from nash_horizon import oracle_lq
     calls = []
 
-    def rhs(state, spec):
-        calls.append(state.t)
-        return riccati_rhs(state, spec)
+    def rhs(P, spec):
+        calls.append(P)
+        return riccati_rhs(P, spec)
 
     spec = decay_lq_game(3, BETA, c_Q=0.5, c_G=1.0, sigma=0.3, T=0.5)
     monkeypatch.setattr(oracle_lq, "riccati_rhs", rhs)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from nash_horizon.pde_linear import (
     solve_fpk_grid,
     solve_grid,
     solve_mc,
+    stable_step,
     verify_decay,
 )
 from nash_horizon.weights import build_weight
@@ -143,6 +145,30 @@ def test_strict_step_checks_the_transport_bound():
             with pytest.raises(TransportBoundError,
                                match="is 1.1 times the transport"):
                 solve_grid(p, g, dt, strict_dt=True)
+
+
+def test_every_step_checks_the_transport_bound():
+    # a drift pulse at T/4 falls between the times t0, T/2 and T that size
+    # the shrunk step: the steps near it once ran over their bound, up to
+    # 6.6 times, and sup|w| = 1.027 left the terminal's range [-1, 1]
+    g = SpatialGrid(1, 2.0, 41)
+    diff = DiffusionSpec.isotropic(1, 0.5)
+    T = 0.4
+    pulse = DriftSpec(lambda t, X: 60 * np.exp(-((t - T / 4) / (T / 40)) ** 2)
+                      * np.cos(3 * X))
+    p = LinearProblem(diff, pulse, None, TerminalSpec(lambda X: np.sin(X[0])),
+                      0.0, T)
+    with pytest.raises(TransportBoundError) as err:
+        solve_grid(p, g, 0.9 * cfl_step(diff, g.h))
+    # the message prints a ratio above 1 as above 1
+    assert float(re.search(r" is (\S+) times", str(err.value))[1]) > 1
+    # a step a rounding error above the bound it was shrunk to still runs
+    bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
+    p = LinearProblem(diff, DriftSpec(lambda t, X: 3.0 * np.cos(X)), None,
+                      TerminalSpec(lambda X: np.sin(X[0])), 0.0,
+                      7 * bound * (1 + 1e-13))
+    w = solve_grid(p, g, 0.9 * cfl_step(diff, g.h))
+    assert w.times.size == 8 and w.times[1] > bound
 
 
 def test_offdiagonal_diffusion_quadratic():
@@ -398,6 +424,79 @@ def test_fpk_mass_conserved_and_nonnegative():
     np.testing.assert_allclose(res.mass, 1.0, atol=1e-12)
     assert res.field.values.min() >= 0.0
     assert res.undershoot < 1e-12
+
+
+def _fpk_first_form(diffusion, drift, y, eps, grid, dt, T):
+    """solve_fpk_grid's loop as first written, with slice lists and a
+    zero-padded flux; returns (field values, mass, undershoot)."""
+    N, h = grid.N, grid.h
+    X = grid.meshgrid()
+    dt = stable_step(diffusion, X, h, (0.0, 0.5 * T, T), dt, drift)
+    times = time_nodes(0.0, T, dt)
+    step = times[1] - times[0]
+    r2 = sum((X[k] - y[k]) ** 2 for k in range(N))
+    rho = np.exp(-r2 / (2 * eps ** 2))
+    rho /= rho.sum() * h ** N
+    vals, mass, undershoot = [rho], [rho.sum() * h ** N], 0.0
+    for t in times[:-1]:
+        B = drift.eval(t, X) if drift is not None else None
+        div = np.zeros_like(rho)
+        for ax in range(N):
+            lo = [slice(None)] * N
+            hi = [slice(None)] * N
+            lo[ax] = slice(0, -1)
+            hi[ax] = slice(1, None)
+            lo, hi = tuple(lo), tuple(hi)
+            G = diffusion.A[ax, ax] * rho
+            flux = (G[hi] - G[lo]) / h
+            if B is not None:
+                bf = 0.5 * (B[ax][lo] + B[ax][hi])
+                flux += np.where(bf > 0, bf * rho[hi], bf * rho[lo])
+            for (i, j), a in diffusion.offdiag.items():
+                if ax in (i, j):
+                    d = _centered_diff_first_form(rho, i + j - ax, h)
+                    flux += a * (0.5 * (d[lo] + d[hi]))
+            width = [(0, 0)] * N
+            width[ax] = (1, 1)
+            flux = np.pad(flux, width)
+            div += (flux[hi] - flux[lo]) / h
+        rho = rho + step * div
+        worst = float(rho.min())
+        if worst < 0:
+            undershoot = max(undershoot, -worst)
+            rho = np.maximum(rho, 0.0)
+        vals.append(rho)
+        mass.append(rho.sum() * h ** N)
+    return np.stack(vals), np.array(mass), undershoot
+
+
+@pytest.mark.parametrize("case", ["1d-drift", "2d-drift-offdiag",
+                                  "2d-isotropic"])
+def test_fpk_matches_first_form(case, same_bits):
+    # sign-changing drifts exercise both upwind faces
+    if case == "1d-drift":
+        g = SpatialGrid(1, 4.0, 81)
+        diff = DiffusionSpec.isotropic(1, 0.5)
+        drift = DriftSpec(lambda t, X: (0.6 + t) * np.sin(X))
+        y = [0.3]
+    elif case == "2d-drift-offdiag":
+        g = SpatialGrid(2, 3.0, 31)
+        diff = DiffusionSpec(np.array([[0.5, 0.15], [0.15, 0.4]]))
+        drift = DriftSpec(lambda t, X: np.stack(
+            [0.4 * np.tanh(X[1]), -0.3 * np.sin(X[0] + t)]))
+        y = [0.2, -0.4]
+    else:
+        g = SpatialGrid(2, 3.0, 31)
+        diff = DiffusionSpec.isotropic(2, 0.5)
+        drift = None
+        y = [0.0, 0.0]
+    args = (diff, drift, y, 4 * g.h, g, cfl_dt(g, g.N, 0.5), 0.2)
+    res = solve_fpk_grid(*args)
+    vals, mass, undershoot = _fpk_first_form(*args)
+    assert res.field.values.shape[0] > 10
+    assert same_bits(res.field.values, vals)
+    assert same_bits(res.mass, mass)
+    assert same_bits(np.float64(res.undershoot), np.float64(undershoot))
 
 
 def test_fpk_oversized_dt_raises():
