@@ -131,10 +131,11 @@ def _collar_for(cfg: dict, grid: SpatialGrid) -> float:
 
 def _game_from(cfg: dict, beta, T=None, N=None):
     blk = _need(cfg, "game", dict)
-    N = _need(blk, "N", int) if N is None else N
-    T = _need(blk, "T", float) if T is None else T
+    N = _positive(blk, "N", int) if N is None else N
+    T = _positive(blk, "T", float) if T is None else T
     spec = decay_lq_game(N, beta, _need(blk, "c_Q", float),
-                         _need(blk, "c_G", float), _need(blk, "sigma", float), T)
+                         _need(blk, "c_G", float), _positive(blk, "sigma", float),
+                         T)
     grid = _grid_from(cfg, N)
     kind = blk.get("hamiltonian", "lq")
     if kind not in ("lq", "saturated"):
@@ -185,12 +186,12 @@ def _run_solve(cfg, out, seed):
         for i, f in enumerate(sol):
             save_field(f, out / f"u{i}.bin")
         res = residual(game, sol)
-        results["residual_sup"] = [r[0] for r in res]
+        results["residual_sup"] = res
         results["decay"] = [verify_decay(f, game.player_weight(i),
                                          third_order=False).values()
                             for i, f in enumerate(sol)]
         if "residual_max" in tol:
-            passed &= max(r[0] for r in res) <= _need(tol, "residual_max", float)
+            passed &= max(res) <= _need(tol, "residual_max", float)
     return results, passed
 
 
@@ -231,8 +232,8 @@ def _run_verify_decay(cfg, out, seed):
     N = _need(blk, "N", int)
     problem = build_decay_problem(
         N, beta, _need(blk, "c_B", float, 0.0), _need(blk, "c_F", float, 0.0),
-        _need(blk, "c_G", float, 0.0), _need(blk, "a", float),
-        _need(blk, "T", float))
+        _need(blk, "c_G", float, 0.0), _positive(blk, "a", float),
+        _positive(blk, "T", float))
     grid = _grid_from(cfg, N)
     collar = _collar_for(cfg, grid)
     w = solve_grid(problem, grid, _positive(cfg, "dt", float))
@@ -250,15 +251,14 @@ def _run_fpk_diagnostic(cfg, out, seed):
     blk = _need(cfg, "fpk", dict)
     N = _need(blk, "N", int, 1)
     grid = _grid_from(cfg, N)
-    a = _need(blk, "a", float)
-    diff = DiffusionSpec.isotropic(N, a)
+    diff = DiffusionSpec.isotropic(N, _positive(blk, "a", float))
     eps = _need(blk, "eps_factor", float, 4.0) * grid.h
-    T = _need(blk, "T", float)
+    T = _positive(blk, "T", float)
     y = _need_list(blk, "y", float, N, [0.0] * N)
     tol = _need(cfg, "tolerances", dict, {})
     lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
     dt = _positive(cfg, "dt", float, 0.9 * cfl_step(diff, grid.h))
-    res = solve_fpk_grid(diff, None, y, eps, grid, dt, T)
+    res = solve_fpk_grid(diff, y, eps, grid, dt, T)
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
                                            "cumulative"), rep.to_csv_rows())

@@ -15,7 +15,6 @@ min cannot raise their running max, which leaves the value bit-identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -140,7 +139,6 @@ class GameSpec:
     beta: object                    # WeightSequence
     grid: SpatialGrid
     dt: float                       # requested step; capped by the CFL bound
-    R: float | None = None          # soft triple-norm envelope
     times: np.ndarray = field(init=False, repr=False)
     sources: list = field(init=False, repr=False)   # assemble_source per player
 
@@ -175,7 +173,7 @@ class GameSpec:
 
 
 def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
-            kind: str = "lq", kappa: float | None = None, R=None) -> GameSpec:
+            kind: str = "lq", kappa: float | None = None) -> GameSpec:
     """GameSpec matching an LQ oracle specification; kind is "lq" or
     "saturated" (which needs kappa)."""
     ham = HamiltonianFamily(kind, spec.Q, kappa)
@@ -184,7 +182,7 @@ def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
         (lambda X, G=spec.Gamma[i]: 0.5 * np.einsum("jk,j...,k...->...", G, X, X))
         for i in range(spec.N)
     ]
-    return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt, R=R)
+    return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def picard_step(game: GameSpec, fields) -> list:
         problem = LinearProblem(
             game.diffusion,
             assemble_drift(game, Du, i),
-            SourceSpec(lambda t, X, F=game.sources[i]: F),
+            SourceSpec(lambda X, F=game.sources[i]: F),
             TerminalSpec(game.terminals[i]),
             0.0, game.T, player=i)
         try:
@@ -361,7 +359,6 @@ class PicardReport:
     diverged: bool
     tol: float
     max_norm: float | None          # largest iterate norm; None: not computed
-    envelope_exceeded: bool
     refused: str | None = None      # why a sweep was refused; None: none was
 
     def to_dict(self):
@@ -381,15 +378,14 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     stability bound (``refused``) yield a flagged report without a
     solution; a u0 field off game.times raises NashError (picard_step).
     The iterate norm |||S(u)||| costs one more triple norm per
-    sweep, so it is only computed when ``iterate_norm`` is set or ``game.R``
-    asks for the envelope check; otherwise the report's ``max_norm`` is None
-    (not computed).
+    sweep, so it is only computed when ``iterate_norm`` is set; otherwise
+    the report's ``max_norm`` is None (not computed).
     """
     if tol <= 0:
         raise NashError("tol must be positive")
     u = game.zero_fields() if u0 is None else list(u0)
     increments = []
-    max_norm = 0.0 if iterate_norm or game.R is not None else None
+    max_norm = 0.0 if iterate_norm else None
     converged = diverged = False
     refused = None
     it = 0
@@ -415,12 +411,8 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
             diverged = True
             break
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
-    exceeded = game.R is not None and max_norm > game.R
-    if exceeded:
-        warnings.warn(f"iterates left the R envelope: {max_norm:.3g} > "
-                      f"{game.R:.3g}", stacklevel=2)
     report = PicardReport(increments, ratios, it, converged, diverged, tol,
-                          max_norm, exceeded, refused)
+                          max_norm, refused)
     return (u if converged else None), report
 
 
@@ -430,7 +422,7 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 
 def residual(game: GameSpec, fields) -> list:
     """Per-player sup of the Nash equation left side over the interior nodes
-    (collar 0.1), with the location of the max.  Only the derivatives it
+    (collar 0.1), one float per player.  Only the derivatives it
     reads are made: D_j u^i (the frozen gradients Du are the j = i ones),
     D_c D_c u^i and D_a D_b u^i for the off-diagonal diffusion keys."""
     grid = game.grid
@@ -460,10 +452,7 @@ def residual(game: GameSpec, fields) -> list:
         for j in range(game.N):
             if j != i:
                 res += ham.dpj(j, X, Du) * D[j].values
-        body = np.abs(res[(slice(None),) + inner])
-        flat = int(np.argmax(body))
-        loc = np.unravel_index(flat, body.shape)
-        out.append((float(body.max()), loc))
+        out.append(float(np.max(np.abs(res[(slice(None),) + inner]))))
     return out
 
 

@@ -4,11 +4,13 @@ The backward equation is  -dw/dt - tr(A D^2 w) + <B, Dw> = F,  w(T) = G,
 with a constant diffusion matrix A (DiffusionSpec), solved by explicit Euler
 stepping from t = T with centered diffusion stencils and drift-sign upwinded
 transport, homogeneous Neumann walls, at a step under cfl_step.  The forward
-density equation is its formal adjoint, integrated in conservative flux form
-so that total mass is preserved up to the no-flux walls.  A Feynman-Kac
-Monte Carlo backend provides an independent route to the same values.
-Drift, source and terminal data are plain callables; the decay of their
-derivatives is built in by build_decay_problem, not checked at run time.
+density equation  d rho/dt = sum_jk D^2_jk(A^jk rho)  is the formal adjoint
+of its diffusion part, integrated in conservative flux form so that total
+mass is preserved up to the no-flux walls.  A Feynman-Kac Monte Carlo
+backend provides an independent route to the same values.  The drift B(t, x)
+is a plain callable; the source F(x) and terminal G(x) depend on x only
+(TerminalSpec, alias SourceSpec).  The decay of their derivatives is built
+in by build_decay_problem, not checked at run time.
 """
 
 from __future__ import annotations
@@ -115,19 +117,17 @@ class DriftSpec:
 
 
 @dataclass
-class SourceSpec:
-    f: object                     # callable (t, X:(N,...)) -> array
-
-    def eval(self, t, X):
-        return np.asarray(self.f(t, X), dtype=float)
-
-
-@dataclass
 class TerminalSpec:
+    """Data of x alone, the terminal cost G or the source F, broadcast to
+    the coordinates' spatial shape."""
+
     g: object                     # callable (X:(N,...)) -> array
 
     def eval(self, X):
         return np.broadcast_to(np.asarray(self.g(X), dtype=float), X.shape[1:]).copy()
+
+
+SourceSpec = TerminalSpec
 
 
 @dataclass
@@ -164,7 +164,7 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
     return LinearProblem(
         DiffusionSpec.isotropic(N, a),
         DriftSpec(drift) if c_B else None,
-        SourceSpec(lambda t, X: ramp(X, c_F)) if c_F else None,
+        SourceSpec(lambda X: ramp(X, c_F)) if c_F else None,
         TerminalSpec(lambda X: ramp(X, c_G)),
         0.0, T)
 
@@ -262,6 +262,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
     vals[-1] = problem.terminal.eval(X)
+    F = problem.source.eval(X) if problem.source is not None else None
     for k in range(times.size - 2, -1, -1):
         t = times[k + 1]
         v = vals[k + 1]
@@ -279,8 +280,8 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
                         f"step {step:.4g} is {step / bound:.10g} times the "
                         f"transport stability bound {bound:.4g} at t={t:.5g}")
                 rhs -= _transport_term(B, v, nbrs, h)
-            if problem.source is not None:
-                rhs += problem.source.eval(t, X)
+            if F is not None:
+                rhs += F
             vals[k] = v + step * rhs
         if not np.all(np.isfinite(vals[k])):
             bad = np.argwhere(~np.isfinite(vals[k]))[0]
@@ -295,7 +296,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
 
 def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
              seed: int):
-    """Pathwise estimates of w(s, x) = E[G(X_T) + int F(t, X_t) dt] with
+    """Pathwise estimates of w(s, x) = E[G(X_T) + int F(X_t) dt] with
     dX = -B dt + sigma dW, sigma sigma^T = 2A.  Returns a list of
     (estimate, ci_half_width) per query point; deterministic given the seed.
     """
@@ -322,14 +323,14 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
         for t in times[:-1]:
             Xt = X.T  # (N, P)
             if problem.source is not None:
-                run += step * np.broadcast_to(problem.source.eval(t, Xt), (paths,))
+                run += step * problem.source.eval(Xt)
             dW = rng.standard_normal((paths, N))
             drift = np.zeros((paths, N))
             if problem.drift is not None:
                 drift = -problem.drift.eval(t, Xt).T
             X = X + step * drift + np.sqrt(step) * np.einsum(
                 "ij,pj->pi", chol, dW)
-        payoff = run + np.broadcast_to(problem.terminal.eval(X.T), (paths,))
+        payoff = run + problem.terminal.eval(X.T)
         est = float(payoff.mean())
         ci = 1.96 * float(payoff.std(ddof=1)) / np.sqrt(paths)
         out.append((est, ci))
@@ -348,17 +349,12 @@ class FPKResult:
     eps: float
 
 
-def _face_avg(v, axis):
-    lo, hi = _faces(v, axis)
-    return 0.5 * (lo + hi)
-
-
-def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
-                   grid: SpatialGrid, dt: float, T: float) -> FPKResult:
+def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
+                   dt: float, T: float) -> FPKResult:
     """Forward conservative scheme on [0, T] for
-    d rho/dt = sum_jk D^2_jk(A^jk rho) + div(B rho),  rho(0) = N(y, eps^2 I).
-    No-flux walls conserve mass exactly; negative undershoot is clipped and
-    tracked.
+    d rho/dt = sum_jk D^2_jk(A^jk rho),  rho(0) = N(y, eps^2 I), in equal
+    steps of at most dt; a dt above cfl_step raises CFLError.  No-flux walls
+    conserve mass exactly; negative undershoot is clipped and tracked.
     """
     N = grid.N
     if N > 2:
@@ -368,7 +364,7 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
     X = grid.meshgrid()
     h = grid.h
     y = np.asarray(y, dtype=float).reshape(N)
-    dt = stable_step(diffusion, X, h, (0.0, 0.5 * T, T), dt, drift)
+    dt = stable_step(diffusion, X, h, (), dt)
     times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
 
@@ -382,18 +378,13 @@ def solve_fpk_grid(diffusion: DiffusionSpec, drift: DriftSpec | None, y, eps,
     mass[0] = rho.sum() * h ** N
     undershoot = 0.0
     for k in range(times.size - 1):
-        t = times[k]
-        B = drift.eval(t, X) if drift is not None else None
         div = np.zeros_like(rho)
         for ax in range(N):
             flux = np.diff(diffusion.A[ax, ax] * rho, axis=ax) / h
-            if B is not None:
-                bf = _face_avg(B[ax], ax)
-                lo, hi = _faces(rho, ax)
-                flux += np.where(bf > 0, bf * hi, bf * lo)
             for (i, j), a in diffusion.offdiag.items():
                 if ax in (i, j):   # the pair's other axis is i + j - ax
-                    flux += a * _face_avg(_centered_diff(rho, i + j - ax, h), ax)
+                    lo, hi = _faces(_centered_diff(rho, i + j - ax, h), ax)
+                    flux += a * (0.5 * (lo + hi))
             # zero flux at the walls
             div += np.diff(flux, axis=ax, prepend=0.0, append=0.0) / h
         rho = rho + step * div

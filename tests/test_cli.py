@@ -92,7 +92,7 @@ def test_solve_records_finite_max_norm_as_strict_json(tmp_path):
     max_norm = summary["results"]["picard"]["max_norm"]
     assert isinstance(max_norm, float) and np.isfinite(max_norm)
     # a norm that was not computed is written as null, never as 0 or NaN
-    skipped = PicardReport([], [], 0, False, False, 1e-6, None, False)
+    skipped = PicardReport([], [], 0, False, False, 1e-6, None)
     doc = json.loads(json.dumps(skipped.to_dict(), allow_nan=False))
     assert doc["max_norm"] is None
 
@@ -173,6 +173,18 @@ DECAY_2D = {
     ("verify-decay", {**DECAY_2D, "collar": 0.6}),
     ("oracle-compare", lq_config(collar=-0.2)),
     ("oracle-compare", lq_config(collar=0.6)),
+    # physical parameters out of range once failed as numerical errors, or
+    # in einsum, or ran one backward step before failing
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "a": -1.0}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "T": -0.5}}),
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"], "a": 0}}),
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"], "T": 0}}),
+    ("solve", lq_config(game={"N": 2, "c_Q": 0.05, "c_G": 0.1, "sigma": 0,
+                              "T": 0.2})),
+    ("solve", lq_config(game={"N": 2, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25,
+                              "T": -0.1})),
+    ("solve", lq_config(game={"N": 0, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25,
+                              "T": 0.2})),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

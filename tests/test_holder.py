@@ -489,6 +489,13 @@ def test_time_nodes_refuses_a_non_positive_step(dt):
         time_nodes(0.0, 0.2, dt)
 
 
+@pytest.mark.parametrize("t0, T", [(0.0, 0.0), (0.0, -0.5), (0.3, 0.2)])
+def test_time_nodes_refuses_an_empty_or_backward_span(t0, T):
+    # (0, -0.5) once gave [0, -0.5]: one backward step of the whole span
+    with pytest.raises(GridError, match="need T > t0"):
+        time_nodes(t0, T, 0.01)
+
+
 def _old_cache_at(ts, values, t):
     """GradientCache.at as first written: values (N, K+1, ...)."""
     if ts.size == 1:

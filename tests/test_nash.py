@@ -333,7 +333,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
     for i, w in enumerate(got):
         problem = LinearProblem(
             game.diffusion, old_drift(i),
-            SourceSpec(lambda t, X, F=assemble_source(game, i): F),
+            SourceSpec(lambda X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)
         ref = solve_grid(problem, game.grid, game.step, strict_dt=True)
@@ -408,7 +408,7 @@ def test_picard_matches_oracle_mini():
     assert all(np.isfinite(verify_decay(f, game.player_weight(i),
                                         third_order=False).K2)
                for i, f in enumerate(sol))
-    assert all(np.isfinite(r[0]) for r in residual(game, sol))
+    assert all(np.isfinite(r) for r in residual(game, sol))
 
 
 def test_picard_determinism():
@@ -530,20 +530,11 @@ def test_oracle_error_is_first_order_in_h():
     assert np.all(orders >= 0.8), (errs, orders)
 
 
-def test_envelope_warning():
-    # setting R alone turns the iterate norm on
-    game, _ = mini_game(R=1e-9)
-    with pytest.warns(UserWarning):
-        _, rep = picard_solve(game, tol=1e-4, max_iter=8)
-    assert rep.envelope_exceeded
-    assert rep.max_norm > game.R
-
-
 def test_iterate_norm_flag_changes_only_max_norm():
     game, _ = mini_game()
     off_sol, off = picard_solve(game, tol=1e-6, max_iter=20)
     on_sol, on = picard_solve(game, tol=1e-6, max_iter=20, iterate_norm=True)
-    assert off.max_norm is None and not off.envelope_exceeded
+    assert off.max_norm is None
     assert (on.increments, on.ratios, on.iterations, on.converged) == (
         off.increments, off.ratios, off.iterations, off.converged)
     for a, b in zip(on_sol, off_sol):
@@ -928,7 +919,7 @@ def test_horizon_scan_degenerate_game():
 def test_residual_zero_on_trivial_game():
     game = zero_game()
     res = residual(game, game.zero_fields())
-    assert all(r[0] == 0.0 for r in res)
+    assert all(r == 0.0 for r in res)
 
 
 def test_residual_refines_on_oracle_fields():
@@ -942,20 +933,20 @@ def test_residual_refines_on_oracle_fields():
         u = [Field(game.grid, times,
                    np.stack([lq_value(traj, i, t, X)[0] for t in times]),
                    player=i) for i in range(2)]
-        sups.append(max(r[0] for r in residual(game, u)))
+        sups.append(max(residual(game, u)))
     assert np.log2(sups[0] / sups[1]) >= 1.0
 
 
 def test_residual_perturbation_slope():
     game, spec = mini_game()
     sol, _ = picard_solve(game, tol=1e-7)
-    base = max(r[0] for r in residual(game, sol))
+    base = max(residual(game, sol))
     X = game.grid.meshgrid()
 
     def perturbed(delta):
         u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]), f.player)
              for f in sol]
-        return max(r[0] for r in residual(game, u))
+        return max(residual(game, u))
 
     e1 = perturbed(0.1) - base
     e2 = perturbed(0.05) - base
@@ -999,9 +990,7 @@ def _residual_first_form(game, fields, collar=0.1):
                 if j != i:
                     res[k] += game.hamiltonian.dpj(j, X, Du) * \
                         fam[(j,)].values[k]
-        body = np.abs(res[(slice(None),) + inner])
-        loc = np.unravel_index(int(np.argmax(body)), body.shape)
-        out.append((float(body.max()), loc))
+        out.append(float(np.abs(res[(slice(None),) + inner]).max()))
     return out
 
 

@@ -92,10 +92,10 @@ def test_linearity():
                           TerminalSpec(gfun), 0.0, 0.1)
         return solve_grid(p, g, cfl_dt(g, 1, 0.5))
 
-    w1 = solve(lambda X: np.cos(X[0]), lambda t, X: np.sin(X[0]))
-    w2 = solve(lambda X: X[0] ** 2, lambda t, X: 1.0 + 0 * X[0])
+    w1 = solve(lambda X: np.cos(X[0]), lambda X: np.sin(X[0]))
+    w2 = solve(lambda X: X[0] ** 2, lambda X: 1.0 + 0 * X[0])
     w12 = solve(lambda X: np.cos(X[0]) + 2 * X[0] ** 2,
-                lambda t, X: np.sin(X[0]) + 2.0)
+                lambda X: np.sin(X[0]) + 2.0)
     np.testing.assert_allclose(w12.values, w1.values + 2 * w2.values,
                                atol=1e-10)
 
@@ -105,7 +105,7 @@ def test_comparison_principle():
     g = SpatialGrid(2, 2.0, 31)
     diff = DiffusionSpec.isotropic(2, 0.5)
     drift = DriftSpec(lambda t, X: np.stack([np.tanh(X[0]), -np.tanh(X[1])]))
-    src = SourceSpec(lambda t, X: np.maximum(np.sin(5 * X[0]), 0.0))
+    src = SourceSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
     p = LinearProblem(diff, drift, src,
                       TerminalSpec(lambda X: np.maximum(X[0], 0.0)), 0.0, 0.2)
     w = solve_grid(p, g, cfl_dt(g, 2, 0.5))
@@ -126,8 +126,8 @@ def test_grid_and_diffusion_dimensions_must_match():
     with pytest.raises(SpecError, match="does not match"):
         solve_grid(p, g, 1e-3)
     with pytest.raises(SpecError, match="does not match"):
-        solve_fpk_grid(DiffusionSpec.isotropic(2, 0.5), None, [0.0],
-                       4 * g.h, g, 1e-3, T=0.1)
+        solve_fpk_grid(DiffusionSpec.isotropic(2, 0.5), [0.0], 4 * g.h, g,
+                       1e-3, T=0.1)
 
 
 def test_strict_step_checks_the_transport_bound():
@@ -183,6 +183,44 @@ def test_offdiagonal_diffusion_quadratic():
     inner = g.interior(0.2)
     exact = X[0] * X[1] + 2 * 0.2 * p.T
     assert np.max(np.abs(w.values[0][inner] - exact[inner])) < 5e-3
+
+
+def _solve_grid_per_step(problem, grid, dt):
+    """solve_grid's loop at a verbatim step, the source evaluated at every
+    step as first written."""
+    X, h = grid.meshgrid(), grid.h
+    times = time_nodes(problem.t0, problem.T, dt)
+    vals = [problem.terminal.eval(X)]
+    for t0, t1 in zip(times[-2::-1], times[:0:-1]):
+        v = vals[-1]
+        nbrs = [_neighbours(v, k) for k in range(grid.N)]
+        rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
+        rhs -= _transport_term(problem.drift.eval(t1, X), v, nbrs, h)
+        rhs += problem.source.eval(X)
+        vals.append(v + (times[1] - times[0]) * rhs)
+    return np.stack(vals[::-1])
+
+
+def test_solve_grid_evaluates_the_source_once(same_bits):
+    # the source depends on x only: one evaluation serves every step and
+    # gives the per-step evaluation's bits
+    calls = []
+
+    def f(X):
+        calls.append(X.shape)
+        return np.cos(X[0]) * X[1] + 0.5
+
+    g = SpatialGrid(2, 2.0, 21)
+    diff = DiffusionSpec(np.array([[0.5, 0.1], [0.1, 0.4]]))
+    drift = DriftSpec(lambda t, X: np.stack([np.tanh(X[1]) + t,
+                                             -np.sin(X[0])]))
+    p = LinearProblem(diff, drift, SourceSpec(f),
+                      TerminalSpec(lambda X: np.sin(X[0]) * X[1]), 0.0, 0.1)
+    dt = 0.5 * cfl_step(diff, g.h)
+    w = solve_grid(p, g, dt, strict_dt=True)
+    assert calls == [(2, 21, 21)]
+    assert w.times.size > 10
+    assert same_bits(w.values, _solve_grid_per_step(p, g, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +407,7 @@ def _solve_mc_first_form(problem, query_points, paths, dt, seed):
         for t in times[:-1]:
             Xt = X.T
             if problem.source is not None:
-                run += step * np.broadcast_to(problem.source.eval(t, Xt),
+                run += step * np.broadcast_to(problem.source.eval(Xt),
                                               (paths,))
             chol = np.linalg.cholesky(
                 2.0 * np.tile(problem.diffusion.A, (paths, 1, 1)))
@@ -395,7 +433,7 @@ def test_mc_factors_once_and_matches_first_form(A):
         DiffusionSpec(A),
         DriftSpec(lambda t, X: np.stack(
             [0.3 * np.sin(X[(k + 1) % N]) + 0.1 * t for k in range(N)])),
-        SourceSpec(lambda t, X: np.cos(X[0]) * X[-1] + t),
+        SourceSpec(lambda X: np.cos(X[0]) * X[-1]),
         TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2)
                      + X[0] * X[-1]), 0.0, 0.2)
     pts = [[0.3] * N, [-0.5] + [0.2] * (N - 1)]
@@ -418,28 +456,26 @@ def test_mc_input_validation():
 def test_fpk_mass_conserved_and_nonnegative():
     g = SpatialGrid(1, 4.0, 161)
     diff = DiffusionSpec.isotropic(1, 0.5)
-    drift = DriftSpec(lambda t, X: np.stack([0.5 * np.tanh(X[0])]))
-    res = solve_fpk_grid(diff, drift, [0.0], eps=4 * g.h, grid=g,
+    res = solve_fpk_grid(diff, [0.0], eps=4 * g.h, grid=g,
                          dt=cfl_dt(g, 1, 0.5), T=0.3)
     np.testing.assert_allclose(res.mass, 1.0, atol=1e-12)
     assert res.field.values.min() >= 0.0
     assert res.undershoot < 1e-12
 
 
-def _fpk_first_form(diffusion, drift, y, eps, grid, dt, T):
+def _fpk_first_form(diffusion, y, eps, grid, dt, T):
     """solve_fpk_grid's loop as first written, with slice lists and a
     zero-padded flux; returns (field values, mass, undershoot)."""
     N, h = grid.N, grid.h
     X = grid.meshgrid()
-    dt = stable_step(diffusion, X, h, (0.0, 0.5 * T, T), dt, drift)
+    dt = stable_step(diffusion, X, h, (), dt)
     times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
     r2 = sum((X[k] - y[k]) ** 2 for k in range(N))
     rho = np.exp(-r2 / (2 * eps ** 2))
     rho /= rho.sum() * h ** N
     vals, mass, undershoot = [rho], [rho.sum() * h ** N], 0.0
-    for t in times[:-1]:
-        B = drift.eval(t, X) if drift is not None else None
+    for _ in times[:-1]:
         div = np.zeros_like(rho)
         for ax in range(N):
             lo = [slice(None)] * N
@@ -449,9 +485,6 @@ def _fpk_first_form(diffusion, drift, y, eps, grid, dt, T):
             lo, hi = tuple(lo), tuple(hi)
             G = diffusion.A[ax, ax] * rho
             flux = (G[hi] - G[lo]) / h
-            if B is not None:
-                bf = 0.5 * (B[ax][lo] + B[ax][hi])
-                flux += np.where(bf > 0, bf * rho[hi], bf * rho[lo])
             for (i, j), a in diffusion.offdiag.items():
                 if ax in (i, j):
                     d = _centered_diff_first_form(rho, i + j - ax, h)
@@ -470,27 +503,16 @@ def _fpk_first_form(diffusion, drift, y, eps, grid, dt, T):
     return np.stack(vals), np.array(mass), undershoot
 
 
-@pytest.mark.parametrize("case", ["1d-drift", "2d-drift-offdiag",
-                                  "2d-isotropic"])
+@pytest.mark.parametrize("case", ["2d-offdiag", "2d-isotropic"])
 def test_fpk_matches_first_form(case, same_bits):
-    # sign-changing drifts exercise both upwind faces
-    if case == "1d-drift":
-        g = SpatialGrid(1, 4.0, 81)
-        diff = DiffusionSpec.isotropic(1, 0.5)
-        drift = DriftSpec(lambda t, X: (0.6 + t) * np.sin(X))
-        y = [0.3]
-    elif case == "2d-drift-offdiag":
-        g = SpatialGrid(2, 3.0, 31)
+    g = SpatialGrid(2, 3.0, 31)
+    if case == "2d-offdiag":
         diff = DiffusionSpec(np.array([[0.5, 0.15], [0.15, 0.4]]))
-        drift = DriftSpec(lambda t, X: np.stack(
-            [0.4 * np.tanh(X[1]), -0.3 * np.sin(X[0] + t)]))
         y = [0.2, -0.4]
     else:
-        g = SpatialGrid(2, 3.0, 31)
         diff = DiffusionSpec.isotropic(2, 0.5)
-        drift = None
         y = [0.0, 0.0]
-    args = (diff, drift, y, 4 * g.h, g, cfl_dt(g, g.N, 0.5), 0.2)
+    args = (diff, y, 4 * g.h, g, cfl_dt(g, g.N, 0.5), 0.2)
     res = solve_fpk_grid(*args)
     vals, mass, undershoot = _fpk_first_form(*args)
     assert res.field.values.shape[0] > 10
@@ -503,8 +525,7 @@ def test_fpk_oversized_dt_raises():
     g = SpatialGrid(1, 4.0, 81)
     diff = DiffusionSpec.isotropic(1, 0.5)
     with pytest.raises(CFLError):
-        solve_fpk_grid(diff, None, [0.0], 4 * g.h, g, 10 * cfl_dt(g, 1, 0.5),
-                       T=0.1)
+        solve_fpk_grid(diff, [0.0], 4 * g.h, g, 10 * cfl_dt(g, 1, 0.5), T=0.1)
 
 
 def test_fpk_gaussian_spreading():
@@ -513,28 +534,17 @@ def test_fpk_gaussian_spreading():
     diff = DiffusionSpec.isotropic(1, 0.5)
     eps = 4 * g.h
     T = 0.5
-    res = solve_fpk_grid(diff, None, [0.0], eps, g, cfl_dt(g, 1, 0.5), T)
+    res = solve_fpk_grid(diff, [0.0], eps, g, cfl_dt(g, 1, 0.5), T)
     x = g.axis
     var = np.sum(x ** 2 * res.field.values[-1]) * g.h
     assert var == pytest.approx(eps ** 2 + 2 * 0.5 * T, rel=0.02)
 
 
-def test_fpk_mean_transport():
-    # constant drift B: density mean moves with velocity -B
-    g = SpatialGrid(1, 5.0, 201)
-    diff = DiffusionSpec.isotropic(1, 0.5)
-    drift = DriftSpec(lambda t, X: np.stack([0.8 + 0 * X[0]]))
-    T = 0.5
-    res = solve_fpk_grid(diff, drift, [0.0], 4 * g.h, g, cfl_dt(g, 1, 0.5), T)
-    mean = np.sum(g.axis * res.field.values[-1]) * g.h
-    assert mean == pytest.approx(-0.8 * T, abs=0.02)
-
-
 def test_fpk_eps_floor():
     g = SpatialGrid(1, 4.0, 81)
     with pytest.raises(SpecError):
-        solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), None, [0.0],
-                       eps=g.h, grid=g, dt=1e-4, T=0.1)
+        solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), [0.0], eps=g.h,
+                       grid=g, dt=1e-4, T=0.1)
 
 
 def test_fpk_gradient_mass_slope():
@@ -545,7 +555,7 @@ def test_fpk_gradient_mass_slope():
     diff = DiffusionSpec.isotropic(1, 1.0)
     eps = 4 * g.h
     T = 200 * eps ** 2
-    res = solve_fpk_grid(diff, None, [0.0], eps, g, cfl_dt(g, 1, 1.0), T=T)
+    res = solve_fpk_grid(diff, [0.0], eps, g, cfl_dt(g, 1, 1.0), T=T)
     rep = fpk_gradient_mass(res)
     assert 0.4 <= rep.slope <= 0.6
     assert rep.cumulative[-1] > 0
@@ -554,8 +564,8 @@ def test_fpk_gradient_mass_slope():
 
 def test_fpk_gradient_mass_needs_nodes():
     g = SpatialGrid(1, 4.0, 81)
-    res = solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), None, [0.0],
-                         4 * g.h, g, cfl_dt(g, 1, 0.5), T=0.02)
+    res = solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), [0.0], 4 * g.h, g,
+                         cfl_dt(g, 1, 0.5), T=0.02)
     # the fit starts at 10 eps^2 = 1.6, past T
     with pytest.raises(SpecError, match="fewer than 4"):
         fpk_gradient_mass(res)
