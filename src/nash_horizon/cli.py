@@ -94,10 +94,13 @@ def _positive(cfg: dict, key: str, typ, *default) -> object:
 
 
 def _ascending(cfg: dict, key: str, typ) -> list:
-    """_need_list(cfg, key, typ), refused unless non-empty and ascending."""
+    """_need_list(cfg, key, typ), refused unless non-empty, ascending and
+    positive (a horizon T > 0, a player count N >= 1)."""
     items = _need_list(cfg, key, typ)
     if not items or any(b <= a for a, b in zip(items, items[1:])):
         raise ConfigError(f"config key {key!r} must list ascending values")
+    if not items[0] > 0:
+        raise ConfigError(f"config key {key!r} must list values > 0")
     return items
 
 

@@ -185,6 +185,10 @@ DECAY_2D = {
                               "T": -0.1})),
     ("solve", lq_config(game={"N": 0, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25,
                               "T": 0.2})),
+    # a horizon <= 0 once failed as a numerical error, a player count < 1
+    # in einsum
+    ("scan-horizon", lq_config(T_list=[-0.1, 0.05])),
+    ("stability", lq_config(N_list=[0, 2])),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

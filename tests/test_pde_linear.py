@@ -6,10 +6,12 @@ import pytest
 
 from nash_horizon.holder import (Field, GridError, SpatialGrid, finite_diff,
                                  time_nodes)
+from nash_horizon import pde_linear
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
     DriftSpec,
+    FPKResult,
     LinearProblem,
     SourceSpec,
     SolveError,
@@ -333,6 +335,17 @@ def test_drift_decay_probe():
     assert not decay_probe(bad, 3, 0.1)
 
 
+@pytest.mark.parametrize("N", [1, 3, 4])
+def test_decay_drift_matches_per_pair_tanh(N, same_bits):
+    # the drift forms tanh(x^j) once per coordinate, not once per (i, j)
+    drift = build_decay_problem(N, BETA, 0.6, 0.0, 0.0, 0.5, 0.2).drift
+    X = SpatialGrid(N, 3.0, 9).meshgrid() + 0.1
+    want = np.stack([
+        0.6 * sum(BETA.value(j - i) * np.tanh(X[j]) for j in range(N))
+        for i in range(N)])
+    assert same_bits(drift.eval(0.0, X), want)
+
+
 def test_ellipticity_check():
     diff = DiffusionSpec(np.array([[1.0, 0.2], [0.2, 1.0]]))
     assert np.linalg.eigvalsh(diff.A).min() == pytest.approx(0.8)
@@ -562,6 +575,22 @@ def test_fpk_gradient_mass_slope():
     assert rep.times[-1] == pytest.approx(T)
 
 
+@pytest.mark.parametrize("N, M, n_times", [(1, 401, 200), (2, 121, 7)])
+def test_fpk_gradient_mass_blocks_match_per_slice(N, M, n_times, same_bits):
+    # the gradients are taken over blocks of slices, whose count here is no
+    # multiple of the block; every slice is summed on its own as before
+    rows = pde_linear._GRADIENT_BLOCK_BYTES // (8 * M ** N)
+    assert n_times > rows and n_times % rows
+    g = SpatialGrid(N, 6.0, M)
+    rng = np.random.default_rng(N)
+    vals = rng.uniform(0.0, 1.0, (n_times,) + g.shape)
+    f = Field(g, np.linspace(0.0, 1.0, n_times), vals)
+    rep = fpk_gradient_mass(FPKResult(f, np.ones(n_times), 0.0, 0.01))
+    want = [max(float(np.sum(np.abs(np.gradient(slc, g.h, axis=ax))))
+                * g.h ** N for ax in range(N)) for slc in vals]
+    assert same_bits(rep.gradient_mass, want)
+
+
 def test_fpk_gradient_mass_needs_nodes():
     g = SpatialGrid(1, 4.0, 81)
     res = solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), [0.0], 4 * g.h, g,
@@ -716,6 +745,44 @@ def test_verify_decay_rejects_a_non_finite_derivative():
     g = SpatialGrid(2, 2.0, 11)
     sign = (-1.0) ** np.indices(g.shape).sum(axis=0)
     w = Field(g, [0.0, 0.1], np.stack([1e308 * sign] * 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridError, match="non-finite"):
+            verify_decay(w, BETA, collar=0.2, third_order=False)
+
+
+@pytest.mark.parametrize("N, M, collar", [(1, 41, 0.2), (2, 21, 0.25),
+                                          (3, 25, 0.2)])
+def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
+    # the collar holds at least m = 3 nodes, so the stream runs on the
+    # interior plus an m-node halo, yet the report is the whole grid's
+    rng = np.random.default_rng(N)
+    times = np.cumsum(rng.uniform(0.01, 0.1, 4))
+    w = Field(SpatialGrid(N, 2.0, M), times,
+              rng.normal(size=(4,) + (M,) * N))
+    shapes = []
+    real = pde_linear.derivatives
+    monkeypatch.setattr(pde_linear, "derivatives", lambda values, h, m: (
+        shapes.append(values.shape) or real(values, h, m)))
+    g = int(round(collar * M))
+    for third in (False, True):
+        rep = verify_decay(w, BETA, collar=collar, third_order=third)
+        assert tuple(rep.values().values()) == _verify_decay_first_form(
+            w, BETA, collar, third)
+        m = 3 if third else 2
+        assert shapes.pop() == (4,) + (M - 2 * (g - m),) * N
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_verify_decay_rejects_non_finite_despite_the_crop(outer):
+    # a collar of 4 >= m = 2 nodes would crop, but sup |w| is too large for
+    # the finiteness bound, so the whole grid is differentiated and checked;
+    # with outer set the overflowing values lie outside the cropped block
+    g = SpatialGrid(2, 2.0, 21)
+    sign = (-1.0) ** np.indices(g.shape).sum(axis=0)
+    vals = 1e308 * sign
+    if outer:
+        vals[2:-2, 2:-2] = 0.0
+    w = Field(g, [0.0, 0.1], np.stack([vals] * 2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridError, match="non-finite"):
             verify_decay(w, BETA, collar=0.2, third_order=False)
