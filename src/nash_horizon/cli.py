@@ -35,6 +35,8 @@ from .oracle_lq import (
     trajectory_to_csv,
 )
 from .pde_linear import (
+    MAX_FPK_DIM,
+    MAX_GRID_DIM,
     DiffusionSpec,
     build_decay_problem,
     cfl_step,
@@ -91,6 +93,26 @@ def _positive(cfg: dict, key: str, typ, *default) -> object:
     if not v > 0:
         raise ConfigError(f"config key {key!r} must be > 0")
     return v
+
+
+def _dimension(cfg: dict, key: str, limit: int, *default) -> int:
+    """_positive(cfg, key, int, *default), refused above limit."""
+    N = _positive(cfg, key, int, *default)
+    if N > limit:
+        raise ConfigError(f"config key {key!r} must be <= {limit}")
+    return N
+
+
+def _tolerances(cfg: dict, *keys) -> dict:
+    """cfg's tolerances block (default {}), refused if it names a key other
+    than keys, the ones the subcommand reads: a misspelled tolerance would
+    otherwise go unchecked."""
+    tol = _need(cfg, "tolerances", dict, {})
+    unknown = sorted(set(tol) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown}; this subcommand "
+                          f"reads {sorted(keys)}")
+    return tol
 
 
 def _ascending(cfg: dict, key: str, typ) -> list:
@@ -158,7 +180,7 @@ def _game_from(cfg: dict, beta, T=None, N=None):
 
 def _run_certify_weights(cfg, out, seed):
     beta = _weight_from(cfg)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "certified", "max_c")
     want = _need(tol, "certified", bool, True)
     cert = certify_csc(beta)
     conv = self_convolve(beta)
@@ -177,7 +199,7 @@ def _run_certify_weights(cfg, out, seed):
 def _run_solve(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "picard_tol", "residual_max")
     sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
                             max_iter=_need(cfg, "max_iter", int, 30),
                             iterate_norm=True)
@@ -202,7 +224,8 @@ def _run_scan_horizon(cfg, out, seed):
     beta = _weight_from(cfg)
     T_list = _ascending(cfg, "T_list", float)
     n_pairs = _positive(cfg, "n_pairs", int, 3)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "picard_tol", "contract_at_smallest",
+                      "spearman_min")
     contract = _need(tol, "contract_at_smallest", bool, True)
     scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
                         n_pairs=n_pairs, seed=seed,
@@ -232,18 +255,18 @@ def _run_scan_horizon(cfg, out, seed):
 def _run_verify_decay(cfg, out, seed):
     beta = _weight_from(cfg)
     blk = _need(cfg, "problem", dict)
-    N = _need(blk, "N", int)
+    N = _dimension(blk, "N", MAX_GRID_DIM)
     problem = build_decay_problem(
         N, beta, _need(blk, "c_B", float, 0.0), _need(blk, "c_F", float, 0.0),
         _need(blk, "c_G", float, 0.0), _positive(blk, "a", float),
         _positive(blk, "T", float))
     grid = _grid_from(cfg, N)
     collar = _collar_for(cfg, grid)
+    tol = _tolerances(cfg, "K2_max")
     w = solve_grid(problem, grid, _positive(cfg, "dt", float))
     rep = verify_decay(w, beta, collar=collar)
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
-    tol = _need(cfg, "tolerances", dict, {})
     passed = all(np.isfinite(v) for v in rep.values().values())
     if "K2_max" in tol:
         passed &= rep.K2 <= _need(tol, "K2_max", float)
@@ -252,13 +275,13 @@ def _run_verify_decay(cfg, out, seed):
 
 def _run_fpk_diagnostic(cfg, out, seed):
     blk = _need(cfg, "fpk", dict)
-    N = _need(blk, "N", int, 1)
+    N = _dimension(blk, "N", MAX_FPK_DIM, 1)
     grid = _grid_from(cfg, N)
     diff = DiffusionSpec.isotropic(N, _positive(blk, "a", float))
-    eps = _need(blk, "eps_factor", float, 4.0) * grid.h
+    eps = _positive(blk, "eps_factor", float, 4.0) * grid.h
     T = _positive(blk, "T", float)
     y = _need_list(blk, "y", float, N, [0.0] * N)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "slope_range")
     lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
     dt = _positive(cfg, "dt", float, 0.9 * cfl_step(diff, grid.h))
     res = solve_fpk_grid(diff, y, eps, grid, dt, T)
@@ -275,7 +298,7 @@ def _run_oracle_compare(cfg, out, seed):
     beta = _weight_from(cfg)
     game, spec = _game_from(cfg, beta)
     collar = _collar_for(cfg, game.grid)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "picard_tol", "max_err", "max_iterations")
     sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
                             max_iter=_need(cfg, "max_iter", int, 30))
     if sol is None:
@@ -306,7 +329,7 @@ def _run_stability(cfg, out, seed):
     N_list = _ascending(cfg, "N_list", int)
     if len(N_list) < 2:
         raise ConfigError("config key 'N_list' must list at least two values")
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "picard_tol", "C_max")
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,
         tol=_need(tol, "picard_tol", float, 1e-6),
@@ -325,7 +348,7 @@ def _run_stability(cfg, out, seed):
 def _run_uniqueness(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
-    tol = _need(cfg, "tolerances", dict, {})
+    tol = _tolerances(cfg, "picard_tol", "factor")
     ptol = _need(tol, "picard_tol", float, 1e-6)
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(game.terminal_field(i),

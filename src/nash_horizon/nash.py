@@ -31,7 +31,6 @@ from .holder import (
 from .oracle_lq import LQGameSpec
 from .pde_linear import (
     DiffusionSpec,
-    DriftSpec,
     LinearProblem,
     SolveError,
     SourceSpec,
@@ -77,6 +76,11 @@ class DivergedError(NashError):
 # Hamiltonian families
 
 
+def _quadratic(M, X):
+    """(1/2) x' M x at every node of the coordinates X (N, ...)."""
+    return 0.5 * np.einsum("jk,j...,k...->...", M, X, X)
+
+
 class HamiltonianFamily:
     """H^i(x, p) with the diagonal momentum partials dH^j/dp^j.
 
@@ -96,18 +100,16 @@ class HamiltonianFamily:
         self.Q = np.asarray(Q, dtype=float)
         self.kappa = kappa
 
-    def _spatial(self, i, X):
-        return 0.5 * np.einsum("jk,j...,k...->...", self.Q[i], X, X)
-
     def value(self, i, X, p):
         """H^i(x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
         if self.kind == "lq":
-            return 0.5 * p[i] ** 2 - self._spatial(i, X)
+            return 0.5 * p[i] ** 2 - _quadratic(self.Q[i], X)
         psi = self.kappa * np.tanh(p[i] / self.kappa)
-        return 0.5 * psi ** 2 - self._spatial(i, X)
+        return 0.5 * psi ** 2 - _quadratic(self.Q[i], X)
 
-    def dpj(self, j, X, p):
-        """dH^j/dp^j(x, p): the only momentum partials the drift needs."""
+    def dpj(self, j, p):
+        """dH^j/dp^j(p), free of x: the only momentum partials the drift
+        needs."""
         if self.kind == "lq":
             return p[j]
         z = p[j] / self.kappa
@@ -178,10 +180,7 @@ def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
     "saturated" (which needs kappa)."""
     ham = HamiltonianFamily(kind, spec.Q, kappa)
     diffusion = DiffusionSpec.isotropic(spec.N, 0.5 * spec.sigma ** 2)
-    terms = [
-        (lambda X, G=spec.Gamma[i]: 0.5 * np.einsum("jk,j...,k...->...", G, X, X))
-        for i in range(spec.N)
-    ]
+    terms = [(lambda X, G=G: _quadratic(G, X)) for G in spec.Gamma]
     return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt)
 
 
@@ -189,12 +188,12 @@ def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
 # frozen drift and sweep assembly
 
 
-def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
-    """Player i's drift from the frozen gradients Du (N, K+1, M, ..., M),
-    D_j u^j on game.times: B^j_i = dH^j/dp^j(Du) for j != i, and the own slot
-    is the s-average int_0^1 dH^i/dp^i(Du^-i, s D_i u^i) ds in closed form
-    (HamiltonianFamily.own_average).  The drift is read at the time nodes of
-    the game's grid only; anywhere else it raises NashError.
+def assemble_drift(game: GameSpec, Du: np.ndarray, i: int):
+    """Player i's drift b(t, X) from the frozen gradients Du (N, K+1, M,
+    ..., M), D_j u^j on game.times: B^j_i = dH^j/dp^j(Du) for j != i, and
+    the own slot is the s-average int_0^1 dH^i/dp^i(Du^-i, s D_i u^i) ds in
+    closed form (HamiltonianFamily.own_average).  The drift is read at the
+    time nodes of the game's grid only; anywhere else it raises NashError.
     """
     ham = game.hamiltonian
     times = game.times
@@ -211,13 +210,13 @@ def assemble_drift(game: GameSpec, Du: np.ndarray, i: int) -> DriftSpec:
         out = np.empty((game.N,) + X.shape[1:])
         for j in range(game.N):
             if j != i:
-                out[j] = ham.dpj(j, X, p)
+                out[j] = ham.dpj(j, p)
         out[i] = ham.own_average(i, p)
         if not np.all(np.isfinite(out[i])):
             raise DivergedError(f"non-finite own-momentum drift for player {i}")
         return out
 
-    return DriftSpec(b)
+    return b
 
 
 def assemble_source(game: GameSpec, i: int) -> np.ndarray:
@@ -442,16 +441,16 @@ def residual(game: GameSpec, fields) -> list:
         second = [finite_diff(D[min(a, b)], (max(a, b),)).values
                   for a, b in pairs]
         res = -np.gradient(f.values, times, axis=0, edge_order=2)
-        for k in range(times.size):
-            acc = np.zeros(grid.shape)
-            for w, d in zip(coef, second):
-                acc += w * d[k]
-            res[k] -= acc
+        acc = np.zeros_like(res)
+        for w, d in zip(coef, second):
+            acc += w * d
+        res -= acc
+        del acc                 # not held through the Hamiltonian terms
         # H^i is t-independent (HamiltonianFamily): all time nodes at once
         res += ham.value(i, X, Du)
         for j in range(game.N):
             if j != i:
-                res += ham.dpj(j, X, Du) * D[j].values
+                res += ham.dpj(j, Du) * D[j].values
         out.append(float(np.max(np.abs(res[(slice(None),) + inner]))))
     return out
 

@@ -25,7 +25,6 @@ from .weights import multi_index_weight
 
 __all__ = [
     "DiffusionSpec",
-    "DriftSpec",
     "SourceSpec",
     "TerminalSpec",
     "LinearProblem",
@@ -34,7 +33,6 @@ __all__ = [
     "FPKResult",
     "GradientMassReport",
     "cfl_step",
-    "stable_step",
     "solve_grid",
     "solve_mc",
     "solve_fpk_grid",
@@ -43,6 +41,7 @@ __all__ = [
 ]
 
 MAX_GRID_DIM = 4
+MAX_FPK_DIM = 2                   # solve_fpk_grid's density diagnostics
 
 # fpk_gradient_mass differentiates this many bytes of time slices at once:
 # blocks sized in bytes keep a small N = 2 slice count near one (a fixed
@@ -107,29 +106,14 @@ class DiffusionSpec:
 
 
 @dataclass
-class DriftSpec:
-    """Drift B(t, x) in R^N, broadcast to the coordinates' shape.  Decay of
-    its derivatives is a property of the data (build_decay_problem builds
-    ||D_j B^i|| <= c_B beta^(j-i) into its formula), not checked here."""
-
-    b: object                     # callable (t, X:(N,...)) -> (N,...)
-
-    def eval(self, t: float, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.b(t, X), dtype=float)
-        if out.shape != X.shape:
-            out = np.broadcast_to(out, X.shape)
-        return out
-
-
-@dataclass
 class TerminalSpec:
     """Data of x alone, the terminal cost G or the source F, broadcast to
-    the coordinates' spatial shape."""
+    the coordinates' spatial shape as a read-only view."""
 
     g: object                     # callable (X:(N,...)) -> array
 
     def eval(self, X):
-        return np.broadcast_to(np.asarray(self.g(X), dtype=float), X.shape[1:]).copy()
+        return np.broadcast_to(np.asarray(self.g(X), dtype=float), X.shape[1:])
 
 
 SourceSpec = TerminalSpec
@@ -138,7 +122,7 @@ SourceSpec = TerminalSpec
 @dataclass
 class LinearProblem:
     diffusion: DiffusionSpec
-    drift: DriftSpec | None
+    drift: object | None          # callable (t, X:(N,...)) -> X.shape array
     source: SourceSpec | None
     terminal: TerminalSpec
     t0: float
@@ -168,7 +152,7 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
 
     return LinearProblem(
         DiffusionSpec.isotropic(N, a),
-        DriftSpec(drift) if c_B else None,
+        drift if c_B else None,
         SourceSpec(lambda X: ramp(X, c_F)) if c_F else None,
         TerminalSpec(lambda X: ramp(X, c_G)),
         0.0, T)
@@ -229,21 +213,14 @@ def cfl_step(diffusion: DiffusionSpec, h: float) -> float:
     return h ** 2 / (2 * diffusion.N * diffusion.sup)
 
 
-def stable_step(diffusion: DiffusionSpec, X: np.ndarray, h: float, t_samples,
-                dt: float, drift: DriftSpec | None = None) -> float:
-    """Explicit step for a requested dt on coordinates X, of the diffusion's
-    dimension: CFLError above cfl_step, then shrunk (never coarsened) to
-    cover the upwind transport of a drift sampled at t_samples."""
-    if X.shape[0] != diffusion.N:
+def _check_step(diffusion: DiffusionSpec, grid: SpatialGrid, dt: float):
+    """SpecError unless the grid has the diffusion's dimension; CFLError if
+    dt exceeds cfl_step by more than a 1e-9 relative slack."""
+    if grid.N != diffusion.N:
         raise SpecError("grid dimension does not match diffusion spec")
-    cfl = cfl_step(diffusion, h)
+    cfl = cfl_step(diffusion, grid.h)
     if dt > cfl * (1 + 1e-9):
         raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
-    if drift is not None:
-        supB = max(float(np.max(np.abs(drift.eval(t, X)))) for t in t_samples)
-        if supB > 0:
-            dt = min(dt, _transport_step(diffusion.N, diffusion.sup, supB, h))
-    return dt
 
 
 def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
@@ -258,11 +235,16 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     N = grid.N
     if N > MAX_GRID_DIM:
         raise SpecError(f"grid backend limited to N <= {MAX_GRID_DIM}")
+    _check_step(problem.diffusion, grid, dt)
     X = grid.meshgrid()
     h = grid.h
-    t_samples = (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T)
-    dt = stable_step(problem.diffusion, X, h, t_samples, dt,
-                     None if strict_dt else problem.drift)
+    b = problem.drift
+    if b is not None and not strict_dt:
+        # shrink (never coarsen) to cover the drift at t0, the midpoint and T
+        supB = max(float(np.max(np.abs(b(t, X)))) for t in
+                   (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T))
+        if supB > 0:
+            dt = min(dt, _transport_step(N, problem.diffusion.sup, supB, h))
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
@@ -275,10 +257,10 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
         # blow-up is caught below; silence the transient overflow noise
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
-            if problem.drift is not None:
-                B = problem.drift.eval(t, X)
+            if b is not None:
+                B = b(t, X)
                 bound = _transport_step(N, problem.diffusion.sup, sup_abs(B), h)
-                # the slack of stable_step's CFL check: time_nodes may leave
+                # the slack of _check_step's CFL check: time_nodes may leave
                 # a shrunk step a rounding error above the bound it met
                 if step > bound * (1 + 1e-9):
                     raise TransportBoundError(
@@ -332,7 +314,7 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
             dW = rng.standard_normal((paths, N))
             drift = np.zeros((paths, N))
             if problem.drift is not None:
-                drift = -problem.drift.eval(t, Xt).T
+                drift = -problem.drift(t, Xt).T
             X = X + step * drift + np.sqrt(step) * np.einsum(
                 "ij,pj->pi", chol, dW)
         payoff = run + problem.terminal.eval(X.T)
@@ -362,14 +344,14 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     conserve mass exactly; negative undershoot is clipped and tracked.
     """
     N = grid.N
-    if N > 2:
-        raise SpecError("density diagnostics limited to N <= 2")
+    if N > MAX_FPK_DIM:
+        raise SpecError(f"density diagnostics limited to N <= {MAX_FPK_DIM}")
     if eps < 2 * grid.h:
         raise SpecError("mollifier width must satisfy eps >= 2h")
+    _check_step(diffusion, grid, dt)
     X = grid.meshgrid()
     h = grid.h
     y = np.asarray(y, dtype=float).reshape(N)
-    dt = stable_step(diffusion, X, h, (), dt)
     times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
 

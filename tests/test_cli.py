@@ -189,6 +189,12 @@ DECAY_2D = {
     # in einsum
     ("scan-horizon", lq_config(T_list=[-0.1, 0.05])),
     ("stability", lq_config(N_list=[0, 2])),
+    # a dimension the solver cannot take, or a negative mollifier width, once
+    # failed as a numerical error
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"], "N": 0}}),
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"], "N": 5}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "N": 3}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "eps_factor": -1}}),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written
@@ -240,6 +246,28 @@ def test_boolean_for_a_number_exits_2(tmp_path, command, cfg):
     code, summary, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert summary is None
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("certify-weights", {"weights": WEIGHTS, "tolerances": {"Max_c": 1.0}}),
+    ("solve", lq_config(tolerances={"picard_tol": 1e-6, "residual_Max": 0.0})),
+    ("scan-horizon", lq_config(T_list=[0.05], n_pairs=1,
+                               tolerances={"spearmanmin": 2.0})),
+    ("verify-decay", {**DECAY, "tolerances": {"K2_Max": 1e-9}}),
+    ("fpk-diagnostic", {**FPK, "tolerances": {"slope-range": [0.0, 0.1]}}),
+    ("oracle-compare", lq_config(tolerances={"picard_tol": 1e-6,
+                                             "max_error": 1e-12})),
+    ("stability", lq_config(N_list=[1, 2], tolerances={"C_MAX": 0.0})),
+    ("uniqueness", lq_config(tolerances={"picard_tol": 1e-6, "Factor": 0.0})),
+])
+def test_misspelled_tolerance_exits_2(tmp_path, capsys, command, cfg):
+    # a tolerance the subcommand does not read was once ignored, so a check
+    # the config asked for never ran: refused before any solve
+    code, summary, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert summary is None
+    (bad,) = set(cfg["tolerances"]) - {"picard_tol"}
+    assert repr(bad) in capsys.readouterr().err
 
 
 def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
@@ -340,6 +368,19 @@ def test_verify_decay_non_finite_exits_1(tmp_path):
     assert not summary["passed"]
     assert summary["error"].startswith("SolveError: non-finite value")
     assert "node (0, 0)" in summary["error"]
+
+
+@pytest.mark.parametrize("residual_max, code", [(1e-3, 1), (1e-2, 0)])
+def test_solve_residual_max(tmp_path, residual_max, code):
+    # the fixed point's residual sup is about 2.0e-3 on both players
+    cfg = lq_config(tolerances={"picard_tol": 1e-6,
+                                "residual_max": residual_max})
+    got, summary, _ = run(tmp_path, "solve", cfg)
+    assert got == code
+    assert summary["results"]["picard"]["converged"]
+    assert summary["passed"] is (code == 0)
+    assert (max(summary["results"]["residual_sup"]) <= residual_max) is (
+        code == 0)
 
 
 def test_solve_saturated_converges(tmp_path):
@@ -457,6 +498,19 @@ def test_stability(tmp_path):
     code, summary, o = run(tmp_path, "stability", cfg)
     assert code == 0
     assert (o / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("C_max, code", [(1e-4, 1), (1e-3, 0)])
+def test_stability_C_max(tmp_path, C_max, code):
+    # test_stability's game: its fitted C is about 1.65e-4, and the single
+    # diff row cannot fail the monotonicity check
+    cfg = lq_config(grid={"L": 2.0, "M": 15}, dt=0.01, N_list=[2, 3],
+                    tolerances={"picard_tol": 1e-6, "C_max": C_max})
+    cfg["game"].update({"c_Q": 0.02, "c_G": 0.04, "T": 0.1})
+    got, summary, _ = run(tmp_path, "stability", cfg)
+    assert got == code
+    assert summary["passed"] is (code == 0)
+    assert (summary["results"]["fitted_C"] <= C_max) is (code == 0)
 
 
 def test_uniqueness(tmp_path):

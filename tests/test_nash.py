@@ -38,7 +38,6 @@ from nash_horizon.nash import (
 from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
 from nash_horizon.pde_linear import (
     DiffusionSpec,
-    DriftSpec,
     LinearProblem,
     SourceSpec,
     TerminalSpec,
@@ -90,7 +89,7 @@ def probe_derivatives(ham):
         e = np.zeros_like(p)
         e[j] = h
         fd = (ham.value(j, X, p + e) - ham.value(j, X, p - e)) / (2 * h)
-        an = np.broadcast_to(ham.dpj(j, X, p), fd.shape)
+        an = np.broadcast_to(ham.dpj(j, p), fd.shape)
         scale = np.maximum(np.abs(an), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
     return worst
@@ -104,7 +103,7 @@ def test_hamiltonian_probe_passes_builtin():
 
 def test_hamiltonian_probe_catches_wrong_derivative():
     class WrongPartial(HamiltonianFamily):
-        def dpj(self, j, X, p):
+        def dpj(self, j, p):
             return 1.5 * p[j]
 
     assert probe_derivatives(WrongPartial("lq", np.zeros((2, 2, 2)))) > 1e-4
@@ -125,15 +124,14 @@ def test_saturated_matches_lq_at_small_momenta():
     lq = HamiltonianFamily("lq", Q)
     sat = HamiltonianFamily("saturated", Q, kappa=10.0)
     p = np.array([[0.3], [-0.8]])
-    X = np.zeros((2, 1))
     for j in range(2):
-        assert sat.dpj(j, X, p) == pytest.approx(lq.dpj(j, X, p), abs=2e-2)
+        assert sat.dpj(j, p) == pytest.approx(lq.dpj(j, p), abs=2e-2)
 
 
 def test_saturated_derivatives_bounded():
     sat = HamiltonianFamily("saturated", np.zeros((1, 1, 1)), kappa=2.0)
     p = np.linspace(-100, 100, 1001)[None]
-    assert np.max(np.abs(sat.dpj(0, np.zeros_like(p), p))) <= 2.0
+    assert np.max(np.abs(sat.dpj(0, p))) <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +152,7 @@ def test_assemble_drift_lq_structure():
     Du = frozen_gradients(u)
     X = game.grid.meshgrid()
     t = game.times[3]
-    B0 = assemble_drift(game, Du, 0).eval(t, X)
+    B0 = assemble_drift(game, Du, 0)(t, X)
     np.testing.assert_allclose(B0[0], 0.5 * Du[0, 3], atol=1e-12)
     np.testing.assert_allclose(B0[1], Du[1, 3], atol=1e-12)
 
@@ -163,7 +161,7 @@ def test_assemble_drift_zero_field():
     game, _ = mini_game()
     Du = frozen_gradients(game.zero_fields())
     X = game.grid.meshgrid()
-    B = assemble_drift(game, Du, 1).eval(game.times[2], X)
+    B = assemble_drift(game, Du, 1)(game.times[2], X)
     np.testing.assert_allclose(B, 0.0, atol=1e-15)
 
 
@@ -176,9 +174,9 @@ def test_assemble_drift_reads_nodes_only():
     for t in (0.05, 0.5 * (game.times[0] + game.times[1]), -0.01,
               game.T + 0.01):
         with pytest.raises(NashError, match="time nodes"):
-            drift.eval(t, X)
+            drift(t, X)
     with pytest.raises(NashError, match="grid-aligned"):
-        drift.eval(game.times[1], X[:, :5])
+        drift(game.times[1], X[:, :5])
 
 
 def test_assemble_source_zero_field_is_spatial_part():
@@ -224,12 +222,12 @@ def _drift_first_form(game, Du, i, t, X):
     out = np.empty((game.N,) + X.shape[1:])
     for j in range(game.N):
         if j != i:
-            out[j] = ham.dpj(j, X, Du)
+            out[j] = ham.dpj(j, Du)
     acc = np.zeros(X.shape[1:])
     for s, w in zip(_GL_S, _GL_W):
         ps = Du.copy()
         ps[i] = s * Du[i]
-        acc += w * np.asarray(ham.dpj(i, X, ps), dtype=float)
+        acc += w * np.asarray(ham.dpj(i, ps), dtype=float)
     out[i] = acc
     return out
 
@@ -256,7 +254,7 @@ def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
         for k in (0, 1, int(rng.integers(times.size)), times.size - 1):
             t = times[k]
             for i in range(game.N):
-                got = assemble_drift(game, Du, i).eval(t, X)
+                got = assemble_drift(game, Du, i)(t, X)
                 ref = _drift_first_form(game, Du[:, k], i, t, X)
                 others = [j for j in range(game.N) if j != i]
                 assert same_bits(got[others], ref[others])
@@ -273,16 +271,15 @@ def test_saturated_own_average_matches_adaptive_quadrature():
     quad = pytest.importorskip("scipy.integrate").quad
     kappa = 0.7
     sat = HamiltonianFamily("saturated", np.zeros((2, 2, 2)), kappa)
-    X = np.zeros((2, 1))
     worst_closed = worst_rule = 0.0
     for r in np.concatenate((np.linspace(-12, 12, 97), [1e-8, -3e-5])):
         p = np.array([[r * kappa], [0.3]])
-        ref, _ = quad(lambda s: float(sat.dpj(0, X, np.array(
+        ref, _ = quad(lambda s: float(sat.dpj(0, np.array(
             [[s * p[0, 0]], [0.3]]))[0]), 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
             limit=200)
         if ref == 0.0:
             continue
-        rule = sum(w * sat.dpj(0, X, np.array([[s * p[0, 0]], [0.3]]))[0]
+        rule = sum(w * sat.dpj(0, np.array([[s * p[0, 0]], [0.3]]))[0]
                    for s, w in zip(_GL_S, _GL_W))
         worst_closed = max(worst_closed,
                            abs(sat.own_average(0, p)[0] - ref) / abs(ref))
@@ -317,15 +314,15 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
             out = np.empty_like(p)
             for j in range(game.N):
                 out[j] = (game.hamiltonian.own_average(i, p) if j == i
-                          else game.hamiltonian.dpj(j, X, p))
+                          else game.hamiltonian.dpj(j, p))
             return out
-        return DriftSpec(b)
+        return b
 
     flipped = False
     for i in range(game.N):
         new, old = assemble_drift(game, Du, i), old_drift(i)
         for t in times[1:]:
-            a, b = new.eval(t, X), old.eval(t, X)
+            a, b = new(t, X), old(t, X)
             assert np.array_equal(a, b)
             flipped |= not same_bits(a, b)
     assert flipped
@@ -493,7 +490,7 @@ def test_non_finite_own_drift_is_a_divergence():
     Du[0, 0, 4, 4] = np.inf
     drift = assemble_drift(game, Du, 0)
     with pytest.raises(nash.DivergedError, match="own-momentum drift"):
-        drift.eval(game.times[0], game.grid.meshgrid())
+        drift(game.times[0], game.grid.meshgrid())
 
 
 def test_picard_step_raises_step_bound_error(monkeypatch):
@@ -988,7 +985,7 @@ def _residual_first_form(game, fields, collar=0.1):
             res[k] += game.hamiltonian.value(i, X, Du)
             for j in range(game.N):
                 if j != i:
-                    res[k] += game.hamiltonian.dpj(j, X, Du) * \
+                    res[k] += game.hamiltonian.dpj(j, Du) * \
                         fam[(j,)].values[k]
         out.append(float(np.abs(res[(slice(None),) + inner]).max()))
     return out

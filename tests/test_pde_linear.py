@@ -10,7 +10,6 @@ from nash_horizon import pde_linear
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
-    DriftSpec,
     FPKResult,
     LinearProblem,
     SourceSpec,
@@ -19,6 +18,7 @@ from nash_horizon.pde_linear import (
     TerminalSpec,
     TransportBoundError,
     _centered_diff,
+    _check_step,
     _diffusion_term,
     _neighbours,
     _transport_term,
@@ -28,7 +28,6 @@ from nash_horizon.pde_linear import (
     solve_fpk_grid,
     solve_grid,
     solve_mc,
-    stable_step,
     verify_decay,
 )
 from nash_horizon.weights import build_weight
@@ -78,7 +77,7 @@ def test_constant_terminal_no_source():
     # with F = 0 and G = c the solution is identically c
     g = SpatialGrid(2, 2.0, 41)
     diff = DiffusionSpec.isotropic(2, 1.0)
-    drift = DriftSpec(lambda t, X: np.stack([np.sin(X[0]), 0 * X[1]]))
+    drift = lambda t, X: np.stack([np.sin(X[0]), 0 * X[1]])
     p = LinearProblem(diff, drift, None,
                       TerminalSpec(lambda X: 3.0 + 0 * X[0]), 0.0, 0.1)
     w = solve_grid(p, g, cfl_dt(g, 2, 1.0))
@@ -106,7 +105,7 @@ def test_comparison_principle():
     # F >= 0, G >= 0 implies w >= 0 (monotone scheme)
     g = SpatialGrid(2, 2.0, 31)
     diff = DiffusionSpec.isotropic(2, 0.5)
-    drift = DriftSpec(lambda t, X: np.stack([np.tanh(X[0]), -np.tanh(X[1])]))
+    drift = lambda t, X: np.stack([np.tanh(X[0]), -np.tanh(X[1])])
     src = SourceSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
     p = LinearProblem(diff, drift, src,
                       TerminalSpec(lambda X: np.maximum(X[0], 0.0)), 0.0, 0.2)
@@ -139,7 +138,7 @@ def test_strict_step_checks_the_transport_bound():
     bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
     for dt, ok in ((0.99 * bound, True), (1.1 * bound, False)):
         p = LinearProblem(DiffusionSpec.isotropic(1, 0.5),
-                          DriftSpec(lambda t, X: 3.0 * np.cos(X)), None,
+                          lambda t, X: 3.0 * np.cos(X), None,
                           TerminalSpec(lambda X: np.sin(X[0])), 0.0, 4 * dt)
         if ok:
             assert solve_grid(p, g, dt, strict_dt=True).times.size == 5
@@ -156,8 +155,8 @@ def test_every_step_checks_the_transport_bound():
     g = SpatialGrid(1, 2.0, 41)
     diff = DiffusionSpec.isotropic(1, 0.5)
     T = 0.4
-    pulse = DriftSpec(lambda t, X: 60 * np.exp(-((t - T / 4) / (T / 40)) ** 2)
-                      * np.cos(3 * X))
+    pulse = lambda t, X: (60 * np.exp(-((t - T / 4) / (T / 40)) ** 2)
+                          * np.cos(3 * X))
     p = LinearProblem(diff, pulse, None, TerminalSpec(lambda X: np.sin(X[0])),
                       0.0, T)
     with pytest.raises(TransportBoundError) as err:
@@ -166,7 +165,7 @@ def test_every_step_checks_the_transport_bound():
     assert float(re.search(r" is (\S+) times", str(err.value))[1]) > 1
     # a step a rounding error above the bound it was shrunk to still runs
     bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
-    p = LinearProblem(diff, DriftSpec(lambda t, X: 3.0 * np.cos(X)), None,
+    p = LinearProblem(diff, lambda t, X: 3.0 * np.cos(X), None,
                       TerminalSpec(lambda X: np.sin(X[0])), 0.0,
                       7 * bound * (1 + 1e-13))
     w = solve_grid(p, g, 0.9 * cfl_step(diff, g.h))
@@ -197,7 +196,7 @@ def _solve_grid_per_step(problem, grid, dt):
         v = vals[-1]
         nbrs = [_neighbours(v, k) for k in range(grid.N)]
         rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
-        rhs -= _transport_term(problem.drift.eval(t1, X), v, nbrs, h)
+        rhs -= _transport_term(problem.drift(t1, X), v, nbrs, h)
         rhs += problem.source.eval(X)
         vals.append(v + (times[1] - times[0]) * rhs)
     return np.stack(vals[::-1])
@@ -214,8 +213,7 @@ def test_solve_grid_evaluates_the_source_once(same_bits):
 
     g = SpatialGrid(2, 2.0, 21)
     diff = DiffusionSpec(np.array([[0.5, 0.1], [0.1, 0.4]]))
-    drift = DriftSpec(lambda t, X: np.stack([np.tanh(X[1]) + t,
-                                             -np.sin(X[0])]))
+    drift = lambda t, X: np.stack([np.tanh(X[1]) + t, -np.sin(X[0])])
     p = LinearProblem(diff, drift, SourceSpec(f),
                       TerminalSpec(lambda X: np.sin(X[0]) * X[1]), 0.0, 0.1)
     dt = 0.5 * cfl_step(diff, g.h)
@@ -319,7 +317,7 @@ def decay_probe(drift, N, c_B):
     for j in range(N):
         e = np.zeros((N, 1))
         e[j] = h
-        dB = (drift.eval(0.0, pts + e) - drift.eval(0.0, pts - e)) / (2 * h)
+        dB = (drift(0.0, pts + e) - drift(0.0, pts - e)) / (2 * h)
         for i in range(N):
             if np.max(np.abs(dB[i])) > 1.1 * c_B * BETA.value(j - i):
                 return False
@@ -331,7 +329,7 @@ def test_drift_decay_probe():
     for N in (1, 3, 5):
         drift = build_decay_problem(N, BETA, 0.6, 0.0, 0.0, 0.5, 0.2).drift
         assert decay_probe(drift, N, 0.6)
-    bad = DriftSpec(lambda t, X: np.stack([np.sin(X[2]), 0 * X[1], 0 * X[2]]))
+    bad = lambda t, X: np.stack([np.sin(X[2]), 0 * X[1], 0 * X[2]])
     assert not decay_probe(bad, 3, 0.1)
 
 
@@ -343,7 +341,7 @@ def test_decay_drift_matches_per_pair_tanh(N, same_bits):
     want = np.stack([
         0.6 * sum(BETA.value(j - i) * np.tanh(X[j]) for j in range(N))
         for i in range(N)])
-    assert same_bits(drift.eval(0.0, X), want)
+    assert same_bits(drift(0.0, X), want)
 
 
 def test_ellipticity_check():
@@ -427,7 +425,7 @@ def _solve_mc_first_form(problem, query_points, paths, dt, seed):
             dW = rng.standard_normal((paths, N))
             drift = np.zeros((paths, N))
             if problem.drift is not None:
-                drift = -problem.drift.eval(t, Xt).T
+                drift = -problem.drift(t, Xt).T
             X = X + step * drift + np.sqrt(step) * np.einsum(
                 "pij,pj->pi", chol, dW)
         payoff = run + np.broadcast_to(problem.terminal.eval(X.T), (paths,))
@@ -444,8 +442,8 @@ def test_mc_factors_once_and_matches_first_form(A):
     N = len(A)
     p = LinearProblem(
         DiffusionSpec(A),
-        DriftSpec(lambda t, X: np.stack(
-            [0.3 * np.sin(X[(k + 1) % N]) + 0.1 * t for k in range(N)])),
+        lambda t, X: np.stack(
+            [0.3 * np.sin(X[(k + 1) % N]) + 0.1 * t for k in range(N)]),
         SourceSpec(lambda X: np.cos(X[0]) * X[-1]),
         TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2)
                      + X[0] * X[-1]), 0.0, 0.2)
@@ -481,7 +479,7 @@ def _fpk_first_form(diffusion, y, eps, grid, dt, T):
     zero-padded flux; returns (field values, mass, undershoot)."""
     N, h = grid.N, grid.h
     X = grid.meshgrid()
-    dt = stable_step(diffusion, X, h, (), dt)
+    _check_step(diffusion, grid, dt)
     times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
     r2 = sum((X[k] - y[k]) ** 2 for k in range(N))
