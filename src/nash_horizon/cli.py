@@ -156,7 +156,7 @@ def _collar_for(cfg: dict, grid: SpatialGrid) -> float:
 
 def _game_from(cfg: dict, beta, T=None, N=None):
     blk = _need(cfg, "game", dict)
-    N = _positive(blk, "N", int) if N is None else N
+    N = _dimension(blk, "N", MAX_GRID_DIM) if N is None else N
     T = _positive(blk, "T", float) if T is None else T
     spec = decay_lq_game(N, beta, _need(blk, "c_Q", float),
                          _need(blk, "c_G", float), _positive(blk, "sigma", float),
@@ -278,7 +278,11 @@ def _run_fpk_diagnostic(cfg, out, seed):
     N = _dimension(blk, "N", MAX_FPK_DIM, 1)
     grid = _grid_from(cfg, N)
     diff = DiffusionSpec.isotropic(N, _positive(blk, "a", float))
-    eps = _positive(blk, "eps_factor", float, 4.0) * grid.h
+    # e >= 2 gives fl(e h) >= 2h, so solve_fpk_grid's eps >= 2h test passes
+    eps_factor = _need(blk, "eps_factor", float, 4.0)
+    if not eps_factor >= 2:
+        raise ConfigError("config key 'eps_factor' must be >= 2 (eps >= 2h)")
+    eps = eps_factor * grid.h
     T = _positive(blk, "T", float)
     y = _need_list(blk, "y", float, N, [0.0] * N)
     tol = _tolerances(cfg, "slope_range")
@@ -329,6 +333,9 @@ def _run_stability(cfg, out, seed):
     N_list = _ascending(cfg, "N_list", int)
     if len(N_list) < 2:
         raise ConfigError("config key 'N_list' must list at least two values")
+    if N_list[-1] > MAX_GRID_DIM:
+        raise ConfigError(f"config key 'N_list' must list values <= "
+                          f"{MAX_GRID_DIM}")
     tol = _tolerances(cfg, "picard_tol", "C_max")
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,

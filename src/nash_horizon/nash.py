@@ -33,7 +33,6 @@ from .pde_linear import (
     DiffusionSpec,
     LinearProblem,
     SolveError,
-    SourceSpec,
     TerminalSpec,
     TransportBoundError,
     cfl_step,
@@ -247,7 +246,7 @@ def picard_step(game: GameSpec, fields) -> list:
         problem = LinearProblem(
             game.diffusion,
             assemble_drift(game, Du, i),
-            SourceSpec(lambda X, F=game.sources[i]: F),
+            TerminalSpec(lambda X, F=game.sources[i]: F),
             TerminalSpec(game.terminals[i]),
             0.0, game.T, player=i)
         try:
@@ -420,30 +419,27 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
 
 
 def residual(game: GameSpec, fields) -> list:
-    """Per-player sup of the Nash equation left side over the interior nodes
-    (collar 0.1), one float per player.  Only the derivatives it
-    reads are made: D_j u^i (the frozen gradients Du are the j = i ones),
-    D_c D_c u^i and D_a D_b u^i for the off-diagonal diffusion keys."""
+    """Per-player sup of the Nash equation left side
+    -u_t - a Lap u^i + H^i(Du) + sum_{j != i} dH^j/dp^j(Du) D_j u^i over the
+    interior nodes (collar 0.1), one float per player.  Only the derivatives
+    it reads are made: D_j u^i (the frozen gradients Du are the j = i ones)
+    and D_c D_c u^i."""
     grid = game.grid
     times = fields[0].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
     Du = np.stack([finite_diff(f, (i,)).values for i, f in enumerate(fields)])
     X = grid.meshgrid()
-    ham, diff = game.hamiltonian, game.diffusion
-    pairs = [(c, c) for c in range(game.N)] + list(diff.offdiag)
-    coef = [diff.A[a, b] if a == b else 2 * diff.A[a, b] for a, b in pairs]
+    ham, a = game.hamiltonian, game.diffusion.a
     inner = grid.interior(0.1)
     out = []
     for i, f in enumerate(fields):
         D = [Field(grid, times, Du[i]) if j == i else finite_diff(f, (j,))
              for j in range(game.N)]
-        second = [finite_diff(D[min(a, b)], (max(a, b),)).values
-                  for a, b in pairs]
         res = -np.gradient(f.values, times, axis=0, edge_order=2)
         acc = np.zeros_like(res)
-        for w, d in zip(coef, second):
-            acc += w * d
+        for c in range(game.N):
+            acc += a * finite_diff(D[c], (c,)).values
         res -= acc
         del acc                 # not held through the Hamiltonian terms
         # H^i is t-independent (HamiltonianFamily): all time nodes at once

@@ -1,21 +1,22 @@
 """Backward transport-diffusion and forward Fokker-Planck solvers.
 
-The backward equation is  -dw/dt - tr(A D^2 w) + <B, Dw> = F,  w(T) = G,
-with a constant diffusion matrix A (DiffusionSpec), solved by explicit Euler
-stepping from t = T with centered diffusion stencils and drift-sign upwinded
-transport, homogeneous Neumann walls, at a step under cfl_step.  The forward
-density equation  d rho/dt = sum_jk D^2_jk(A^jk rho)  is the formal adjoint
-of its diffusion part, integrated in conservative flux form so that total
-mass is preserved up to the no-flux walls.  A Feynman-Kac Monte Carlo
+The backward equation is  -dw/dt - a Lap w + <B, Dw> = F,  w(T) = G,
+with the diffusion a I of N independent noises (DiffusionSpec: N and a > 0),
+solved by explicit Euler stepping from t = T with centered diffusion stencils
+and drift-sign upwinded transport, homogeneous Neumann walls, at a step under
+cfl_step.  The forward density equation  d rho/dt = a Lap rho  is the formal
+adjoint of its diffusion part, integrated in conservative flux form so that
+total mass is preserved up to the no-flux walls.  A Feynman-Kac Monte Carlo
 backend provides an independent route to the same values.  The drift B(t, x)
 is a plain callable; the source F(x) and terminal G(x) depend on x only
-(TerminalSpec, alias SourceSpec).  The decay of their derivatives is built
-in by build_decay_problem, not checked at run time.
+(TerminalSpec).  The decay of their derivatives is built in by
+build_decay_problem, not checked at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .weights import multi_index_weight
 
 __all__ = [
     "DiffusionSpec",
-    "SourceSpec",
     "TerminalSpec",
     "LinearProblem",
     "build_decay_problem",
@@ -69,40 +69,23 @@ class SpecError(ValueError):
 # problem data
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DiffusionSpec:
-    """Constant diffusion matrix A, square, symmetric and uniformly elliptic
-    (least eigenvalue > 0), held read-only.  offdiag maps each (i, j), i < j,
-    with A[i, j] != 0 to that entry, and sup is max |A_ij|, the entry the
-    CFL bound reads (cfl_step)."""
+    """The diffusion a I of N players' independent noises, dX^i = ... +
+    sqrt(2a) dW^i: N >= 1 and a finite coefficient a > 0."""
 
-    A: np.ndarray
-    offdiag: dict = field(init=False, repr=False)
-    sup: float = field(init=False, repr=False)
+    N: int
+    a: float
 
     def __post_init__(self):
-        m = np.array(self.A, dtype=float)
-        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
-            raise SpecError("diffusion matrix must be square")
-        if not np.allclose(m, m.T):
-            raise SpecError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(m).min() <= 0:
-            raise SpecError("diffusion must satisfy A >= lam I with lam > 0")
-        m.setflags(write=False)
-        N = m.shape[0]
-        object.__setattr__(self, "A", m)
-        object.__setattr__(self, "offdiag", {
-            (i, j): m[i, j] for i in range(N) for j in range(i + 1, N)
-            if m[i, j] != 0.0})
-        object.__setattr__(self, "sup", float(np.max(np.abs(m))))
-
-    @property
-    def N(self) -> int:
-        return self.A.shape[0]
+        if not self.N >= 1:
+            raise SpecError("diffusion needs N >= 1")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise SpecError("diffusion coefficient must be finite and > 0")
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
-        return DiffusionSpec(a * np.eye(N))
+        return DiffusionSpec(N, a)
 
 
 @dataclass
@@ -116,14 +99,11 @@ class TerminalSpec:
         return np.broadcast_to(np.asarray(self.g(X), dtype=float), X.shape[1:])
 
 
-SourceSpec = TerminalSpec
-
-
 @dataclass
 class LinearProblem:
     diffusion: DiffusionSpec
     drift: object | None          # callable (t, X:(N,...)) -> X.shape array
-    source: SourceSpec | None
+    source: TerminalSpec | None
     terminal: TerminalSpec
     t0: float
     T: float
@@ -153,7 +133,7 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
     return LinearProblem(
         DiffusionSpec.isotropic(N, a),
         drift if c_B else None,
-        SourceSpec(lambda X: ramp(X, c_F)) if c_F else None,
+        TerminalSpec(lambda X: ramp(X, c_F)) if c_F else None,
         TerminalSpec(lambda X: ramp(X, c_G)),
         0.0, T)
 
@@ -180,17 +160,10 @@ def _neighbours(v: np.ndarray, axis: int) -> tuple:
             np.concatenate((hi, lo[head + (slice(-1, None),)]), axis=axis))
 
 
-def _centered_diff(v, axis, h):
-    lo, hi = _neighbours(v, axis)
-    return (hi - lo) / (2 * h)
-
-
 def _diffusion_term(diff: DiffusionSpec, v, nbrs, h):
     out = np.zeros_like(v)
-    for k, (lo, hi) in enumerate(nbrs):
-        out += diff.A[k, k] * ((lo - 2 * v + hi) / h ** 2)
-    for (i, j), a in diff.offdiag.items():
-        out += 2 * a * _centered_diff(_centered_diff(v, i, h), j, h)
+    for lo, hi in nbrs:
+        out += diff.a * ((lo - 2 * v + hi) / h ** 2)
     return out
 
 
@@ -202,15 +175,15 @@ def _transport_term(B, v, nbrs, h):
     return out
 
 
-def _transport_step(N: int, supA: float, supB: float, h: float) -> float:
+def _transport_step(N: int, a: float, supB: float, h: float) -> float:
     """Largest explicit step that covers upwind transport at sup|B| as well
-    as diffusion at sup|A|, with a 0.9 margin."""
-    return 0.9 / (2 * N * supA / h ** 2 + N * supB / h)
+    as diffusion at a, with a 0.9 margin."""
+    return 0.9 / (2 * N * a / h ** 2 + N * supB / h)
 
 
 def cfl_step(diffusion: DiffusionSpec, h: float) -> float:
-    """The explicit diffusion bound h^2 / (2 N sup|A|)."""
-    return h ** 2 / (2 * diffusion.N * diffusion.sup)
+    """The explicit diffusion bound h^2 / (2 N a)."""
+    return h ** 2 / (2 * diffusion.N * diffusion.a)
 
 
 def _check_step(diffusion: DiffusionSpec, grid: SpatialGrid, dt: float):
@@ -220,7 +193,7 @@ def _check_step(diffusion: DiffusionSpec, grid: SpatialGrid, dt: float):
         raise SpecError("grid dimension does not match diffusion spec")
     cfl = cfl_step(diffusion, grid.h)
     if dt > cfl * (1 + 1e-9):
-        raise CFLError(f"dt = {dt} exceeds h^2/(2 N sup|A|) = {cfl}")
+        raise CFLError(f"dt = {dt} exceeds h^2/(2 N a) = {cfl}")
 
 
 def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
@@ -228,7 +201,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     """Backward explicit Euler for the transport-diffusion equation.
 
     A step raises TransportBoundError if it exceeds the bound
-    0.9 / (2 N sup|A| / h^2 + N sup|B| / h) for the drift B of that step.
+    0.9 / (2 N a / h^2 + N sup|B| / h) for the drift B of that step.
     With strict_dt the requested step is used verbatim; otherwise it is
     first shrunk to cover the drift sampled at t0, the midpoint and T.
     """
@@ -244,7 +217,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
         supB = max(float(np.max(np.abs(b(t, X)))) for t in
                    (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T))
         if supB > 0:
-            dt = min(dt, _transport_step(N, problem.diffusion.sup, supB, h))
+            dt = min(dt, _transport_step(N, problem.diffusion.a, supB, h))
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
@@ -259,7 +232,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
             rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
             if b is not None:
                 B = b(t, X)
-                bound = _transport_step(N, problem.diffusion.sup, sup_abs(B), h)
+                bound = _transport_step(N, problem.diffusion.a, sup_abs(B), h)
                 # the slack of _check_step's CFL check: time_nodes may leave
                 # a shrunk step a rounding error above the bound it met
                 if step > bound * (1 + 1e-9):
@@ -284,7 +257,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
 def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
              seed: int):
     """Pathwise estimates of w(s, x) = E[G(X_T) + int F(X_t) dt] with
-    dX = -B dt + sigma dW, sigma sigma^T = 2A.  Returns a list of
+    dX = -B dt + sqrt(2a) dW.  Returns a list of
     (estimate, ci_half_width) per query point; deterministic given the seed.
     """
     if paths < 10 ** 3:
@@ -297,10 +270,7 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
         raise SpecError("query points must have shape (Q, N)")
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
-    try:
-        chol = np.linalg.cholesky(2.0 * problem.diffusion.A)
-    except np.linalg.LinAlgError as e:
-        raise SolveError("2A is not positive definite") from e
+    root = np.sqrt(2.0 * problem.diffusion.a)
     out = []
     for qi, x0 in enumerate(pts):
         rng = np.random.Generator(np.random.Philox(
@@ -312,11 +282,9 @@ def solve_mc(problem: LinearProblem, query_points, paths: int, dt: float,
             if problem.source is not None:
                 run += step * problem.source.eval(Xt)
             dW = rng.standard_normal((paths, N))
-            drift = np.zeros((paths, N))
             if problem.drift is not None:
-                drift = -problem.drift(t, Xt).T
-            X = X + step * drift + np.sqrt(step) * np.einsum(
-                "ij,pj->pi", chol, dW)
+                X = X + step * -problem.drift(t, Xt).T
+            X = X + np.sqrt(step) * (root * dW)
         payoff = run + problem.terminal.eval(X.T)
         est = float(payoff.mean())
         ci = 1.96 * float(payoff.std(ddof=1)) / np.sqrt(paths)
@@ -339,7 +307,7 @@ class FPKResult:
 def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
                    dt: float, T: float) -> FPKResult:
     """Forward conservative scheme on [0, T] for
-    d rho/dt = sum_jk D^2_jk(A^jk rho),  rho(0) = N(y, eps^2 I), in equal
+    d rho/dt = a Lap rho,  rho(0) = N(y, eps^2 I), in equal
     steps of at most dt; a dt above cfl_step raises CFLError.  No-flux walls
     conserve mass exactly; negative undershoot is clipped and tracked.
     """
@@ -367,11 +335,7 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     for k in range(times.size - 1):
         div = np.zeros_like(rho)
         for ax in range(N):
-            flux = np.diff(diffusion.A[ax, ax] * rho, axis=ax) / h
-            for (i, j), a in diffusion.offdiag.items():
-                if ax in (i, j):   # the pair's other axis is i + j - ax
-                    lo, hi = _faces(_centered_diff(rho, i + j - ax, h), ax)
-                    flux += a * (0.5 * (lo + hi))
+            flux = np.diff(diffusion.a * rho, axis=ax) / h
             # zero flux at the walls
             div += np.diff(flux, axis=ax, prepend=0.0, append=0.0) / h
         rho = rho + step * div

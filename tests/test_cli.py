@@ -195,6 +195,12 @@ DECAY_2D = {
     ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"], "N": 5}}),
     ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "N": 3}}),
     ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "eps_factor": -1}}),
+    # a game dimension above the grid solver's limit, and a mollifier under
+    # 2h, once failed as numerical errors
+    ("solve", lq_config(grid={"L": 3.0, "M": 5}, game={
+        "N": 5, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25, "T": 0.2})),
+    ("stability", lq_config(grid={"L": 3.0, "M": 5}, N_list=[2, 5])),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "eps_factor": 1.0}}),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -39,7 +38,6 @@ from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
 from nash_horizon.pde_linear import (
     DiffusionSpec,
     LinearProblem,
-    SourceSpec,
     TerminalSpec,
     solve_grid,
     verify_decay,
@@ -56,7 +54,6 @@ def mini_game(N=2, T=0.2, M=41, L=3.0, c_Q=0.1, c_G=0.2, sigma=0.25, dt=0.02,
 
 
 def zero_game(N=2, T=0.1, M=21, L=2.0):
-    from nash_horizon.pde_linear import DiffusionSpec
     ham = HamiltonianFamily("lq", np.zeros((N, N, N)))
     diff = DiffusionSpec.isotropic(N, 0.05)
     terms = [lambda X: 0.0 * X[0] for _ in range(N)]
@@ -330,7 +327,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
     for i, w in enumerate(got):
         problem = LinearProblem(
             game.diffusion, old_drift(i),
-            SourceSpec(lambda X, F=assemble_source(game, i): F),
+            TerminalSpec(lambda X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)
         ref = solve_grid(problem, game.grid, game.step, strict_dt=True)
@@ -806,6 +803,25 @@ def test_contraction_probe_degenerate_pair():
         contraction_probe(game, u, u)
 
 
+def test_contraction_is_stable_in_the_dimension():
+    # the paper's claim at N = 1..4: with data decaying like beta, the Picard
+    # map contracts with one bound at every N and needs no more sweeps.  The
+    # probe fields are drawn anew at each N, so the ratios are not monotone:
+    # the test asserts a bound, not a trend
+    ratios, sweeps = [], []
+    for N in range(1, 5):
+        spec = decay_lq_game(N, BETA, 0.05, 0.1, 0.25, 0.1)
+        game = lq_game(spec, BETA, SpatialGrid(N, 2.0, 11), 0.01)
+        ratios.append(max(contraction_probe(game, probe_fields(game, 2 * k),
+                                            probe_fields(game, 2 * k + 1))
+                          for k in range(2)))
+        sol, rep = picard_solve(game, tol=1e-6)
+        assert sol is not None
+        sweeps.append(rep.iterations)
+    assert max(ratios) < 1, ratios
+    assert max(sweeps) <= sweeps[0], sweeps
+
+
 def test_horizon_scan():
     def make(T):
         return mini_game(T=T, M=31, dt=0.02, c_Q=0.01, c_G=0.01)[0]
@@ -965,7 +981,7 @@ def _residual_first_form(game, fields, collar=0.1):
     grid = game.grid
     times = fields[0].times
     X = grid.meshgrid()
-    A = game.diffusion.A
+    a = game.diffusion.a
     grads = frozen_gradients(fields)
     inner = grid.interior(collar)
     out = []
@@ -976,11 +992,7 @@ def _residual_first_form(game, fields, collar=0.1):
             Du = grads[:, k]
             acc = np.zeros(grid.shape)
             for c in range(game.N):
-                acc += A[c, c] * fam[(c, c)].values[k]
-            for a in range(game.N):
-                for b in range(a + 1, game.N):
-                    if A[a, b] != 0.0:
-                        acc += 2 * A[a, b] * fam[(a, b)].values[k]
+                acc += a * fam[(c, c)].values[k]
             res[k] -= acc
             res[k] += game.hamiltonian.value(i, X, Du)
             for j in range(game.N):
@@ -991,30 +1003,14 @@ def _residual_first_form(game, fields, collar=0.1):
     return out
 
 
-@pytest.mark.parametrize("N, M, kind, matrix", [
-    pytest.param(1, 21, "lq", None, id="1-21-lq"),
-    pytest.param(2, 15, "saturated", None, id="2-15-saturated"),
-    pytest.param(3, 9, "lq", None, id="3-9-lq"),
-    # off-diagonal diffusion: the residual reads mixed second derivatives
-    pytest.param(2, 15, "saturated", [[0.1, 0.03], [0.03, 0.08]],
-                 id="2-15-saturated-offdiag"),
-    pytest.param(3, 9, "lq", [[0.1, 0, 0.02], [0, 0.1, 0.01],
-                              [0.02, 0.01, 0.1]], id="3-9-lq-offdiag"),
+@pytest.mark.parametrize("N, M, kind", [
+    pytest.param(1, 21, "lq", id="1-21-lq"),
+    pytest.param(2, 15, "saturated", id="2-15-saturated"),
+    pytest.param(3, 9, "lq", id="3-9-lq"),
 ])
-def test_residual_on_shared_families_matches_first_form(N, M, kind, matrix):
+def test_residual_on_shared_families_matches_first_form(N, M, kind):
     game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
-    if matrix is not None:
-        game = dataclasses.replace(game,
-                                   diffusion=DiffusionSpec(matrix))
-        assert game.diffusion.offdiag
     u = probe_fields(game, seed=N, scale=0.5)
-    if matrix is not None:
-        # probe fields are sums of one-coordinate terms, whose mixed
-        # derivatives vanish; add a term coupling each off-diagonal pair
-        X = game.grid.meshgrid()
-        mixed = 0.3 * np.sin(sum(X[a] * X[b]
-                                 for a, b in game.diffusion.offdiag))
-        u = [Field(f.grid, f.times, f.values + mixed, f.player) for f in u]
     assert residual(game, u) == _residual_first_form(game, u)
 
 

@@ -12,12 +12,10 @@ from nash_horizon.pde_linear import (
     DiffusionSpec,
     FPKResult,
     LinearProblem,
-    SourceSpec,
     SolveError,
     SpecError,
     TerminalSpec,
     TransportBoundError,
-    _centered_diff,
     _check_step,
     _diffusion_term,
     _neighbours,
@@ -89,7 +87,7 @@ def test_linearity():
     diff = DiffusionSpec.isotropic(1, 0.5)
 
     def solve(gfun, ffun):
-        p = LinearProblem(diff, None, SourceSpec(ffun),
+        p = LinearProblem(diff, None, TerminalSpec(ffun),
                           TerminalSpec(gfun), 0.0, 0.1)
         return solve_grid(p, g, cfl_dt(g, 1, 0.5))
 
@@ -106,7 +104,7 @@ def test_comparison_principle():
     g = SpatialGrid(2, 2.0, 31)
     diff = DiffusionSpec.isotropic(2, 0.5)
     drift = lambda t, X: np.stack([np.tanh(X[0]), -np.tanh(X[1])])
-    src = SourceSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
+    src = TerminalSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
     p = LinearProblem(diff, drift, src,
                       TerminalSpec(lambda X: np.maximum(X[0], 0.0)), 0.0, 0.2)
     w = solve_grid(p, g, cfl_dt(g, 2, 0.5))
@@ -133,7 +131,7 @@ def test_grid_and_diffusion_dimensions_must_match():
 
 def test_strict_step_checks_the_transport_bound():
     # strict_dt keeps the requested step, and raises above the transport
-    # bound 0.9 / (2 N sup|A| / h^2 + N sup|B| / h) of the step's drift
+    # bound 0.9 / (2 N a / h^2 + N sup|B| / h) of the step's drift
     g = SpatialGrid(1, 2.0, 21)
     bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
     for dt, ok in ((0.99 * bound, True), (1.1 * bound, False)):
@@ -172,20 +170,6 @@ def test_every_step_checks_the_transport_bound():
     assert w.times.size == 8 and w.times[1] > bound
 
 
-def test_offdiagonal_diffusion_quadratic():
-    # w(t,x) = x0*x1 + 2*A01*(T-t) solves the pure diffusion equation exactly
-    g = SpatialGrid(2, 2.0, 41)
-    A = np.array([[0.5, 0.2], [0.2, 0.5]])
-    diff = DiffusionSpec(A)
-    p = LinearProblem(diff, None, None,
-                      TerminalSpec(lambda X: X[0] * X[1]), 0.0, 0.1)
-    w = solve_grid(p, g, cfl_dt(g, 2, 0.5))
-    X = g.meshgrid()
-    inner = g.interior(0.2)
-    exact = X[0] * X[1] + 2 * 0.2 * p.T
-    assert np.max(np.abs(w.values[0][inner] - exact[inner])) < 5e-3
-
-
 def _solve_grid_per_step(problem, grid, dt):
     """solve_grid's loop at a verbatim step, the source evaluated at every
     step as first written."""
@@ -212,9 +196,9 @@ def test_solve_grid_evaluates_the_source_once(same_bits):
         return np.cos(X[0]) * X[1] + 0.5
 
     g = SpatialGrid(2, 2.0, 21)
-    diff = DiffusionSpec(np.array([[0.5, 0.1], [0.1, 0.4]]))
+    diff = DiffusionSpec.isotropic(2, 0.5)
     drift = lambda t, X: np.stack([np.tanh(X[1]) + t, -np.sin(X[0])])
-    p = LinearProblem(diff, drift, SourceSpec(f),
+    p = LinearProblem(diff, drift, TerminalSpec(f),
                       TerminalSpec(lambda X: np.sin(X[0]) * X[1]), 0.0, 0.1)
     dt = 0.5 * cfl_step(diff, g.h)
     w = solve_grid(p, g, dt, strict_dt=True)
@@ -242,15 +226,6 @@ def _second_diff_first_form(v, axis, h):
     return (p[tuple(lo)] - 2 * v + p[tuple(hi)]) / h ** 2
 
 
-def _centered_diff_first_form(v, axis, h):
-    p = _pad_reflect(v, axis)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return (p[tuple(hi)] - p[tuple(lo)]) / (2 * h)
-
-
 def _one_sided_diffs_first_form(v, axis, h):
     p = _pad_reflect(v, axis)
     lo = [slice(None)] * v.ndim
@@ -262,16 +237,10 @@ def _one_sided_diffs_first_form(v, axis, h):
     return backward, forward
 
 
-def _diffusion_term_first_form(A, v, h):
+def _diffusion_term_first_form(a, v, h):
     out = np.zeros_like(v)
-    N = A.shape[0]
-    for k in range(N):
-        out += A[k, k] * _second_diff_first_form(v, k, h)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if A[i, j] != 0.0:
-                out += 2 * A[i, j] * _centered_diff_first_form(
-                    _centered_diff_first_form(v, i, h), j, h)
+    for k in range(v.ndim):
+        out += a * _second_diff_first_form(v, k, h)
     return out
 
 
@@ -292,21 +261,12 @@ def test_stencils_match_pad_reflect_first_form(shape, same_bits):
     v = rng.standard_normal(shape)
     B = rng.standard_normal((N,) + shape)
     B.reshape(-1)[::3] = 0.0                    # ties of the upwind switch
-    # an anisotropic diagonal and, from N = 2, off-diagonal entries, one of
-    # them zero from N = 3
-    A = np.diag(1.0 + 0.1 * np.arange(N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            A[i, j] = A[j, i] = 0.05 * (i + 2 * j) if (i, j) != (0, 2) else 0.0
-    diff = DiffusionSpec(A)
+    diff = DiffusionSpec(N, 1.3)
     nbrs = [_neighbours(v, k) for k in range(N)]
     assert same_bits(_diffusion_term(diff, v, nbrs, h),
-                     _diffusion_term_first_form(A, v, h))
+                     _diffusion_term_first_form(1.3, v, h))
     assert same_bits(_transport_term(B, v, nbrs, h),
                      _transport_term_first_form(B, v, h))
-    for k in range(N):
-        assert same_bits(_centered_diff(v, k, h),
-                         _centered_diff_first_form(v, k, h))
 
 
 def decay_probe(drift, N, c_B):
@@ -344,23 +304,16 @@ def test_decay_drift_matches_per_pair_tanh(N, same_bits):
     assert same_bits(drift(0.0, X), want)
 
 
-def test_ellipticity_check():
-    diff = DiffusionSpec(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    assert np.linalg.eigvalsh(diff.A).min() == pytest.approx(0.8)
-    assert diff.N == 2 and diff.offdiag == {(0, 1): 0.2} and diff.sup == 1.0
-    # the constructor refuses a matrix that is not positive definite or
-    # symmetric
-    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
-                [[1.0, 0.2], [0.0, 1.0]]):
-        with pytest.raises(SpecError):
-            DiffusionSpec(np.array(bad))
-
-
-@pytest.mark.parametrize("bad", [[[1.0, 0.0]], [1.0, 2.0], [[[1.0]]], 1.0,
-                                 np.zeros((0, 0))])
-def test_diffusion_refuses_a_matrix_that_is_not_square(bad):
-    with pytest.raises(SpecError, match="must be square"):
-        DiffusionSpec(bad)
+@pytest.mark.parametrize("N, a, message", [
+    (0, 0.5, "needs N >= 1"),
+    (2, 0.0, "finite and > 0"),
+    (2, -1.0, "finite and > 0"),
+    (2, float("nan"), "finite and > 0"),
+    (2, float("inf"), "finite and > 0"),
+])
+def test_diffusion_refuses_a_bad_dimension_or_coefficient(N, a, message):
+    with pytest.raises(SpecError, match=message):
+        DiffusionSpec.isotropic(N, a)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +356,11 @@ def test_mc_matches_grid():
 
 
 def _solve_mc_first_form(problem, query_points, paths, dt, seed):
-    """solve_mc as first written: 2A factored batched, once per path and per
-    step, and each path's factor applied to its own increment."""
+    """solve_mc as first written: 2A = 2a I factored batched, once per path
+    and per step, and each path's factor applied to its own increment."""
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
     N = problem.diffusion.N
+    A = problem.diffusion.a * np.eye(N)
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     out = []
@@ -421,7 +375,7 @@ def _solve_mc_first_form(problem, query_points, paths, dt, seed):
                 run += step * np.broadcast_to(problem.source.eval(Xt),
                                               (paths,))
             chol = np.linalg.cholesky(
-                2.0 * np.tile(problem.diffusion.A, (paths, 1, 1)))
+                2.0 * np.tile(A, (paths, 1, 1)))
             dW = rng.standard_normal((paths, N))
             drift = np.zeros((paths, N))
             if problem.drift is not None:
@@ -434,17 +388,16 @@ def _solve_mc_first_form(problem, query_points, paths, dt, seed):
     return out
 
 
-@pytest.mark.parametrize("A", [[[0.5, 0.15], [0.15, 0.3]],
-                               [[0.4, 0.1, 0.0], [0.1, 0.3, -0.05],
-                                [0.0, -0.05, 0.5]]])
+@pytest.mark.parametrize("A", [DiffusionSpec(2, 0.4), DiffusionSpec(3, 0.35)])
 def test_mc_factors_once_and_matches_first_form(A):
-    # one factor of 2A applied to every path gives the per-path factors' bits
-    N = len(A)
+    # one factor sqrt(2a) of 2A = 2a I applied to every path gives the
+    # per-path Cholesky factors' bits
+    N = A.N
     p = LinearProblem(
-        DiffusionSpec(A),
+        A,
         lambda t, X: np.stack(
             [0.3 * np.sin(X[(k + 1) % N]) + 0.1 * t for k in range(N)]),
-        SourceSpec(lambda X: np.cos(X[0]) * X[-1]),
+        TerminalSpec(lambda X: np.cos(X[0]) * X[-1]),
         TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2)
                      + X[0] * X[-1]), 0.0, 0.2)
     pts = [[0.3] * N, [-0.5] + [0.2] * (N - 1)]
@@ -494,12 +447,8 @@ def _fpk_first_form(diffusion, y, eps, grid, dt, T):
             lo[ax] = slice(0, -1)
             hi[ax] = slice(1, None)
             lo, hi = tuple(lo), tuple(hi)
-            G = diffusion.A[ax, ax] * rho
+            G = diffusion.a * rho
             flux = (G[hi] - G[lo]) / h
-            for (i, j), a in diffusion.offdiag.items():
-                if ax in (i, j):
-                    d = _centered_diff_first_form(rho, i + j - ax, h)
-                    flux += a * (0.5 * (d[lo] + d[hi]))
             width = [(0, 0)] * N
             width[ax] = (1, 1)
             flux = np.pad(flux, width)
@@ -514,11 +463,11 @@ def _fpk_first_form(diffusion, y, eps, grid, dt, T):
     return np.stack(vals), np.array(mass), undershoot
 
 
-@pytest.mark.parametrize("case", ["2d-offdiag", "2d-isotropic"])
+@pytest.mark.parametrize("case", ["2d-isotropic", "2d-off-centre"])
 def test_fpk_matches_first_form(case, same_bits):
     g = SpatialGrid(2, 3.0, 31)
-    if case == "2d-offdiag":
-        diff = DiffusionSpec(np.array([[0.5, 0.15], [0.15, 0.4]]))
+    if case == "2d-off-centre":
+        diff = DiffusionSpec.isotropic(2, 0.45)
         y = [0.2, -0.4]
     else:
         diff = DiffusionSpec.isotropic(2, 0.5)
