@@ -287,6 +287,9 @@ def _run_fpk_diagnostic(cfg, out, seed):
     y = _need_list(blk, "y", float, N, [0.0] * N)
     tol = _tolerances(cfg, "slope_range")
     lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
+    if not (np.all(np.isfinite([lo, hi])) and lo <= hi):
+        raise ConfigError("config key 'slope_range' must be finite [lo, hi] "
+                          "with lo <= hi")
     dt = _positive(cfg, "dt", float, 0.9 * cfl_step(diff, grid.h))
     res = solve_fpk_grid(diff, y, eps, grid, dt, T)
     rep = fpk_gradient_mass(res)

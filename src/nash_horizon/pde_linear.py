@@ -48,6 +48,11 @@ MAX_FPK_DIM = 2                   # solve_fpk_grid's density diagnostics
 # count of slices made N = 2 slower) while N = 1 takes dozens of slices
 _GRADIENT_BLOCK_BYTES = 256 * 1024
 
+# verify_decay streams the derivatives of this many own time slices at once
+# (plus one overlap slice per side): small blocks keep its temporaries, and
+# the freed heap they leave resident, a few slices in size
+_TIME_BLOCK = 4
+
 
 class CFLError(RuntimeError):
     """Requested time step violates the explicit stability bound."""
@@ -408,12 +413,36 @@ class DecayReport:
                 "time_lip_hess": self.time_lip_hess, "collar": self.collar}
 
 
+def _time_gradient(f: np.ndarray, t: np.ndarray, uniform: bool) -> np.ndarray:
+    """np.gradient(f, t, axis=0) by the formula uniform names.  np.gradient
+    picks its uniform-step formula when every step of t is equal, and a short
+    run of a linspace grid's steps can be equal where the whole run is not."""
+    if uniform:
+        return np.gradient(f, t[1] - t[0], axis=0)
+    dx = np.diff(t).reshape((-1,) + (1,) * (f.ndim - 1))
+    dx1, dx2 = dx[:-1], dx[1:]
+    out = np.empty_like(f)
+    out[1:-1] = (-dx2 / (dx1 * (dx1 + dx2)) * f[:-2]
+                 + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
+                 + dx1 / (dx2 * (dx1 + dx2)) * f[2:])
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
 def verify_decay(w: Field, beta, collar: float = 0.1,
                  third_order: bool = True) -> DecayReport:
     """Measure the decay constants  sup |D^alpha w| / beta^alpha  for
     |alpha| = 1, 2 (and 3) over interior nodes, plus the time-Lipschitz
     quotients divided by sqrt(beta^alpha).  Each derivative is streamed from
     holder.derivatives and reduced.
+
+    The stream runs over blocks of _TIME_BLOCK time slices.  Spatial
+    derivatives are pointwise in time, so only the time quotients cross a
+    block's edge: each block carries one overlap slice on each side and
+    reduces over its own slices only, the pair (k, k+1) belonging to the
+    block that owns k.  The order-1 quotient is np.gradient's, with its
+    uniform-step formula chosen once on the whole of w.times.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: an np.gradient spoils only its own axis's edge nodes, so every
@@ -428,26 +457,35 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     g = w.grid.interior(collar)[0].start or 0
     finite = sup_abs(w.values) * max(4 / h, 1.0) ** m < 1e300
     lo = g - m if finite and g >= m else 0
-    crop = (slice(None),) + (slice(lo, M - lo),) * w.grid.N
+    crop = (slice(lo, M - lo),) * w.grid.N
     inner = (slice(None),) + (slice(g - lo, M - g - lo),) * w.grid.N
+    n = w.times.size
     dts = np.diff(w.times)
+    uniform = bool(np.all(dts == dts[:1]))
     K, lip = [0.0] * 4, [0.0] * 3
-    for a, d in derivatives(w.values[crop], h, m):
-        if not a:
-            continue
-        if not finite and not np.all(np.isfinite(d)):
-            raise GridError("field contains non-finite values")
-        weight = multi_index_weight(beta, a)
-        body = d[inner]
-        K[len(a)] = max(K[len(a)], sup_abs(body) / weight)
-        # time differences are taken over the interior view only: the
-        # quotients are pointwise in space, so no full-size temporary is needed
-        if dts.size and len(a) == 1:
-            dtd = np.gradient(body, w.times, axis=0)
-            lip[1] = max(lip[1], sup_abs(dtd) / np.sqrt(weight))
-        elif dts.size and len(a) == 2:
-            q = np.diff(body, axis=0).reshape(dts.size, -1)
-            rows = np.maximum(q.max(axis=1), -q.min(axis=1))
-            lip[2] = max(lip[2], float(np.max(rows / dts)) / np.sqrt(weight))
-        del d, body
+    for a0 in range(0, n, _TIME_BLOCK):
+        # own slices a0..b0-1 of the block's slices e0..e1-1
+        b0 = min(a0 + _TIME_BLOCK, n)
+        e0, e1 = max(a0 - 1, 0), min(b0 + 1, n)
+        own = slice(a0 - e0, b0 - e0)
+        for a, d in derivatives(w.values[(slice(e0, e1),) + crop], h, m):
+            if not a:
+                continue
+            if not finite and not np.all(np.isfinite(d[own])):
+                raise GridError("field contains non-finite values")
+            weight = multi_index_weight(beta, a)
+            body = d[inner]
+            K[len(a)] = max(K[len(a)], sup_abs(body[own]) / weight)
+            # time quotients are taken over the interior view only: they
+            # are pointwise in space, so no full-size temporary is needed
+            if dts.size and len(a) == 1:
+                dtd = _time_gradient(body, w.times[e0:e1], uniform)[own]
+                lip[1] = max(lip[1], sup_abs(dtd) / np.sqrt(weight))
+            elif e1 - a0 > 1 and len(a) == 2:
+                # the pairs (k, k+1) for own k < n - 1
+                q = np.diff(body[own.start:], axis=0).reshape(e1 - a0 - 1, -1)
+                rows = np.maximum(q.max(axis=1), -q.min(axis=1))
+                lip[2] = max(lip[2], float(np.max(rows / dts[a0:e1 - 1]))
+                             / np.sqrt(weight))
+            del d, body
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)

@@ -135,6 +135,8 @@ def test_malformed_config_value_exits_2(tmp_path, command, over):
 
 
 FPK = {"grid": {"L": 6.0, "M": 61}, "fpk": {"N": 1, "a": 1.0, "T": 0.72}}
+# long enough for the slope fit, whose slope is 0.574
+FPK_FIT = {"grid": {"L": 6.0, "M": 121}, "fpk": {"N": 1, "a": 1.0, "T": 3.0}}
 
 
 # verify-decay on the README's weights at N = 2
@@ -201,6 +203,15 @@ DECAY_2D = {
         "N": 5, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25, "T": 0.2})),
     ("stability", lq_config(grid={"L": 3.0, "M": 5}, N_list=[2, 5])),
     ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "eps_factor": 1.0}}),
+    # an inverted or non-finite slope range once ran the whole solve, then
+    # failed the slope (or passed it at an infinite bound)
+    ("fpk-diagnostic", {**FPK_FIT, "tolerances": {"slope_range": [0.6, 0.4]}}),
+    ("fpk-diagnostic", {**FPK_FIT, "tolerances": {
+        "slope_range": [0.4, float("inf")]}}),
+    ("fpk-diagnostic", {**FPK_FIT, "tolerances": {
+        "slope_range": [float("-inf"), 0.6]}}),
+    ("fpk-diagnostic", {**FPK_FIT, "tolerances": {
+        "slope_range": [float("nan"), 0.6]}}),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written
@@ -280,12 +291,13 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
                                                                 monkeypatch):
     # after Picard, residual makes D_j u^i for each pair and D_c D_c u^i (no
     # mixed ones: the diffusion is diagonal) without a derivative family, and
-    # verify_decay streams every order-<=2 derivative: at N = 3 that is 18
-    # and 27 _partial calls, so a further pass over the derivatives shows here
-    from nash_horizon import cli, holder
+    # verify_decay streams every order-<=2 derivative once per block of time
+    # slices: at N = 3 that is 18 _partial calls and 9 per block, so a
+    # further pass over the derivatives shows here
+    from nash_horizon import cli, holder, pde_linear
     real = {"derivative_family": holder.derivative_family,
-            "_partial": holder._partial}
-    running, log = [], []
+            "_partial": holder._partial, "derivatives": pde_linear.derivatives}
+    running, log, n_times = [], [], []
 
     def span(name, fn):
         def inner(*a, **kw):
@@ -306,17 +318,25 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
             log.append((running[-1], "_partial"))
         return real["_partial"](values, h, c)
 
+    def stream(values, h, m):
+        log.append((running[-1], "block"))
+        return real["derivatives"](values, h, m)
+
+    def decay(w, *a, **kw):
+        n_times.append(w.times.size)
+        return real_decay(w, *a, **kw)
+
     def solve(*a, **kw):
         out = real_solve(*a, **kw)
         log.append("picard")
         return out
 
-    real_solve = cli.picard_solve
+    real_solve, real_decay = cli.picard_solve, cli.verify_decay
     monkeypatch.setattr(cli, "picard_solve", solve)
     monkeypatch.setattr(cli, "residual", span("residual", cli.residual))
-    monkeypatch.setattr(cli, "verify_decay",
-                        span("verify_decay", cli.verify_decay))
+    monkeypatch.setattr(cli, "verify_decay", span("verify_decay", decay))
     monkeypatch.setattr(holder, "_partial", partial)
+    monkeypatch.setattr(pde_linear, "derivatives", stream)
     for name, mod in list(sys.modules.items()):
         if (name.startswith("nash_horizon")
                 and getattr(mod, "derivative_family", None)
@@ -329,11 +349,15 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
     assert code == 0 and len(summary["results"]["decay"]) == 3
     assert log[0] == "picard"
     assert not [c for c in log[1:] if c[1] == "family"]
-    # per player 3 first and 3 second derivatives in residual; 3 first and
-    # 6 second in verify_decay
+    # per player 3 first and 3 second derivatives in residual; one stream
+    # per block of time slices in verify_decay, each making 3 first and 6
+    # second derivatives
+    blocks = sum(-(-n // pde_linear._TIME_BLOCK) for n in n_times)
+    assert len(n_times) == 3 and blocks > 3
     assert log.count(("residual", "_partial")) == 18
-    assert log.count(("verify_decay", "_partial")) == 27
-    assert len(log) == 1 + 18 + 27
+    assert log.count(("verify_decay", "block")) == blocks
+    assert log.count(("verify_decay", "_partial")) == 9 * blocks
+    assert len(log) == 1 + 18 + 10 * blocks
 
 
 def test_solve_diverged_sweep_exits_1(tmp_path):

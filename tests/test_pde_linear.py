@@ -671,19 +671,27 @@ def test_verify_decay_on_family_matches_first_form(N, M):
 
 
 @pytest.mark.parametrize("N, M, n_times", [(1, 41, 1), (1, 41, 2), (2, 21, 3),
-                                           (3, 13, 4), (3, 13, 5)])
+                                           (3, 13, 4), (3, 13, 5), (1, 41, 9),
+                                           (1, 41, 14), (2, 21, 7),
+                                           (2, 21, 12), (3, 13, 10)])
 def test_verify_decay_matches_full_size_reductions(N, M, n_times):
     # signed random fields on uneven time steps: the interior-view time
-    # differences and signed row extrema give the DecayReport of the
-    # full-size |x| reductions
+    # differences and signed row extrema, reduced block by block, give the
+    # DecayReport of the full-size |x| reductions; the time counts are and
+    # are not multiples of the block, the collars crop (0.2 and 0.25 at
+    # M = 21 and 41, 0.25 at M = 13) and do not, and a sup |w| past the
+    # finiteness bound runs the whole grid
     rng = np.random.default_rng(10 * N + n_times)
     times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
     vals = rng.normal(size=(n_times,) + (M,) * N) - rng.uniform(-2, 2)
-    w = Field(SpatialGrid(N, 2.0, M), times, vals)
-    for collar, third in ((0.1, False), (0.2, True), (0.0, True)):
-        rep = verify_decay(w, BETA, collar=collar, third_order=third)
-        want = _verify_decay_first_form(w, BETA, collar, third)
-        assert tuple(rep.values().values()) == want
+    g = SpatialGrid(N, 2.0, M)
+    for scale in (1.0, 1e300 / max(4 / g.h, 1.0) ** 2):
+        w = Field(g, times, scale * vals)
+        for collar, third in ((0.1, False), (0.2, True), (0.0, True),
+                              (0.25, False)):
+            rep = verify_decay(w, BETA, collar=collar, third_order=third)
+            want = _verify_decay_first_form(w, BETA, collar, third)
+            assert tuple(rep.values().values()) == want
 
 
 def test_verify_decay_rejects_a_non_finite_derivative():
@@ -748,3 +756,67 @@ def test_verify_decay_peak_memory_is_a_few_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * w.values.nbytes
+
+
+@pytest.mark.parametrize("K", [11, 15, 30])
+def test_verify_decay_keeps_the_spacing_formula_of_the_whole_grid(K):
+    # linspace steps are not all equal, so np.gradient on the whole grid
+    # takes its non-uniform formula; the few steps of some blocks are equal,
+    # and np.gradient on those alone would switch to the uniform one, which
+    # moves the last bit of the report at two or more of these seeds
+    times = np.linspace(0.0, 0.37, K + 1)
+    steps = np.diff(times)
+    assert not np.all(steps == steps[0])
+    B = pde_linear._TIME_BLOCK
+    equal = [a for a in range(0, K + 1, B) if np.all(
+        np.diff(times[max(a - 1, 0):a + B + 1]) == steps[max(a - 1, 0)])]
+    assert equal
+    g = SpatialGrid(2, 2.0, 21)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        vals = np.repeat(rng.normal(size=(1,) + g.shape), K + 1, axis=0)
+        # a spike inside each block with equal steps: the order-1 quotient
+        # peaks at its neighbours, owned by that block
+        for a in equal:
+            vals[a + 1] += rng.normal(size=g.shape)
+        w = Field(g, times, vals)
+        for third in (False, True):
+            rep = verify_decay(w, BETA, collar=0.1, third_order=third)
+            assert tuple(rep.values().values()) == _verify_decay_first_form(
+                w, BETA, 0.1, third)
+
+
+def test_verify_decay_reads_each_block_edge_once():
+    # a field that changes only between the last own slice of the first
+    # block and the first of the second: the edge pair of the order-2
+    # quotient and the central order-1 quotients on both sides of the edge
+    # are the whole signal
+    B = pde_linear._TIME_BLOCK
+    g = SpatialGrid(2, 2.0, 21)
+    rng = np.random.default_rng(7)
+    times = np.cumsum(rng.uniform(0.01, 0.1, 3 * B))
+    vals = np.repeat(rng.normal(size=(1,) + g.shape), 3 * B, axis=0)
+    vals[B:] += rng.normal(size=g.shape)
+    w = Field(g, times, vals)
+    rep = verify_decay(w, BETA, collar=0.1, third_order=False)
+    assert rep.time_lip_grad > 0 and rep.time_lip_hess > 0
+    assert tuple(rep.values().values()) == _verify_decay_first_form(
+        w, BETA, 0.1, False)
+
+
+def test_verify_decay_peak_memory_is_independent_of_the_time_count():
+    # the stream holds a few time slices of each derivative at once, so
+    # four times the time nodes leaves the peak where it was
+    g = SpatialGrid(3, 2.0, 33)
+
+    def peak(n_times):
+        w = Field.from_function(g, np.linspace(0.0, 0.2, n_times),
+                                lambda t, X: np.sin(X[0] + t) * X[1] * X[2] ** 2)
+        tracemalloc.start()
+        try:
+            verify_decay(w, BETA, collar=0.1, third_order=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80) <= 1.1 * peak(20)
