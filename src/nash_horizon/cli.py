@@ -28,16 +28,12 @@ from .nash import (
     residual,
     uniqueness_probe,
 )
-from .oracle_lq import (
-    decay_lq_game,
-    lq_value,
-    riccati_integrate,
-    trajectory_to_csv,
-)
+from .oracle_lq import decay_lq_game, lq_value, riccati_integrate
 from .pde_linear import (
     MAX_FPK_DIM,
     MAX_GRID_DIM,
     DiffusionSpec,
+    TerminalSpec,
     build_decay_problem,
     cfl_step,
     fpk_gradient_mass,
@@ -169,8 +165,7 @@ def _game_from(cfg: dict, beta, T=None, N=None):
     kappa = None
     if kind == "saturated":
         kappa = _positive(blk, "kappa", float)
-    game = lq_game(spec, beta, grid, _positive(cfg, "dt", float),
-                   kind=kind, kappa=kappa)
+    game = lq_game(spec, beta, grid, _positive(cfg, "dt", float), kappa=kappa)
     return game, spec
 
 
@@ -200,8 +195,9 @@ def _run_solve(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
     tol = _tolerances(cfg, "picard_tol", "residual_max")
-    sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
-                            max_iter=_need(cfg, "max_iter", int, 30),
+    sol, rep = picard_solve(game,
+                            tol=_positive(tol, "picard_tol", float, 1e-6),
+                            max_iter=_positive(cfg, "max_iter", int, 30),
                             iterate_norm=True)
     _write_csv(out / "picard.csv", ("iteration", "increment"),
                list(enumerate(rep.increments, start=1)))
@@ -229,8 +225,8 @@ def _run_scan_horizon(cfg, out, seed):
     contract = _need(tol, "contract_at_smallest", bool, True)
     scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
                         n_pairs=n_pairs, seed=seed,
-                        tol=_need(tol, "picard_tol", float, 1e-6),
-                        max_iter=_need(cfg, "max_iter", int, 30))
+                        tol=_positive(tol, "picard_tol", float, 1e-6),
+                        max_iter=_positive(cfg, "max_iter", int, 30))
     _write_csv(out / "scan.csv",
                ("T", "max_ratio", "converged") +
                tuple(f"ratio_{k}" for k in range(n_pairs)),
@@ -285,6 +281,8 @@ def _run_fpk_diagnostic(cfg, out, seed):
     eps = eps_factor * grid.h
     T = _positive(blk, "T", float)
     y = _need_list(blk, "y", float, N, [0.0] * N)
+    if not all(abs(c) <= grid.L for c in y):
+        raise ConfigError("config key 'y' must lie in the grid [-L, L]^N")
     tol = _tolerances(cfg, "slope_range")
     lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
     if not (np.all(np.isfinite([lo, hi])) and lo <= hi):
@@ -306,12 +304,18 @@ def _run_oracle_compare(cfg, out, seed):
     game, spec = _game_from(cfg, beta)
     collar = _collar_for(cfg, game.grid)
     tol = _tolerances(cfg, "picard_tol", "max_err", "max_iterations")
-    sol, rep = picard_solve(game, tol=_need(tol, "picard_tol", float, 1e-6),
-                            max_iter=_need(cfg, "max_iter", int, 30))
+    sol, rep = picard_solve(game,
+                            tol=_positive(tol, "picard_tol", float, 1e-6),
+                            max_iter=_positive(cfg, "max_iter", int, 30))
     if sol is None:
         raise RuntimeError("Picard iteration did not converge")
     traj = riccati_integrate(spec, spec.T / 200)
-    (out / "riccati.csv").write_text(trajectory_to_csv(traj))
+    N = spec.N
+    _write_csv(out / "riccati.csv",
+               ["t"] + [f"P{i}_{j}{k}" for i, j, k in np.ndindex(N, N, N)]
+               + [f"r{i}" for i in range(N)],
+               ([t, *P.ravel(), *r] for t, P, r in
+                zip(traj.times, traj.P, traj.r)))
     X = game.grid.meshgrid()
     inner = game.grid.interior(collar)
     rows = []
@@ -342,8 +346,8 @@ def _run_stability(cfg, out, seed):
     tol = _tolerances(cfg, "picard_tol", "C_max")
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,
-        tol=_need(tol, "picard_tol", float, 1e-6),
-        max_iter=_need(cfg, "max_iter", int, 30))
+        tol=_positive(tol, "picard_tol", float, 1e-6),
+        max_iter=_positive(cfg, "max_iter", int, 30))
     _write_csv(out / "stability.csv", ("N_small", "N_large", "diff", "tail"),
                rep.to_csv_rows())
     diffs = [r.diff for r in rep.rows]
@@ -359,13 +363,14 @@ def _run_uniqueness(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
     tol = _tolerances(cfg, "picard_tol", "factor")
-    ptol = _need(tol, "picard_tol", float, 1e-6)
+    ptol = _positive(tol, "picard_tol", float, 1e-6)
+    X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
-                  np.broadcast_to(game.terminal_field(i),
+                  np.broadcast_to(TerminalSpec(g).eval(X),
                                   (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i in range(game.N)]
+                  player=i) for i, g in enumerate(game.terminals)]
     d = uniqueness_probe(game, None, u0_b, tol=ptol,
-                         max_iter=_need(cfg, "max_iter", int, 30))
+                         max_iter=_positive(cfg, "max_iter", int, 30))
     factor = _need(tol, "factor", float, 10.0)
     passed = d <= factor * ptol
     _write_csv(out / "uniqueness.csv", ("sup_difference", "picard_tol"),
@@ -407,6 +412,8 @@ def main(argv=None) -> int:
         if args.seed_override is not None:
             seed = args.seed_override
             cfg["seed"] = seed
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         out = Path(args.out if args.out is not None
                    else cfg.get("output_dir", "out"))
     except (ConfigError, json.JSONDecodeError, OSError) as e:

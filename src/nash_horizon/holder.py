@@ -138,14 +138,14 @@ class Field:
                      self.player)
 
 
-def time_nodes(t0: float, T: float, dt: float, min_steps: int = 1) -> np.ndarray:
-    """Uniform time nodes on [t0, T]: the fewest steps (at least min_steps)
-    whose size does not exceed dt; GridError unless dt > 0 and T > t0."""
+def time_nodes(t0: float, T: float, dt: float) -> np.ndarray:
+    """Uniform time nodes on [t0, T]: the fewest steps (at least one) whose
+    size does not exceed dt; GridError unless dt > 0 and T > t0."""
     if not dt > 0:
         raise GridError(f"time step must be > 0, got {dt}")
     if not T > t0:
         raise GridError(f"need T > t0, got T = {T}, t0 = {t0}")
-    K = max(min_steps, int(np.ceil((T - t0) / dt - 1e-12)))
+    K = max(1, int(np.ceil((T - t0) / dt - 1e-12)))
     return np.linspace(t0, T, K + 1)
 
 

@@ -83,25 +83,23 @@ def _quadratic(M, X):
 class HamiltonianFamily:
     """H^i(x, p) with the diagonal momentum partials dH^j/dp^j.
 
-    Two kinds: "lq" with H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x, and
-    "saturated" where p^i enters through psi_k(p) = kappa tanh(p/kappa), so
-    all p-derivatives stay globally bounded.  In both, H^i depends on p only
-    through p^i and not on t (hence no t argument); assemble_source relies on
-    this to evaluate the source H^i(x, Du^-i, 0) once, at zero momentum.
+    Two kinds: without kappa the LQ H^i = (1/2)(p^i)^2 - (1/2) x' Q_i x;
+    with a saturation level kappa > 0, p^i enters through psi(p) = kappa
+    tanh(p/kappa), so all p-derivatives stay globally bounded.  In both, H^i
+    depends on p only through p^i and not on t (hence no t argument);
+    assemble_source relies on this to evaluate the source H^i(x, Du^-i, 0)
+    once, at zero momentum.
     """
 
-    def __init__(self, kind, Q, kappa=None):
-        if kind not in ("lq", "saturated"):
-            raise NashError(f"unknown Hamiltonian kind {kind!r}")
-        if kind == "saturated" and (kappa is None or kappa <= 0):
+    def __init__(self, Q, kappa=None):
+        if kappa is not None and not kappa > 0:
             raise NashError("saturation level must be positive")
-        self.kind = kind
         self.Q = np.asarray(Q, dtype=float)
         self.kappa = kappa
 
     def value(self, i, X, p):
         """H^i(x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
-        if self.kind == "lq":
+        if self.kappa is None:
             return 0.5 * p[i] ** 2 - _quadratic(self.Q[i], X)
         psi = self.kappa * np.tanh(p[i] / self.kappa)
         return 0.5 * psi ** 2 - _quadratic(self.Q[i], X)
@@ -109,17 +107,18 @@ class HamiltonianFamily:
     def dpj(self, j, p):
         """dH^j/dp^j(p), free of x: the only momentum partials the drift
         needs."""
-        if self.kind == "lq":
+        if self.kappa is None:
             return p[j]
         z = p[j] / self.kappa
         return self.kappa * np.tanh(z) / np.cosh(z) ** 2
 
     def own_average(self, i, p):
-        """int_0^1 dH^i/dp^i(p^-i, s p^i) ds in closed form: p^i / 2 for "lq",
-        psi^2 / (2 p^i) with psi = kappa tanh(p^i / kappa) for "saturated",
-        and 0 at p^i = 0.  Both are (H^i(p) - H^i(p^-i, 0)) / p^i, not formed
-        literally because its x'Q_i x parts would cancel to round-off."""
-        if self.kind == "lq":
+        """int_0^1 dH^i/dp^i(p^-i, s p^i) ds in closed form: p^i / 2 for the
+        LQ kind, psi^2 / (2 p^i) with psi = kappa tanh(p^i / kappa) for the
+        saturated one, and 0 at p^i = 0.  Both are (H^i(p) - H^i(p^-i, 0)) /
+        p^i, not formed literally because its x'Q_i x parts would cancel to
+        round-off."""
+        if self.kappa is None:
             return 0.5 * p[i]
         psi = self.kappa * np.tanh(p[i] / self.kappa)
         return np.divide(0.5 * psi ** 2, p[i], out=np.zeros(np.shape(p[i])),
@@ -132,29 +131,34 @@ class HamiltonianFamily:
 
 @dataclass
 class GameSpec:
-    N: int
-    diffusion: DiffusionSpec
+    a: float                        # diffusion coefficient of every player
     hamiltonian: HamiltonianFamily
     terminals: list                 # per player, callable X:(N,...) -> array
     T: float
     beta: object                    # WeightSequence
-    grid: SpatialGrid
+    grid: SpatialGrid               # [-L, L]^N: sets the player count N
     dt: float                       # requested step; capped by the CFL bound
+    diffusion: DiffusionSpec = field(init=False, repr=False)
     times: np.ndarray = field(init=False, repr=False)
     sources: list = field(init=False, repr=False)   # assemble_source per player
 
     def __post_init__(self):
         if self.T <= 0:
             raise NashError("need T > 0")
-        if self.grid.N != self.N or self.diffusion.N != self.N:
-            raise NashError("dimension mismatch between grid/diffusion/N")
         if len(self.terminals) != self.N:
             raise NashError("need one terminal cost per player")
+        self.diffusion = DiffusionSpec(self.N, self.a)
         # keep a margin under the diffusion CFL so the upwind transport term
-        # added during Picard sweeps stays stable at the shared step
-        step = min(self.dt, 0.45 * cfl_step(self.diffusion, self.grid.h))
-        self.times = time_nodes(0.0, self.T, step, min_steps=2)
+        # added during Picard sweeps stays stable at the shared step; at most
+        # T/2, so there are at least two steps
+        step = min(self.dt, 0.45 * cfl_step(self.diffusion, self.grid.h),
+                   self.T / 2)
+        self.times = time_nodes(0.0, self.T, step)
         self.sources = [assemble_source(self, i) for i in range(self.N)]
+
+    @property
+    def N(self) -> int:
+        return self.grid.N
 
     @property
     def step(self) -> float:
@@ -164,23 +168,17 @@ class GameSpec:
         z = np.zeros((self.times.size,) + self.grid.shape)
         return [Field(self.grid, self.times, z, player=i) for i in range(self.N)]
 
-    def terminal_field(self, i) -> np.ndarray:
-        X = self.grid.meshgrid()
-        return np.broadcast_to(np.asarray(self.terminals[i](X), dtype=float),
-                               self.grid.shape)
-
     def player_weight(self, i):
         return shift(self.beta, i, self.N)
 
 
 def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
-            kind: str = "lq", kappa: float | None = None) -> GameSpec:
-    """GameSpec matching an LQ oracle specification; kind is "lq" or
-    "saturated" (which needs kappa)."""
-    ham = HamiltonianFamily(kind, spec.Q, kappa)
-    diffusion = DiffusionSpec.isotropic(spec.N, 0.5 * spec.sigma ** 2)
+            kappa: float | None = None) -> GameSpec:
+    """GameSpec matching an LQ oracle specification; a saturation level
+    kappa makes its Hamiltonian saturated (HamiltonianFamily)."""
+    ham = HamiltonianFamily(spec.Q, kappa)
     terms = [(lambda X, G=G: _quadratic(G, X)) for G in spec.Gamma]
-    return GameSpec(spec.N, diffusion, ham, terms, spec.T, beta, grid, dt)
+    return GameSpec(0.5 * spec.sigma ** 2, ham, terms, spec.T, beta, grid, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +428,7 @@ def residual(game: GameSpec, fields) -> list:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
     Du = np.stack([finite_diff(f, (i,)).values for i, f in enumerate(fields)])
     X = grid.meshgrid()
-    ham, a = game.hamiltonian, game.diffusion.a
+    ham, a = game.hamiltonian, game.a
     inner = grid.interior(0.1)
     out = []
     for i, f in enumerate(fields):

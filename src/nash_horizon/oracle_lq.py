@@ -19,7 +19,6 @@ The matrix right-hand side is validated downstream through the PDE residual.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "riccati_rhs",
     "riccati_integrate",
     "lq_value",
-    "trajectory_to_csv",
 ]
 
 BLOWUP_NORM = 1e6
@@ -45,7 +43,6 @@ class LQError(ValueError):
 
 @dataclass(frozen=True)
 class LQGameSpec:
-    N: int
     sigma: float
     Q: np.ndarray        # (N, N, N): running cost matrices, one per player
     Gamma: np.ndarray    # (N, N, N): terminal cost matrices
@@ -54,7 +51,8 @@ class LQGameSpec:
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         G = np.asarray(self.Gamma, dtype=float)
-        if Q.shape != (self.N, self.N, self.N) or G.shape != Q.shape:
+        if (Q.ndim != 3 or Q.shape != (Q.shape[0],) * 3
+                or G.shape != Q.shape):
             raise LQError("cost stacks must have shape (N, N, N)")
         for name, m in (("Q", Q), ("Gamma", G)):
             if not np.allclose(m, np.swapaxes(m, 1, 2), atol=1e-12):
@@ -63,6 +61,11 @@ class LQGameSpec:
             raise LQError("need T > 0 and sigma >= 0")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Gamma", G)
+
+    @property
+    def N(self) -> int:
+        """The number of players, read from the cost stacks."""
+        return self.Q.shape[0]
 
 
 def decay_lq_game(N: int, beta, c_Q: float, c_G: float, sigma: float,
@@ -73,7 +76,7 @@ def decay_lq_game(N: int, beta, c_Q: float, c_G: float, sigma: float,
     """
     V = np.array([[beta.value(i - j) for j in range(N)] for i in range(N)])
     Q = np.einsum("ij,ik->ijk", V, V)
-    return LQGameSpec(N, sigma, c_Q * Q, c_G * Q, T)
+    return LQGameSpec(sigma, c_Q * Q, c_G * Q, T)
 
 
 def riccati_rhs(P: np.ndarray, spec: LQGameSpec):
@@ -100,8 +103,11 @@ class RiccatiTrajectory:
     times: np.ndarray          # ascending, times[-1] = T
     P: np.ndarray              # (K+1, N, N, N)
     r: np.ndarray              # (K+1, N)
-    blown_up: bool
     blowup_bracket: tuple | None   # (t_low, t_high) if blown up
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_bracket is not None
 
     def interpolate(self, t: float):
         ts = self.times
@@ -133,11 +139,11 @@ def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
         rn = r[k] + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         Pn = 0.5 * (Pn + np.swapaxes(Pn, 1, 2))
         if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn)) > BLOWUP_NORM:
-            return RiccatiTrajectory(spec, times[k - 1:], P[k:], r[k:], True,
+            return RiccatiTrajectory(spec, times[k - 1:], P[k:], r[k:],
                                      (times[k - 1], times[k]))
         P[k - 1] = Pn
         r[k - 1] = rn
-    return RiccatiTrajectory(spec, times, P, r, False, None)
+    return RiccatiTrajectory(spec, times, P, r, None)
 
 
 def lq_value(traj: RiccatiTrajectory, i: int, t: float, x):
@@ -153,17 +159,3 @@ def lq_value(traj: RiccatiTrajectory, i: int, t: float, x):
     u = 0.5 * np.sum(x * grad, axis=0) + r[i]
     return u, grad
 
-
-def trajectory_to_csv(traj: RiccatiTrajectory) -> str:
-    """Rows (t, vec(P_1), ..., vec(P_N), r_1, ..., r_N)."""
-    N = traj.spec.N
-    header = ["t"]
-    header += [f"P{i}_{j}{k}" for i in range(N)
-               for j in range(N) for k in range(N)]
-    header += [f"r{i}" for i in range(N)]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for k, t in enumerate(traj.times):
-        row = [t] + list(traj.P[k].ravel()) + list(traj.r[k])
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()

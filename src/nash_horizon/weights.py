@@ -38,16 +38,17 @@ class WeightError(ValueError):
 class WeightSequence:
     """Even positive sequence beta^i on the window |i| <= W, beta^0 = 1.
 
-    ``values`` stores beta^i for i = -W..W (length 2W+1).
+    ``values`` stores beta^i for i = -W..W; its length 2W+1 sets W.
     """
 
-    W: int
     values: np.ndarray = field(repr=False)
+    W: int = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (2 * self.W + 1,):
-            raise WeightError("values must have length 2W+1")
+        if v.ndim != 1 or v.size % 2 == 0:
+            raise WeightError("values must have odd length 2W+1")
+        object.__setattr__(self, "W", v.size // 2)
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise WeightError("weight values must be positive and finite")
         if not np.allclose(v, v[::-1], rtol=1e-12, atol=0):
@@ -110,7 +111,7 @@ def build_weight(kind: str, params: dict, W: int) -> WeightSequence:
             raise WeightError("table values must have length 2W+1")
     else:
         raise WeightError(f"unknown weight kind {kind!r}")
-    return WeightSequence(W, vals / vals[W])
+    return WeightSequence(vals / vals[W])
 
 
 def self_convolve(beta: WeightSequence) -> np.ndarray:
@@ -162,18 +163,14 @@ def certify_csc(beta: WeightSequence) -> CscCertificate:
     )
 
 
-def shift(beta: WeightSequence, i: int, N: int | None = None) -> ShiftedWeight:
-    """The sequence beta_i with (beta_i)^j = beta^(i-j) on ambient coordinates.
-
-    When N is given, checks that the window covers [i-(N-1), i].
+def shift(beta: WeightSequence, i: int, N: int) -> ShiftedWeight:
+    """The sequence beta_i with (beta_i)^j = beta^(i-j) on the ambient
+    coordinates j = 0..N-1; checks that the window covers [i-(N-1), i].
     """
-    if i < 0:
-        raise WeightError("shift center must be >= 0")
-    if N is not None:
-        if not 0 <= i <= N - 1:
-            raise WeightError("shift center must lie in [0, N-1]")
-        if max(i, (N - 1) - i) > beta.W:
-            raise WeightError("window too small for requested ambient dimension")
+    if not 0 <= i <= N - 1:
+        raise WeightError("shift center must lie in [0, N-1]")
+    if max(i, (N - 1) - i) > beta.W:
+        raise WeightError("window too small for requested ambient dimension")
     return ShiftedWeight(beta, i)
 
 

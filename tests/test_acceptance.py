@@ -152,10 +152,11 @@ def test_07_uniqueness():
     spec = decay_lq_game(2, BETA32, c_Q=0.1, c_G=0.2, sigma=0.25, T=0.2)
     game = lq_game(spec, BETA32, SpatialGrid(2, 3.0, 41), 0.02)
     tol = 1e-6
+    X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
-                  np.broadcast_to(game.terminal_field(i),
+                  np.broadcast_to(TerminalSpec(g).eval(X),
                                   (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i in range(2)]
+                  player=i) for i, g in enumerate(game.terminals)]
     d = uniqueness_probe(game, None, u0_b, tol=tol, max_iter=25)
     ok = d <= 10 * tol
     report(7, "uniqueness", ok,

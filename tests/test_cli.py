@@ -8,6 +8,8 @@ import pytest
 
 import nash_horizon
 from nash_horizon.cli import main
+from nash_horizon.oracle_lq import decay_lq_game
+from nash_horizon.weights import build_weight
 
 WEIGHTS = {"kind": "polynomial", "params": {"a": 3}, "W": 64}
 
@@ -212,6 +214,25 @@ DECAY_2D = {
         "slope_range": [float("-inf"), 0.6]}}),
     ("fpk-diagnostic", {**FPK_FIT, "tolerances": {
         "slope_range": [float("nan"), 0.6]}}),
+    # no sweep allowed, or a tolerance no increment can pass, once ran every
+    # solve and then failed as not converged
+    ("solve", lq_config(max_iter=0)),
+    ("oracle-compare", lq_config(max_iter=-3)),
+    ("uniqueness", lq_config(max_iter=0)),
+    ("stability", lq_config(N_list=[2, 3], max_iter=-3)),
+    ("scan-horizon", lq_config(T_list=[0.05], max_iter=0)),
+    ("solve", lq_config(tolerances={"picard_tol": 0})),
+    ("uniqueness", lq_config(tolerances={"picard_tol": -1e-6})),
+    ("scan-horizon", lq_config(T_list=[0.05], tolerances={"picard_tol": 0})),
+    # a negative seed once built the scan's games, then failed in the
+    # random generator
+    ("scan-horizon", lq_config(T_list=[0.05], seed=-1)),
+    # a start outside the grid once passed on a spike at the wall node, or
+    # failed on a non-finite density
+    ("fpk-diagnostic", {**FPK_FIT, "fpk": {**FPK_FIT["fpk"], "y": [20.0]}}),
+    ("fpk-diagnostic", {**FPK_FIT, "fpk": {**FPK_FIT["fpk"], "y": [100.0]}}),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "N": 2,
+                                       "y": [0.0, -6.5]}}),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written
@@ -429,7 +450,17 @@ def test_oracle_compare(tmp_path):
     assert code == 0
     assert summary["results"]["max_err"] < 2e-2
     assert (o / "oracle_compare.csv").exists()
-    assert (o / "riccati.csv").exists()
+    header = (o / "riccati.csv").read_text().splitlines()[0].split(",")
+    assert header[:3] == ["t", "P0_00", "P0_01"]
+    assert header[-2:] == ["r0", "r1"]
+    rows = np.loadtxt(o / "riccati.csv", delimiter=",", skiprows=1)
+    # a row per node of the oracle's 200 steps of T/200, ending at Gamma
+    assert rows.shape == (201, len(header))
+    spec = decay_lq_game(2, build_weight("polynomial", {"a": 3}, 64),
+                         0.05, 0.1, 0.25, 0.2)
+    assert rows[-1, 0] == spec.T
+    np.testing.assert_array_equal(rows[-1, 1:9], spec.Gamma.ravel())
+    np.testing.assert_array_equal(rows[-1, 9:], 0.0)
 
 
 def test_scan_horizon(tmp_path):
@@ -556,6 +587,14 @@ def test_seed_override_recorded(tmp_path):
                            extra=("--seed-override", "7"))
     assert code == 0
     assert summary["config"]["seed"] == 7
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    # it once ran and recorded the negative seed in its summary
+    code, summary, _ = run(tmp_path, "uniqueness", lq_config(),
+                           extra=("--seed-override", "-5"))
+    assert code == 2
+    assert summary is None
 
 
 def test_determinism_two_runs(tmp_path):

@@ -477,7 +477,6 @@ def test_time_nodes_rounding():
     assert time_nodes(0.0, 0.07, 0.01).size == 8
     assert time_nodes(0.5, 0.7, 0.02).size == 11
     assert time_nodes(0.0, 0.2, 1.0).size == 2
-    assert time_nodes(0.0, 0.2, 1.0, min_steps=2).size == 3
     np.testing.assert_array_equal(time_nodes(0.0, 0.2, 0.02),
                                   np.linspace(0.0, 0.2, 11))
 

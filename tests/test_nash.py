@@ -36,7 +36,6 @@ from nash_horizon.nash import (
 )
 from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
 from nash_horizon.pde_linear import (
-    DiffusionSpec,
     LinearProblem,
     TerminalSpec,
     solve_grid,
@@ -45,6 +44,8 @@ from nash_horizon.pde_linear import (
 from nash_horizon.weights import build_weight
 
 BETA = build_weight("polynomial", {"a": 3}, 32)
+# the saturation level kappa each Hamiltonian kind is tested at
+SATURATION = {"lq": None, "saturated": 0.7}
 
 
 def mini_game(N=2, T=0.2, M=41, L=3.0, c_Q=0.1, c_G=0.2, sigma=0.25, dt=0.02,
@@ -54,10 +55,9 @@ def mini_game(N=2, T=0.2, M=41, L=3.0, c_Q=0.1, c_G=0.2, sigma=0.25, dt=0.02,
 
 
 def zero_game(N=2, T=0.1, M=21, L=2.0):
-    ham = HamiltonianFamily("lq", np.zeros((N, N, N)))
-    diff = DiffusionSpec.isotropic(N, 0.05)
+    ham = HamiltonianFamily(np.zeros((N, N, N)))
     terms = [lambda X: 0.0 * X[0] for _ in range(N)]
-    return GameSpec(N, diff, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
+    return GameSpec(0.05, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
 
 
 def test_game_step_under_diffusion_cfl_margin():
@@ -66,6 +66,20 @@ def test_game_step_under_diffusion_cfl_margin():
         cfl = game.grid.h ** 2 / (2 * game.N * 0.5 * spec.sigma ** 2)
         assert game.step <= min(dt, 0.45 * cfl)
         assert game.times.size >= 3
+
+
+def test_game_step_capped_at_half_the_horizon():
+    # at M = 5 the CFL cap (8.1) and dt exceed T/2, which sets two steps
+    game, _ = mini_game(M=5, dt=10.0)
+    np.testing.assert_array_equal(game.times, np.linspace(0.0, game.T, 3))
+
+
+def test_game_dimension_is_the_grid_dimension():
+    spec = decay_lq_game(3, BETA, 0.1, 0.2, 0.25, 0.2)
+    with pytest.raises(NashError, match="one terminal cost per player"):
+        lq_game(spec, BETA, SpatialGrid(2, 3.0, 21), 0.02)
+    game = lq_game(spec, BETA, SpatialGrid(3, 3.0, 9), 0.02)
+    assert game.N == game.diffusion.N == 3
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +108,8 @@ def probe_derivatives(ham):
 
 def test_hamiltonian_probe_passes_builtin():
     Q = decay_lq_game(3, BETA, 0.3, 0.3, 0.2, 1.0).Q
-    assert probe_derivatives(HamiltonianFamily("lq", Q)) < 1e-6
-    assert probe_derivatives(HamiltonianFamily("saturated", Q, 2.0)) < 1e-4
+    assert probe_derivatives(HamiltonianFamily(Q)) < 1e-6
+    assert probe_derivatives(HamiltonianFamily(Q, 2.0)) < 1e-4
 
 
 def test_hamiltonian_probe_catches_wrong_derivative():
@@ -103,30 +117,28 @@ def test_hamiltonian_probe_catches_wrong_derivative():
         def dpj(self, j, p):
             return 1.5 * p[j]
 
-    assert probe_derivatives(WrongPartial("lq", np.zeros((2, 2, 2)))) > 1e-4
+    assert probe_derivatives(WrongPartial(np.zeros((2, 2, 2)))) > 1e-4
 
 
-def test_unknown_hamiltonian_kind_rejected():
+def test_non_positive_saturation_level_rejected():
     spec = decay_lq_game(2, BETA, 0.1, 0.2, 0.25, 0.2)
     grid = SpatialGrid(2, 3.0, 21)
-    for kind in ("LQ", "user", ""):
-        with pytest.raises(NashError, match="unknown Hamiltonian kind"):
-            lq_game(spec, BETA, grid, 0.02, kind=kind, kappa=2.0)
-    with pytest.raises(NashError, match="saturation level"):
-        lq_game(spec, BETA, grid, 0.02, kind="saturated")
+    for kappa in (0.0, -2.0, math.nan):
+        with pytest.raises(NashError, match="saturation level"):
+            lq_game(spec, BETA, grid, 0.02, kappa=kappa)
 
 
 def test_saturated_matches_lq_at_small_momenta():
     Q = np.zeros((2, 2, 2))
-    lq = HamiltonianFamily("lq", Q)
-    sat = HamiltonianFamily("saturated", Q, kappa=10.0)
+    lq = HamiltonianFamily(Q)
+    sat = HamiltonianFamily(Q, kappa=10.0)
     p = np.array([[0.3], [-0.8]])
     for j in range(2):
         assert sat.dpj(j, p) == pytest.approx(lq.dpj(j, p), abs=2e-2)
 
 
 def test_saturated_derivatives_bounded():
-    sat = HamiltonianFamily("saturated", np.zeros((1, 1, 1)), kappa=2.0)
+    sat = HamiltonianFamily(np.zeros((1, 1, 1)), kappa=2.0)
     p = np.linspace(-100, 100, 1001)[None]
     assert np.max(np.abs(sat.dpj(0, p))) <= 2.0
 
@@ -206,7 +218,7 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 @pytest.mark.parametrize("kind", ["lq", "saturated"])
 def test_game_sources_are_formed_once(kind, same_bits):
-    game, _ = mini_game(N=3, M=9, kind=kind, kappa=0.7)
+    game, _ = mini_game(N=3, M=9, kappa=SATURATION[kind])
     assert len(game.sources) == game.N
     for i in range(game.N):
         assert same_bits(game.sources[i], assemble_source(game, i))
@@ -235,7 +247,7 @@ def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
     # -H^i(t, x, Du^-i, 0) gives the same bits at every t and every Du.  The
     # drift's j != i slots keep the first form's bits; the own slot is the
     # closed form (exactly D_i u^i / 2 for LQ)
-    game, _ = mini_game(N=3, M=9, kind=kind, kappa=0.7)
+    game, _ = mini_game(N=3, M=9, kappa=SATURATION[kind])
     X = game.grid.meshgrid()
     rng = np.random.default_rng(11)
     times = game.times
@@ -267,7 +279,7 @@ def test_saturated_own_average_matches_adaptive_quadrature():
     # for |p| / kappa <= 12, where the 8-node rule is off by up to 2%
     quad = pytest.importorskip("scipy.integrate").quad
     kappa = 0.7
-    sat = HamiltonianFamily("saturated", np.zeros((2, 2, 2)), kappa)
+    sat = HamiltonianFamily(np.zeros((2, 2, 2)), kappa)
     worst_closed = worst_rule = 0.0
     for r in np.concatenate((np.linspace(-12, 12, 97), [1e-8, -3e-5])):
         p = np.array([[r * kappa], [0.3]])
@@ -294,7 +306,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
     # solution: the sweep keeps its bits
     from test_holder import _old_cache_at
 
-    game, _ = mini_game(N=2, M=21, kind=kind, kappa=0.7)
+    game, _ = mini_game(N=2, M=21, kappa=SATURATION[kind])
     u = probe_fields(game, seed=4, scale=0.5)
     for f in u:
         # signed zeros of both signs side by side, so some D_j u^j is -0.0
@@ -576,7 +588,7 @@ def test_decoupling_invariant():
         Q[i, i, i] = 0.3
         G[i, i, i] = 0.4
     from nash_horizon.oracle_lq import LQGameSpec
-    spec = LQGameSpec(N, 0.25, Q, G, 0.2)
+    spec = LQGameSpec(0.25, Q, G, 0.2)
     game = lq_game(spec, BETA, SpatialGrid(N, 3.0, 41), 0.02)
     sol, rep = picard_solve(game, tol=1e-7)
     assert rep.converged
@@ -1009,7 +1021,7 @@ def _residual_first_form(game, fields, collar=0.1):
     pytest.param(3, 9, "lq", id="3-9-lq"),
 ])
 def test_residual_on_shared_families_matches_first_form(N, M, kind):
-    game, _ = mini_game(N=N, M=M, kind=kind, kappa=1.5)
+    game, _ = mini_game(N=N, M=M, kappa=None if kind == "lq" else 1.5)
     u = probe_fields(game, seed=N, scale=0.5)
     assert residual(game, u) == _residual_first_form(game, u)
 
@@ -1027,7 +1039,7 @@ def test_dimension_stability_decoupled():
         for i in range(N):
             Q[i, i, i] = 0.3
             G[i, i, i] = 0.4
-        spec = LQGameSpec(N, 0.25, Q, G, 0.1)
+        spec = LQGameSpec(0.25, Q, G, 0.1)
         return lq_game(spec, BETA, SpatialGrid(N, 2.0, 21), 0.01)
 
     rep = dimension_stability(make, [2, 3], tol=1e-7)
@@ -1071,8 +1083,8 @@ def test_uniqueness_probe_distinct_guesses():
     X = game.grid.meshgrid()
     # second guess: terminal costs extended constantly in time
     u0_b = [Field(game.grid, game.times,
-                  np.broadcast_to(game.terminal_field(i),
+                  np.broadcast_to(TerminalSpec(g).eval(X),
                                   (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i in range(2)]
+                  player=i) for i, g in enumerate(game.terminals)]
     d = uniqueness_probe(game, None, u0_b, tol=tol, max_iter=25)
     assert d <= 10 * tol

@@ -8,7 +8,6 @@ from nash_horizon.oracle_lq import (
     lq_value,
     riccati_integrate,
     riccati_rhs,
-    trajectory_to_csv,
 )
 from nash_horizon.weights import build_weight
 
@@ -16,17 +15,22 @@ BETA = build_weight("polynomial", {"a": 3}, 32)
 
 
 def scalar_spec(q=0.0, gamma=0.5, T=1.0, sigma=0.3):
-    return LQGameSpec(1, sigma, np.array([[[q]]]), np.array([[[gamma]]]), T)
+    return LQGameSpec(sigma, np.array([[[q]]]), np.array([[[gamma]]]), T)
 
 
 def test_spec_validation():
     with pytest.raises(LQError):
-        LQGameSpec(1, 0.3, np.array([[[0.0, 1.0]]]), np.array([[[0.0]]]), 1.0)
+        LQGameSpec(0.3, np.array([[[0.0, 1.0]]]), np.array([[[0.0]]]), 1.0)
     asym = np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2)
     with pytest.raises(LQError):
-        LQGameSpec(2, 0.3, asym, asym, 1.0)
+        LQGameSpec(0.3, asym, asym, 1.0)
+    for Q, G in ((np.zeros((2, 2)), np.zeros((2, 2))),
+                 (np.zeros((2, 2, 2)), np.zeros((1, 1, 1)))):
+        with pytest.raises(LQError, match="shape"):
+            LQGameSpec(0.3, Q, G, 1.0)
     with pytest.raises(LQError):
         scalar_spec(T=-1.0)
+    assert LQGameSpec(0.3, np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), 1.0).N == 3
 
 
 def test_rhs_zero_data():
@@ -43,7 +47,7 @@ def test_rhs_decoupled_stays_diagonal():
     for i in range(N):
         Q[i, i, i] = 0.4
         G[i, i, i] = 0.7
-    spec = LQGameSpec(N, 0.2, Q, G, 0.5)
+    spec = LQGameSpec(0.2, Q, G, 0.5)
     traj = riccati_integrate(spec, 0.01)
     off = traj.P.copy()
     for i in range(N):
@@ -238,15 +242,3 @@ def test_decay_builder_and_inheritance():
     assert abs(k1 - k2) / k2 < 0.01
     assert k2 < 10.0
 
-
-def test_csv_export():
-    spec = decay_lq_game(2, BETA, c_Q=0.2, c_G=0.3, sigma=0.25, T=0.5)
-    traj = riccati_integrate(spec, 0.01)
-    csv = trajectory_to_csv(traj)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("t,P0_00")
-    assert len(lines) == traj.times.size + 1
-    last = [float(v) for v in lines[-1].split(",")]
-    assert last[0] == pytest.approx(spec.T)
-    np.testing.assert_allclose(np.array(last[1:9]).reshape(2, 2, 2)[0],
-                               spec.Gamma[0])

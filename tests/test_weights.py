@@ -132,14 +132,15 @@ def test_shift_basics():
     b4 = shift(b, 4, N=8)
     assert b4.value(4) == 1.0
     assert b4.value(1) == pytest.approx((1 + 3) ** -3)
-    with pytest.raises(WeightError):
-        shift(b, 40, N=41)
+    for i, N in ((40, 41), (-1, 8), (8, 8)):
+        with pytest.raises(WeightError):
+            shift(b, i, N=N)
 
 
 def test_shift_symmetry_property():
     b = build_weight("polynomial", {"a": 3}, 32)
     for i, j in itertools.product(range(6), repeat=2):
-        assert shift(b, i).value(j) == shift(b, j).value(i)
+        assert shift(b, i, 6).value(j) == shift(b, j, 6).value(i)
 
 
 def test_multi_index_weight_cases():
