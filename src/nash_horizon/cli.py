@@ -91,6 +91,18 @@ def _positive(cfg: dict, key: str, typ, *default) -> object:
     return v
 
 
+def _bound(tol: dict, key: str, *default) -> float | None:
+    """tol[key] as a float (else the default, else None), an upper bound on
+    a result that is >= 0: refused if it is negative or NaN, as no result
+    could pass it."""
+    if key not in tol and not default:
+        return None
+    v = _need(tol, key, float, *default)
+    if not v >= 0:
+        raise ConfigError(f"tolerance {key!r} must be >= 0")
+    return v
+
+
 def _dimension(cfg: dict, key: str, limit: int, *default) -> int:
     """_positive(cfg, key, int, *default), refused above limit."""
     N = _positive(cfg, key, int, *default)
@@ -177,13 +189,14 @@ def _run_certify_weights(cfg, out, seed):
     beta = _weight_from(cfg)
     tol = _tolerances(cfg, "certified", "max_c")
     want = _need(tol, "certified", bool, True)
+    max_c = _bound(tol, "max_c")
     cert = certify_csc(beta)
     conv = self_convolve(beta)
     _write_csv(out / "ratios.csv", ("offset", "beta", "selfconv", "ratio"),
                zip(range(beta.W + 1), beta.values[beta.W:],
                    conv[beta.W:], cert.ratios))
     passed = cert.certified == want
-    if "max_c" in tol and cert.c > _need(tol, "max_c", float):
+    if max_c is not None and cert.c > max_c:
         passed = False
     doc = {"c": cert.c, "W": cert.W, "certified": cert.certified,
            "edge_contaminated": cert.edge_contaminated,
@@ -195,6 +208,7 @@ def _run_solve(cfg, out, seed):
     beta = _weight_from(cfg)
     game, _ = _game_from(cfg, beta)
     tol = _tolerances(cfg, "picard_tol", "residual_max")
+    residual_max = _bound(tol, "residual_max")
     sol, rep = picard_solve(game,
                             tol=_positive(tol, "picard_tol", float, 1e-6),
                             max_iter=_positive(cfg, "max_iter", int, 30),
@@ -211,8 +225,8 @@ def _run_solve(cfg, out, seed):
         results["decay"] = [verify_decay(f, game.player_weight(i),
                                          third_order=False).values()
                             for i, f in enumerate(sol)]
-        if "residual_max" in tol:
-            passed &= max(res) <= _need(tol, "residual_max", float)
+        if residual_max is not None:
+            passed &= max(res) <= residual_max
     return results, passed
 
 
@@ -258,14 +272,14 @@ def _run_verify_decay(cfg, out, seed):
         _positive(blk, "T", float))
     grid = _grid_from(cfg, N)
     collar = _collar_for(cfg, grid)
-    tol = _tolerances(cfg, "K2_max")
+    K2_max = _bound(_tolerances(cfg, "K2_max"), "K2_max")
     w = solve_grid(problem, grid, _positive(cfg, "dt", float))
     rep = verify_decay(w, beta, collar=collar)
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
     passed = all(np.isfinite(v) for v in rep.values().values())
-    if "K2_max" in tol:
-        passed &= rep.K2 <= _need(tol, "K2_max", float)
+    if K2_max is not None:
+        passed &= rep.K2 <= K2_max
     return {"decay": rep.values()}, passed
 
 
@@ -304,6 +318,10 @@ def _run_oracle_compare(cfg, out, seed):
     game, spec = _game_from(cfg, beta)
     collar = _collar_for(cfg, game.grid)
     tol = _tolerances(cfg, "picard_tol", "max_err", "max_iterations")
+    max_err = _bound(tol, "max_err")
+    # every run takes at least one sweep
+    max_its = (_positive(tol, "max_iterations", int)
+               if "max_iterations" in tol else None)
     sol, rep = picard_solve(game,
                             tol=_positive(tol, "picard_tol", float, 1e-6),
                             max_iter=_positive(cfg, "max_iter", int, 30))
@@ -327,10 +345,10 @@ def _run_oracle_compare(cfg, out, seed):
     _write_csv(out / "oracle_compare.csv", ("player", "max_abs_err"), rows)
     worst = max(e for _, e in rows)
     passed = rep.converged
-    if "max_err" in tol:
-        passed &= worst <= _need(tol, "max_err", float)
-    if "max_iterations" in tol:
-        passed &= rep.iterations <= _need(tol, "max_iterations", int)
+    if max_err is not None:
+        passed &= worst <= max_err
+    if max_its is not None:
+        passed &= rep.iterations <= max_its
     return {"max_err": worst, "iterations": rep.iterations,
             "final_increment": rep.increments[-1]}, passed
 
@@ -344,6 +362,7 @@ def _run_stability(cfg, out, seed):
         raise ConfigError(f"config key 'N_list' must list values <= "
                           f"{MAX_GRID_DIM}")
     tol = _tolerances(cfg, "picard_tol", "C_max")
+    C_max = _bound(tol, "C_max")
     rep = dimension_stability(
         lambda N: _game_from(cfg, beta, N=N)[0], N_list,
         tol=_positive(tol, "picard_tol", float, 1e-6),
@@ -352,8 +371,8 @@ def _run_stability(cfg, out, seed):
                rep.to_csv_rows())
     diffs = [r.diff for r in rep.rows]
     passed = all(b <= a for a, b in zip(diffs, diffs[1:]))
-    if "C_max" in tol:
-        passed &= rep.fitted_C <= _need(tol, "C_max", float)
+    if C_max is not None:
+        passed &= rep.fitted_C <= C_max
     return {"fitted_C": rep.fitted_C,
             "rows": [(r.N_small, r.N_large, r.diff, r.tail)
                      for r in rep.rows]}, passed
@@ -364,6 +383,7 @@ def _run_uniqueness(cfg, out, seed):
     game, _ = _game_from(cfg, beta)
     tol = _tolerances(cfg, "picard_tol", "factor")
     ptol = _positive(tol, "picard_tol", float, 1e-6)
+    factor = _bound(tol, "factor", 10.0)
     X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(TerminalSpec(g).eval(X),
@@ -371,7 +391,6 @@ def _run_uniqueness(cfg, out, seed):
                   player=i) for i, g in enumerate(game.terminals)]
     d = uniqueness_probe(game, None, u0_b, tol=ptol,
                          max_iter=_positive(cfg, "max_iter", int, 30))
-    factor = _need(tol, "factor", float, 10.0)
     passed = d <= factor * ptol
     _write_csv(out / "uniqueness.csv", ("sup_difference", "picard_tol"),
                [(d, ptol)])

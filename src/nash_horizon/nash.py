@@ -10,6 +10,10 @@ Contraction of the sweep map is measured in the triple norm combining the
 C^{2,1}-in-space weighted norm with a time-Lipschitz part.  Its order-2
 seminorms are each skipped when a bound read from the derivative's max and
 min cannot raise their running max, which leaves the value bit-identical.
+The norm takes any iterable of fields and reduces them one at a time, so the
+Picard driver and the contraction probe hand it their increments as a stream:
+each is made only when the norm reaches it, and a sweep holds the old
+iterate, the frozen gradients and the new iterate, 3N fields.
 """
 
 from __future__ import annotations
@@ -147,6 +151,10 @@ class GameSpec:
             raise NashError("need T > 0")
         if len(self.terminals) != self.N:
             raise NashError("need one terminal cost per player")
+        N, Q = self.N, self.hamiltonian.Q
+        if Q.shape != (N, N, N):
+            raise NashError(f"the Hamiltonian's Q has shape {Q.shape}; the "
+                            f"grid's {N} players need {(N, N, N)}")
         self.diffusion = DiffusionSpec(self.N, self.a)
         # keep a margin under the diffusion CFL so the upwind transport term
         # added during Picard sweeps stays stable at the shared step; at most
@@ -232,13 +240,22 @@ def _require_nodes(game: GameSpec, fields) -> None:
         raise NashError("fields must be given on the game's time nodes")
 
 
+def _frozen_gradients(fields) -> np.ndarray:
+    """D_j u^j of every player j, (N, K+1, M, ..., M): each finite_diff is
+    written into its slot of one preallocated array."""
+    Du = np.empty((len(fields),) + fields[0].values.shape)
+    for j, f in enumerate(fields):
+        Du[j] = finite_diff(f, (j,)).values
+    return Du
+
+
 def picard_step(game: GameSpec, fields) -> list:
     """One sweep of the fixed-point map S: the iterate's diagonal gradients
     D_j u^j are frozen on game.times, and every player is solved against them
     on the same nodes.  A field on other time nodes raises NashError.
     """
     _require_nodes(game, fields)
-    Du = np.stack([finite_diff(f, (j,)).values for j, f in enumerate(fields)])
+    Du = _frozen_gradients(fields)
     out = []
     for i in range(game.N):
         problem = LinearProblem(
@@ -306,7 +323,8 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
         if k == 2 and (hi - lo) / h / weight > semi:
             semi = max(semi, holder._axis_seminorm(d, h, 1.0) / weight)
         if lip:
-            q = np.diff(d, axis=0) / dts
+            q = np.diff(d, axis=0)
+            q /= dts
             s, hi, lo = _extremes(q)
             root = math.sqrt(weight)
             if k < 2:
@@ -334,6 +352,9 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
 def triple_norm(game: GameSpec, fields) -> float:
     """Max over players of ||.||_{C^{2,1}_{beta_i}} (sup over time) plus the
     time-Lipschitz part measured in the minus-variant C^2 norm with sqrt(beta_i).
+    fields is any iterable of per-player fields, player i at position i; each
+    is reduced before the next is drawn, so fields that a generator makes on
+    demand are never all held at once.
     """
     worst = 0.0
     for i, f in enumerate(fields):
@@ -364,6 +385,16 @@ class PicardReport:
         return d
 
 
+def _increments(new: list, old: list):
+    """new[i] - old[i] per player, made on demand; old[i]'s slot is set to
+    None as soon as its increment is formed, so old must be the caller's own
+    list."""
+    for i, w in enumerate(new):
+        d = w - old[i]
+        old[i] = None
+        yield d
+
+
 def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
                  max_iter: int = 30, *, iterate_norm: bool = False):
     """Iterate u <- S(u) until the triple-norm increment drops below tol.
@@ -376,6 +407,13 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     The iterate norm |||S(u)||| costs one more triple norm per
     sweep, so it is only computed when ``iterate_norm`` is set; otherwise
     the report's ``max_norm`` is None (not computed).
+
+    triple_norm reduces the increments S(u)^i - u^i one at a time, as a
+    generator makes them, and the slot of u^i in the driver's own copy of
+    the iterate list is released as soon as its increment is formed; u0 and
+    its fields are left as they are.  A sweep so peaks inside picard_step,
+    at the old iterate, the frozen gradients and the new iterate: 3N fields
+    and the linear solve's temporaries.
     """
     if tol <= 0:
         raise NashError("tol must be positive")
@@ -388,7 +426,7 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     for it in range(1, max_iter + 1):
         try:
             new = picard_step(game, u)
-            inc = triple_norm(game, [a - b for a, b in zip(new, u)])
+            inc = triple_norm(game, _increments(new, u))
             if max_norm is not None:
                 max_norm = max(max_norm, triple_norm(game, new))
         except StepBoundError as e:
@@ -426,7 +464,7 @@ def residual(game: GameSpec, fields) -> list:
     times = fields[0].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
-    Du = np.stack([finite_diff(f, (i,)).values for i, f in enumerate(fields)])
+    Du = _frozen_gradients(fields)
     X = grid.meshgrid()
     ham, a = game.hamiltonian, game.a
     inner = grid.interior(0.1)
@@ -453,12 +491,12 @@ def contraction_probe(game: GameSpec, u, v) -> float:
     """||S(u) - S(v)|| / ||u - v|| in the triple norm; StepBoundError if
     either sweep is refused, NashError if a field is off game.times."""
     _require_nodes(game, [*u, *v])
-    den = triple_norm(game, [a - b for a, b in zip(u, v)])
+    den = triple_norm(game, (a - b for a, b in zip(u, v)))
     if den < 1e-10:
         raise NashError("degenerate probe pair: ||u - v|| < 1e-10")
     Su = picard_step(game, u)
     Sv = picard_step(game, v)
-    num = triple_norm(game, [a - b for a, b in zip(Su, Sv)])
+    num = triple_norm(game, (a - b for a, b in zip(Su, Sv)))
     return num / den
 
 

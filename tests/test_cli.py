@@ -233,6 +233,15 @@ DECAY_2D = {
     ("fpk-diagnostic", {**FPK_FIT, "fpk": {**FPK_FIT["fpk"], "y": [100.0]}}),
     ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "N": 2,
                                        "y": [0.0, -6.5]}}),
+    # a negative bound on a result that is >= 0, or no sweep allowed, once
+    # ran the whole solve and then failed the tolerance
+    ("uniqueness", lq_config(tolerances={"picard_tol": 1e-6, "factor": -1})),
+    ("solve", lq_config(tolerances={"residual_max": -1})),
+    ("oracle-compare", lq_config(tolerances={"max_err": -1})),
+    ("oracle-compare", lq_config(tolerances={"max_iterations": 0})),
+    ("certify-weights", {"weights": WEIGHTS, "tolerances": {"max_c": -2}}),
+    ("verify-decay", {**DECAY_2D, "tolerances": {"K2_max": -1}}),
+    ("stability", lq_config(N_list=[2, 3], tolerances={"C_max": -1})),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
     # read and checked before any solve: no summary is written

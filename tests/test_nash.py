@@ -82,6 +82,16 @@ def test_game_dimension_is_the_grid_dimension():
     assert game.N == game.diffusion.N == 3
 
 
+@pytest.mark.parametrize("n", [3, 1])
+def test_game_refuses_a_hamiltonian_for_another_player_count(n):
+    # a (3, 3, 3) stack once failed in assemble_source's einsum, a (1, 1, 1)
+    # stack with an IndexError
+    ham = HamiltonianFamily(np.zeros((n, n, n)))
+    terms = [lambda X: 0.0 * X[0]] * 2
+    with pytest.raises(NashError, match=rf"\({n}, {n}, {n}\).* 2 players"):
+        GameSpec(0.05, ham, terms, 0.1, BETA, SpatialGrid(2, 2.0, 21), 0.01)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian families
 
@@ -570,6 +580,63 @@ def test_unread_iterate_norm_costs_no_triple_norm(monkeypatch):
     assert len(calls) == 2 * rep.iterations
 
 
+def test_picard_solve_leaves_u0_intact():
+    # the driver releases the iterate's slots in its own copy of the list
+    game, _ = mini_game(M=21)
+    u0 = probe_fields(game, 0)
+    before, values = list(u0), [f.values.copy() for f in u0]
+    sol, rep = picard_solve(game, u0, tol=1e-6, max_iter=20)
+    assert rep.converged and all(f is not None for f in sol)
+    assert all(a is b for a, b in zip(u0, before))
+    assert all(np.array_equal(f.values, v) for f, v in zip(u0, values))
+
+
+def test_a_stopped_run_returns_no_fields_with_its_report(monkeypatch):
+    game, _ = mini_game(M=15)
+    # the second player's increment norm fails after the first slot of the
+    # iterate was released
+    calls = []
+    player_norm = nash._player_norm
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise holder.NonFiniteError("field contains non-finite values")
+        return player_norm(*args)
+
+    monkeypatch.setattr(nash, "_player_norm", fail_second)
+    sol, rep = picard_solve(game, tol=1e-6, max_iter=5)
+    assert sol is None and rep.diverged and not rep.converged
+    assert rep.iterations == 1 and rep.increments == []
+    monkeypatch.undo()
+    # three growing increments in a row
+    growing = iter(range(1, 10))
+
+    def growing_norm(game, fields):
+        list(fields)            # every increment is formed, as in the norm
+        return next(growing)
+
+    monkeypatch.setattr(nash, "triple_norm", growing_norm)
+    sol, rep = picard_solve(game, tol=0.5, max_iter=10)
+    assert sol is None and rep.diverged and rep.increments == [1, 2, 3, 4]
+    monkeypatch.undo()
+    # the second sweep is refused at the transport bound
+    step = nash.picard_step
+    sweeps = []
+
+    def refuse_second(game, fields):
+        sweeps.append(1)
+        if len(sweeps) == 2:
+            raise StepBoundError("linear solve refused for player 0")
+        return step(game, fields)
+
+    monkeypatch.setattr(nash, "picard_step", refuse_second)
+    sol, rep = picard_solve(game, tol=1e-12, max_iter=5)
+    assert sol is None and not rep.diverged and not rep.converged
+    assert rep.refused == "linear solve refused for player 0"
+    assert rep.iterations == 2 and len(rep.increments) == 1
+
+
 def test_fixed_point_property():
     game, _ = mini_game()
     tol = 1e-5
@@ -793,6 +860,29 @@ def test_triple_norm_peak_memory_is_a_few_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * u[0].values.nbytes
+
+
+def test_triple_norm_of_a_generator_equals_the_list():
+    game, _ = mini_game(N=3, M=11, L=2.0, T=0.1, dt=0.01)
+    u, v = probe_fields(game, 0), probe_fields(game, 1)
+    listed = triple_norm(game, [a - b for a, b in zip(u, v)])
+    assert triple_norm(game, (a - b for a, b in zip(u, v))) == listed
+
+
+def test_picard_sweep_peak_memory_is_three_fields_per_player():
+    # a sweep holds the old iterate, the frozen gradients and the new
+    # iterate, 3N = 12 fields, plus the linear solve's temporaries; the
+    # increments are made and reduced one player at a time.  Holding all N
+    # increments at once peaks at 16.7 field sizes
+    game, _ = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
+    u0 = probe_fields(game, 0)
+    tracemalloc.start()
+    try:
+        picard_solve(game, u0, tol=1e-12, max_iter=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * u0[0].values.nbytes
 
 
 def test_contraction_probe_small_T():
