@@ -6,7 +6,8 @@ Every workflow is a subcommand driven by one self-describing JSON config:
 
 Each run writes summary.json (resolved config, content hash, results, pass
 flag) plus CSV tables.  Exit codes: 0 all asserted tolerances pass, 1
-numerical or tolerance failure, 2 invalid config.
+numerical or tolerance failure, 2 invalid config: a key that the
+subcommand's table (_TABLES) does not declare, or a value its check refuses.
 """
 
 from __future__ import annotations
@@ -59,144 +60,182 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _need(cfg: dict, key: str, typ, *default) -> object:
-    """cfg[key] of type typ (an int passes as a float, a boolean passes only
-    as a bool), else the default."""
-    if key not in cfg:
-        if default:
-            return default[0]
-        raise ConfigError(f"missing config key {key!r}")
-    v = cfg[key]
+# ---------------------------------------------------------------------------
+# the config tables: every key each subcommand reads, block by block.  A key
+# is (type, default, check): [t] is a list of t values, a default of None
+# reads as "not given", and a check is (what it asks, predicate), written so
+# that NaN fails it.  A dict is a block, which may be left out when each of
+# its keys has a default.
+
+_REQUIRED = object()                # the default of a key that has none
+
+
+def _key(typ, default=_REQUIRED, check=None):
+    return typ, default, check
+
+
+def _ascending(least: int, top):
+    return (f"a list of at least {least} ascending values in (0, {top}]",
+            lambda v: len(v) >= least and 0 < v[0] and v[-1] <= top
+            and all(a < b for a, b in zip(v, v[1:])))
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_GRID_DIM = (f"in 1..{MAX_GRID_DIM}", lambda v: 1 <= v <= MAX_GRID_DIM)
+_PICARD_TOL = _key(float, 1e-6, _POSITIVE)
+_BOUND = _key(float, None, _NON_NEGATIVE)   # on a result that is >= 0
+_COLLAR = _key(float, 0.1)          # boundary fraction of M left out per side
+_DT = _key(float, check=_POSITIVE)
+_MAIN = {"seed": _key(int, 0, _NON_NEGATIVE), "output_dir": _key(str, "out")}
+_WEIGHTS = {"kind": _key(str), "params": _key(dict), "W": _key(int)}
+_GRID = {"L": _key(float), "M": _key(int)}
+_GAME = {"N": _key(int, check=_GRID_DIM), "c_Q": _key(float),
+         "c_G": _key(float), "sigma": _key(float, check=_POSITIVE),
+         "T": _key(float, check=_POSITIVE),
+         "hamiltonian": _key(str, "lq", ("'lq' or 'saturated'",
+                                         lambda v: v in ("lq", "saturated"))),
+         "kappa": _key(float, None, _POSITIVE)}
+_LQ = {**_MAIN, "weights": _WEIGHTS, "grid": _GRID, "game": _GAME,
+       "dt": _DT, "max_iter": _key(int, 30, _POSITIVE)}
+
+_TABLES = {
+    "certify-weights": {**_MAIN, "weights": _WEIGHTS, "tolerances": {
+        "certified": _key(bool, True), "max_c": _BOUND}},
+    "solve": {**_LQ, "tolerances": {"picard_tol": _PICARD_TOL,
+                                    "residual_max": _BOUND}},
+    # T_list sets the game's T, and N_list its N: each is optional there
+    "scan-horizon": {
+        **_LQ, "game": {**_GAME, "T": _key(float, None, _POSITIVE)},
+        "T_list": _key([float], check=_ascending(1, np.inf)),
+        "n_pairs": _key(int, 3, _POSITIVE),
+        "tolerances": {"picard_tol": _PICARD_TOL,
+                       "contract_at_smallest": _key(bool, True),
+                       "spearman_min": _key(float, None)}},
+    "stability": {
+        **_LQ, "game": {**_GAME, "N": _key(int, None, _GRID_DIM)},
+        "N_list": _key([int], check=_ascending(2, MAX_GRID_DIM)),
+        "tolerances": {"picard_tol": _PICARD_TOL, "C_max": _BOUND}},
+    "oracle-compare": {**_LQ, "collar": _COLLAR, "tolerances": {
+        "picard_tol": _PICARD_TOL, "max_err": _BOUND,
+        "max_iterations": _key(int, None, _POSITIVE)}},   # >= 1 sweep runs
+    "uniqueness": {**_LQ, "tolerances": {
+        "picard_tol": _PICARD_TOL,
+        "factor": _key(float, 10.0, _NON_NEGATIVE)}},
+    "verify-decay": {
+        **_MAIN, "weights": _WEIGHTS, "grid": _GRID, "collar": _COLLAR,
+        "dt": _DT, "tolerances": {"K2_max": _BOUND},
+        "problem": {"N": _key(int, check=_GRID_DIM), "c_B": _key(float, 0.0),
+                    "c_F": _key(float, 0.0), "c_G": _key(float, 0.0),
+                    "a": _key(float, check=_POSITIVE),
+                    "T": _key(float, check=_POSITIVE)}},
+    "fpk-diagnostic": {
+        **_MAIN, "grid": _GRID, "dt": _key(float, None, _POSITIVE),
+        # fl(e h) >= 2h at e >= 2: solve_fpk_grid's eps >= 2h test passes
+        "fpk": {"N": _key(int, 1, (f"in 1..{MAX_FPK_DIM}",
+                                   lambda v: 1 <= v <= MAX_FPK_DIM)),
+                "a": _key(float, check=_POSITIVE),
+                "T": _key(float, check=_POSITIVE), "y": _key([float], None),
+                "eps_factor": _key(float, 4.0, (">= 2", lambda v: v >= 2))},
+        "tolerances": {"slope_range": _key(
+            [float], [0.4, 0.6], ("a finite [lo, hi] with lo <= hi",
+                                  lambda v: len(v) == 2 and v[0] <= v[1]
+                                  and np.all(np.isfinite(v))))}},
+}
+
+
+def _typed(name: str, v, typ):
+    """v as typ: an int passes as a float, a boolean only as a bool."""
+    if isinstance(typ, list):
+        if not isinstance(v, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_typed(name, x, typ[0]) for x in v]
     if typ is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
+        return float(v)
     # bool is a subclass of int: a JSON true is not a number
     if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
-        raise ConfigError(f"config key {key!r} must be {typ}")
+        raise ConfigError(f"{name} must be {typ.__name__}")
     return v
 
 
-def _need_list(cfg: dict, key: str, typ, n=None, *default) -> list:
-    """cfg[key]: a list of typ values (see _need), n of them if n is given."""
-    items = _need(cfg, key, list, *default)
-    if n is not None and len(items) != n:
-        raise ConfigError(f"config key {key!r} must list {n} values")
-    return [_need({key: v}, key, typ) for v in items]
-
-
-def _positive(cfg: dict, key: str, typ, *default) -> object:
-    """_need(cfg, key, typ, *default), refused unless it is > 0."""
-    v = _need(cfg, key, typ, *default)
-    if not v > 0:
-        raise ConfigError(f"config key {key!r} must be > 0")
-    return v
-
-
-def _bound(tol: dict, key: str, *default) -> float | None:
-    """tol[key] as a float (else the default, else None), an upper bound on
-    a result that is >= 0: refused if it is negative or NaN, as no result
-    could pass it."""
-    if key not in tol and not default:
-        return None
-    v = _need(tol, key, float, *default)
-    if not v >= 0:
-        raise ConfigError(f"tolerance {key!r} must be >= 0")
-    return v
-
-
-def _dimension(cfg: dict, key: str, limit: int, *default) -> int:
-    """_positive(cfg, key, int, *default), refused above limit."""
-    N = _positive(cfg, key, int, *default)
-    if N > limit:
-        raise ConfigError(f"config key {key!r} must be <= {limit}")
-    return N
-
-
-def _tolerances(cfg: dict, *keys) -> dict:
-    """cfg's tolerances block (default {}), refused if it names a key other
-    than keys, the ones the subcommand reads: a misspelled tolerance would
-    otherwise go unchecked."""
-    tol = _need(cfg, "tolerances", dict, {})
-    unknown = sorted(set(tol) - set(keys))
+def _read(table: dict, cfg, where: str = "") -> dict:
+    """cfg read through table: every declared key, an absent one at its
+    default; ConfigError at a key the table does not declare, a missing
+    required key, or a value of another type or that its check refuses."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config{where} must be a JSON object")
+    unknown = [k for k in cfg if k not in table]
     if unknown:
-        raise ConfigError(f"unknown tolerances {unknown}; this subcommand "
-                          f"reads {sorted(keys)}")
-    return tol
+        raise ConfigError(f"unknown config keys {unknown}{where}; this "
+                          f"subcommand reads {sorted(table)}")
+    out = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            out[key] = _read(spec, cfg.get(key, {}), f" in {key!r}")
+            continue
+        typ, default, check = spec
+        name = f"config key {key!r}{where}"
+        if key in cfg:
+            out[key] = _typed(name, cfg[key], typ)
+            if check is not None and not check[1](out[key]):
+                raise ConfigError(f"{name} must be {check[0]}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
+        else:
+            out[key] = default
+    return out
 
 
-def _ascending(cfg: dict, key: str, typ) -> list:
-    """_need_list(cfg, key, typ), refused unless non-empty, ascending and
-    positive (a horizon T > 0, a player count N >= 1)."""
-    items = _need_list(cfg, key, typ)
-    if not items or any(b <= a for a, b in zip(items, items[1:])):
-        raise ConfigError(f"config key {key!r} must list ascending values")
-    if not items[0] > 0:
-        raise ConfigError(f"config key {key!r} must list values > 0")
-    return items
-
-
-def _weight_from(cfg: dict):
-    blk = _need(cfg, "weights", dict)
+def _weight_from(c: dict):
     try:
-        return build_weight(_need(blk, "kind", str),
-                            _need(blk, "params", dict), _need(blk, "W", int))
+        return build_weight(**c["weights"])
     except (KeyError, TypeError, ValueError) as e:
         # a WeightError, or a missing or non-numeric parameter
         raise ConfigError(f"invalid weights: {e}") from e
 
 
-def _grid_from(cfg: dict, N: int) -> SpatialGrid:
-    blk = _need(cfg, "grid", dict)
+def _grid_from(c: dict, N: int) -> SpatialGrid:
     try:
-        return SpatialGrid(N, _need(blk, "L", float), _need(blk, "M", int))
+        return SpatialGrid(N, **c["grid"])
     except GridError as e:
         raise ConfigError(f"invalid grid: {e}") from e
 
 
-def _collar_for(cfg: dict, grid: SpatialGrid) -> float:
-    """cfg's collar (default 0.1), refused unless grid.interior takes it."""
-    collar = _need(cfg, "collar", float, 0.1)
+def _collar_for(c: dict, grid: SpatialGrid) -> float:
+    """c's collar, refused unless grid.interior takes it."""
     try:
-        grid.interior(collar)
+        grid.interior(c["collar"])
     except GridError as e:
         raise ConfigError(f"invalid collar: {e}") from e
-    return collar
+    return c["collar"]
 
 
-def _game_from(cfg: dict, beta, T=None, N=None):
-    blk = _need(cfg, "game", dict)
-    N = _dimension(blk, "N", MAX_GRID_DIM) if N is None else N
-    T = _positive(blk, "T", float) if T is None else T
-    spec = decay_lq_game(N, beta, _need(blk, "c_Q", float),
-                         _need(blk, "c_G", float), _positive(blk, "sigma", float),
-                         T)
-    grid = _grid_from(cfg, N)
-    kind = blk.get("hamiltonian", "lq")
-    if kind not in ("lq", "saturated"):
-        raise ConfigError(f"unknown hamiltonian {kind!r}: use 'lq' or "
-                          "'saturated'")
-    kappa = None
-    if kind == "saturated":
-        kappa = _positive(blk, "kappa", float)
-    game = lq_game(spec, beta, grid, _positive(cfg, "dt", float), kappa=kappa)
+def _game_from(c: dict, beta, T=None, N=None):
+    blk = c["game"]
+    if (blk["hamiltonian"] == "saturated") != (blk["kappa"] is not None):
+        raise ConfigError("config key 'kappa' in 'game' must be given "
+                          "exactly when 'hamiltonian' is 'saturated'")
+    N = blk["N"] if N is None else N
+    spec = decay_lq_game(N, beta, blk["c_Q"], blk["c_G"], blk["sigma"],
+                         blk["T"] if T is None else T)
+    game = lq_game(spec, beta, _grid_from(c, N), c["dt"], kappa=blk["kappa"])
     return game, spec
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (results dict, passed bool, extra csv writers)
+# subcommand handlers: return (results dict, passed bool)
 
 
-def _run_certify_weights(cfg, out, seed):
-    beta = _weight_from(cfg)
-    tol = _tolerances(cfg, "certified", "max_c")
-    want = _need(tol, "certified", bool, True)
-    max_c = _bound(tol, "max_c")
+def _run_certify_weights(c, out):
+    beta = _weight_from(c)
+    tol = c["tolerances"]
     cert = certify_csc(beta)
     conv = self_convolve(beta)
     _write_csv(out / "ratios.csv", ("offset", "beta", "selfconv", "ratio"),
                zip(range(beta.W + 1), beta.values[beta.W:],
                    conv[beta.W:], cert.ratios))
-    passed = cert.certified == want
-    if max_c is not None and cert.c > max_c:
+    passed = cert.certified == tol["certified"]
+    if tol["max_c"] is not None and cert.c > tol["max_c"]:
         passed = False
     doc = {"c": cert.c, "W": cert.W, "certified": cert.certified,
            "edge_contaminated": cert.edge_contaminated,
@@ -204,15 +243,11 @@ def _run_certify_weights(cfg, out, seed):
     return {"certificate": doc}, passed
 
 
-def _run_solve(cfg, out, seed):
-    beta = _weight_from(cfg)
-    game, _ = _game_from(cfg, beta)
-    tol = _tolerances(cfg, "picard_tol", "residual_max")
-    residual_max = _bound(tol, "residual_max")
-    sol, rep = picard_solve(game,
-                            tol=_positive(tol, "picard_tol", float, 1e-6),
-                            max_iter=_positive(cfg, "max_iter", int, 30),
-                            iterate_norm=True)
+def _run_solve(c, out):
+    game, _ = _game_from(c, _weight_from(c))
+    tol = c["tolerances"]
+    sol, rep = picard_solve(game, tol=tol["picard_tol"],
+                            max_iter=c["max_iter"], iterate_norm=True)
     _write_csv(out / "picard.csv", ("iteration", "increment"),
                list(enumerate(rep.increments, start=1)))
     results = {"picard": rep.to_dict()}
@@ -225,31 +260,26 @@ def _run_solve(cfg, out, seed):
         results["decay"] = [verify_decay(f, game.player_weight(i),
                                          third_order=False).values()
                             for i, f in enumerate(sol)]
-        if residual_max is not None:
-            passed &= max(res) <= residual_max
+        if tol["residual_max"] is not None:
+            passed &= max(res) <= tol["residual_max"]
     return results, passed
 
 
-def _run_scan_horizon(cfg, out, seed):
-    beta = _weight_from(cfg)
-    T_list = _ascending(cfg, "T_list", float)
-    n_pairs = _positive(cfg, "n_pairs", int, 3)
-    tol = _tolerances(cfg, "picard_tol", "contract_at_smallest",
-                      "spearman_min")
-    contract = _need(tol, "contract_at_smallest", bool, True)
-    scan = horizon_scan(lambda T: _game_from(cfg, beta, T=T)[0], T_list,
-                        n_pairs=n_pairs, seed=seed,
-                        tol=_positive(tol, "picard_tol", float, 1e-6),
-                        max_iter=_positive(cfg, "max_iter", int, 30))
+def _run_scan_horizon(c, out):
+    beta = _weight_from(c)
+    n_pairs, tol = c["n_pairs"], c["tolerances"]
+    scan = horizon_scan(lambda T: _game_from(c, beta, T=T)[0], c["T_list"],
+                        n_pairs=n_pairs, seed=c["seed"],
+                        tol=tol["picard_tol"], max_iter=c["max_iter"])
     _write_csv(out / "scan.csv",
                ("T", "max_ratio", "converged") +
                tuple(f"ratio_{k}" for k in range(n_pairs)),
                scan.to_csv_rows())
     passed = True
-    if contract:
+    if tol["contract_at_smallest"]:
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
-    if "spearman_min" in tol:
-        passed &= scan.spearman > _need(tol, "spearman_min", float)
+    if tol["spearman_min"] is not None:
+        passed &= scan.spearman > tol["spearman_min"]
     # strict JSON holds neither the rank correlation of a scan whose max
     # ratios all tie (NaN) nor a refused probe's ratio (inf): both are null
     def finite(x):
@@ -262,18 +292,13 @@ def _run_scan_horizon(cfg, out, seed):
     return results, passed
 
 
-def _run_verify_decay(cfg, out, seed):
-    beta = _weight_from(cfg)
-    blk = _need(cfg, "problem", dict)
-    N = _dimension(blk, "N", MAX_GRID_DIM)
-    problem = build_decay_problem(
-        N, beta, _need(blk, "c_B", float, 0.0), _need(blk, "c_F", float, 0.0),
-        _need(blk, "c_G", float, 0.0), _positive(blk, "a", float),
-        _positive(blk, "T", float))
-    grid = _grid_from(cfg, N)
-    collar = _collar_for(cfg, grid)
-    K2_max = _bound(_tolerances(cfg, "K2_max"), "K2_max")
-    w = solve_grid(problem, grid, _positive(cfg, "dt", float))
+def _run_verify_decay(c, out):
+    beta = _weight_from(c)
+    problem = build_decay_problem(beta=beta, **c["problem"])
+    grid = _grid_from(c, c["problem"]["N"])
+    collar = _collar_for(c, grid)
+    K2_max = c["tolerances"]["K2_max"]
+    w = solve_grid(problem, grid, c["dt"])
     rep = verify_decay(w, beta, collar=collar)
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
@@ -283,27 +308,19 @@ def _run_verify_decay(cfg, out, seed):
     return {"decay": rep.values()}, passed
 
 
-def _run_fpk_diagnostic(cfg, out, seed):
-    blk = _need(cfg, "fpk", dict)
-    N = _dimension(blk, "N", MAX_FPK_DIM, 1)
-    grid = _grid_from(cfg, N)
-    diff = DiffusionSpec.isotropic(N, _positive(blk, "a", float))
-    # e >= 2 gives fl(e h) >= 2h, so solve_fpk_grid's eps >= 2h test passes
-    eps_factor = _need(blk, "eps_factor", float, 4.0)
-    if not eps_factor >= 2:
-        raise ConfigError("config key 'eps_factor' must be >= 2 (eps >= 2h)")
-    eps = eps_factor * grid.h
-    T = _positive(blk, "T", float)
-    y = _need_list(blk, "y", float, N, [0.0] * N)
-    if not all(abs(c) <= grid.L for c in y):
-        raise ConfigError("config key 'y' must lie in the grid [-L, L]^N")
-    tol = _tolerances(cfg, "slope_range")
-    lo, hi = _need_list(tol, "slope_range", float, 2, [0.4, 0.6])
-    if not (np.all(np.isfinite([lo, hi])) and lo <= hi):
-        raise ConfigError("config key 'slope_range' must be finite [lo, hi] "
-                          "with lo <= hi")
-    dt = _positive(cfg, "dt", float, 0.9 * cfl_step(diff, grid.h))
-    res = solve_fpk_grid(diff, y, eps, grid, dt, T)
+def _run_fpk_diagnostic(c, out):
+    blk = c["fpk"]
+    N = blk["N"]
+    grid = _grid_from(c, N)
+    diff = DiffusionSpec(N, blk["a"])
+    eps = blk["eps_factor"] * grid.h
+    y = [0.0] * N if blk["y"] is None else blk["y"]
+    if len(y) != N or not all(abs(v) <= grid.L for v in y):
+        raise ConfigError(f"config key 'y' in 'fpk' must list {N} values in "
+                          "the grid [-L, L]")
+    lo, hi = c["tolerances"]["slope_range"]
+    dt = 0.9 * cfl_step(diff, grid.h) if c["dt"] is None else c["dt"]
+    res = solve_fpk_grid(diff, y, eps, grid, dt, blk["T"])
     rep = fpk_gradient_mass(res)
     _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
                                            "cumulative"), rep.to_csv_rows())
@@ -313,18 +330,12 @@ def _run_fpk_diagnostic(cfg, out, seed):
             "undershoot": res.undershoot}, passed
 
 
-def _run_oracle_compare(cfg, out, seed):
-    beta = _weight_from(cfg)
-    game, spec = _game_from(cfg, beta)
-    collar = _collar_for(cfg, game.grid)
-    tol = _tolerances(cfg, "picard_tol", "max_err", "max_iterations")
-    max_err = _bound(tol, "max_err")
-    # every run takes at least one sweep
-    max_its = (_positive(tol, "max_iterations", int)
-               if "max_iterations" in tol else None)
-    sol, rep = picard_solve(game,
-                            tol=_positive(tol, "picard_tol", float, 1e-6),
-                            max_iter=_positive(cfg, "max_iter", int, 30))
+def _run_oracle_compare(c, out):
+    game, spec = _game_from(c, _weight_from(c))
+    collar = _collar_for(c, game.grid)
+    tol = c["tolerances"]
+    sol, rep = picard_solve(game, tol=tol["picard_tol"],
+                            max_iter=c["max_iter"])
     if sol is None:
         raise RuntimeError("Picard iteration did not converge")
     traj = riccati_integrate(spec, spec.T / 200)
@@ -345,52 +356,40 @@ def _run_oracle_compare(cfg, out, seed):
     _write_csv(out / "oracle_compare.csv", ("player", "max_abs_err"), rows)
     worst = max(e for _, e in rows)
     passed = rep.converged
-    if max_err is not None:
-        passed &= worst <= max_err
-    if max_its is not None:
-        passed &= rep.iterations <= max_its
+    if tol["max_err"] is not None:
+        passed &= worst <= tol["max_err"]
+    if tol["max_iterations"] is not None:
+        passed &= rep.iterations <= tol["max_iterations"]
     return {"max_err": worst, "iterations": rep.iterations,
             "final_increment": rep.increments[-1]}, passed
 
 
-def _run_stability(cfg, out, seed):
-    beta = _weight_from(cfg)
-    N_list = _ascending(cfg, "N_list", int)
-    if len(N_list) < 2:
-        raise ConfigError("config key 'N_list' must list at least two values")
-    if N_list[-1] > MAX_GRID_DIM:
-        raise ConfigError(f"config key 'N_list' must list values <= "
-                          f"{MAX_GRID_DIM}")
-    tol = _tolerances(cfg, "picard_tol", "C_max")
-    C_max = _bound(tol, "C_max")
+def _run_stability(c, out):
+    beta = _weight_from(c)
+    tol = c["tolerances"]
     rep = dimension_stability(
-        lambda N: _game_from(cfg, beta, N=N)[0], N_list,
-        tol=_positive(tol, "picard_tol", float, 1e-6),
-        max_iter=_positive(cfg, "max_iter", int, 30))
+        lambda N: _game_from(c, beta, N=N)[0], c["N_list"],
+        tol=tol["picard_tol"], max_iter=c["max_iter"])
     _write_csv(out / "stability.csv", ("N_small", "N_large", "diff", "tail"),
                rep.to_csv_rows())
     diffs = [r.diff for r in rep.rows]
     passed = all(b <= a for a, b in zip(diffs, diffs[1:]))
-    if C_max is not None:
-        passed &= rep.fitted_C <= C_max
+    if tol["C_max"] is not None:
+        passed &= rep.fitted_C <= tol["C_max"]
     return {"fitted_C": rep.fitted_C,
             "rows": [(r.N_small, r.N_large, r.diff, r.tail)
                      for r in rep.rows]}, passed
 
 
-def _run_uniqueness(cfg, out, seed):
-    beta = _weight_from(cfg)
-    game, _ = _game_from(cfg, beta)
-    tol = _tolerances(cfg, "picard_tol", "factor")
-    ptol = _positive(tol, "picard_tol", float, 1e-6)
-    factor = _bound(tol, "factor", 10.0)
+def _run_uniqueness(c, out):
+    game, _ = _game_from(c, _weight_from(c))
+    ptol, factor = c["tolerances"]["picard_tol"], c["tolerances"]["factor"]
     X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(TerminalSpec(g).eval(X),
                                   (game.times.size,) + game.grid.shape).copy(),
                   player=i) for i, g in enumerate(game.terminals)]
-    d = uniqueness_probe(game, None, u0_b, tol=ptol,
-                         max_iter=_positive(cfg, "max_iter", int, 30))
+    d = uniqueness_probe(game, None, u0_b, tol=ptol, max_iter=c["max_iter"])
     passed = d <= factor * ptol
     _write_csv(out / "uniqueness.csv", ("sup_difference", "picard_tol"),
                [(d, ptol)])
@@ -425,27 +424,21 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = json.loads(Path(args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        seed = _need(cfg, "seed", int, 0)
-        if args.seed_override is not None:
-            seed = args.seed_override
-            cfg["seed"] = seed
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        out = Path(args.out if args.out is not None
-                   else cfg.get("output_dir", "out"))
-    except (ConfigError, json.JSONDecodeError, OSError) as e:
+        if args.seed_override is not None and isinstance(cfg, dict):
+            cfg["seed"] = args.seed_override
+        c = _read(_TABLES[args.command], cfg)
+        out = Path(args.out if args.out is not None else c["output_dir"])
+    except (ValueError, OSError) as e:
+        # a ConfigError, or a file that is absent, not UTF-8 or not JSON
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
     out.mkdir(parents=True, exist_ok=True)
-    resolved = dict(cfg)
-    resolved["seed"] = seed
+    resolved = {**cfg, "seed": c["seed"]}
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True).encode()).hexdigest()
     try:
-        results, passed = _HANDLERS[args.command](cfg, out, seed)
+        results, passed = _HANDLERS[args.command](c, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

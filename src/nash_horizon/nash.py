@@ -234,7 +234,9 @@ def assemble_source(game: GameSpec, i: int) -> np.ndarray:
 
 
 def _require_nodes(game: GameSpec, fields) -> None:
-    """NashError unless every field is given on game.times."""
+    """NashError unless fields are one per player, each on game.times."""
+    if len(fields) != game.N:
+        raise NashError(f"need {game.N} fields, got {len(fields)}")
     if any(f.times.size != game.times.size
            or not np.allclose(f.times, game.times) for f in fields):
         raise NashError("fields must be given on the game's time nodes")
@@ -252,7 +254,8 @@ def _frozen_gradients(fields) -> np.ndarray:
 def picard_step(game: GameSpec, fields) -> list:
     """One sweep of the fixed-point map S: the iterate's diagonal gradients
     D_j u^j are frozen on game.times, and every player is solved against them
-    on the same nodes.  A field on other time nodes raises NashError.
+    on the same nodes.  A list of other than game.N fields, or a field on
+    other time nodes, raises NashError.
     """
     _require_nodes(game, fields)
     Du = _frozen_gradients(fields)
@@ -352,9 +355,10 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
 def triple_norm(game: GameSpec, fields) -> float:
     """Max over players of ||.||_{C^{2,1}_{beta_i}} (sup over time) plus the
     time-Lipschitz part measured in the minus-variant C^2 norm with sqrt(beta_i).
-    fields is any iterable of per-player fields, player i at position i; each
-    is reduced before the next is drawn, so fields that a generator makes on
-    demand are never all held at once.
+    fields is any iterable of exactly game.N per-player fields, player i at
+    position i (unchecked here: a generator has no length); each is reduced
+    before the next is drawn, so fields that a generator makes on demand are
+    never all held at once.
     """
     worst = 0.0
     for i, f in enumerate(fields):
@@ -403,7 +407,7 @@ def picard_solve(game: GameSpec, u0=None, tol: float = 1e-6,
     consecutive growing increments, or a sweep, frozen gradient or norm gone
     non-finite), non-convergence and a sweep refused at the transport
     stability bound (``refused``) yield a flagged report without a
-    solution; a u0 field off game.times raises NashError (picard_step).
+    solution; a malformed u0 raises NashError (picard_step).
     The iterate norm |||S(u)||| costs one more triple norm per
     sweep, so it is only computed when ``iterate_norm`` is set; otherwise
     the report's ``max_norm`` is None (not computed).
@@ -489,8 +493,10 @@ def residual(game: GameSpec, fields) -> list:
 
 def contraction_probe(game: GameSpec, u, v) -> float:
     """||S(u) - S(v)|| / ||u - v|| in the triple norm; StepBoundError if
-    either sweep is refused, NashError if a field is off game.times."""
-    _require_nodes(game, [*u, *v])
+    either sweep is refused, NashError unless u and v each hold game.N
+    fields on game.times."""
+    _require_nodes(game, u)
+    _require_nodes(game, v)
     den = triple_norm(game, (a - b for a, b in zip(u, v)))
     if den < 1e-10:
         raise NashError("degenerate probe pair: ||u - v|| < 1e-10")

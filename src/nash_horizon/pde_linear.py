@@ -90,6 +90,7 @@ class DiffusionSpec:
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
+        """DiffusionSpec(N, a), kept only as bench/workloads.py builds it."""
         return DiffusionSpec(N, a)
 
 
@@ -136,7 +137,7 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
         return c * sum(beta.value(j) * np.tanh(X[j]) for j in range(N))
 
     return LinearProblem(
-        DiffusionSpec.isotropic(N, a),
+        DiffusionSpec(N, a),
         drift if c_B else None,
         TerminalSpec(lambda X: ramp(X, c_F)) if c_F else None,
         TerminalSpec(lambda X: ramp(X, c_G)),

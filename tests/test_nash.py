@@ -375,6 +375,22 @@ def test_picard_step_refuses_off_node_fields():
             picard_solve(game, u0=off)
 
 
+def test_field_lists_hold_one_field_per_player():
+    # a wrong count once failed deep inside: one field as "index 1 is out of
+    # bounds" in the linear solve, three as a GridError from finite_diff
+    game, _ = mini_game(N=2, M=21)
+    on = game.zero_fields()
+    for fields in (on[:1], on + on[:1]):
+        msg = f"need 2 fields, got {len(fields)}"
+        with pytest.raises(NashError, match=msg):
+            picard_step(game, fields)
+        with pytest.raises(NashError, match=msg):
+            picard_solve(game, u0=fields)
+        for u, v in ((on, fields), (fields, on)):
+            with pytest.raises(NashError, match=msg):
+                contraction_probe(game, u, v)
+
+
 def test_picard_step_zero_game():
     game = zero_game()
     out = picard_step(game, game.zero_fields())
