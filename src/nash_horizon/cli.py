@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .holder import Field, GridError, SpatialGrid, save_field
+from .holder import Field, GridError, SpatialGrid, save_field, sup_abs
 from .nash import (
     dimension_stability,
     horizon_scan,
@@ -40,6 +40,7 @@ from .pde_linear import (
     fpk_gradient_mass,
     solve_fpk_grid,
     solve_grid,
+    transport_step,
     verify_decay,
 )
 from .weights import build_weight, certify_csc, self_convolve
@@ -80,8 +81,8 @@ def _ascending(least: int, top):
             and all(a < b for a, b in zip(v, v[1:])))
 
 
-_POSITIVE = ("> 0", lambda v: v > 0)
-_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < np.inf)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
 _GRID_DIM = (f"in 1..{MAX_GRID_DIM}", lambda v: 1 <= v <= MAX_GRID_DIM)
 _PICARD_TOL = _key(float, 1e-6, _POSITIVE)
 _BOUND = _key(float, None, _NON_NEGATIVE)   # on a result that is >= 0
@@ -298,7 +299,13 @@ def _run_verify_decay(c, out):
     grid = _grid_from(c, c["problem"]["N"])
     collar = _collar_for(c, grid)
     K2_max = c["tolerances"]["K2_max"]
-    w = solve_grid(problem, grid, c["dt"])
+    # the drift does not depend on t, so its sup at t0 covers every step;
+    # a dt above cfl_step is left for solve_grid to refuse
+    dt, b = c["dt"], problem.drift
+    supB = 0.0 if b is None else sup_abs(b(problem.t0, grid.meshgrid()))
+    if supB > 0 and dt <= cfl_step(problem.diffusion, grid.h):
+        dt = min(dt, transport_step(problem.diffusion, grid.h, supB))
+    w = solve_grid(problem, grid, dt)
     rep = verify_decay(w, beta, collar=collar)
     _write_csv(out / "decay.csv", ("constant", "value"),
                sorted(rep.values().items()))
@@ -433,29 +440,27 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     resolved = {**cfg, "seed": c["seed"]}
-    digest = hashlib.sha256(
-        json.dumps(resolved, sort_keys=True).encode()).hexdigest()
+    summary = {"command": args.command, "config": resolved,
+               "config_sha256": hashlib.sha256(json.dumps(
+                   resolved, sort_keys=True).encode()).hexdigest()}
     try:
         results, passed = _HANDLERS[args.command](c, out)
+        summary.update(results=results, passed=bool(passed))
     except ConfigError as e:
+        # refused before the handler wrote a file: what this run made is empty
+        for d in made:
+            d.rmdir()
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        diag = {"command": args.command, "config": resolved,
-                "config_sha256": digest, "error": f"{type(e).__name__}: {e}",
-                "passed": False}
-        (out / "summary.json").write_text(json.dumps(diag, indent=2,
-                                                     default=str))
+        summary.update(error=f"{type(e).__name__}: {e}", passed=False)
         print(f"numerical failure: {e}", file=sys.stderr)
-        return 1
-    summary = {"command": args.command, "config": resolved,
-               "config_sha256": digest, "results": results,
-               "passed": bool(passed)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  default=str))
-    return 0 if passed else 1
+    return 0 if summary["passed"] else 1
 
 
 if __name__ == "__main__":

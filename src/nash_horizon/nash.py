@@ -268,7 +268,7 @@ def picard_step(game: GameSpec, fields) -> list:
             TerminalSpec(game.terminals[i]),
             0.0, game.T, player=i)
         try:
-            w = solve_grid(problem, game.grid, game.step, strict_dt=True)
+            w = solve_grid(problem, game.grid, game.step)
         except TransportBoundError as e:
             raise StepBoundError(f"linear solve refused for player {i}: {e}") from e
         except (SolveError, DivergedError) as e:

@@ -33,6 +33,7 @@ __all__ = [
     "FPKResult",
     "GradientMassReport",
     "cfl_step",
+    "transport_step",
     "solve_grid",
     "solve_mc",
     "solve_fpk_grid",
@@ -181,15 +182,16 @@ def _transport_term(B, v, nbrs, h):
     return out
 
 
-def _transport_step(N: int, a: float, supB: float, h: float) -> float:
-    """Largest explicit step that covers upwind transport at sup|B| as well
-    as diffusion at a, with a 0.9 margin."""
-    return 0.9 / (2 * N * a / h ** 2 + N * supB / h)
-
-
 def cfl_step(diffusion: DiffusionSpec, h: float) -> float:
     """The explicit diffusion bound h^2 / (2 N a)."""
     return h ** 2 / (2 * diffusion.N * diffusion.a)
+
+
+def transport_step(diffusion: DiffusionSpec, h: float, supB: float) -> float:
+    """Largest explicit step that covers upwind transport at sup|B| as well
+    as the diffusion, with a 0.9 margin: 0.9 / (2 N a / h^2 + N sup|B| / h)."""
+    N = diffusion.N
+    return 0.9 / (2 * N * diffusion.a / h ** 2 + N * supB / h)
 
 
 def _check_step(diffusion: DiffusionSpec, grid: SpatialGrid, dt: float):
@@ -202,14 +204,10 @@ def _check_step(diffusion: DiffusionSpec, grid: SpatialGrid, dt: float):
         raise CFLError(f"dt = {dt} exceeds h^2/(2 N a) = {cfl}")
 
 
-def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
-               strict_dt: bool = False) -> Field:
-    """Backward explicit Euler for the transport-diffusion equation.
-
-    A step raises TransportBoundError if it exceeds the bound
-    0.9 / (2 N a / h^2 + N sup|B| / h) for the drift B of that step.
-    With strict_dt the requested step is used verbatim; otherwise it is
-    first shrunk to cover the drift sampled at t0, the midpoint and T.
+def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float) -> Field:
+    """Backward explicit Euler for the transport-diffusion equation, in the
+    fewest equal steps of at most dt.  A step raises TransportBoundError if
+    it exceeds transport_step for the drift B of that step.
     """
     N = grid.N
     if N > MAX_GRID_DIM:
@@ -217,13 +215,6 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
     _check_step(problem.diffusion, grid, dt)
     X = grid.meshgrid()
     h = grid.h
-    b = problem.drift
-    if b is not None and not strict_dt:
-        # shrink (never coarsen) to cover the drift at t0, the midpoint and T
-        supB = max(float(np.max(np.abs(b(t, X)))) for t in
-                   (problem.t0, 0.5 * (problem.t0 + problem.T), problem.T))
-        if supB > 0:
-            dt = min(dt, _transport_step(N, problem.diffusion.a, supB, h))
     times = time_nodes(problem.t0, problem.T, dt)
     step = times[1] - times[0]
     vals = np.empty((times.size,) + grid.shape)
@@ -236,11 +227,11 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float,
         # blow-up is caught below; silence the transient overflow noise
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _diffusion_term(problem.diffusion, v, nbrs, h)
-            if b is not None:
-                B = b(t, X)
-                bound = _transport_step(N, problem.diffusion.a, sup_abs(B), h)
+            if problem.drift is not None:
+                B = problem.drift(t, X)
+                bound = transport_step(problem.diffusion, h, sup_abs(B))
                 # the slack of _check_step's CFL check: time_nodes may leave
-                # a shrunk step a rounding error above the bound it met
+                # a step a rounding error above the bound its caller met
                 if step > bound * (1 + 1e-9):
                     raise TransportBoundError(
                         f"step {step:.4g} is {step / bound:.10g} times the "

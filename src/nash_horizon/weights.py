@@ -88,29 +88,33 @@ def build_weight(kind: str, params: dict, W: int) -> WeightSequence:
     kinds: "polynomial" (exponent a > 2, beta^i = (1+|i|)^-a),
     "geometric-polynomial" (ratio r in (0,1), exponent a > 1,
     beta^i = r^|i| (1+|i|)^-a), "table" (explicit even positive values).
+    A parameter that the kind does not read raises WeightError.
     """
     if W < 8:
         raise WeightError("window half-width W must be >= 8")
     i = np.abs(np.arange(-W, W + 1))
+    params = dict(params)           # each kind pops what it reads
     if kind == "polynomial":
-        a = float(params["a"])
+        a = float(params.pop("a"))
         if a <= 2:
             raise WeightError("polynomial exponent must satisfy a > 2 "
                               "(square-root summability fails otherwise)")
         vals = (1.0 + i) ** (-a)
     elif kind == "geometric-polynomial":
-        r, a = float(params["r"]), float(params["a"])
+        r, a = float(params.pop("r")), float(params.pop("a"))
         if not 0 < r < 1:
             raise WeightError("geometric ratio must lie in (0,1)")
         if a <= 1:
             raise WeightError("geometric-polynomial exponent must satisfy a > 1")
         vals = r ** i * (1.0 + i) ** (-a)
     elif kind == "table":
-        vals = np.asarray(params["values"], dtype=float)
+        vals = np.asarray(params.pop("values"), dtype=float)
         if vals.shape != (2 * W + 1,):
             raise WeightError("table values must have length 2W+1")
     else:
         raise WeightError(f"unknown weight kind {kind!r}")
+    if params:
+        raise WeightError(f"{kind} weights read no parameter {sorted(params)}")
     return WeightSequence(vals / vals[W])
 
 

@@ -89,12 +89,13 @@ def test_03_fpk_gradient_mass_law():
            f"log-log slope={rep.slope:.3f} in [0.4, 0.6], C={rep.C:.3f}")
 
 
-def test_04_linear_decay_estimate():
+def test_04_linear_decay_estimate(covering_step):
     def solve(M, T, c_G):
         g = SpatialGrid(3, 3.0, M)
         p = build_decay_problem(3, BETA32, c_B=0.2, c_F=0.3, c_G=c_G,
                                 a=0.5, T=T)
-        w = solve_grid(p, g, 0.9 * g.h ** 2 / (2 * 3 * 0.5))
+        dt = covering_step(p, g, 0.9 * g.h ** 2 / (2 * 3 * 0.5))
+        w = solve_grid(p, g, dt)
         return verify_decay(w, BETA32, collar=0.1)
 
     coarse = solve(25, 0.2, 0.3)

@@ -8,7 +8,10 @@ import pytest
 
 import nash_horizon
 from nash_horizon.cli import main
+from nash_horizon.holder import SpatialGrid
 from nash_horizon.oracle_lq import decay_lq_game
+from nash_horizon.pde_linear import (build_decay_problem, cfl_step,
+                                     solve_grid, verify_decay)
 from nash_horizon.weights import build_weight
 
 WEIGHTS = {"kind": "polynomial", "params": {"a": 3}, "W": 64}
@@ -69,6 +72,19 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
     code, _, _ = run(tmp_path, "certify-weights", {"nope": 1})
     assert code == 2
+    # a parameter of another weight kind once ran silently
+    code, _, _ = run(tmp_path, "certify-weights", {"weights": {
+        "kind": "polynomial", "params": {"a": 3, "r": 0.5}, "W": 64}})
+    assert code == 2
+    # JSON reads 1e400 as infinity, which a > 0 or >= 0 check once passed:
+    # the diffusion then failed as a numerical error, after summary.json
+    p.write_text('{"grid": {"L": 6.0, "M": 61}, '
+                 '"fpk": {"N": 1, "a": 1e400, "T": 0.72}}')
+    assert main(["fpk-diagnostic", "--config", str(p), "--out", "fpk"]) == 2
+    assert not (tmp_path / "fpk").exists()
+    code, summary, _ = run(tmp_path, "verify-decay", {
+        **DECAY_2D, "tolerances": {"K2_max": float("inf")}})
+    assert code == 2 and summary is None
     # missing required game block for solve
     code, _, _ = run(tmp_path, "solve", {"weights": WEIGHTS, "dt": 0.01})
     assert code == 2
@@ -252,10 +268,12 @@ DECAY_2D = {
     ("stability", lq_config(N_list=[2, 3], tolerances={"C_max": -1})),
 ])
 def test_malformed_list_or_flag_exits_2(tmp_path, command, cfg):
-    # read and checked before any solve: no summary is written
-    code, summary, _ = run(tmp_path, command, cfg)
+    # read and checked before any solve: no summary is written, and no
+    # output directory is left behind
+    code, summary, o = run(tmp_path, command, cfg)
     assert code == 2
     assert summary is None
+    assert not o.exists()
 
 
 DECAY = {
@@ -590,6 +608,42 @@ def test_verify_decay(tmp_path):
     assert code == 0
     assert np.isfinite(summary["results"]["decay"]["K2"])
     assert (o / "decay.csv").exists()
+
+
+def test_verify_decay_forms_the_covering_step(tmp_path, covering_step):
+    # the benchmark's verify-decay call: 0.9 cfl_step is above the transport
+    # bound of the t-independent drift, so the CLI solves at the bound, and
+    # its constants are those of that solve, bit for bit
+    cfg = {**DECAY, "grid": {"L": 3.0, "M": 49}}
+    p = build_decay_problem(beta=build_weight(**WEIGHTS), **cfg["problem"])
+    g = SpatialGrid(3, 3.0, 49)
+    dt = 0.9 * cfl_step(p.diffusion, g.h)
+    assert covering_step(p, g, dt) < dt
+    code, summary, o = run(tmp_path, "verify-decay", {**cfg, "dt": dt})
+    assert code == 0 and summary["passed"]
+    rep = verify_decay(solve_grid(p, g, covering_step(p, g, dt)),
+                       build_weight(**WEIGHTS))
+    rows = [line.split(",") for line in
+            (o / "decay.csv").read_text().splitlines()[1:]]
+    assert {k: float(v) for k, v in rows} == rep.values()
+    # a step above cfl_step is refused, not shrunk
+    code, summary, _ = run(tmp_path, "verify-decay", {**cfg, "dt": 2 * dt})
+    assert code == 1 and summary["error"].startswith("CFLError")
+
+
+@pytest.mark.parametrize("out", ["out", "made/out"])
+def test_refused_run_leaves_no_directory_it_made(tmp_path, out):
+    # a collar that consumes the grid is refused after the table, once the
+    # output directory is made: that directory, and any parent the run
+    # made, go again; a directory that was there stays
+    cfg = {**DECAY_2D, "collar": 0.7}
+    code, summary, o = run(tmp_path, "verify-decay", cfg, out=out)
+    assert code == 2 and summary is None
+    assert not (tmp_path / out.split("/")[0]).exists()
+    o.mkdir(parents=True)
+    code, summary, _ = run(tmp_path, "verify-decay", cfg, out=out)
+    assert code == 2 and summary is None
+    assert o.is_dir()
 
 
 def test_fpk_diagnostic(tmp_path):

@@ -352,7 +352,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
             TerminalSpec(lambda X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
             0.0, game.T, player=i)
-        ref = solve_grid(problem, game.grid, game.step, strict_dt=True)
+        ref = solve_grid(problem, game.grid, game.step)
         assert same_bits(w.times, ref.times)
         assert same_bits(w.values, ref.values)
 

@@ -71,14 +71,14 @@ def test_heat_kernel_refinement_order():
     assert np.log2(errs[0] / errs[1]) > 1.8
 
 
-def test_constant_terminal_no_source():
+def test_constant_terminal_no_source(covering_step):
     # with F = 0 and G = c the solution is identically c
     g = SpatialGrid(2, 2.0, 41)
     diff = DiffusionSpec.isotropic(2, 1.0)
     drift = lambda t, X: np.stack([np.sin(X[0]), 0 * X[1]])
     p = LinearProblem(diff, drift, None,
                       TerminalSpec(lambda X: 3.0 + 0 * X[0]), 0.0, 0.1)
-    w = solve_grid(p, g, cfl_dt(g, 2, 1.0))
+    w = solve_grid(p, g, covering_step(p, g, cfl_dt(g, 2, 1.0)))
     np.testing.assert_allclose(w.values, 3.0, atol=1e-10)
 
 
@@ -99,7 +99,7 @@ def test_linearity():
                                atol=1e-10)
 
 
-def test_comparison_principle():
+def test_comparison_principle(covering_step):
     # F >= 0, G >= 0 implies w >= 0 (monotone scheme)
     g = SpatialGrid(2, 2.0, 31)
     diff = DiffusionSpec.isotropic(2, 0.5)
@@ -107,7 +107,7 @@ def test_comparison_principle():
     src = TerminalSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
     p = LinearProblem(diff, drift, src,
                       TerminalSpec(lambda X: np.maximum(X[0], 0.0)), 0.0, 0.2)
-    w = solve_grid(p, g, cfl_dt(g, 2, 0.5))
+    w = solve_grid(p, g, covering_step(p, g, cfl_dt(g, 2, 0.5)))
     assert w.values.min() >= -1e-12
 
 
@@ -129,27 +129,30 @@ def test_grid_and_diffusion_dimensions_must_match():
                        1e-3, T=0.1)
 
 
-def test_strict_step_checks_the_transport_bound():
-    # strict_dt keeps the requested step, and raises above the transport
-    # bound 0.9 / (2 N a / h^2 + N sup|B| / h) of the step's drift
+def test_given_step_checks_the_transport_bound():
+    # solve_grid keeps the requested step, and raises above the transport
+    # bound 0.9 / (2 N a / h^2 + N sup|B| / h) of the step's drift; a step a
+    # rounding error above the bound still runs
     g = SpatialGrid(1, 2.0, 21)
     bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
-    for dt, ok in ((0.99 * bound, True), (1.1 * bound, False)):
+    for dt, ok in ((0.99 * bound, True), (bound * (1 + 1e-13), True),
+                   (1.1 * bound, False)):
         p = LinearProblem(DiffusionSpec.isotropic(1, 0.5),
                           lambda t, X: 3.0 * np.cos(X), None,
                           TerminalSpec(lambda X: np.sin(X[0])), 0.0, 4 * dt)
         if ok:
-            assert solve_grid(p, g, dt, strict_dt=True).times.size == 5
+            w = solve_grid(p, g, dt)
+            assert w.times.size == 5 and w.times[1] == dt
         else:
             with pytest.raises(TransportBoundError,
                                match="is 1.1 times the transport"):
-                solve_grid(p, g, dt, strict_dt=True)
+                solve_grid(p, g, dt)
 
 
 def test_every_step_checks_the_transport_bound():
-    # a drift pulse at T/4 falls between the times t0, T/2 and T that size
-    # the shrunk step: the steps near it once ran over their bound, up to
-    # 6.6 times, and sup|w| = 1.027 left the terminal's range [-1, 1]
+    # the steps near a drift pulse at T/4, between the times t0, T/2 and T,
+    # are checked too: run past their bound (up to 6.6 times), they once
+    # took sup|w| to 1.027, outside the terminal's range [-1, 1]
     g = SpatialGrid(1, 2.0, 41)
     diff = DiffusionSpec.isotropic(1, 0.5)
     T = 0.4
@@ -161,13 +164,6 @@ def test_every_step_checks_the_transport_bound():
         solve_grid(p, g, 0.9 * cfl_step(diff, g.h))
     # the message prints a ratio above 1 as above 1
     assert float(re.search(r" is (\S+) times", str(err.value))[1]) > 1
-    # a step a rounding error above the bound it was shrunk to still runs
-    bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
-    p = LinearProblem(diff, lambda t, X: 3.0 * np.cos(X), None,
-                      TerminalSpec(lambda X: np.sin(X[0])), 0.0,
-                      7 * bound * (1 + 1e-13))
-    w = solve_grid(p, g, 0.9 * cfl_step(diff, g.h))
-    assert w.times.size == 8 and w.times[1] > bound
 
 
 def _solve_grid_per_step(problem, grid, dt):
@@ -201,7 +197,7 @@ def test_solve_grid_evaluates_the_source_once(same_bits):
     p = LinearProblem(diff, drift, TerminalSpec(f),
                       TerminalSpec(lambda X: np.sin(X[0]) * X[1]), 0.0, 0.1)
     dt = 0.5 * cfl_step(diff, g.h)
-    w = solve_grid(p, g, dt, strict_dt=True)
+    w = solve_grid(p, g, dt)
     assert calls == [(2, 21, 21)]
     assert w.times.size > 10
     assert same_bits(w.values, _solve_grid_per_step(p, g, dt))
@@ -594,15 +590,15 @@ def test_verify_decay_collar_excludes_boundary():
     assert r_dirty.K1 == r_clean.K1 == 0.0
 
 
-def test_linear_estimate_is_stable_in_the_dimension():
+def test_linear_estimate_is_stable_in_the_dimension(covering_step):
     # the a priori constants of build_decay_problem's solution stay put as
     # players are added (K1 0.2896 -> 0.2910 from N = 1 to 4); with the data
     # built at beta = 1 instead, K1 reaches 18.3 at N = 4
     def constants(N):
         p = build_decay_problem(N, BETA, 0.2, 0.3, 0.3, 0.5, 0.2)
         g = SpatialGrid(N, 3.0, 15)
-        rep = verify_decay(solve_grid(p, g, 0.9 * cfl_step(p.diffusion, g.h)),
-                           BETA)
+        dt = covering_step(p, g, 0.9 * cfl_step(p.diffusion, g.h))
+        rep = verify_decay(solve_grid(p, g, dt), BETA)
         return np.array([rep.K1, rep.K2, rep.K3])
 
     base = constants(1)

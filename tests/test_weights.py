@@ -63,6 +63,12 @@ def test_build_weight_parameter_validation():
     uneven = np.linspace(1, 2, 33)
     with pytest.raises(WeightError):
         build_weight("table", {"values": uneven}, 16)
+    # a parameter the kind does not read is refused, not ignored, and the
+    # caller's dict is left as it was
+    params = {"a": 3, "r": 0.5}
+    with pytest.raises(WeightError, match=r"read no parameter \['r'\]"):
+        build_weight("polynomial", params, 16)
+    assert params == {"a": 3, "r": 0.5}
 
 
 def test_self_convolve_near_delta():
