@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,9 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # the config tables: every key each subcommand reads, block by block.  A key
 # is (type, default, check): [t] is a list of t values, a default of None
-# reads as "not given", and a check is (what it asks, predicate), written so
-# that NaN fails it.  A dict is a block, which may be left out when each of
-# its keys has a default.
+# reads as "not given", and a check is (what it asks, predicate).  Every
+# float read must be finite, so no check meets NaN or infinity.  A dict is a
+# block, which may be left out when each of its keys has a default.
 
 _REQUIRED = object()                # the default of a key that has none
 
@@ -81,8 +82,8 @@ def _ascending(least: int, top):
             and all(a < b for a, b in zip(v, v[1:])))
 
 
-_POSITIVE = ("finite and > 0", lambda v: 0 < v < np.inf)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 _GRID_DIM = (f"in 1..{MAX_GRID_DIM}", lambda v: 1 <= v <= MAX_GRID_DIM)
 _PICARD_TOL = _key(float, 1e-6, _POSITIVE)
 _BOUND = _key(float, None, _NON_NEGATIVE)   # on a result that is >= 0
@@ -90,7 +91,7 @@ _COLLAR = _key(float, 0.1)          # boundary fraction of M left out per side
 _DT = _key(float, check=_POSITIVE)
 _MAIN = {"seed": _key(int, 0, _NON_NEGATIVE), "output_dir": _key(str, "out")}
 _WEIGHTS = {"kind": _key(str), "params": _key(dict), "W": _key(int)}
-_GRID = {"L": _key(float), "M": _key(int)}
+_GRID = {"L": _key(float, check=_POSITIVE), "M": _key(int)}
 _GAME = {"N": _key(int, check=_GRID_DIM), "c_Q": _key(float),
          "c_G": _key(float), "sigma": _key(float, check=_POSITIVE),
          "T": _key(float, check=_POSITIVE),
@@ -139,23 +140,27 @@ _TABLES = {
                 "T": _key(float, check=_POSITIVE), "y": _key([float], None),
                 "eps_factor": _key(float, 4.0, (">= 2", lambda v: v >= 2))},
         "tolerances": {"slope_range": _key(
-            [float], [0.4, 0.6], ("a finite [lo, hi] with lo <= hi",
-                                  lambda v: len(v) == 2 and v[0] <= v[1]
-                                  and np.all(np.isfinite(v))))}},
+            [float], [0.4, 0.6], ("[lo, hi] with lo <= hi",
+                                  lambda v: len(v) == 2 and v[0] <= v[1]))}},
 }
 
 
 def _typed(name: str, v, typ):
-    """v as typ: an int passes as a float, a boolean only as a bool."""
+    """v as typ: an int passes as a float, a boolean only as a bool, and a
+    float only when it is finite."""
     if isinstance(typ, list):
         if not isinstance(v, list):
             raise ConfigError(f"{name} must be a list")
         return [_typed(name, x, typ[0]) for x in v]
     if typ is float and isinstance(v, int) and not isinstance(v, bool):
-        return float(v)
+        # an int past the float range reads as infinite, as 1e400 does
+        v = float(v) if abs(v) <= sys.float_info.max else np.inf
     # bool is a subclass of int: a JSON true is not a number
     if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
         raise ConfigError(f"{name} must be {typ.__name__}")
+    # JSON reads 1e400 as infinity, and Python's json module reads NaN
+    if typ is float and not np.isfinite(v):
+        raise ConfigError(f"{name} must be finite")
     return v
 
 
@@ -251,15 +256,18 @@ def _run_solve(c, out):
                             max_iter=c["max_iter"], iterate_norm=True)
     _write_csv(out / "picard.csv", ("iteration", "increment"),
                list(enumerate(rep.increments, start=1)))
-    results = {"picard": rep.to_dict()}
+    picard = asdict(rep)
+    if rep.refused is None:         # the key only marks a refused run
+        del picard["refused"]
+    results = {"picard": picard}
     passed = rep.converged
     if sol is not None:
         for i, f in enumerate(sol):
             save_field(f, out / f"u{i}.bin")
         res = residual(game, sol)
         results["residual_sup"] = res
-        results["decay"] = [verify_decay(f, game.player_weight(i),
-                                         third_order=False).values()
+        results["decay"] = [asdict(verify_decay(f, game.player_weight(i),
+                                                third_order=False))
                             for i, f in enumerate(sol)]
         if tol["residual_max"] is not None:
             passed &= max(res) <= tol["residual_max"]
@@ -275,7 +283,8 @@ def _run_scan_horizon(c, out):
     _write_csv(out / "scan.csv",
                ("T", "max_ratio", "converged") +
                tuple(f"ratio_{k}" for k in range(n_pairs)),
-               scan.to_csv_rows())
+               [(r.T, r.max_ratio, int(r.converged)) + tuple(r.ratios)
+                for r in scan.rows])
     passed = True
     if tol["contract_at_smallest"]:
         passed &= scan.rows[0].max_ratio < 1 and scan.rows[0].converged
@@ -307,12 +316,12 @@ def _run_verify_decay(c, out):
         dt = min(dt, transport_step(problem.diffusion, grid.h, supB))
     w = solve_grid(problem, grid, dt)
     rep = verify_decay(w, beta, collar=collar)
-    _write_csv(out / "decay.csv", ("constant", "value"),
-               sorted(rep.values().items()))
-    passed = all(np.isfinite(v) for v in rep.values().values())
+    decay = asdict(rep)
+    _write_csv(out / "decay.csv", ("constant", "value"), sorted(decay.items()))
+    passed = all(np.isfinite(v) for v in decay.values())
     if K2_max is not None:
         passed &= rep.K2 <= K2_max
-    return {"decay": rep.values()}, passed
+    return {"decay": decay}, passed
 
 
 def _run_fpk_diagnostic(c, out):
@@ -329,8 +338,9 @@ def _run_fpk_diagnostic(c, out):
     dt = 0.9 * cfl_step(diff, grid.h) if c["dt"] is None else c["dt"]
     res = solve_fpk_grid(diff, y, eps, grid, dt, blk["T"])
     rep = fpk_gradient_mass(res)
-    _write_csv(out / "gradient_mass.csv", ("elapsed", "gradient_mass",
-                                           "cumulative"), rep.to_csv_rows())
+    _write_csv(out / "gradient_mass.csv",
+               ("elapsed", "gradient_mass", "cumulative"),
+               zip(rep.times, rep.gradient_mass, rep.cumulative))
     passed = lo <= rep.slope <= hi and res.undershoot <= 1e-12
     return {"slope": rep.slope, "C": rep.C, "mass_error":
             float(np.max(np.abs(res.mass - 1.0))),
@@ -377,15 +387,14 @@ def _run_stability(c, out):
     rep = dimension_stability(
         lambda N: _game_from(c, beta, N=N)[0], c["N_list"],
         tol=tol["picard_tol"], max_iter=c["max_iter"])
+    rows = [(r.N_small, r.N_large, r.diff, r.tail) for r in rep.rows]
     _write_csv(out / "stability.csv", ("N_small", "N_large", "diff", "tail"),
-               rep.to_csv_rows())
+               rows)
     diffs = [r.diff for r in rep.rows]
     passed = all(b <= a for a, b in zip(diffs, diffs[1:]))
     if tol["C_max"] is not None:
         passed &= rep.fitted_C <= tol["C_max"]
-    return {"fitted_C": rep.fitted_C,
-            "rows": [(r.N_small, r.N_large, r.diff, r.tail)
-                     for r in rep.rows]}, passed
+    return {"fitted_C": rep.fitted_C, "rows": rows}, passed
 
 
 def _run_uniqueness(c, out):

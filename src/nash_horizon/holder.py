@@ -69,8 +69,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.M < 5 or self.M % 2 == 0:
             raise GridError("M must be odd and >= 5")
-        if self.L <= 0 or self.N < 1:
-            raise GridError("need L > 0 and N >= 1")
+        if not (np.isfinite(self.L) and self.L > 0) or self.N < 1:
+            raise GridError("need L finite and > 0 and N >= 1")
         if self.M ** self.N > MAX_NODES:
             raise GridError(f"grid exceeds node budget {MAX_NODES}")
 
@@ -282,7 +282,8 @@ def save_field(f: Field, path) -> None:
 
 def load_field(path) -> Field:
     """Read a field written by save_field.  GridError names the file when its
-    size or its sidecar disagrees with the binary header."""
+    size or its sidecar disagrees with the binary header, or when the sidecar
+    is not a JSON object or its times are not numbers."""
     path = Path(path)
     side_path = path.with_suffix(path.suffix + ".json")
     raw = path.read_bytes()
@@ -295,13 +296,17 @@ def load_field(path) -> Field:
     if payload != want:
         raise GridError(f"{path}: payload has {payload} bytes, header "
                         f"(N={N}, M={M}, K={K}) needs {want}")
-    side = json.loads(side_path.read_text())
+    try:
+        side = json.loads(side_path.read_text())
+        got = {k: side.get(k) for k in "NMLK"}
+        times = np.asarray(side.get("times", ()), dtype=float)
+        got["len(times)"] = len(times)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise GridError(f"{side_path}: unreadable sidecar: {e}") from e
     head = {"N": N, "M": M, "L": L, "K": K, "len(times)": K + 1}
-    got = {k: side.get(k) for k in "NMLK"}
-    got["len(times)"] = len(side.get("times", ()))
     if got != head:
         raise GridError(f"{side_path}: sidecar {got} disagrees with the "
                         f"binary header {head}")
     vals = np.frombuffer(raw, "<f8", offset=_HEADER.size)
-    return Field(SpatialGrid(N, L, M), np.asarray(side["times"]),
+    return Field(SpatialGrid(N, L, M), times,
                  vals.reshape((K + 1,) + (M,) * N).copy(), side.get("player"))

@@ -19,7 +19,7 @@ iterate, the frozen gradients and the new iterate, 3N fields.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -382,12 +382,6 @@ class PicardReport:
     max_norm: float | None          # largest iterate norm; None: not computed
     refused: str | None = None      # why a sweep was refused; None: none was
 
-    def to_dict(self):
-        d = asdict(self)
-        if self.refused is None:        # the key only marks a refused run
-            del d["refused"]
-        return d
-
 
 def _increments(new: list, old: list):
     """new[i] - old[i] per player, made on demand; old[i]'s slot is set to
@@ -540,10 +534,6 @@ class HorizonScan:
     T_star_low: float | None       # largest T with all ratios < 1 + convergence
     T_fail: float | None           # smallest T with a failure
 
-    def to_csv_rows(self):
-        return [(r.T, r.max_ratio, int(r.converged)) + tuple(r.ratios)
-                for r in self.rows]
-
 
 def _average_ranks(x) -> np.ndarray:
     """1-based ranks of x; tied entries share the mean of their ranks."""
@@ -602,9 +592,6 @@ class StabilityRow:
 class StabilityReport:
     rows: list
     fitted_C: float                 # max diff / tail over pairs
-
-    def to_csv_rows(self):
-        return [(r.N_small, r.N_large, r.diff, r.tail) for r in self.rows]
 
 
 def dimension_stability(make_game, N_list, tol: float = 1e-6,

@@ -357,9 +357,6 @@ class GradientMassReport:
     slope: float                # log-log fit exponent of the cumulative curve
     C: float                    # fitted prefactor
 
-    def to_csv_rows(self):
-        return list(zip(self.times, self.gradient_mass, self.cumulative))
-
 
 def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
     """Cumulative time integral of sup_k int |D_k rho| and its log-log fit
@@ -398,11 +395,6 @@ class DecayReport:
     time_lip_grad: float        # sup_j ||d_t D_j w|| / sqrt(beta^j)
     time_lip_hess: float        # second-derivative time-Lipschitz quotient
     collar: float
-
-    def values(self) -> dict:
-        return {"K1": self.K1, "K2": self.K2, "K3": self.K3,
-                "time_lip_grad": self.time_lip_grad,
-                "time_lip_hess": self.time_lip_hess, "collar": self.collar}
 
 
 def _time_gradient(f: np.ndarray, t: np.ndarray, uniform: bool) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,12 @@ def run(tmp_path, command, cfg, name="cfg.json", out="out", extra=()):
     if (o / "summary.json").exists():
         summary = json.loads((o / "summary.json").read_text())
     return code, summary, o
+
+
+def read_csv(path):
+    """The header and the rows of a CSV the CLI wrote, as lists of cells."""
+    head, *lines = path.read_text().splitlines()
+    return head.split(","), [line.split(",") for line in lines]
 
 
 def lq_config(**over):
@@ -117,7 +124,7 @@ def test_solve_records_finite_max_norm_as_strict_json(tmp_path):
     assert isinstance(max_norm, float) and np.isfinite(max_norm)
     # a norm that was not computed is written as null, never as 0 or NaN
     skipped = PicardReport([], [], 0, False, False, 1e-6, None)
-    doc = json.loads(json.dumps(skipped.to_dict(), allow_nan=False))
+    doc = json.loads(json.dumps(asdict(skipped), allow_nan=False))
     assert doc["max_norm"] is None
 
 
@@ -319,6 +326,40 @@ def test_boolean_for_a_number_exits_2(tmp_path, command, cfg):
     code, summary, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert summary is None
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def _lq_game(**over):
+    return {"N": 2, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25, "T": 0.2, **over}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify-decay", {**DECAY_2D, "grid": {"L": INF, "M": 25}}, "L"),
+    ("verify-decay", {**DECAY_2D, "grid": {"L": NAN, "M": 25}}, "L"),
+    ("fpk-diagnostic", {**FPK, "grid": {"L": NAN, "M": 61}}, "L"),
+    ("solve", lq_config(game=_lq_game(c_Q=NAN)), "c_Q"),
+    ("solve", lq_config(game=_lq_game(c_Q=INF)), "c_Q"),
+    ("solve", lq_config(game=_lq_game(c_Q=10 ** 400)), "c_Q"),
+    ("solve", lq_config(game=_lq_game(c_G=NAN)), "c_G"),
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"],
+                                              "c_B": NAN}}, "c_B"),
+    ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"],
+                                              "c_F": INF}}, "c_F"),
+    ("scan-horizon", lq_config(T_list=[0.05], tolerances={
+        "spearman_min": NAN}), "spearman_min"),
+    ("fpk-diagnostic", {**FPK, "fpk": {**FPK["fpk"], "eps_factor": INF}},
+     "eps_factor"),
+])
+def test_non_finite_number_exits_2_naming_its_key(tmp_path, capsys, command,
+                                                  cfg, key):
+    # JSON reads 1e400 as infinity and Python's json module reads NaN; each
+    # such value once ran a solve, or was refused under another key's name
+    code, summary, o = run(tmp_path, command, cfg)
+    assert code == 2 and summary is None and not o.exists()
+    err = capsys.readouterr().err
+    assert f"config key '{key}' in " in err and "must be finite" in err
 
 
 # a small game whose scan and stability runs pass
@@ -543,7 +584,12 @@ def test_scan_horizon(tmp_path):
     code, summary, o = run(tmp_path, "scan-horizon", cfg)
     assert code == 0
     assert summary["results"]["spearman"] > 0
-    assert (o / "scan.csv").exists()
+    # each row is T, max_ratio, converged, then one ratio per probe pair
+    head, rows = read_csv(o / "scan.csv")
+    assert len(head) == 3 + 3 and all(len(r) == len(head) for r in rows)
+    assert [(float(T), float(m), bool(int(c))) for T, m, c, *_ in rows] == [
+        (r["T"], r["max_ratio"], r["converged"])
+        for r in summary["results"]["rows"]]
 
 
 def test_scan_horizon_tied_ratios_write_strict_json(tmp_path):
@@ -607,7 +653,8 @@ def test_verify_decay(tmp_path):
     code, summary, o = run(tmp_path, "verify-decay", DECAY)
     assert code == 0
     assert np.isfinite(summary["results"]["decay"]["K2"])
-    assert (o / "decay.csv").exists()
+    _, rows = read_csv(o / "decay.csv")
+    assert {k: float(v) for k, v in rows} == summary["results"]["decay"]
 
 
 def test_verify_decay_forms_the_covering_step(tmp_path, covering_step):
@@ -625,7 +672,7 @@ def test_verify_decay_forms_the_covering_step(tmp_path, covering_step):
                        build_weight(**WEIGHTS))
     rows = [line.split(",") for line in
             (o / "decay.csv").read_text().splitlines()[1:]]
-    assert {k: float(v) for k, v in rows} == rep.values()
+    assert {k: float(v) for k, v in rows} == asdict(rep)
     # a step above cfl_step is refused, not shrunk
     code, summary, _ = run(tmp_path, "verify-decay", {**cfg, "dt": 2 * dt})
     assert code == 1 and summary["error"].startswith("CFLError")
@@ -652,10 +699,12 @@ def test_fpk_diagnostic(tmp_path):
         "fpk": {"N": 1, "a": 1.0, "T": 0.72},
         "tolerances": {"slope_range": [0.4, 0.6]},
     }
-    code, summary, _ = run(tmp_path, "fpk-diagnostic", cfg)
+    code, summary, o = run(tmp_path, "fpk-diagnostic", cfg)
     assert code == 0
     assert 0.4 <= summary["results"]["slope"] <= 0.6
     assert summary["results"]["mass_error"] < 1e-10
+    head, rows = read_csv(o / "gradient_mass.csv")
+    assert rows and all(len(r) == len(head) for r in rows)
 
 
 def test_stability(tmp_path):
@@ -666,7 +715,8 @@ def test_stability(tmp_path):
     cfg["N_list"] = [2, 3]
     code, summary, o = run(tmp_path, "stability", cfg)
     assert code == 0
-    assert (o / "stability.csv").exists()
+    _, rows = read_csv(o / "stability.csv")
+    assert [[float(v) for v in r] for r in rows] == summary["results"]["rows"]
 
 
 @pytest.mark.parametrize("C_max, code", [(1e-4, 1), (1e-3, 0)])

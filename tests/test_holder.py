@@ -53,6 +53,9 @@ def test_grid_validation():
         SpatialGrid(2, 1.0, 6)
     with pytest.raises(GridError):
         SpatialGrid(10, 1.0, 101)  # node budget
+    for L in (float("nan"), float("inf")):   # once passed the L > 0 test
+        with pytest.raises(GridError, match="need L finite and > 0"):
+            SpatialGrid(2, L, 11)
     g = grid2(21)
     assert g.h == pytest.approx(0.1)
     assert g.axis[10] == 0.0
@@ -399,6 +402,19 @@ def test_load_field_rejects_sidecar_mismatch(tmp_path, key, value):
     shown = len(value) if key == "times" else value
     with pytest.raises(GridError, match=r"field\.bin\.json: sidecar .*"
                                         + re.escape(f"'{name}': {shown}")):
+        load_field(p)
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "{not json",
+    '{"N": 2, "M": 11, "L": 1.0, "K": 2, "times": ["a", "b", "c"]}'])
+def test_load_field_names_an_unreadable_sidecar(tmp_path, text):
+    # these once escaped as AttributeError, JSONDecodeError and NumPy's
+    # ValueError, none naming the file
+    p = _saved(tmp_path)
+    p.with_suffix(".bin.json").write_text(text)
+    with pytest.raises(GridError,
+                       match=r"field\.bin\.json: unreadable sidecar"):
         load_field(p)
 
 

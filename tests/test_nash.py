@@ -471,12 +471,10 @@ def test_picard_rejects_a_step_above_the_transport_bound():
     sol, rep = picard_solve(game, tol=1e-6, max_iter=25)
     assert sol is None and not rep.converged and not rep.diverged
     assert "times the transport stability bound" in rep.refused
-    assert rep.to_dict()["refused"] == rep.refused
     assert len(rep.increments) == rep.iterations - 1
     ok, _ = mini_game(M=41, c_Q=0.4, c_G=0.8)
     sol, rep = picard_solve(ok, tol=1e-6, max_iter=25)
     assert sol is not None and rep.refused is None
-    assert "refused" not in rep.to_dict()
 
 
 def overflow_game(T=0.05):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -662,7 +663,7 @@ def test_verify_decay_on_family_matches_first_form(N, M):
     for third in (False, True):
         rep = verify_decay(w, BETA, collar=0.1, third_order=third)
         first = _verify_decay_first_form(w, BETA, 0.1, third)
-        assert tuple(rep.values().values()) == first
+        assert dataclasses.astuple(rep) == first
         assert (rep.K3 > 0) == third
 
 
@@ -687,7 +688,7 @@ def test_verify_decay_matches_full_size_reductions(N, M, n_times):
                               (0.25, False)):
             rep = verify_decay(w, BETA, collar=collar, third_order=third)
             want = _verify_decay_first_form(w, BETA, collar, third)
-            assert tuple(rep.values().values()) == want
+            assert dataclasses.astuple(rep) == want
 
 
 def test_verify_decay_rejects_a_non_finite_derivative():
@@ -717,7 +718,7 @@ def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
     g = int(round(collar * M))
     for third in (False, True):
         rep = verify_decay(w, BETA, collar=collar, third_order=third)
-        assert tuple(rep.values().values()) == _verify_decay_first_form(
+        assert dataclasses.astuple(rep) == _verify_decay_first_form(
             w, BETA, collar, third)
         m = 3 if third else 2
         assert shapes.pop() == (4,) + (M - 2 * (g - m),) * N
@@ -778,7 +779,7 @@ def test_verify_decay_keeps_the_spacing_formula_of_the_whole_grid(K):
         w = Field(g, times, vals)
         for third in (False, True):
             rep = verify_decay(w, BETA, collar=0.1, third_order=third)
-            assert tuple(rep.values().values()) == _verify_decay_first_form(
+            assert dataclasses.astuple(rep) == _verify_decay_first_form(
                 w, BETA, 0.1, third)
 
 
@@ -796,7 +797,7 @@ def test_verify_decay_reads_each_block_edge_once():
     w = Field(g, times, vals)
     rep = verify_decay(w, BETA, collar=0.1, third_order=False)
     assert rep.time_lip_grad > 0 and rep.time_lip_hess > 0
-    assert tuple(rep.values().values()) == _verify_decay_first_form(
+    assert dataclasses.astuple(rep) == _verify_decay_first_form(
         w, BETA, 0.1, False)
 
 
