@@ -23,9 +23,9 @@ import numpy as np
 
 from .holder import Field, GridError, SpatialGrid, save_field, sup_abs
 from .nash import (
+    GameSpec,
     dimension_stability,
     horizon_scan,
-    lq_game,
     picard_solve,
     residual,
     uniqueness_probe,
@@ -118,9 +118,14 @@ _TABLES = {
         **_LQ, "game": {**_GAME, "N": _key(int, None, _GRID_DIM)},
         "N_list": _key([int], check=_ascending(2, MAX_GRID_DIM)),
         "tolerances": {"picard_tol": _PICARD_TOL, "C_max": _BOUND}},
-    "oracle-compare": {**_LQ, "collar": _COLLAR, "tolerances": {
-        "picard_tol": _PICARD_TOL, "max_err": _BOUND,
-        "max_iterations": _key(int, None, _POSITIVE)}},   # >= 1 sweep runs
+    # the Riccati oracle solves the LQ kind only
+    "oracle-compare": {
+        **_LQ, "game": {**_GAME, "hamiltonian": _key(
+            str, "lq", ("'lq', the kind the oracle solves",
+                        lambda v: v == "lq"))},
+        "collar": _COLLAR, "tolerances": {
+            "picard_tol": _PICARD_TOL, "max_err": _BOUND,
+            "max_iterations": _key(int, None, _POSITIVE)}},  # >= 1 sweep runs
     "uniqueness": {**_LQ, "tolerances": {
         "picard_tol": _PICARD_TOL,
         "factor": _key(float, 10.0, _NON_NEGATIVE)}},
@@ -224,8 +229,7 @@ def _game_from(c: dict, beta, T=None, N=None):
     N = blk["N"] if N is None else N
     spec = decay_lq_game(N, beta, blk["c_Q"], blk["c_G"], blk["sigma"],
                          blk["T"] if T is None else T)
-    game = lq_game(spec, beta, _grid_from(c, N), c["dt"], kappa=blk["kappa"])
-    return game, spec
+    return GameSpec(spec, beta, _grid_from(c, N), c["dt"], blk["kappa"])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,7 @@ def _run_certify_weights(c, out):
 
 
 def _run_solve(c, out):
-    game, _ = _game_from(c, _weight_from(c))
+    game = _game_from(c, _weight_from(c))
     tol = c["tolerances"]
     sol, rep = picard_solve(game, tol=tol["picard_tol"],
                             max_iter=c["max_iter"], iterate_norm=True)
@@ -277,7 +281,7 @@ def _run_solve(c, out):
 def _run_scan_horizon(c, out):
     beta = _weight_from(c)
     n_pairs, tol = c["n_pairs"], c["tolerances"]
-    scan = horizon_scan(lambda T: _game_from(c, beta, T=T)[0], c["T_list"],
+    scan = horizon_scan(lambda T: _game_from(c, beta, T=T), c["T_list"],
                         n_pairs=n_pairs, seed=c["seed"],
                         tol=tol["picard_tol"], max_iter=c["max_iter"])
     _write_csv(out / "scan.csv",
@@ -348,15 +352,15 @@ def _run_fpk_diagnostic(c, out):
 
 
 def _run_oracle_compare(c, out):
-    game, spec = _game_from(c, _weight_from(c))
+    game = _game_from(c, _weight_from(c))
     collar = _collar_for(c, game.grid)
     tol = c["tolerances"]
     sol, rep = picard_solve(game, tol=tol["picard_tol"],
                             max_iter=c["max_iter"])
     if sol is None:
         raise RuntimeError("Picard iteration did not converge")
-    traj = riccati_integrate(spec, spec.T / 200)
-    N = spec.N
+    traj = riccati_integrate(game.spec, game.T / 200)
+    N = game.N
     _write_csv(out / "riccati.csv",
                ["t"] + [f"P{i}_{j}{k}" for i, j, k in np.ndindex(N, N, N)]
                + [f"r{i}" for i in range(N)],
@@ -385,7 +389,7 @@ def _run_stability(c, out):
     beta = _weight_from(c)
     tol = c["tolerances"]
     rep = dimension_stability(
-        lambda N: _game_from(c, beta, N=N)[0], c["N_list"],
+        lambda N: _game_from(c, beta, N=N), c["N_list"],
         tol=tol["picard_tol"], max_iter=c["max_iter"])
     rows = [(r.N_small, r.N_large, r.diff, r.tail) for r in rep.rows]
     _write_csv(out / "stability.csv", ("N_small", "N_large", "diff", "tail"),
@@ -398,7 +402,7 @@ def _run_stability(c, out):
 
 
 def _run_uniqueness(c, out):
-    game, _ = _game_from(c, _weight_from(c))
+    game = _game_from(c, _weight_from(c))
     ptol, factor = c["tolerances"]["picard_tol"], c["tolerances"]["factor"]
     X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,

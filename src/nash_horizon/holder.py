@@ -117,8 +117,8 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (t.size,) + self.grid.shape:
             raise GridError(f"value shape {v.shape} inconsistent with grid")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise GridError("time nodes must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise GridError("time nodes must be finite and strictly increasing")
         if not np.all(np.isfinite(v)):
             raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "times", t)
@@ -283,7 +283,7 @@ def save_field(f: Field, path) -> None:
 def load_field(path) -> Field:
     """Read a field written by save_field.  GridError names the file when its
     size or its sidecar disagrees with the binary header, or when the sidecar
-    is not a JSON object or its times are not numbers."""
+    is not a JSON object or its times are not finite increasing numbers."""
     path = Path(path)
     side_path = path.with_suffix(path.suffix + ".json")
     raw = path.read_bytes()
@@ -307,6 +307,12 @@ def load_field(path) -> Field:
     if got != head:
         raise GridError(f"{side_path}: sidecar {got} disagrees with the "
                         f"binary header {head}")
+    grid = SpatialGrid(N, L, M)
     vals = np.frombuffer(raw, "<f8", offset=_HEADER.size)
-    return Field(SpatialGrid(N, L, M), times,
-                 vals.reshape((K + 1,) + (M,) * N).copy(), side.get("player"))
+    try:
+        return Field(grid, times, vals.reshape((K + 1,) + (M,) * N).copy(),
+                     side.get("player"))
+    except NonFiniteError:
+        raise                       # the binary's values, not the sidecar
+    except GridError as e:          # the sidecar's times
+        raise GridError(f"{side_path}: {e}") from e

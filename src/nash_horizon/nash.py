@@ -48,7 +48,6 @@ __all__ = [
     "HamiltonianFamily",
     "GameSpec",
     "PicardReport",
-    "lq_game",
     "assemble_drift",
     "assemble_source",
     "picard_step",
@@ -135,27 +134,27 @@ class HamiltonianFamily:
 
 @dataclass
 class GameSpec:
-    a: float                        # diffusion coefficient of every player
-    hamiltonian: HamiltonianFamily
-    terminals: list                 # per player, callable X:(N,...) -> array
-    T: float
+    """An LQ oracle spec's game on a grid: a = sigma^2 / 2, Q, the terminals
+    (1/2) x' Gamma_i x and T come from spec; kappa saturates H^i."""
+    spec: LQGameSpec                # sigma, Q, Gamma, T; the oracle's input
     beta: object                    # WeightSequence
-    grid: SpatialGrid               # [-L, L]^N: sets the player count N
+    grid: SpatialGrid               # [-L, L]^N: N must be spec.N
     dt: float                       # requested step; capped by the CFL bound
+    kappa: float | None = None      # saturation level; None: the LQ kind
+    hamiltonian: HamiltonianFamily = field(init=False, repr=False)
+    terminals: list = field(init=False, repr=False)  # X:(N,...) -> array
     diffusion: DiffusionSpec = field(init=False, repr=False)
     times: np.ndarray = field(init=False, repr=False)
     sources: list = field(init=False, repr=False)   # assemble_source per player
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise NashError("need T > 0")
-        if len(self.terminals) != self.N:
-            raise NashError("need one terminal cost per player")
-        N, Q = self.N, self.hamiltonian.Q
-        if Q.shape != (N, N, N):
-            raise NashError(f"the Hamiltonian's Q has shape {Q.shape}; the "
-                            f"grid's {N} players need {(N, N, N)}")
-        self.diffusion = DiffusionSpec(self.N, self.a)
+        if self.spec.N != self.N:
+            raise NashError(f"the spec has {self.spec.N} players; the grid "
+                            f"has {self.N}")
+        self.hamiltonian = HamiltonianFamily(self.spec.Q, self.kappa)
+        self.terminals = [(lambda X, G=G: _quadratic(G, X))
+                          for G in self.spec.Gamma]
+        self.diffusion = DiffusionSpec(self.N, 0.5 * self.spec.sigma ** 2)
         # keep a margin under the diffusion CFL so the upwind transport term
         # added during Picard sweeps stays stable at the shared step; at most
         # T/2, so there are at least two steps
@@ -169,6 +168,10 @@ class GameSpec:
         return self.grid.N
 
     @property
+    def T(self) -> float:
+        return self.spec.T
+
+    @property
     def step(self) -> float:
         return self.times[1] - self.times[0]
 
@@ -178,15 +181,6 @@ class GameSpec:
 
     def player_weight(self, i):
         return shift(self.beta, i, self.N)
-
-
-def lq_game(spec: LQGameSpec, beta, grid: SpatialGrid, dt: float,
-            kappa: float | None = None) -> GameSpec:
-    """GameSpec matching an LQ oracle specification; a saturation level
-    kappa makes its Hamiltonian saturated (HamiltonianFamily)."""
-    ham = HamiltonianFamily(spec.Q, kappa)
-    terms = [(lambda X, G=G: _quadratic(G, X)) for G in spec.Gamma]
-    return GameSpec(0.5 * spec.sigma ** 2, ham, terms, spec.T, beta, grid, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +458,7 @@ def residual(game: GameSpec, fields) -> list:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
     Du = _frozen_gradients(fields)
     X = grid.meshgrid()
-    ham, a = game.hamiltonian, game.a
+    ham, a = game.hamiltonian, game.diffusion.a
     inner = grid.interior(0.1)
     out = []
     for i, f in enumerate(fields):

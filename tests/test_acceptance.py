@@ -11,9 +11,9 @@ import numpy as np
 from nash_horizon.cli import main as cli_main
 from nash_horizon.holder import Field, SpatialGrid
 from nash_horizon.nash import (
+    GameSpec,
     dimension_stability,
     horizon_scan,
-    lq_game,
     picard_solve,
     uniqueness_probe,
 )
@@ -114,7 +114,7 @@ def test_04_linear_decay_estimate(covering_step):
 
 def test_05_lq_oracle_agreement():
     spec = decay_lq_game(2, BETA32, c_Q=0.1, c_G=0.2, sigma=0.25, T=0.2)
-    game = lq_game(spec, BETA32, SpatialGrid(2, 4.0, 101), 0.01)
+    game = GameSpec(spec, BETA32, SpatialGrid(2, 4.0, 101), 0.01)
     sol, rep = picard_solve(game, tol=1e-6, max_iter=12)
     converged = sol is not None and rep.converged
     err = np.inf
@@ -137,7 +137,7 @@ def test_05_lq_oracle_agreement():
 def test_06_contraction_scan():
     def make(T):
         spec = decay_lq_game(2, BETA32, c_Q=0.01, c_G=0.01, sigma=0.25, T=T)
-        return lq_game(spec, BETA32, SpatialGrid(2, 3.0, 31), 0.02)
+        return GameSpec(spec, BETA32, SpatialGrid(2, 3.0, 31), 0.02)
 
     scan = horizon_scan(make, [0.05, 0.1, 0.2], n_pairs=3, seed=0,
                         tol=1e-5, max_iter=20)
@@ -151,7 +151,7 @@ def test_06_contraction_scan():
 
 def test_07_uniqueness():
     spec = decay_lq_game(2, BETA32, c_Q=0.1, c_G=0.2, sigma=0.25, T=0.2)
-    game = lq_game(spec, BETA32, SpatialGrid(2, 3.0, 41), 0.02)
+    game = GameSpec(spec, BETA32, SpatialGrid(2, 3.0, 41), 0.02)
     tol = 1e-6
     X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
@@ -167,7 +167,7 @@ def test_07_uniqueness():
 def test_08_dimension_stability():
     def make(N):
         spec = decay_lq_game(N, BETA32, c_Q=0.05, c_G=0.1, sigma=0.25, T=0.1)
-        return lq_game(spec, BETA32, SpatialGrid(N, 2.0, 21), 0.01)
+        return GameSpec(spec, BETA32, SpatialGrid(N, 2.0, 21), 0.01)
 
     rep = dimension_stability(make, [2, 3, 4], tol=1e-6, max_iter=20)
     diffs = [r.diff for r in rep.rows]

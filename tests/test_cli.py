@@ -158,6 +158,11 @@ def test_solve_saturated_needs_positive_kappa_exits_2(tmp_path, kappa):
     ("certify-weights", {"weights": {"kind": "polynomial", "params": {},
                                      "W": 64}}),
     ("certify-weights", {"tolerances": {"max_c": "small"}}),
+    # the Riccati oracle solves the LQ kind only: this saturated game once
+    # exited 0 with max_err 2.2e-3 against it (0.038 at kappa 0.05)
+    ("oracle-compare", {"grid": {"L": 3.0, "M": 21}, "game": {
+        "N": 2, "c_Q": 0.1, "c_G": 0.2, "sigma": 0.25, "T": 0.2,
+        "hamiltonian": "saturated", "kappa": 5.0}}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, command, over):
     # certify-weights reads no game: its config has only the weights
@@ -331,7 +336,7 @@ def test_boolean_for_a_number_exits_2(tmp_path, command, cfg):
 INF, NAN = float("inf"), float("nan")
 
 
-def _lq_game(**over):
+def _game_block(**over):
     return {"N": 2, "c_Q": 0.05, "c_G": 0.1, "sigma": 0.25, "T": 0.2, **over}
 
 
@@ -339,10 +344,10 @@ def _lq_game(**over):
     ("verify-decay", {**DECAY_2D, "grid": {"L": INF, "M": 25}}, "L"),
     ("verify-decay", {**DECAY_2D, "grid": {"L": NAN, "M": 25}}, "L"),
     ("fpk-diagnostic", {**FPK, "grid": {"L": NAN, "M": 61}}, "L"),
-    ("solve", lq_config(game=_lq_game(c_Q=NAN)), "c_Q"),
-    ("solve", lq_config(game=_lq_game(c_Q=INF)), "c_Q"),
-    ("solve", lq_config(game=_lq_game(c_Q=10 ** 400)), "c_Q"),
-    ("solve", lq_config(game=_lq_game(c_G=NAN)), "c_G"),
+    ("solve", lq_config(game=_game_block(c_Q=NAN)), "c_Q"),
+    ("solve", lq_config(game=_game_block(c_Q=INF)), "c_Q"),
+    ("solve", lq_config(game=_game_block(c_Q=10 ** 400)), "c_Q"),
+    ("solve", lq_config(game=_game_block(c_G=NAN)), "c_G"),
     ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"],
                                               "c_B": NAN}}, "c_B"),
     ("verify-decay", {**DECAY_2D, "problem": {**DECAY_2D["problem"],

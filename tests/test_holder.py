@@ -26,7 +26,7 @@ from nash_horizon.holder import (
     sup_abs,
     time_nodes,
 )
-from nash_horizon.nash import lq_game, probe_fields, triple_norm
+from nash_horizon.nash import GameSpec, probe_fields, triple_norm
 from nash_horizon.oracle_lq import decay_lq_game
 from nash_horizon.weights import build_weight, multi_index_weight, shift
 
@@ -82,6 +82,13 @@ def test_field_validation():
         Field(g, [0.0], np.full((1, 11, 11), np.nan))
     with pytest.raises(GridError):
         Field(g, [0.0], np.zeros((1, 7, 7)))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+def test_field_refuses_non_finite_times(times):
+    # both once passed the increasing test, whose diff <= 0 is False at NaN
+    with pytest.raises(GridError, match="time nodes must be finite"):
+        Field(grid2(11), times, np.zeros((3, 11, 11)))
 
 
 def test_finite_diff_linear_exact():
@@ -418,6 +425,20 @@ def test_load_field_names_an_unreadable_sidecar(tmp_path, text):
         load_field(p)
 
 
+@pytest.mark.parametrize("times", [[0.0, None, 1.0], [0.0, 1.0, 1.0]])
+def test_load_field_names_a_sidecar_with_bad_times(tmp_path, times):
+    # null once loaded as a NaN time, and times that do not increase were
+    # refused without naming the file
+    p = _saved(tmp_path)
+    side = p.with_suffix(".bin.json")
+    doc = json.loads(side.read_text())
+    doc["times"] = times
+    side.write_text(json.dumps(doc))
+    with pytest.raises(GridError, match=r"field\.bin\.json: time nodes must "
+                                        r"be finite and strictly increasing"):
+        load_field(p)
+
+
 # ---------------------------------------------------------------------------
 # whole-field seminorm against its brute-force twin
 
@@ -476,7 +497,7 @@ def _per_slice_seminorm(values, h, gamma):
 @pytest.mark.parametrize("N, M, seed", [(2, 21, 0), (3, 11, 1)])
 def test_triple_norm_matches_per_slice_formula(monkeypatch, N, M, seed):
     spec = decay_lq_game(N, BETA, 0.1, 0.2, 0.25, 0.1)
-    game = lq_game(spec, BETA, SpatialGrid(N, 2.0, M), 0.01)
+    game = GameSpec(spec, BETA, SpatialGrid(N, 2.0, M), 0.01)
     u = probe_fields(game, seed)
     fast = triple_norm(game, u)
     monkeypatch.setattr(holder, "_axis_seminorm", _per_slice_seminorm)

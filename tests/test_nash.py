@@ -26,7 +26,6 @@ from nash_horizon.nash import (
     contraction_probe,
     dimension_stability,
     horizon_scan,
-    lq_game,
     picard_solve,
     picard_step,
     probe_fields,
@@ -34,7 +33,12 @@ from nash_horizon.nash import (
     triple_norm,
     uniqueness_probe,
 )
-from nash_horizon.oracle_lq import decay_lq_game, lq_value, riccati_integrate
+from nash_horizon.oracle_lq import (
+    LQGameSpec,
+    decay_lq_game,
+    lq_value,
+    riccati_integrate,
+)
 from nash_horizon.pde_linear import (
     LinearProblem,
     TerminalSpec,
@@ -51,45 +55,60 @@ SATURATION = {"lq": None, "saturated": 0.7}
 def mini_game(N=2, T=0.2, M=41, L=3.0, c_Q=0.1, c_G=0.2, sigma=0.25, dt=0.02,
               **kw):
     spec = decay_lq_game(N, BETA, c_Q=c_Q, c_G=c_G, sigma=sigma, T=T)
-    return lq_game(spec, BETA, SpatialGrid(N, L, M), dt, **kw), spec
+    return GameSpec(spec, BETA, SpatialGrid(N, L, M), dt, **kw)
 
 
 def zero_game(N=2, T=0.1, M=21, L=2.0):
-    ham = HamiltonianFamily(np.zeros((N, N, N)))
-    terms = [lambda X: 0.0 * X[0] for _ in range(N)]
-    return GameSpec(0.05, ham, terms, T, BETA, SpatialGrid(N, L, M), 0.01)
+    # its diffusion 0.5 * sqrt(0.1) ** 2 is 0.05 exactly
+    z = np.zeros((N, N, N))
+    return GameSpec(LQGameSpec(math.sqrt(0.1), z, z, T), BETA,
+                    SpatialGrid(N, L, M), 0.01)
 
 
 def test_game_step_under_diffusion_cfl_margin():
     for dt in (10.0, 0.3, 0.02):
-        game, spec = mini_game(dt=dt)
-        cfl = game.grid.h ** 2 / (2 * game.N * 0.5 * spec.sigma ** 2)
+        game = mini_game(dt=dt)
+        cfl = game.grid.h ** 2 / (2 * game.N * 0.5 * game.spec.sigma ** 2)
         assert game.step <= min(dt, 0.45 * cfl)
         assert game.times.size >= 3
 
 
 def test_game_step_capped_at_half_the_horizon():
     # at M = 5 the CFL cap (8.1) and dt exceed T/2, which sets two steps
-    game, _ = mini_game(M=5, dt=10.0)
+    game = mini_game(M=5, dt=10.0)
     np.testing.assert_array_equal(game.times, np.linspace(0.0, game.T, 3))
 
 
 def test_game_dimension_is_the_grid_dimension():
-    spec = decay_lq_game(3, BETA, 0.1, 0.2, 0.25, 0.2)
-    with pytest.raises(NashError, match="one terminal cost per player"):
-        lq_game(spec, BETA, SpatialGrid(2, 3.0, 21), 0.02)
-    game = lq_game(spec, BETA, SpatialGrid(3, 3.0, 9), 0.02)
-    assert game.N == game.diffusion.N == 3
+    # the diffusion and the Hamiltonian follow the grid's player count
+    for n in (1, 3):
+        spec = decay_lq_game(n, BETA, 0.1, 0.2, 0.25, 0.2)
+        game = GameSpec(spec, BETA, SpatialGrid(n, 3.0, 9), 0.02)
+        assert game.N == game.diffusion.N == game.hamiltonian.Q.shape[0] == n
 
 
 @pytest.mark.parametrize("n", [3, 1])
 def test_game_refuses_a_hamiltonian_for_another_player_count(n):
-    # a (3, 3, 3) stack once failed in assemble_source's einsum, a (1, 1, 1)
-    # stack with an IndexError
-    ham = HamiltonianFamily(np.zeros((n, n, n)))
-    terms = [lambda X: 0.0 * X[0]] * 2
-    with pytest.raises(NashError, match=rf"\({n}, {n}, {n}\).* 2 players"):
-        GameSpec(0.05, ham, terms, 0.1, BETA, SpatialGrid(2, 2.0, 21), 0.01)
+    # the grid sets the player count, and the spec's Q stack must have the
+    # same one
+    spec = decay_lq_game(n, BETA, 0.1, 0.2, 0.25, 0.2)
+    with pytest.raises(NashError, match=f"spec has {n} players; the grid "
+                                        "has 2"):
+        GameSpec(spec, BETA, SpatialGrid(2, 3.0, 21), 0.02)
+
+
+@pytest.mark.parametrize("kind", ["lq", "saturated"])
+def test_game_reads_its_facts_from_its_spec(kind, same_bits):
+    spec = decay_lq_game(3, BETA, 0.1, 0.2, 0.25, 0.2)
+    game = GameSpec(spec, BETA, SpatialGrid(3, 3.0, 9), 0.02, SATURATION[kind])
+    assert same_bits(game.diffusion.a, 0.5 * spec.sigma ** 2)
+    assert same_bits(game.T, spec.T)
+    assert same_bits(game.hamiltonian.Q, spec.Q)
+    assert game.hamiltonian.kappa is SATURATION[kind]
+    X = game.grid.meshgrid()
+    for i, G in enumerate(spec.Gamma):
+        assert same_bits(game.terminals[i](X),
+                         0.5 * np.einsum("jk,j...,k...->...", G, X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +154,7 @@ def test_non_positive_saturation_level_rejected():
     grid = SpatialGrid(2, 3.0, 21)
     for kappa in (0.0, -2.0, math.nan):
         with pytest.raises(NashError, match="saturation level"):
-            lq_game(spec, BETA, grid, 0.02, kappa=kappa)
+            GameSpec(spec, BETA, grid, 0.02, kappa=kappa)
 
 
 def test_saturated_matches_lq_at_small_momenta():
@@ -164,7 +183,7 @@ def frozen_gradients(fields):
 
 def test_assemble_drift_lq_structure():
     # for LQ, B^j_i = D_j u^j (j != i) and B^i_i = D_i u^i / 2
-    game, _ = mini_game()
+    game = mini_game()
     u = [Field.from_function(game.grid, game.times,
                              lambda t, X, i=i: np.sin(X[i]) * (1 + i))
          for i in range(2)]
@@ -177,7 +196,7 @@ def test_assemble_drift_lq_structure():
 
 
 def test_assemble_drift_zero_field():
-    game, _ = mini_game()
+    game = mini_game()
     Du = frozen_gradients(game.zero_fields())
     X = game.grid.meshgrid()
     B = assemble_drift(game, Du, 1)(game.times[2], X)
@@ -187,7 +206,7 @@ def test_assemble_drift_zero_field():
 def test_assemble_drift_reads_nodes_only():
     # the drift is frozen on game.times: between nodes, past the ends and
     # off the game's grid it refuses to answer
-    game, _ = mini_game()
+    game = mini_game()
     drift = assemble_drift(game, frozen_gradients(game.zero_fields()), 0)
     X = game.grid.meshgrid()
     for t in (0.05, 0.5 * (game.times[0] + game.times[1]), -0.01,
@@ -200,16 +219,16 @@ def test_assemble_drift_reads_nodes_only():
 
 def test_assemble_source_zero_field_is_spatial_part():
     # the right-hand side source -H^0(., 0) is the spatial part (1/2) x'Q_0 x
-    game, spec = mini_game()
+    game = mini_game()
     X = game.grid.meshgrid()
     F = assemble_source(game, 0)
-    spatial = 0.5 * np.einsum("jk,j...,k...->...", spec.Q[0], X, X)
+    spatial = 0.5 * np.einsum("jk,j...,k...->...", game.spec.Q[0], X, X)
     np.testing.assert_allclose(F, spatial, atol=1e-12)
 
 
 def test_source_consistency_split():
     # H^i(Du) = F^i + bracket, bracket = 0 wherever D_i u^i = 0
-    game, _ = mini_game()
+    game = mini_game()
     u = probe_fields(game, seed=9, scale=0.5)
     X = game.grid.meshgrid()
     Du = frozen_gradients(u)[:, 2]
@@ -228,7 +247,7 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 @pytest.mark.parametrize("kind", ["lq", "saturated"])
 def test_game_sources_are_formed_once(kind, same_bits):
-    game, _ = mini_game(N=3, M=9, kappa=SATURATION[kind])
+    game = mini_game(N=3, M=9, kappa=SATURATION[kind])
     assert len(game.sources) == game.N
     for i in range(game.N):
         assert same_bits(game.sources[i], assemble_source(game, i))
@@ -257,7 +276,7 @@ def test_hoisted_source_and_drift_match_first_form(kind, same_bits):
     # -H^i(t, x, Du^-i, 0) gives the same bits at every t and every Du.  The
     # drift's j != i slots keep the first form's bits; the own slot is the
     # closed form (exactly D_i u^i / 2 for LQ)
-    game, _ = mini_game(N=3, M=9, kappa=SATURATION[kind])
+    game = mini_game(N=3, M=9, kappa=SATURATION[kind])
     X = game.grid.meshgrid()
     rng = np.random.default_rng(11)
     times = game.times
@@ -316,7 +335,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
     # solution: the sweep keeps its bits
     from test_holder import _old_cache_at
 
-    game, _ = mini_game(N=2, M=21, kappa=SATURATION[kind])
+    game = mini_game(N=2, M=21, kappa=SATURATION[kind])
     u = probe_fields(game, seed=4, scale=0.5)
     for f in u:
         # signed zeros of both signs side by side, so some D_j u^j is -0.0
@@ -358,7 +377,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
 
 
 def test_picard_step_refuses_off_node_fields():
-    game, _ = mini_game(N=2, M=21)
+    game = mini_game(N=2, M=21)
     on = game.zero_fields()
     coarse = np.linspace(0.0, game.T, 5)
     assert coarse.size != game.times.size
@@ -378,7 +397,7 @@ def test_picard_step_refuses_off_node_fields():
 def test_field_lists_hold_one_field_per_player():
     # a wrong count once failed deep inside: one field as "index 1 is out of
     # bounds" in the linear solve, three as a GridError from finite_diff
-    game, _ = mini_game(N=2, M=21)
+    game = mini_game(N=2, M=21)
     on = game.zero_fields()
     for fields in (on[:1], on + on[:1]):
         msg = f"need 2 fields, got {len(fields)}"
@@ -400,8 +419,8 @@ def test_picard_step_zero_game():
 
 def test_picard_step_fixes_riccati_solution():
     # S applied to the oracle-exact u returns u within discretization error
-    game, spec = mini_game(M=61, dt=0.005)
-    traj = riccati_integrate(spec, spec.T / 400)
+    game = mini_game(M=61, dt=0.005)
+    traj = riccati_integrate(game.spec, game.T / 400)
     X = game.grid.meshgrid()
     u = [Field(game.grid, game.times,
                np.stack([lq_value(traj, i, t, X)[0] for t in game.times]),
@@ -426,10 +445,10 @@ def test_picard_trivial_game_one_iteration():
 
 
 def test_picard_matches_oracle_mini():
-    game, spec = mini_game()
+    game = mini_game()
     sol, rep = picard_solve(game, tol=1e-6, max_iter=20)
     assert rep.converged
-    traj = riccati_integrate(spec, spec.T / 200)
+    traj = riccati_integrate(game.spec, game.T / 200)
     X = game.grid.meshgrid()
     inner = game.grid.interior(0.1)
     for i in range(2):
@@ -444,7 +463,7 @@ def test_picard_matches_oracle_mini():
 
 
 def test_picard_determinism():
-    game, _ = mini_game()
+    game = mini_game()
     a, _ = picard_solve(game, tol=1e-6)
     b, _ = picard_solve(game, tol=1e-6)
     for fa, fb in zip(a, b):
@@ -454,7 +473,7 @@ def test_picard_determinism():
 def test_picard_long_horizon_fails():
     # T scaled x8 from the contractive regime: blow-up, divergence, or at
     # least non-contraction must be reported
-    game, _ = mini_game(T=1.6, c_Q=0.5, c_G=0.8, M=31)
+    game = mini_game(T=1.6, c_Q=0.5, c_G=0.8, M=31)
     try:
         sol, rep = picard_solve(game, tol=1e-8, max_iter=25)
     except NashError:
@@ -467,12 +486,12 @@ def test_picard_rejects_a_step_above_the_transport_bound():
     # diffusion CFL only, which leaves it about 3.08 times the upwind
     # transport bound on the converged iterates; the sweep must refuse it
     # and the run must come back as a flagged failure
-    game, _ = mini_game(M=41, dt=1.0, c_Q=0.4, c_G=0.8)
+    game = mini_game(M=41, dt=1.0, c_Q=0.4, c_G=0.8)
     sol, rep = picard_solve(game, tol=1e-6, max_iter=25)
     assert sol is None and not rep.converged and not rep.diverged
     assert "times the transport stability bound" in rep.refused
     assert len(rep.increments) == rep.iterations - 1
-    ok, _ = mini_game(M=41, c_Q=0.4, c_G=0.8)
+    ok = mini_game(M=41, c_Q=0.4, c_G=0.8)
     sol, rep = picard_solve(ok, tol=1e-6, max_iter=25)
     assert sol is not None and rep.refused is None
 
@@ -481,7 +500,7 @@ def overflow_game(T=0.05):
     """A game whose terminal c_G sum_j beta^j tanh(x^j), c_G = 1e308, is
     finite but overflows the first explicit step (as in the CLI's
     verify-decay overflow test)."""
-    game, _ = mini_game(T=T, M=21, L=3.0, dt=0.01)
+    game = mini_game(T=T, M=21, L=3.0, dt=0.01)
     game.terminals = [lambda X: 1e308 * sum(BETA.value(j) * np.tanh(X[j])
                                             for j in range(len(X)))] * game.N
     return game
@@ -503,7 +522,7 @@ def test_picard_reports_an_overflowing_gradient_as_diverged(pattern):
     # overflow: the checkerboard in the frozen gradients D_j u^j, the stripes
     # (constant along the player's own axis, so D_j u^j = 0) only in the
     # increment's norm
-    game, _ = mini_game(N=2, M=15)
+    game = mini_game(N=2, M=15)
     k = np.indices(game.grid.shape)
     signs = ([(-1.0) ** (k[0] + k[1])] * 2 if pattern == "checkerboard"
              else [(-1.0) ** k[1], (-1.0) ** k[0]])
@@ -518,7 +537,7 @@ def test_picard_reports_an_overflowing_gradient_as_diverged(pattern):
 
 
 def test_non_finite_own_drift_is_a_divergence():
-    game, _ = mini_game(M=9)
+    game = mini_game(M=9)
     Du = np.zeros((game.N, game.times.size) + game.grid.shape)
     Du[0, 0, 4, 4] = np.inf
     drift = assemble_drift(game, Du, 0)
@@ -532,7 +551,7 @@ def test_picard_step_raises_step_bound_error(monkeypatch):
     def refuse(*a, **k):
         raise pde_linear.TransportBoundError("step 1 is 2 times the bound")
 
-    game, _ = mini_game(M=21)
+    game = mini_game(M=21)
     monkeypatch.setattr(nash, "solve_grid", refuse)
     with pytest.raises(StepBoundError, match="refused for player 0"):
         picard_step(game, game.zero_fields())
@@ -545,7 +564,7 @@ def test_oracle_error_is_first_order_in_h():
     traj = riccati_integrate(spec, spec.T / 400)
     hs, errs = [], []
     for M in (25, 51, 101):
-        game = lq_game(spec, BETA, SpatialGrid(2, 4.0, M), 0.01)
+        game = GameSpec(spec, BETA, SpatialGrid(2, 4.0, M), 0.01)
         sol, rep = picard_solve(game, tol=1e-9, max_iter=30)
         assert rep.converged
         X = game.grid.meshgrid()
@@ -561,7 +580,7 @@ def test_oracle_error_is_first_order_in_h():
 
 
 def test_iterate_norm_flag_changes_only_max_norm():
-    game, _ = mini_game()
+    game = mini_game()
     off_sol, off = picard_solve(game, tol=1e-6, max_iter=20)
     on_sol, on = picard_solve(game, tol=1e-6, max_iter=20, iterate_norm=True)
     assert off.max_norm is None
@@ -586,7 +605,7 @@ def test_unread_iterate_norm_costs_no_triple_norm(monkeypatch):
         return triple_norm(game, fields)
 
     monkeypatch.setattr(nash, "triple_norm", counting)
-    game, _ = mini_game(M=21)
+    game = mini_game(M=21)
     _, rep = picard_solve(game, tol=1e-6, max_iter=20)
     assert len(calls) == rep.iterations
     calls.clear()
@@ -596,7 +615,7 @@ def test_unread_iterate_norm_costs_no_triple_norm(monkeypatch):
 
 def test_picard_solve_leaves_u0_intact():
     # the driver releases the iterate's slots in its own copy of the list
-    game, _ = mini_game(M=21)
+    game = mini_game(M=21)
     u0 = probe_fields(game, 0)
     before, values = list(u0), [f.values.copy() for f in u0]
     sol, rep = picard_solve(game, u0, tol=1e-6, max_iter=20)
@@ -606,7 +625,7 @@ def test_picard_solve_leaves_u0_intact():
 
 
 def test_a_stopped_run_returns_no_fields_with_its_report(monkeypatch):
-    game, _ = mini_game(M=15)
+    game = mini_game(M=15)
     # the second player's increment norm fails after the first slot of the
     # iterate was released
     calls = []
@@ -652,7 +671,7 @@ def test_a_stopped_run_returns_no_fields_with_its_report(monkeypatch):
 
 
 def test_fixed_point_property():
-    game, _ = mini_game()
+    game = mini_game()
     tol = 1e-5
     sol, rep = picard_solve(game, tol=tol)
     again = picard_step(game, sol)
@@ -668,9 +687,8 @@ def test_decoupling_invariant():
     for i in range(N):
         Q[i, i, i] = 0.3
         G[i, i, i] = 0.4
-    from nash_horizon.oracle_lq import LQGameSpec
     spec = LQGameSpec(0.25, Q, G, 0.2)
-    game = lq_game(spec, BETA, SpatialGrid(N, 3.0, 41), 0.02)
+    game = GameSpec(spec, BETA, SpatialGrid(N, 3.0, 41), 0.02)
     sol, rep = picard_solve(game, tol=1e-7)
     assert rep.converged
     for i in range(N):
@@ -683,7 +701,7 @@ def test_decoupling_invariant():
 
 
 def test_triple_norm_zero_and_positive():
-    game, _ = mini_game(M=21)
+    game = mini_game(M=21)
     assert triple_norm(game, game.zero_fields()) == 0.0
     assert triple_norm(game, probe_fields(game, 0)) > 0
 
@@ -740,7 +758,7 @@ def _triple_norm_by_definition(game, fields):
 def _norm_inputs(draw):
     N = draw(st.integers(1, 4))
     M = draw(st.sampled_from([5, 7, 9, 11]))
-    game, _ = mini_game(N=N, M=M, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=N, M=M, L=2.0, T=0.1, dt=0.01)
     n_times = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2 ** 16))
     if draw(st.booleans()):
@@ -766,7 +784,7 @@ def test_triple_norm_equals_space_norm_definition(inputs):
 @pytest.mark.parametrize("N", [2, 4])
 def test_triple_norm_equals_definition_on_iterate_differences(N):
     # probe-field differences on the full time grid, like a sweep increment
-    game, _ = mini_game(N=N, M=11, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=N, M=11, L=2.0, T=0.1, dt=0.01)
     for seed in (0, 2):
         u, v = probe_fields(game, seed), probe_fields(game, seed + 1)
         for fields in (u, [a - b for a, b in zip(u, v)]):
@@ -794,7 +812,7 @@ def test_pruned_norm_equals_definition_on_rough_fields(N):
     # bound only just above it.  A bound smaller than (hi - lo) / h, or than
     # s + (hi - lo) for the Lipschitz top, skips such a term and drops below
     # the definition here
-    game, _ = mini_game(N=N, M=7, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=N, M=7, L=2.0, T=0.1, dt=0.01)
     times = game.times[:3]
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -808,7 +826,7 @@ def test_pruned_norm_equals_definition_on_rough_fields(N):
 def test_pruned_norm_skips_seminorms_on_increments(monkeypatch):
     # an unpruned kernel makes one gamma = 1 and one gamma = 0 seminorm for
     # each of the 10 second derivatives at N = 4, per player
-    game, _ = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
     u, v = probe_fields(game, 0), probe_fields(game, 1)
     fields = [a - b for a, b in zip(u, v)]
     calls = _count_seminorms(monkeypatch)
@@ -824,7 +842,7 @@ def test_pruned_norm_skips_a_bound_that_ties_the_running_max(monkeypatch):
     # to each other, and the other second derivatives are 0.  Player 1's
     # weights of (0, 0) and (2, 2) are both beta^1, so after (0, 0) each
     # bound of (2, 2) equals its running max: only (0, 0) is computed
-    game, _ = mini_game(N=3, M=9, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=3, M=9, L=2.0, T=0.1, dt=0.01)
     X = game.grid.meshgrid()
     times = np.array([0.0, 1.0])
     step = (X[0] > 0).astype(float) + (X[2] > 0).astype(float)
@@ -850,7 +868,7 @@ def test_triple_norm_rejects_overflowing_derivative(bad):
     # alternating +-1e308 is finite, but its one-sided edge stencil
     # overflows: the norm must fail as a Field of that derivative would,
     # not let max() drop the inf or nan
-    game, _ = mini_game(N=2, M=11, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=2, M=11, L=2.0, T=0.1, dt=0.01)
     fields = probe_fields(game, 0)
     sign = (-1.0) ** np.indices(game.grid.shape).sum(axis=0)
     vals = np.broadcast_to(1e308 * sign, fields[bad].values.shape)
@@ -865,7 +883,7 @@ def test_triple_norm_rejects_overflowing_derivative(bad):
 def test_triple_norm_peak_memory_is_a_few_fields():
     # the depth-first stream holds the path of parents (one first and one
     # second derivative), the derivative being made and its time quotient
-    game, _ = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
     u = probe_fields(game, 0)
     tracemalloc.start()
     try:
@@ -877,7 +895,7 @@ def test_triple_norm_peak_memory_is_a_few_fields():
 
 
 def test_triple_norm_of_a_generator_equals_the_list():
-    game, _ = mini_game(N=3, M=11, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=3, M=11, L=2.0, T=0.1, dt=0.01)
     u, v = probe_fields(game, 0), probe_fields(game, 1)
     listed = triple_norm(game, [a - b for a, b in zip(u, v)])
     assert triple_norm(game, (a - b for a, b in zip(u, v))) == listed
@@ -888,7 +906,7 @@ def test_picard_sweep_peak_memory_is_three_fields_per_player():
     # iterate, 3N = 12 fields, plus the linear solve's temporaries; the
     # increments are made and reduced one player at a time.  Holding all N
     # increments at once peaks at 16.7 field sizes
-    game, _ = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
+    game = mini_game(N=4, M=15, L=2.0, T=0.1, dt=0.01)
     u0 = probe_fields(game, 0)
     tracemalloc.start()
     try:
@@ -903,7 +921,7 @@ def test_contraction_probe_small_T():
     # the empirical contraction factor scales with the cost amplitudes
     # (kappa'_R in the fixed-point argument), so the probe family keeps
     # them small
-    game, _ = mini_game(M=31, T=0.05, c_Q=0.01, c_G=0.01)
+    game = mini_game(M=31, T=0.05, c_Q=0.01, c_G=0.01)
     u = probe_fields(game, 0)
     v = probe_fields(game, 1)
     ratio = contraction_probe(game, u, v)
@@ -913,7 +931,7 @@ def test_contraction_probe_small_T():
 
 
 def test_contraction_probe_degenerate_pair():
-    game, _ = mini_game(M=21)
+    game = mini_game(M=21)
     u = probe_fields(game, 0)
     with pytest.raises(NashError):
         contraction_probe(game, u, u)
@@ -927,7 +945,7 @@ def test_contraction_is_stable_in_the_dimension():
     ratios, sweeps = [], []
     for N in range(1, 5):
         spec = decay_lq_game(N, BETA, 0.05, 0.1, 0.25, 0.1)
-        game = lq_game(spec, BETA, SpatialGrid(N, 2.0, 11), 0.01)
+        game = GameSpec(spec, BETA, SpatialGrid(N, 2.0, 11), 0.01)
         ratios.append(max(contraction_probe(game, probe_fields(game, 2 * k),
                                             probe_fields(game, 2 * k + 1))
                           for k in range(2)))
@@ -940,7 +958,7 @@ def test_contraction_is_stable_in_the_dimension():
 
 def test_horizon_scan():
     def make(T):
-        return mini_game(T=T, M=31, dt=0.02, c_Q=0.01, c_G=0.01)[0]
+        return mini_game(T=T, M=31, dt=0.02, c_Q=0.01, c_G=0.01)
 
     scan = horizon_scan(make, [0.05, 0.1, 0.2], n_pairs=3, tol=1e-5,
                         max_iter=20)
@@ -959,7 +977,7 @@ def test_horizon_scan_reports_a_refused_horizon():
     # Picard iterates' drift takes it past the transport stability bound,
     # and the scan records that horizon as a failure, not an error
     def make(T):
-        return mini_game(T=T, M=31, dt=1.0, c_Q=0.05, c_G=0.1)[0]
+        return mini_game(T=T, M=31, dt=1.0, c_Q=0.05, c_G=0.1)
 
     scan = horizon_scan(make, [0.2, 0.8], n_pairs=1, tol=1e-8, max_iter=25)
     assert scan.rows[0].converged and scan.rows[0].max_ratio < 1
@@ -974,7 +992,7 @@ def test_horizon_scan_reports_a_non_finite_horizon():
     def make(T):
         if T > 0.1:
             return overflow_game(T)
-        return mini_game(T=T, M=21, L=3.0, dt=0.01, c_Q=0.01, c_G=0.01)[0]
+        return mini_game(T=T, M=21, L=3.0, dt=0.01, c_Q=0.01, c_G=0.01)
 
     scan = horizon_scan(make, [0.05, 0.2], n_pairs=1, tol=1e-8, max_iter=25)
     assert scan.rows[0].converged and scan.rows[0].max_ratio < 1
@@ -1055,10 +1073,10 @@ def test_residual_refines_on_oracle_fields():
     # Riccati-exact fields: residual is pure discretization error, order >= 1
     sups = []
     for M, nt in ((31, 11), (61, 21)):
-        game, spec = mini_game(M=M)
-        traj = riccati_integrate(spec, spec.T / 400)
+        game = mini_game(M=M)
+        traj = riccati_integrate(game.spec, game.T / 400)
         X = game.grid.meshgrid()
-        times = np.linspace(0, spec.T, nt)
+        times = np.linspace(0, game.T, nt)
         u = [Field(game.grid, times,
                    np.stack([lq_value(traj, i, t, X)[0] for t in times]),
                    player=i) for i in range(2)]
@@ -1067,7 +1085,7 @@ def test_residual_refines_on_oracle_fields():
 
 
 def test_residual_perturbation_slope():
-    game, spec = mini_game()
+    game = mini_game()
     sol, _ = picard_solve(game, tol=1e-7)
     base = max(residual(game, sol))
     X = game.grid.meshgrid()
@@ -1125,7 +1143,7 @@ def _residual_first_form(game, fields, collar=0.1):
     pytest.param(3, 9, "lq", id="3-9-lq"),
 ])
 def test_residual_on_shared_families_matches_first_form(N, M, kind):
-    game, _ = mini_game(N=N, M=M, kappa=None if kind == "lq" else 1.5)
+    game = mini_game(N=N, M=M, kappa=None if kind == "lq" else 1.5)
     u = probe_fields(game, seed=N, scale=0.5)
     assert residual(game, u) == _residual_first_form(game, u)
 
@@ -1135,8 +1153,6 @@ def test_residual_on_shared_families_matches_first_form(N, M, kind):
 
 
 def test_dimension_stability_decoupled():
-    from nash_horizon.oracle_lq import LQGameSpec
-
     def make(N):
         Q = np.zeros((N, N, N))
         G = np.zeros((N, N, N))
@@ -1144,7 +1160,7 @@ def test_dimension_stability_decoupled():
             Q[i, i, i] = 0.3
             G[i, i, i] = 0.4
         spec = LQGameSpec(0.25, Q, G, 0.1)
-        return lq_game(spec, BETA, SpatialGrid(N, 2.0, 21), 0.01)
+        return GameSpec(spec, BETA, SpatialGrid(N, 2.0, 21), 0.01)
 
     rep = dimension_stability(make, [2, 3], tol=1e-7)
     assert rep.rows[0].diff < 1e-6
@@ -1160,7 +1176,7 @@ def test_dimension_stability_interpolates_across_time_nodes():
     # players the step 0.45 h^2 / (N sigma^2): N = 2 and 3 share no time grid
     def make(N):
         spec = decay_lq_game(N, BETA, c_Q=0.1, c_G=0.2, sigma=1.0, T=0.2)
-        return lq_game(spec, BETA, SpatialGrid(N, 2.0, 11), 0.1)
+        return GameSpec(spec, BETA, SpatialGrid(N, 2.0, 11), 0.1)
 
     g2, g3 = make(2), make(3)
     assert g2.times.size != g3.times.size
@@ -1176,13 +1192,13 @@ def test_dimension_stability_interpolates_across_time_nodes():
 
 
 def test_uniqueness_probe_identical_guesses():
-    game, _ = mini_game(M=31)
+    game = mini_game(M=31)
     u0 = probe_fields(game, 3)
     assert uniqueness_probe(game, u0, u0, tol=1e-6) == 0.0
 
 
 def test_uniqueness_probe_distinct_guesses():
-    game, _ = mini_game(M=31)
+    game = mini_game(M=31)
     tol = 1e-6
     X = game.grid.meshgrid()
     # second guess: terminal costs extended constantly in time
