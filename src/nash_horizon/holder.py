@@ -12,18 +12,27 @@ Multi-indices alpha are tuples of coordinates with repetition, e.g.
 (0, 1, 1) for D_0 D_1^2, the keys of derivative_family.  Each D^alpha V is
 divided by weights.multi_index_weight(beta, alpha) and by nothing else.
 
-Every derivative is one np.gradient (_partial) of its parent.
-derivatives() streams all of them up to an order, depth first, for
-derivative_family, nash.triple_norm and pde_linear.verify_decay;
-finite_diff makes only the one named by alpha, for nash.picard_step and
-nash.residual.  space_norm over a derivative_family is the plain definition
-of the weighted norms.
+Every derivative is one _partial of its parent.  derivatives() streams all
+of them up to an order, depth first, for derivative_family,
+nash.triple_norm and pde_linear.verify_decay; finite_diff makes only the
+one named by alpha, for nash.picard_step and nash.residual.  space_norm
+over a derivative_family is the plain definition of the weighted norms.
+
+The grid kernels (_partial, _axis_seminorm and pde_linear._neighbours) read
+an axis through _strided: in a C-order buffer the neighbours of a node
+along an axis lie s nodes apart, s the product of the dimensions after the
+axis, so a difference along any axis is one contiguous pass over the flat
+buffer, and only the first and last node of each line need their own
+formula.  _partial keeps the bits of numpy.gradient(values, h, axis=1 + c,
+edge_order=2); _axis_seminorm walks the time axis in blocks of about
+_SEMINORM_BLOCK_BYTES, so its temporaries stay cache-sized.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +57,10 @@ __all__ = [
 
 # node-count budget guarding against accidental huge tensor grids
 MAX_NODES = 2 ** 24
+
+# _axis_seminorm reduces this many bytes of time slices at once (at least
+# one slice): its lag-1 differences and line copies then stay in cache
+_SEMINORM_BLOCK_BYTES = 256 * 1024
 
 
 class GridError(ValueError):
@@ -160,9 +173,30 @@ def interp_time(times: np.ndarray, values: np.ndarray, t):
     return (1 - w) * values[k] + w * values[k + 1]
 
 
+def _strided(a: np.ndarray, axis: int) -> np.ndarray:
+    """The C-contiguous array a as a view of shape (outer, n, s): the n nodes
+    of each line along axis lie s = prod(a.shape[axis + 1:]) apart in the
+    flat buffer, so [:, 0] and [:, -1] are the first and last nodes."""
+    return a.reshape(-1, a.shape[axis], math.prod(a.shape[axis + 1:]))
+
+
 def _partial(values: np.ndarray, h: float, c: int) -> np.ndarray:
-    """D_c of values (time on axis 0), second order inside and at edges."""
-    return np.gradient(values, h, axis=1 + c, edge_order=2)
+    """D_c of values (time on axis 0), second order inside and at edges:
+    numpy.gradient(values, h, axis=1 + c, edge_order=2) bit for bit.  The
+    central difference is one flat subtraction at the axis's stride; the
+    first and last node of each line then take numpy.gradient's one-sided
+    formulas.  values is made contiguous once: verify_decay passes cropped
+    views, whose flat and (outer, n, s) views would each be a copy."""
+    f = np.ascontiguousarray(values)
+    out = np.empty(f.shape)
+    f3, o3 = _strided(f, 1 + c), _strided(out, 1 + c)
+    s = f3.shape[2]
+    flat, o = f.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=o[s:-s])
+    o[s:-s] /= 2. * h
+    o3[:, 0] = -1.5 / h * f3[:, 0] + 2. / h * f3[:, 1] + -0.5 / h * f3[:, 2]
+    o3[:, -1] = 0.5 / h * f3[:, -3] + -2. / h * f3[:, -2] + 1.5 / h * f3[:, -1]
+    return out
 
 
 def derivatives(values: np.ndarray, h: float, m: int):
@@ -208,17 +242,33 @@ def sup_abs(x: np.ndarray) -> float:
 
 def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma
-    for gamma = 1 or 0: sup over spatial axes and axis-aligned node pairs."""
+    for gamma = 1 or 0: sup over spatial axes and axis-aligned node pairs.
+
+    The slices are reduced in blocks of about _SEMINORM_BLOCK_BYTES; the max
+    over blocks is the whole-field value bit for bit, as max is exact and
+    division by h > 0 is monotone.  At gamma = 1 the lag-1 differences along
+    an axis are one flat subtraction at its stride; the pairs that wrap past
+    the end of a line are set to 0, which never raises a sup of absolute
+    values (the inputs are finite)."""
+    rows = max(1, _SEMINORM_BLOCK_BYTES // values[0].nbytes)
     best = 0.0
-    for ax in range(1, values.ndim):
-        if gamma == 1:
-            d = sup_abs(np.diff(values, axis=ax)) / h
-        else:
-            # a range along the leading axis of a contiguous copy is a fast
-            # elementwise max/min; np.ptp along an inner axis is not
-            lead = np.moveaxis(values, ax, 0).copy()
-            d = float(np.max(lead.max(axis=0) - lead.min(axis=0)))
-        best = max(best, d)
+    for t in range(0, values.shape[0], rows):
+        block = values[t:t + rows]
+        flat = block.reshape(-1)
+        for ax in range(1, block.ndim):
+            if gamma == 1:
+                diff = np.empty(block.shape)
+                d3 = _strided(diff, ax)
+                s = d3.shape[2]
+                np.subtract(flat[s:], flat[:-s], out=diff.reshape(-1)[:-s])
+                d3[:, -1] = 0.0             # the pairs that wrap past a line
+                d = sup_abs(diff) / h
+            else:
+                # a range along the leading axis of a contiguous copy is a
+                # fast elementwise max/min; np.ptp along an inner axis is not
+                lead = np.moveaxis(block, ax, 0).copy()
+                d = float(np.max(lead.max(axis=0) - lead.min(axis=0)))
+            best = max(best, d)
     return best
 
 
@@ -307,12 +357,12 @@ def load_field(path) -> Field:
     if got != head:
         raise GridError(f"{side_path}: sidecar {got} disagrees with the "
                         f"binary header {head}")
-    grid = SpatialGrid(N, L, M)
     vals = np.frombuffer(raw, "<f8", offset=_HEADER.size)
     try:
-        return Field(grid, times, vals.reshape((K + 1,) + (M,) * N).copy(),
+        return Field(SpatialGrid(N, L, M), times,
+                     vals.reshape((K + 1,) + (M,) * N).copy(),
                      side.get("player"))
     except NonFiniteError:
         raise                       # the binary's values, not the sidecar
-    except GridError as e:          # the sidecar's times
+    except GridError as e:          # the grid both files give, or the times
         raise GridError(f"{side_path}: {e}") from e

@@ -19,6 +19,7 @@ The matrix right-hand side is validated downstream through the PDE residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class LQGameSpec:
         for name, m in (("Q", Q), ("Gamma", G)):
             if not np.allclose(m, np.swapaxes(m, 1, 2), atol=1e-12):
                 raise LQError(f"{name} matrices must be symmetric")
-        if self.T <= 0 or self.sigma < 0:
-            raise LQError("need T > 0 and sigma >= 0")
+        if not (math.isfinite(self.T) and self.T > 0
+                and math.isfinite(self.sigma) and self.sigma >= 0):
+            raise LQError("need T finite and > 0 and sigma finite and >= 0")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Gamma", G)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holder import (Field, GridError, SpatialGrid, derivatives, sup_abs,
-                     time_nodes)
+from .holder import (Field, GridError, SpatialGrid, _strided, derivatives,
+                     sup_abs, time_nodes)
 from .weights import multi_index_weight
 
 __all__ = [
@@ -146,25 +146,25 @@ def build_decay_problem(N: int, beta, c_B: float, c_F: float, c_G: float,
 
 
 # ---------------------------------------------------------------------------
-# grid stencils (homogeneous Neumann via mirror ghost nodes): every stencil
-# picks out neighbours through _faces; solve_grid makes each axis's (lower,
-# upper) neighbours once per step, and the diffusion and upwind transport
-# stencils both read them
-
-
-def _faces(v: np.ndarray, axis: int) -> tuple:
-    """Views of v at the lower and the upper node of each face along axis."""
-    head = (slice(None),) * axis
-    return v[head + (slice(None, -1),)], v[head + (slice(1, None),)]
+# grid stencils (homogeneous Neumann via mirror ghost nodes): solve_grid
+# makes each axis's (lower, upper) neighbours once per step with
+# _neighbours, and the diffusion and upwind transport stencils both read them
 
 
 def _neighbours(v: np.ndarray, axis: int) -> tuple:
     """(lower, upper) mirror neighbours of v along axis: the ghost node below
-    the first node is v[1], the one above the last is v[M-2]."""
-    lo, hi = _faces(v, axis)
-    head = (slice(None),) * axis
-    return (np.concatenate((hi[head + (slice(None, 1),)], lo), axis=axis),
-            np.concatenate((hi, lo[head + (slice(-1, None),)]), axis=axis))
+    the first node is v[1], the one above the last is v[M-2].  Each is one
+    flat shifted copy at the axis's stride (holder._strided), whose first or
+    last node of each line is then overwritten by its mirror node."""
+    v3 = _strided(v, axis)
+    s = v3.shape[2]
+    flat = v3.reshape(-1)
+    lo, hi = np.empty(v3.shape, v.dtype), np.empty(v3.shape, v.dtype)
+    lo.reshape(-1)[s:] = flat[:-s]
+    hi.reshape(-1)[:-s] = flat[s:]
+    lo[:, 0] = v3[:, 1]
+    hi[:, -1] = v3[:, -2]
+    return lo.reshape(v.shape), hi.reshape(v.shape)
 
 
 def _diffusion_term(diff: DiffusionSpec, v, nbrs, h):
@@ -429,7 +429,7 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     uniform-step formula chosen once on the whole of w.times.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
-    top order: an np.gradient spoils only its own axis's edge nodes, so every
+    top order: a derivative spoils only its own axis's edge nodes, so every
     interior value is the central formula on the same operands as on the
     whole grid, bit for bit.  A non-finite derivative on the whole grid
     raises GridError.  Each level multiplies the sup by at most 4/h (the

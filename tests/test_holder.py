@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -135,6 +135,27 @@ def test_derivatives_stream_matches_finite_diff(N, M, K, m, seed):
     assert seen == sorted(want)
     with pytest.raises(GridError, match="exceeds"):
         list(holder.derivatives(f.values, f.grid.h, 4))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(N=st.integers(1, 4), M=st.sampled_from(range(5, 22, 2)),
+       K=st.integers(1, 5), data=st.data())
+def test_partial_matches_np_gradient(N, M, K, data, same_bits):
+    # the flat-stride derivative against the np.gradient it replaces, on a
+    # whole field and on a view cropped in time and space as verify_decay's
+    # blocks are (not contiguous)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    g = data.draw(st.integers(0, (M - 3) // 2), label="crop")
+    t0 = data.draw(st.integers(0, K - 1), label="t0")
+    t1 = data.draw(st.integers(t0 + 1, K), label="t1")
+    h = data.draw(st.floats(0.01, 2.0), label="h")
+    values = np.random.default_rng(seed).normal(size=(K,) + (M,) * N)
+    crop = values[(slice(t0, t1),) + (slice(g, M - g),) * N]
+    for v in (values, crop):
+        for c in range(N):
+            assert same_bits(holder._partial(v, h, c),
+                             np.gradient(v, h, axis=1 + c, edge_order=2))
 
 
 def test_finite_diff_third_order_sin():
@@ -425,6 +446,19 @@ def test_load_field_names_an_unreadable_sidecar(tmp_path, text):
         load_field(p)
 
 
+@pytest.mark.parametrize("L, M", [(-1.0, 5), (1.0, 4)])
+def test_load_field_names_the_file_of_an_invalid_grid(tmp_path, L, M):
+    # a header and a sidecar that agree on a grid SpatialGrid refuses once
+    # raised its GridError without naming the file
+    p = tmp_path / "field.bin"
+    K = 2
+    p.write_bytes(struct.pack("<iidi", 1, M, L, K) + bytes((K + 1) * M * 8))
+    p.with_suffix(".bin.json").write_text(json.dumps(
+        {"N": 1, "M": M, "L": L, "K": K, "times": [0.0, 0.5, 1.0]}))
+    with pytest.raises(GridError, match=re.escape(str(p))):
+        load_field(p)
+
+
 @pytest.mark.parametrize("times", [[0.0, None, 1.0], [0.0, 1.0, 1.0]])
 def test_load_field_names_a_sidecar_with_bad_times(tmp_path, times):
     # null once loaded as a NaN time, and times that do not increase were
@@ -479,6 +513,48 @@ def test_axis_seminorm_matches_all_pairs(values, h, gamma):
         assert fast == brute
     else:
         assert math.isclose(fast, brute, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _whole_field_seminorm(values, h, gamma):
+    """The seminorm over the whole field at once, one axis at a time: the
+    lag-1 differences of np.diff, or the ranges of np.ptp."""
+    best = 0.0
+    for ax in range(1, values.ndim):
+        if gamma == 1:
+            d = sup_abs(np.diff(values, axis=ax)) / h
+        else:
+            d = float(np.max(np.ptp(values, axis=ax)))
+        best = max(best, d)
+    return best
+
+
+@st.composite
+def _blocked_fields(draw):
+    """A field of 1 to 7 slices and a block of 1 to 4 slices plus a
+    remainder, so that several blocks occur and the last can be ragged."""
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(2, {1: 40, 2: 12, 3: 6}[n]))
+    shape = (draw(st.integers(1, 7)),) + (M,) * n
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    values = draw(arrays(np.float64, shape, elements=elements))
+    block = (draw(st.integers(1, 4)) * values[0].nbytes
+             + draw(st.integers(0, values[0].nbytes - 1)))
+    return values, block
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# 5 slices in blocks of 2: the last block holds one slice
+@example(case=(np.arange(5 * 2 * 2, dtype=float).reshape(5, 2, 2) ** 2,
+               2 * 4 * 8), h=0.5, gamma=1.0)
+@given(case=_blocked_fields(), h=st.floats(0.01, 2.0),
+       gamma=st.sampled_from([0.0, 1.0]))
+def test_axis_seminorm_blocks_match_whole_field(case, h, gamma, same_bits):
+    values, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holder, "_SEMINORM_BLOCK_BYTES", block)
+        fast = holder._axis_seminorm(values, h, gamma)
+    assert same_bits(fast, _whole_field_seminorm(values, h, gamma))
 
 
 def _per_slice_seminorm(values, h, gamma):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def test_spec_validation():
     with pytest.raises(LQError):
         scalar_spec(T=-1.0)
     assert LQGameSpec(0.3, np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), 1.0).N == 3
+
+
+@pytest.mark.parametrize("sigma, T", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (0.3, math.inf), (0.3, math.nan)])
+def test_spec_refuses_a_non_finite_sigma_or_horizon(sigma, T):
+    # a comparison with NaN is False and inf is > 0: a NaN sigma once gave
+    # NaN values without an error, an infinite T an OverflowError and a NaN
+    # T a misleading step error
+    with pytest.raises(LQError, match="T finite and > 0 and sigma finite"):
+        scalar_spec(T=T, sigma=sigma)
 
 
 def test_rhs_zero_data():

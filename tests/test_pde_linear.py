@@ -250,7 +250,7 @@ def _transport_term_first_form(B, v, h):
 
 
 @pytest.mark.parametrize("shape", [(3,), (8,), (3, 3), (5, 3), (4, 3, 6),
-                                   (3, 3, 3, 3), (5, 4, 3, 5)])
+                                   (3, 3, 3, 3), (5, 4, 3, 5), (5, 5, 5, 5)])
 def test_stencils_match_pad_reflect_first_form(shape, same_bits):
     rng = np.random.default_rng(sum(shape) * len(shape))
     N = len(shape)
