@@ -35,7 +35,6 @@ from .pde_linear import (
     MAX_FPK_DIM,
     MAX_GRID_DIM,
     DiffusionSpec,
-    TerminalSpec,
     build_decay_problem,
     cfl_step,
     fpk_gradient_mass,
@@ -267,7 +266,7 @@ def _run_solve(c, out):
     passed = rep.converged
     if sol is not None:
         for i, f in enumerate(sol):
-            save_field(f, out / f"u{i}.bin")
+            save_field(f, out / f"u{i}.bin", i)
         res = residual(game, sol)
         results["residual_sup"] = res
         results["decay"] = [asdict(verify_decay(f, game.player_weight(i),
@@ -404,11 +403,8 @@ def _run_stability(c, out):
 def _run_uniqueness(c, out):
     game = _game_from(c, _weight_from(c))
     ptol, factor = c["tolerances"]["picard_tol"], c["tolerances"]["factor"]
-    X = game.grid.meshgrid()
-    u0_b = [Field(game.grid, game.times,
-                  np.broadcast_to(TerminalSpec(g).eval(X),
-                                  (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i, g in enumerate(game.terminals)]
+    u0_b = [Field.from_function(game.grid, game.times, lambda t, X, g=g: g(X))
+            for g in game.terminals]
     d = uniqueness_probe(game, None, u0_b, tol=ptol, max_iter=c["max_iter"])
     passed = d <= factor * ptol
     _write_csv(out / "uniqueness.csv", ("sup_difference", "picard_tol"),

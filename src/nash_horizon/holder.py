@@ -1,7 +1,7 @@
 """Weighted Hoelder norms and seminorms on gridded functions.
 
-Fields live on uniform tensor grids [-L, L]^N with M (odd) nodes per axis and
-carry a time axis.  Derivatives are central second-order differences in the
+Fields (grid, times, values) live on uniform tensor grids [-L, L]^N with M
+(odd) nodes per axis.  Derivatives are central second-order differences in the
 interior with second-order one-sided stencils at the boundary; Hoelder
 quotients are evaluated over axis-aligned node pairs only, matching the
 one-coordinate-at-a-time seminorm the weighted spaces are built on.
@@ -52,7 +52,6 @@ __all__ = [
     "time_nodes",
     "interp_time",
     "save_field",
-    "load_field",
 ]
 
 # node-count budget guarding against accidental huge tensor grids
@@ -118,12 +117,11 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar function of (t, x) sampled on time nodes x tensor grid."""
+    """Samples of a function of (t, x): a grid, its time nodes, its values."""
 
     grid: SpatialGrid
     times: np.ndarray
     values: np.ndarray = field(repr=False)  # shape (K+1, M, ..., M)
-    player: int | None = None
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -138,17 +136,16 @@ class Field:
         object.__setattr__(self, "values", v)
 
     @staticmethod
-    def from_function(grid: SpatialGrid, times, f, player=None) -> "Field":
+    def from_function(grid: SpatialGrid, times, f) -> "Field":
         """Sample f(t, X) with X of shape (N, M, ..., M) on all time nodes."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         X = grid.meshgrid()
         vals = np.stack([np.broadcast_to(np.asarray(f(t, X), dtype=float),
                                          grid.shape) for t in times])
-        return Field(grid, times, vals, player)
+        return Field(grid, times, vals)
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.times, self.values - other.values,
-                     self.player)
+        return Field(self.grid, self.times, self.values - other.values)
 
 
 def time_nodes(t0: float, T: float, dt: float) -> np.ndarray:
@@ -224,13 +221,13 @@ def finite_diff(field: Field, alpha) -> Field:
         if not 0 <= c < field.grid.N:
             raise GridError(f"coordinate {c} outside grid dimension")
         out = _partial(out, field.grid.h, c)
-    return Field(field.grid, field.times, out, field.player)
+    return Field(field.grid, field.times, out)
 
 
 def derivative_family(field: Field, m: int) -> dict:
     """All D^alpha fields for |alpha| <= m, keyed by ascending coord tuples
     (depth-first key order, see derivatives)."""
-    return {a: Field(field.grid, field.times, d, field.player) if a else field
+    return {a: Field(field.grid, field.times, d) if a else field
             for a, d in derivatives(field.values, field.grid.h, m)}
 
 
@@ -238,6 +235,16 @@ def sup_abs(x: np.ndarray) -> float:
     """max |x| without an |x| temporary.  Negation is exact and abs() turns
     a -0.0 into 0.0, so the value is that of np.max(np.abs(x)), NaN too."""
     return abs(max(float(x.max()), -float(x.min())))
+
+
+def _extremes(x: np.ndarray) -> tuple:
+    """(sup |x|, max x, min x), the sup as sup_abs forms it; NonFiniteError
+    if x is not finite."""
+    hi, lo = float(x.max()), float(x.min())
+    s = abs(max(hi, -lo))
+    if not math.isfinite(s):
+        raise NonFiniteError("field contains non-finite values")
+    return s, hi, lo
 
 
 def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
@@ -318,51 +325,14 @@ def space_norm(derivs: dict, m: int, gamma: float, beta,
 _HEADER = struct.Struct("<iidi")  # N, M, L, K
 
 
-def save_field(f: Field, path) -> None:
-    """Write header (N, M, L, K) + row-major float64 values, JSON sidecar."""
+def save_field(f: Field, path, player: int) -> None:
+    """Write header (N, M, L, K) + row-major float64 values, and the JSON
+    sidecar {N, M, L, K, times, player}; player is the field's list index."""
     path = Path(path)
     K = f.times.size - 1
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(f.grid.N, f.grid.M, f.grid.L, K))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     sidecar = {"N": f.grid.N, "M": f.grid.M, "L": f.grid.L, "K": K,
-               "times": f.times.tolist(), "player": f.player}
+               "times": f.times.tolist(), "player": player}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def load_field(path) -> Field:
-    """Read a field written by save_field.  GridError names the file when its
-    size or its sidecar disagrees with the binary header, or when the sidecar
-    is not a JSON object or its times are not finite increasing numbers."""
-    path = Path(path)
-    side_path = path.with_suffix(path.suffix + ".json")
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise GridError(f"{path}: {len(raw)} bytes, shorter than the header")
-    N, M, L, K = _HEADER.unpack_from(raw)
-    if not 1 <= N <= 24:  # more axes exceed MAX_NODES even at M = 2
-        raise GridError(f"{path}: invalid header N={N}")
-    payload, want = len(raw) - _HEADER.size, (K + 1) * M ** N * 8
-    if payload != want:
-        raise GridError(f"{path}: payload has {payload} bytes, header "
-                        f"(N={N}, M={M}, K={K}) needs {want}")
-    try:
-        side = json.loads(side_path.read_text())
-        got = {k: side.get(k) for k in "NMLK"}
-        times = np.asarray(side.get("times", ()), dtype=float)
-        got["len(times)"] = len(times)
-    except (AttributeError, TypeError, ValueError) as e:
-        raise GridError(f"{side_path}: unreadable sidecar: {e}") from e
-    head = {"N": N, "M": M, "L": L, "K": K, "len(times)": K + 1}
-    if got != head:
-        raise GridError(f"{side_path}: sidecar {got} disagrees with the "
-                        f"binary header {head}")
-    vals = np.frombuffer(raw, "<f8", offset=_HEADER.size)
-    try:
-        return Field(SpatialGrid(N, L, M), times,
-                     vals.reshape((K + 1,) + (M,) * N).copy(),
-                     side.get("player"))
-    except NonFiniteError:
-        raise                       # the binary's values, not the sidecar
-    except GridError as e:          # the grid both files give, or the times
-        raise GridError(f"{side_path}: {e}") from e

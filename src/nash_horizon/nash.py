@@ -28,6 +28,7 @@ from .holder import (
     Field,
     NonFiniteError,
     SpatialGrid,
+    _extremes,
     finite_diff,
     interp_time,
     time_nodes,
@@ -177,7 +178,7 @@ class GameSpec:
 
     def zero_fields(self) -> list:
         z = np.zeros((self.times.size,) + self.grid.shape)
-        return [Field(self.grid, self.times, z, player=i) for i in range(self.N)]
+        return [Field(self.grid, self.times, z) for _ in range(self.N)]
 
     def player_weight(self, i):
         return shift(self.beta, i, self.N)
@@ -260,7 +261,7 @@ def picard_step(game: GameSpec, fields) -> list:
             assemble_drift(game, Du, i),
             TerminalSpec(lambda X, F=game.sources[i]: F),
             TerminalSpec(game.terminals[i]),
-            0.0, game.T, player=i)
+            0.0, game.T)
         try:
             w = solve_grid(problem, game.grid, game.step)
         except TransportBoundError as e:
@@ -275,16 +276,6 @@ def picard_step(game: GameSpec, fields) -> list:
 
 # ---------------------------------------------------------------------------
 # triple norm
-
-
-def _extremes(x: np.ndarray) -> tuple:
-    """(sup |x|, max x, min x), the sup as sup_abs forms it; NonFiniteError
-    if x is not finite."""
-    hi, lo = float(x.max()), float(x.min())
-    s = abs(max(hi, -lo))
-    if not math.isfinite(s):
-        raise NonFiniteError("field contains non-finite values")
-    return s, hi, lo
 
 
 def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
@@ -509,7 +500,7 @@ def probe_fields(game: GameSpec, seed: int, scale: float = 0.05) -> list:
                 c[j] * w.value(j) * np.sin(om[j] * X[j] + ph[j] + om[-1] * t)
                 for j in range(game.N))
 
-        out.append(Field.from_function(game.grid, game.times, f, player=i))
+        out.append(Field.from_function(game.grid, game.times, f))
     return out
 
 

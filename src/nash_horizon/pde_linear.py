@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holder import (Field, GridError, SpatialGrid, _strided, derivatives,
-                     sup_abs, time_nodes)
+from .holder import (Field, NonFiniteError, SpatialGrid, _extremes, _strided,
+                     derivatives, sup_abs, time_nodes)
 from .weights import multi_index_weight
 
 __all__ = [
@@ -114,7 +114,6 @@ class LinearProblem:
     terminal: TerminalSpec
     t0: float
     T: float
-    player: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.t0 < self.T:
@@ -244,7 +243,7 @@ def solve_grid(problem: LinearProblem, grid: SpatialGrid, dt: float) -> Field:
             bad = np.argwhere(~np.isfinite(vals[k]))[0]
             raise SolveError(f"non-finite value at t={times[k]:.5g}, "
                              f"node {tuple(bad.tolist())}")
-    return Field(grid, times, vals, problem.player)
+    return Field(grid, times, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +430,12 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every
     interior value is the central formula on the same operands as on the
-    whole grid, bit for bit.  A non-finite derivative on the whole grid
-    raises GridError.  Each level multiplies the sup by at most 4/h (the
-    edge stencil), so sup|w| max(4/h, 1)^m < 1e300 proves every whole-grid
-    derivative finite; when that bound fails, or the collar is under m
-    nodes, the stream runs on the whole grid and checks each derivative."""
+    whole grid, bit for bit.  A derivative non-finite on the whole grid, or
+    a non-finite time quotient, raises NonFiniteError.  Each level multiplies
+    the sup by at most 4/h (the edge stencil), so sup|w| max(4/h, 1)^m <
+    1e300 proves every whole-grid derivative finite; when that bound fails,
+    or the collar is under m nodes, the stream runs on the whole grid and
+    checks each derivative."""
     m = 3 if third_order else 2
     M, h = w.grid.M, w.grid.h
     g = w.grid.interior(collar)[0].start or 0
@@ -456,20 +456,23 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
             if not a:
                 continue
             if not finite and not np.all(np.isfinite(d[own])):
-                raise GridError("field contains non-finite values")
+                raise NonFiniteError("field contains non-finite values")
             weight = multi_index_weight(beta, a)
             body = d[inner]
             K[len(a)] = max(K[len(a)], sup_abs(body[own]) / weight)
             # time quotients are taken over the interior view only: they
-            # are pointwise in space, so no full-size temporary is needed
-            if dts.size and len(a) == 1:
-                dtd = _time_gradient(body, w.times[e0:e1], uniform)[own]
-                lip[1] = max(lip[1], sup_abs(dtd) / np.sqrt(weight))
-            elif e1 - a0 > 1 and len(a) == 2:
-                # the pairs (k, k+1) for own k < n - 1
-                q = np.diff(body[own.start:], axis=0).reshape(e1 - a0 - 1, -1)
-                rows = np.maximum(q.max(axis=1), -q.min(axis=1))
-                lip[2] = max(lip[2], float(np.max(rows / dts[a0:e1 - 1]))
-                             / np.sqrt(weight))
+            # are pointwise in space, so no full-size temporary is needed;
+            # _extremes raises on one that overflows (unwarned) or is NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                if dts.size and len(a) == 1:
+                    dtd = _time_gradient(body, w.times[e0:e1], uniform)[own]
+                    lip[1] = max(lip[1], _extremes(dtd)[0] / math.sqrt(weight))
+                elif e1 - a0 > 1 and len(a) == 2:
+                    # the pairs (k, k+1) for own k < n - 1
+                    q = np.diff(body[own.start:], axis=0)
+                    q = q.reshape(len(q), -1)
+                    rows = np.maximum(q.max(axis=1), -q.min(axis=1))
+                    lip[2] = max(lip[2], _extremes(rows / dts[a0:e1 - 1])[0]
+                                 / math.sqrt(weight))
             del d, body
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)

@@ -156,8 +156,8 @@ def test_07_uniqueness():
     X = game.grid.meshgrid()
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(TerminalSpec(g).eval(X),
-                                  (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i, g in enumerate(game.terminals)]
+                                  (game.times.size,) + game.grid.shape).copy())
+            for g in game.terminals]
     d = uniqueness_probe(game, None, u0_b, tol=tol, max_iter=25)
     ok = d <= 10 * tol
     report(7, "uniqueness", ok,

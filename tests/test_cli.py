@@ -10,6 +10,7 @@ import pytest
 import nash_horizon
 from nash_horizon.cli import main
 from nash_horizon.holder import SpatialGrid
+from nash_horizon.nash import GameSpec, picard_solve
 from nash_horizon.oracle_lq import decay_lq_game
 from nash_horizon.pde_linear import (build_decay_problem, cfl_step,
                                      solve_grid, verify_decay)
@@ -108,6 +109,24 @@ def test_solve_trivial_game(tmp_path):
     assert code == 0
     assert summary["results"]["picard"]["iterations"] == 1
     assert (o / "u0.bin").exists() and (o / "u0.bin.json").exists()
+
+
+def test_solve_writes_each_players_field_and_sidecar(tmp_path, read_field):
+    # u{i}.bin holds player i's fixed point and its sidecar names i and the
+    # game's time nodes: the index comes from the position in the solution
+    cfg = lq_config()
+    code, _, o = run(tmp_path, "solve", cfg)
+    assert code == 0
+    beta = build_weight(**WEIGHTS)
+    game = GameSpec(decay_lq_game(beta=beta, **cfg["game"]), beta,
+                    SpatialGrid(2, 3.0, 31), cfg["dt"])
+    sol, _ = picard_solve(game, tol=1e-6)
+    for i in range(2):
+        f, player = read_field(o / f"u{i}.bin")
+        assert player == i
+        assert f.grid == game.grid
+        assert np.array_equal(f.times, game.times)
+        assert np.array_equal(f.values, sol[i].values)
 
 
 def test_solve_records_finite_max_norm_as_strict_json(tmp_path):
@@ -449,7 +468,7 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
 
     def family(f, m):
         if log:
-            log.append((running[-1], "family", f.player, m))
+            log.append((running[-1], "family", m))
         return real["derivative_family"](f, m)
 
     def partial(values, h, c):
@@ -537,6 +556,25 @@ def test_verify_decay_non_finite_exits_1(tmp_path):
     assert not summary["passed"]
     assert summary["error"].startswith("SolveError: non-finite value")
     assert "node (0, 0)" in summary["error"]
+
+
+def test_verify_decay_overflowing_quotient_writes_strict_json(tmp_path):
+    # the solve stays finite but a time quotient of D_j w overflows: the run
+    # once wrote "time_lip_grad": Infinity into summary.json and inf into
+    # decay.csv; now it is a numerical failure with no table
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cfg = {"weights": {**WEIGHTS, "W": 32}, "grid": {"L": 3.0, "M": 21},
+           "dt": 0.01, "problem": {"N": 2, "c_B": 0, "c_F": 5e307, "c_G": 0,
+                                   "a": 0.5, "T": 0.2}}
+    code, _, o = run(tmp_path, "verify-decay", cfg)
+    assert code == 1
+    summary = json.loads((o / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert not summary["passed"]
+    assert summary["error"].startswith("NonFiniteError: ")
+    assert not (o / "decay.csv").exists()
 
 
 @pytest.mark.parametrize("residual_max, code", [(1e-3, 1), (1e-2, 0)])

@@ -370,7 +370,7 @@ def test_picard_step_matches_interpolating_reference(kind, same_bits):
             game.diffusion, old_drift(i),
             TerminalSpec(lambda X, F=assemble_source(game, i): F),
             TerminalSpec(lambda X, i=i: game.terminals[i](X)),
-            0.0, game.T, player=i)
+            0.0, game.T)
         ref = solve_grid(problem, game.grid, game.step)
         assert same_bits(w.times, ref.times)
         assert same_bits(w.values, ref.values)
@@ -423,8 +423,8 @@ def test_picard_step_fixes_riccati_solution():
     traj = riccati_integrate(game.spec, game.T / 400)
     X = game.grid.meshgrid()
     u = [Field(game.grid, game.times,
-               np.stack([lq_value(traj, i, t, X)[0] for t in game.times]),
-               player=i) for i in range(2)]
+               np.stack([lq_value(traj, i, t, X)[0] for t in game.times]))
+         for i in range(2)]
     Su = picard_step(game, u)
     inner = game.grid.interior(0.15)
     gap = max(np.max(np.abs((a - b).values[(slice(None),) + inner]))
@@ -527,8 +527,8 @@ def test_picard_reports_an_overflowing_gradient_as_diverged(pattern):
     signs = ([(-1.0) ** (k[0] + k[1])] * 2 if pattern == "checkerboard"
              else [(-1.0) ** k[1], (-1.0) ** k[0]])
     u0 = [Field(game.grid, game.times,
-                np.broadcast_to(1e308 * s, (game.times.size,) + s.shape), i)
-          for i, s in enumerate(signs)]
+                np.broadcast_to(1e308 * s, (game.times.size,) + s.shape))
+          for s in signs]
     with np.errstate(over="ignore", invalid="ignore"):
         sol, rep = picard_solve(game, u0=u0, max_iter=5, iterate_norm=True)
     assert sol is None and rep.diverged and not rep.converged
@@ -557,26 +557,44 @@ def test_picard_step_raises_step_bound_error(monkeypatch):
         picard_step(game, game.zero_fields())
 
 
-def test_oracle_error_is_first_order_in_h():
-    # acceptance 5's game: the interior sup error against the Riccati oracle
-    # must fall at least like h^0.8 from M = 25 to 51 to 101
+def _oracle_errors(steps, tol):
+    """Acceptance 5's game on L = 4 at each (M, dt) of steps: (h, the
+    interior sup error of the Picard fixed point against the Riccati
+    oracle), collar 0.1, with Picard run to tol."""
     spec = decay_lq_game(2, BETA, c_Q=0.1, c_G=0.2, sigma=0.25, T=0.2)
     traj = riccati_integrate(spec, spec.T / 400)
-    hs, errs = [], []
-    for M in (25, 51, 101):
-        game = GameSpec(spec, BETA, SpatialGrid(2, 4.0, M), 0.01)
-        sol, rep = picard_solve(game, tol=1e-9, max_iter=30)
+    out = []
+    for M, dt in steps:
+        game = GameSpec(spec, BETA, SpatialGrid(2, 4.0, M), dt)
+        sol, rep = picard_solve(game, tol=tol, max_iter=30)
         assert rep.converged
         X = game.grid.meshgrid()
         inner = (slice(None),) + game.grid.interior(0.1)
-        hs.append(game.grid.h)
-        errs.append(max(
+        out.append((game.grid.h, max(
             float(np.max(np.abs(sol[i].values - np.stack(
                 [lq_value(traj, i, t, X)[0] for t in game.times]))[inner]))
-            for i in range(2)))
+            for i in range(2))))
+    return out
+
+
+def test_oracle_error_is_first_order_in_h():
+    # acceptance 5's game: the interior sup error against the Riccati oracle
+    # must fall at least like h^0.8 from M = 25 to 51 to 101
+    hs, errs = zip(*_oracle_errors([(25, 0.01), (51, 0.01), (101, 0.01)],
+                                   1e-9))
     orders = np.log(np.divide(errs[:-1], errs[1:])) / np.log(
         np.divide(hs[:-1], hs[1:]))
     assert np.all(orders >= 0.8), (errs, orders)
+
+
+def test_coupled_solve_converges_at_first_order():
+    # h and dt halved together: explicit Euler and first-order upwinding
+    # predict order 1 (measured 0.995 and 1.000); an O(1) slip in the
+    # coupling (the own slot's closed form, the cross drifts, the sources)
+    # can keep acceptance 5's single-grid error under 1e-2 but not this order
+    _, errs = zip(*_oracle_errors([(21, 0.02), (41, 0.01), (81, 0.005)], 1e-8))
+    orders = np.log2(np.divide(errs[:-1], errs[1:]))
+    assert np.all(orders >= 0.9), (errs, orders)
 
 
 def test_iterate_norm_flag_changes_only_max_norm():
@@ -709,8 +727,8 @@ def test_triple_norm_zero_and_positive():
 def _lipschitz_family(fam, times):
     """Time quotients (D^a u(t_{k+1}) - D^a u(t_k)) / dt_k of a family."""
     dts = np.diff(times).reshape((-1,) + (1,) * (fam[()].values.ndim - 1))
-    return {a: Field(f.grid, times[:-1], np.diff(f.values, axis=0) / dts,
-                     f.player) for a, f in fam.items()}
+    return {a: Field(f.grid, times[:-1], np.diff(f.values, axis=0) / dts)
+            for a, f in fam.items()}
 
 
 def _axis_seminorm_as_before(values, h, gamma):
@@ -762,15 +780,15 @@ def _norm_inputs(draw):
     n_times = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2 ** 16))
     if draw(st.booleans()):
-        fields = [Field(f.grid, f.times[:n_times], f.values[:n_times], i)
-                  for i, f in enumerate(probe_fields(game, seed))]
+        fields = [Field(f.grid, f.times[:n_times], f.values[:n_times])
+                  for f in probe_fields(game, seed)]
     else:
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
         shape = (n_times,) + game.grid.shape
         fields = [Field(game.grid, times,
-                        rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3), i)
-                  for i in range(N)]
+                        rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3))
+                  for _ in range(N)]
     return game, fields
 
 
@@ -817,8 +835,8 @@ def test_pruned_norm_equals_definition_on_rough_fields(N):
     for seed in range(6):
         rng = np.random.default_rng(seed)
         fields = [Field(game.grid, times,
-                        rng.normal(size=(times.size,) + game.grid.shape), i)
-                  for i in range(N)]
+                        rng.normal(size=(times.size,) + game.grid.shape))
+                  for _ in range(N)]
         assert triple_norm(game, fields) == \
             _triple_norm_by_definition(game, fields)
 
@@ -847,9 +865,9 @@ def test_pruned_norm_skips_a_bound_that_ties_the_running_max(monkeypatch):
     times = np.array([0.0, 1.0])
     step = (X[0] > 0).astype(float) + (X[2] > 0).astype(float)
     zero = np.zeros((2,) + game.grid.shape)
-    fields = [Field(game.grid, times, zero, 0),
-              Field(game.grid, times, np.stack([0 * step, step]), 1),
-              Field(game.grid, times, zero, 2)]
+    fields = [Field(game.grid, times, zero),
+              Field(game.grid, times, np.stack([0 * step, step])),
+              Field(game.grid, times, zero)]
     d00 = finite_diff(fields[1], (0, 0)).values
     d22 = finite_diff(fields[1], (2, 2)).values
     assert set(np.unique(d00)) == {-1.0, 0.0, 1.0}
@@ -872,7 +890,7 @@ def test_triple_norm_rejects_overflowing_derivative(bad):
     fields = probe_fields(game, 0)
     sign = (-1.0) ** np.indices(game.grid.shape).sum(axis=0)
     vals = np.broadcast_to(1e308 * sign, fields[bad].values.shape)
-    fields[bad] = Field(game.grid, game.times, vals.copy(), bad)
+    fields[bad] = Field(game.grid, game.times, vals.copy())
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridError, match="non-finite"):
             _triple_norm_by_definition(game, fields)
@@ -1080,8 +1098,8 @@ def test_residual_refines_on_oracle_fields():
         X = game.grid.meshgrid()
         times = np.linspace(0, game.T, nt)
         u = [Field(game.grid, times,
-                   np.stack([lq_value(traj, i, t, X)[0] for t in times]),
-                   player=i) for i in range(2)]
+                   np.stack([lq_value(traj, i, t, X)[0] for t in times]))
+             for i in range(2)]
         sups.append(max(residual(game, u)))
     assert np.log2(sups[0] / sups[1]) >= 1.0
 
@@ -1093,7 +1111,7 @@ def test_residual_perturbation_slope():
     X = game.grid.meshgrid()
 
     def perturbed(delta):
-        u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]), f.player)
+        u = [Field(f.grid, f.times, f.values + delta * np.sin(X[0]))
              for f in sol]
         return max(residual(game, u))
 
@@ -1206,7 +1224,7 @@ def test_uniqueness_probe_distinct_guesses():
     # second guess: terminal costs extended constantly in time
     u0_b = [Field(game.grid, game.times,
                   np.broadcast_to(TerminalSpec(g).eval(X),
-                                  (game.times.size,) + game.grid.shape).copy(),
-                  player=i) for i, g in enumerate(game.terminals)]
+                                  (game.times.size,) + game.grid.shape).copy())
+            for g in game.terminals]
     d = uniqueness_probe(game, None, u0_b, tol=tol, max_iter=25)
     assert d <= 10 * tol

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nash_horizon.holder import (Field, GridError, SpatialGrid, finite_diff,
-                                 time_nodes)
+from nash_horizon.holder import (Field, GridError, NonFiniteError,
+                                 SpatialGrid, finite_diff, time_nodes)
 from nash_horizon import pde_linear
 from nash_horizon.pde_linear import (
     CFLError,
@@ -700,6 +700,35 @@ def test_verify_decay_rejects_a_non_finite_derivative():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridError, match="non-finite"):
             verify_decay(w, BETA, collar=0.2, third_order=False)
+
+
+def test_verify_decay_rejects_an_overflowing_time_quotient():
+    # a source near the float range passes every config check and solves
+    # to finite values, but D_j w changes by more than dt * 1.8e308 per step:
+    # the order-1 quotient once came back as inf, and its NaN was dropped
+    beta = build_weight("polynomial", {"a": 3}, 32)
+    problem = build_decay_problem(2, beta, 0.0, 5e307, 0.0, 0.5, 0.2)
+    w = solve_grid(problem, SpatialGrid(2, 3.0, 21), 0.01)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        verify_decay(w, beta)
+
+
+@pytest.mark.parametrize("A, overflows", [(1e306, True), (1e305, False)])
+def test_verify_decay_checks_the_second_order_quotient(A, overflows):
+    # w = s_k A x^2 / 2 on [-0.01, 0.01], s_k = +-1: the order-1 quotients
+    # are at most 0.02 A / dt and the order-2 ones 2 A / dt, past the float
+    # range at A = 1e306 only; below it every constant is a plain float
+    g = SpatialGrid(1, 0.01, 21)
+    s = (-1.0) ** np.arange(5)
+    w = Field(g, np.linspace(0.0, 0.04, 5),
+              s[:, None] * (A / 2) * g.axis[None] ** 2)
+    if overflows:
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            verify_decay(w, BETA, third_order=False)
+    else:
+        rep = verify_decay(w, BETA, third_order=False)
+        assert all(type(v) is float for v in dataclasses.astuple(rep))
+        assert rep.time_lip_hess > 1e307
 
 
 @pytest.mark.parametrize("N, M, collar", [(1, 41, 0.2), (2, 21, 0.25),
