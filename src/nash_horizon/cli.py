@@ -369,7 +369,7 @@ def _run_oracle_compare(c, out):
     inner = game.grid.interior(collar)
     rows = []
     for i in range(game.N):
-        exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])
+        exact = np.stack([lq_value(traj, i, t, X) for t in game.times])
         err = float(np.max(np.abs(sol[i].values - exact)
                            [(slice(None),) + inner]))
         rows.append((i, err))

@@ -182,8 +182,9 @@ def _partial(values: np.ndarray, h: float, c: int) -> np.ndarray:
     numpy.gradient(values, h, axis=1 + c, edge_order=2) bit for bit.  The
     central difference is one flat subtraction at the axis's stride; the
     first and last node of each line then take numpy.gradient's one-sided
-    formulas.  values is made contiguous once: verify_decay passes cropped
-    views, whose flat and (outer, n, s) views would each be a copy."""
+    formulas.  values is made contiguous if it is not (a view's flat and
+    (outer, n, s) views would each be a copy); derivatives() hands it
+    contiguous arrays only."""
     f = np.ascontiguousarray(values)
     out = np.empty(f.shape)
     f3, o3 = _strided(f, 1 + c), _strided(out, 1 + c)
@@ -199,10 +200,11 @@ def _partial(values: np.ndarray, h: float, c: int) -> np.ndarray:
 def derivatives(values: np.ndarray, h: float, m: int):
     """Yield (alpha, D^alpha values) for each ascending coordinate tuple,
     |alpha| <= m, depth first: each D^alpha is one _partial of its parent
-    alpha[:-1], and only the path of parents (m + 1 arrays) stays alive."""
+    alpha[:-1], and only the path of parents (m + 1 arrays) stays alive.
+    A view (verify_decay's cropped blocks) is copied once, as the root."""
     if m > MAX_ORDER:
         raise GridError(f"derivative order {m} exceeds {MAX_ORDER}")
-    return _descend(values, h, m, ())
+    return _descend(np.ascontiguousarray(values), h, m, ())
 
 
 def _descend(d: np.ndarray, h: float, m: int, alpha: tuple):

@@ -149,15 +149,13 @@ def riccati_integrate(spec: LQGameSpec, dt: float) -> RiccatiTrajectory:
 
 
 def lq_value(traj: RiccatiTrajectory, i: int, t: float, x):
-    """Exact value u^i(t, x) = (1/2) x' P_i(t) x + r_i(t) and its gradient
-    P_i(t) x.  Accepts x of shape (N,) or (N, ...) for grid evaluation.
+    """Exact value u^i(t, x) = (1/2) x' P_i(t) x + r_i(t).  Accepts x of
+    shape (N,) or (N, ...) for grid evaluation.
     """
     if traj.blown_up:
         raise LQError("trajectory blew up; no value available")
     P, r = traj.interpolate(t)
-    Pi = P[i]
     x = np.asarray(x, dtype=float)
-    grad = np.tensordot(Pi, x, axes=(1, 0))
-    u = 0.5 * np.sum(x * grad, axis=0) + r[i]
-    return u, grad
+    Px = np.tensordot(P[i], x, axes=(1, 0))
+    return 0.5 * np.sum(x * Px, axis=0) + r[i]
 

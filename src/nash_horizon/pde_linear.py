@@ -50,7 +50,7 @@ MAX_FPK_DIM = 2                   # solve_fpk_grid's density diagnostics
 _GRADIENT_BLOCK_BYTES = 256 * 1024
 
 # verify_decay streams the derivatives of this many own time slices at once
-# (plus one overlap slice per side): small blocks keep its temporaries, and
+# (plus the next block's first slice): small blocks keep its temporaries, and
 # the freed heap they leave resident, a few slices in size
 _TIME_BLOCK = 4
 
@@ -391,41 +391,23 @@ class DecayReport:
     K1: float
     K2: float
     K3: float
-    time_lip_grad: float        # sup_j ||d_t D_j w|| / sqrt(beta^j)
-    time_lip_hess: float        # second-derivative time-Lipschitz quotient
+    time_lip_grad: float        # sup_j,k |D_j w(t_k+1) - D_j w(t_k)| / dt_k
+    time_lip_hess: float        # the same at |alpha| = 2; both / sqrt(beta^alpha)
     collar: float
-
-
-def _time_gradient(f: np.ndarray, t: np.ndarray, uniform: bool) -> np.ndarray:
-    """np.gradient(f, t, axis=0) by the formula uniform names.  np.gradient
-    picks its uniform-step formula when every step of t is equal, and a short
-    run of a linspace grid's steps can be equal where the whole run is not."""
-    if uniform:
-        return np.gradient(f, t[1] - t[0], axis=0)
-    dx = np.diff(t).reshape((-1,) + (1,) * (f.ndim - 1))
-    dx1, dx2 = dx[:-1], dx[1:]
-    out = np.empty_like(f)
-    out[1:-1] = (-dx2 / (dx1 * (dx1 + dx2)) * f[:-2]
-                 + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
-                 + dx1 / (dx2 * (dx1 + dx2)) * f[2:])
-    out[0] = (f[1] - f[0]) / dx[0]
-    out[-1] = (f[-1] - f[-2]) / dx[-1]
-    return out
 
 
 def verify_decay(w: Field, beta, collar: float = 0.1,
                  third_order: bool = True) -> DecayReport:
     """Measure the decay constants  sup |D^alpha w| / beta^alpha  for
     |alpha| = 1, 2 (and 3) over interior nodes, plus the time-Lipschitz
-    quotients divided by sqrt(beta^alpha).  Each derivative is streamed from
-    holder.derivatives and reduced.
+    quotients  sup |D^alpha w(t_k+1) - D^alpha w(t_k)| / dt_k  for |alpha| =
+    1, 2 (those of nash.triple_norm) divided by sqrt(beta^alpha).  Each
+    derivative is streamed from holder.derivatives and reduced.
 
     The stream runs over blocks of _TIME_BLOCK time slices.  Spatial
     derivatives are pointwise in time, so only the time quotients cross a
-    block's edge: each block carries one overlap slice on each side and
-    reduces over its own slices only, the pair (k, k+1) belonging to the
-    block that owns k.  The order-1 quotient is np.gradient's, with its
-    uniform-step formula chosen once on the whole of w.times.
+    block's edge: each block carries the first slice of the next one, and
+    the pairs (k, k+1) of its quotients are those of its own slices k.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every
@@ -445,34 +427,29 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     inner = (slice(None),) + (slice(g - lo, M - g - lo),) * w.grid.N
     n = w.times.size
     dts = np.diff(w.times)
-    uniform = bool(np.all(dts == dts[:1]))
     K, lip = [0.0] * 4, [0.0] * 3
     for a0 in range(0, n, _TIME_BLOCK):
-        # own slices a0..b0-1 of the block's slices e0..e1-1
+        # own slices a0..b0-1, then the next block's first slice
         b0 = min(a0 + _TIME_BLOCK, n)
-        e0, e1 = max(a0 - 1, 0), min(b0 + 1, n)
-        own = slice(a0 - e0, b0 - e0)
-        for a, d in derivatives(w.values[(slice(e0, e1),) + crop], h, m):
+        e1 = min(b0 + 1, n)
+        for a, d in derivatives(w.values[(slice(a0, e1),) + crop], h, m):
             if not a:
                 continue
-            if not finite and not np.all(np.isfinite(d[own])):
+            if not finite and not np.all(np.isfinite(d[:b0 - a0])):
                 raise NonFiniteError("field contains non-finite values")
             weight = multi_index_weight(beta, a)
             body = d[inner]
-            K[len(a)] = max(K[len(a)], sup_abs(body[own]) / weight)
-            # time quotients are taken over the interior view only: they
-            # are pointwise in space, so no full-size temporary is needed;
-            # _extremes raises on one that overflows (unwarned) or is NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                if dts.size and len(a) == 1:
-                    dtd = _time_gradient(body, w.times[e0:e1], uniform)[own]
-                    lip[1] = max(lip[1], _extremes(dtd)[0] / math.sqrt(weight))
-                elif e1 - a0 > 1 and len(a) == 2:
-                    # the pairs (k, k+1) for own k < n - 1
-                    q = np.diff(body[own.start:], axis=0)
+            K[len(a)] = max(K[len(a)], sup_abs(body[:b0 - a0]) / weight)
+            if len(a) < 3 and e1 - a0 > 1:
+                # pointwise in space, so taken over the interior view with
+                # no full-size temporary; _extremes raises on a quotient
+                # that overflows (unwarned) or is NaN
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q = np.diff(body, axis=0)
                     q = q.reshape(len(q), -1)
                     rows = np.maximum(q.max(axis=1), -q.min(axis=1))
-                    lip[2] = max(lip[2], _extremes(rows / dts[a0:e1 - 1])[0]
-                                 / math.sqrt(weight))
+                    lip[len(a)] = max(lip[len(a)],
+                                      _extremes(rows / dts[a0:e1 - 1])[0]
+                                      / math.sqrt(weight))
             del d, body
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)

@@ -124,7 +124,7 @@ def test_05_lq_oracle_agreement():
         inner = (slice(None),) + game.grid.interior(0.1)
         err = max(
             float(np.max(np.abs(sol[i].values - np.stack(
-                [lq_value(traj, i, t, X)[0] for t in game.times]))[inner]))
+                [lq_value(traj, i, t, X) for t in game.times]))[inner]))
             for i in range(2))
     ok = (converged and rep.iterations <= 12
           and rep.increments[-1] < 1e-6 and err < 1e-2)

@@ -559,9 +559,10 @@ def test_verify_decay_non_finite_exits_1(tmp_path):
 
 
 def test_verify_decay_overflowing_quotient_writes_strict_json(tmp_path):
-    # the solve stays finite but a time quotient of D_j w overflows: the run
-    # once wrote "time_lip_grad": Infinity into summary.json and inf into
-    # decay.csv; now it is a numerical failure with no table
+    # a source near the float range solves to finite values whose adjacent
+    # time quotients of D_j w stay below about 4.9e307: the run once wrote
+    # "time_lip_grad": Infinity, and then failed with NonFiniteError from
+    # np.gradient's non-uniform formula; now its constants are finite
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
@@ -569,12 +570,15 @@ def test_verify_decay_overflowing_quotient_writes_strict_json(tmp_path):
            "dt": 0.01, "problem": {"N": 2, "c_B": 0, "c_F": 5e307, "c_G": 0,
                                    "a": 0.5, "T": 0.2}}
     code, _, o = run(tmp_path, "verify-decay", cfg)
-    assert code == 1
+    assert code == 0
     summary = json.loads((o / "summary.json").read_text(),
                          parse_constant=reject)
-    assert not summary["passed"]
-    assert summary["error"].startswith("NonFiniteError: ")
-    assert not (o / "decay.csv").exists()
+    assert summary["passed"]
+    assert "error" not in summary
+    decay = summary["results"]["decay"]
+    assert all(np.isfinite(v) for v in decay.values())
+    assert decay["time_lip_grad"] > 1e306
+    assert (o / "decay.csv").exists()
 
 
 @pytest.mark.parametrize("residual_max, code", [(1e-3, 1), (1e-2, 0)])

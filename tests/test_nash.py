@@ -423,7 +423,7 @@ def test_picard_step_fixes_riccati_solution():
     traj = riccati_integrate(game.spec, game.T / 400)
     X = game.grid.meshgrid()
     u = [Field(game.grid, game.times,
-               np.stack([lq_value(traj, i, t, X)[0] for t in game.times]))
+               np.stack([lq_value(traj, i, t, X) for t in game.times]))
          for i in range(2)]
     Su = picard_step(game, u)
     inner = game.grid.interior(0.15)
@@ -452,7 +452,7 @@ def test_picard_matches_oracle_mini():
     X = game.grid.meshgrid()
     inner = game.grid.interior(0.1)
     for i in range(2):
-        exact = np.stack([lq_value(traj, i, t, X)[0] for t in game.times])
+        exact = np.stack([lq_value(traj, i, t, X) for t in game.times])
         err = np.max(np.abs(sol[i].values - exact)[(slice(None),) + inner])
         assert err < 2e-2
     # decay reports and residuals of the fixed point are finite
@@ -572,7 +572,7 @@ def _oracle_errors(steps, tol):
         inner = (slice(None),) + game.grid.interior(0.1)
         out.append((game.grid.h, max(
             float(np.max(np.abs(sol[i].values - np.stack(
-                [lq_value(traj, i, t, X)[0] for t in game.times]))[inner]))
+                [lq_value(traj, i, t, X) for t in game.times]))[inner]))
             for i in range(2))))
     return out
 
@@ -1098,7 +1098,7 @@ def test_residual_refines_on_oracle_fields():
         X = game.grid.meshgrid()
         times = np.linspace(0, game.T, nt)
         u = [Field(game.grid, times,
-                   np.stack([lq_value(traj, i, t, X)[0] for t in times]))
+                   np.stack([lq_value(traj, i, t, X) for t in times]))
              for i in range(2)]
         sups.append(max(residual(game, u)))
     assert np.log2(sups[0] / sups[1]) >= 1.0

@@ -206,23 +206,19 @@ def test_non_positive_dt_refused(dt):
 def test_lq_value_evaluation():
     spec = decay_lq_game(2, BETA, c_Q=0.2, c_G=0.4, sigma=0.25, T=0.5)
     traj = riccati_integrate(spec, 0.005)
-    # x = 0: value r_i, gradient 0
-    u, g = lq_value(traj, 0, 0.1, np.zeros(2))
-    assert g == pytest.approx(0.0) if np.isscalar(g) else np.allclose(g, 0.0)
+    # x = 0: value r_i
+    assert lq_value(traj, 0, 0.1, np.zeros(2)) == traj.interpolate(0.1)[1][0]
     # t = T reproduces the terminal cost exactly
     x = np.array([0.7, -0.3])
-    u, g = lq_value(traj, 1, spec.T, x)
+    u = lq_value(traj, 1, spec.T, x)
     assert u == pytest.approx(0.5 * x @ spec.Gamma[1] @ x)
-    np.testing.assert_allclose(g, spec.Gamma[1] @ x)
     # out of range
     with pytest.raises(LQError):
         lq_value(traj, 0, -0.1, x)
     # vectorized evaluation matches pointwise
     X = np.stack(np.meshgrid(*[np.linspace(-1, 1, 5)] * 2, indexing="ij"))
-    U, G = lq_value(traj, 0, 0.2, X)
-    u0, g0 = lq_value(traj, 0, 0.2, X[:, 2, 3])
-    assert U[2, 3] == pytest.approx(u0)
-    np.testing.assert_allclose(G[:, 2, 3], g0)
+    U = lq_value(traj, 0, 0.2, X)
+    assert U[2, 3] == pytest.approx(lq_value(traj, 0, 0.2, X[:, 2, 3]))
 
 
 def test_decay_builder_and_inheritance():
