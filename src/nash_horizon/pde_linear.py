@@ -44,15 +44,18 @@ __all__ = [
 MAX_GRID_DIM = 4
 MAX_FPK_DIM = 2                   # solve_fpk_grid's density diagnostics
 
-# fpk_gradient_mass differentiates this many bytes of time slices at once:
-# blocks sized in bytes keep a small N = 2 slice count near one (a fixed
-# count of slices made N = 2 slower) while N = 1 takes dozens of slices
+# fpk_gradient_mass differentiates this many bytes of time slices at once
+# into one reused buffer: blocks sized in bytes keep a small N = 2 slice
+# count near one (a fixed count of slices made N = 2 slower) while N = 1
+# takes dozens of slices, and the buffer stays cache-sized
 _GRADIENT_BLOCK_BYTES = 256 * 1024
 
-# verify_decay streams the derivatives of this many own time slices at once
-# (plus the next block's first slice): small blocks keep its temporaries, and
-# the freed heap they leave resident, a few slices in size
-_TIME_BLOCK = 4
+# verify_decay streams the derivatives of this many time slices at once and
+# derives each slice once: small blocks keep its temporaries, and the freed
+# heap they leave resident, a few slices in size (on the benchmark's N = 3,
+# M = 49 call, blocks of 1, 2 and 4 took 0.30-0.34 s and 8 took 0.46 s; 2
+# peaks at 12 time slices, 4 at 20)
+_TIME_BLOCK = 2
 
 
 class CFLError(RuntimeError):
@@ -166,18 +169,34 @@ def _neighbours(v: np.ndarray, axis: int) -> tuple:
     return lo.reshape(v.shape), hi.reshape(v.shape)
 
 
+# Both terms sum their axes from np.zeros, not from the first axis's term:
+# 0.0 + x turns a -0.0 into +0.0, and the sum keeps those bits.
+
+
 def _diffusion_term(diff: DiffusionSpec, v, nbrs, h):
+    """a sum_j (lo - 2 v + hi) / h^2, each axis's term made in one buffer."""
     out = np.zeros_like(v)
+    v2, d = 2 * v, np.empty_like(v)
     for lo, hi in nbrs:
-        out += diff.a * ((lo - 2 * v + hi) / h ** 2)
+        np.subtract(lo, v2, out=d)
+        d += hi
+        d /= h ** 2
+        d *= diff.a
+        out += d
     return out
 
 
 def _transport_term(B, v, nbrs, h):
-    """Upwinded <B, Dv>: backward difference where B > 0, forward where B < 0."""
+    """Upwinded <B, Dv>: backward difference where B > 0, forward where B <= 0.
+    Each axis picks its difference before the one multiply by B[j]."""
     out = np.zeros_like(v)
+    d = np.empty_like(v)
     for j, (lo, hi) in enumerate(nbrs):
-        out += np.where(B[j] > 0, B[j] * ((v - lo) / h), B[j] * ((hi - v) / h))
+        np.subtract(hi, v, out=d)
+        np.subtract(v, lo, out=d, where=B[j] > 0)
+        d /= h
+        np.multiply(B[j], d, out=d)
+        out += d
     return out
 
 
@@ -306,7 +325,17 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     d rho/dt = a Lap rho,  rho(0) = N(y, eps^2 I), in equal
     steps of at most dt; a dt above cfl_step raises CFLError.  No-flux walls
     conserve mass exactly; negative undershoot is clipped and tracked.
-    """
+
+    A step forms a rho once.  Along an axis of stride s (holder._strided)
+    the face fluxes (a rho[i+1] - a rho[i]) / h are one flat subtraction at
+    stride s, written into a face buffer behind an s-node zero ghost, with
+    the face after the last node of each line set to zero: that buffer
+    minus itself shifted by s, over h, is the zero-flux divergence, the
+    bits of np.diff(flux, prepend=0.0, append=0.0) / h.  The axes' terms
+    are summed from the first one, not from zeros: rho never holds -0.0
+    (exp, a sum that cancels and the clip all give +0.0), so the sign of a
+    zero divergence never reaches rho.  Each step is written into its time
+    slice in place."""
     N = grid.N
     if N > MAX_FPK_DIM:
         raise SpecError(f"density diagnostics limited to N <= {MAX_FPK_DIM}")
@@ -328,22 +357,34 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     mass = np.empty(times.size)
     mass[0] = rho.sum() * h ** N
     undershoot = 0.0
+    n = rho.size
+    strides = [_strided(rho, ax).shape[2] for ax in range(N)]
+    faces = [np.zeros(n + s) for s in strides]      # [:s] is the zero ghost
+    G, div, term = np.empty(n), np.empty(n), np.empty(n)
     for k in range(times.size - 1):
-        div = np.zeros_like(rho)
-        for ax in range(N):
-            flux = np.diff(diffusion.a * rho, axis=ax) / h
-            # zero flux at the walls
-            div += np.diff(flux, axis=ax, prepend=0.0, append=0.0) / h
-        rho = rho + step * div
+        np.multiply(vals[k].reshape(-1), diffusion.a, out=G)
+        for ax, (s, F) in enumerate(zip(strides, faces)):
+            np.subtract(G[s:], G[:-s], out=F[s:n])
+            F[s:].reshape(-1, grid.M, s)[:, -1] = 0.0   # zero flux at walls
+            F[s:n] /= h
+            out = div if ax == 0 else term
+            np.subtract(F[s:], F[:-s], out=out)
+            out /= h
+            if ax:
+                div += term
+        div *= step
+        rho = vals[k + 1]
+        np.add(vals[k].reshape(-1), div, out=rho.reshape(-1))
         worst = float(rho.min())
         if worst < 0:
             undershoot = max(undershoot, -worst)
-            rho = np.maximum(rho, 0.0)
-        vals[k + 1] = rho
+            np.maximum(rho, 0.0, out=rho)
         mass[k + 1] = rho.sum() * h ** N
         if abs(mass[k + 1] - 1.0) > 1e-3:
             raise SolveError(f"mass drift {mass[k + 1] - 1.0:.2e} at t={times[k + 1]:.5g}")
-        if not np.all(np.isfinite(rho)):
+        # past the drift test a mass is not finite only by a NaN in rho
+        # (a +inf makes it +inf, and the clip removes -inf)
+        if not math.isfinite(mass[k + 1]):
             raise SolveError(f"non-finite density at t={times[k + 1]:.5g}")
     return FPKResult(Field(grid, times, vals), mass, undershoot, float(eps))
 
@@ -357,23 +398,46 @@ class GradientMassReport:
     C: float                    # fitted prefactor
 
 
+def _gradient_into(values: np.ndarray, h: float, axis: int, out: np.ndarray):
+    """numpy.gradient(values, h, axis=axis) (edge_order=1) into out, bit for
+    bit: the central difference is one flat subtraction at the axis's
+    stride (holder._strided), and the first and last node of each line then
+    take the one-sided differences."""
+    f3, o3 = _strided(values, axis), _strided(out, axis)
+    s = f3.shape[2]
+    flat, o = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=o[s:-s])
+    o[s:-s] /= 2. * h
+    np.subtract(f3[:, 1], f3[:, 0], out=o3[:, 0])
+    o3[:, 0] /= h
+    np.subtract(f3[:, -1], f3[:, -2], out=o3[:, -1])
+    o3[:, -1] /= h
+
+
 def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
     """Cumulative time integral of sup_k int |D_k rho| and its log-log fit
     over the nodes at elapsed time >= 10 eps^2, where the mollifier's
-    offset has washed out.  The gradients are taken over blocks of time
-    slices of about _GRADIENT_BLOCK_BYTES each; every slice is still summed
-    on its own, so each node's value is that of a per-slice gradient."""
+    offset has washed out.  The gradients (numpy.gradient's, edge_order=1)
+    are taken over blocks of time slices of about _GRADIENT_BLOCK_BYTES,
+    each into one reused buffer; every slice is still summed on its own, so
+    each node's value is that of a per-slice gradient."""
     f = result.field
     h = f.grid.h
     N = f.grid.N
     elapsed = f.times - f.times[0]
     g = np.empty(f.times.size)
     rows = max(1, _GRADIENT_BLOCK_BYTES // f.values[0].nbytes)
+    buf = np.empty((min(rows, f.times.size),) + f.grid.shape)
     for s in range(0, f.times.size, rows):
-        grads = [np.abs(np.gradient(f.values[s:s + rows], h, axis=1 + ax))
-                 for ax in range(N)]
-        for k in range(grads[0].shape[0]):
-            g[s + k] = max(float(np.sum(d[k])) * h ** N for d in grads)
+        block = f.values[s:s + rows]
+        d = buf[:block.shape[0]]
+        sums = []
+        for ax in range(N):
+            _gradient_into(block, h, 1 + ax, d)
+            np.abs(d, out=d)
+            sums.append(d.reshape(d.shape[0], -1).sum(axis=1))
+        # h^N > 0, so the max of the scaled sums is the scaled max
+        g[s:s + d.shape[0]] = np.max(sums, axis=0) * h ** N
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(elapsed))))
     mask = elapsed >= 10 * result.eps ** 2
     if mask.sum() < 4:
@@ -404,16 +468,18 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     1, 2 (those of nash.triple_norm) divided by sqrt(beta^alpha).  Each
     derivative is streamed from holder.derivatives and reduced.
 
-    The stream runs over blocks of _TIME_BLOCK time slices.  Spatial
-    derivatives are pointwise in time, so only the time quotients cross a
-    block's edge: each block carries the first slice of the next one, and
-    the pairs (k, k+1) of its quotients are those of its own slices k.
+    The stream runs over blocks of _TIME_BLOCK time slices, and derives
+    each slice once.  Spatial derivatives are pointwise in time, so only the
+    time quotients cross a block's edge: for each |alpha| <= 2 a block keeps
+    a copy of its last interior slice, and the next block forms its first
+    pair (k, k+1) from that copy and its own first slice.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every
     interior value is the central formula on the same operands as on the
-    whole grid, bit for bit.  A derivative non-finite on the whole grid, or
-    a non-finite time quotient, raises NonFiniteError.  Each level multiplies
+    whole grid, bit for bit.  A derivative non-finite on the whole grid, a
+    non-finite time quotient, or a sup or quotient that overflows when
+    divided by its weight raises NonFiniteError.  Each level multiplies
     the sup by at most 4/h (the edge stencil), so sup|w| max(4/h, 1)^m <
     1e300 proves every whole-grid derivative finite; when that bound fails,
     or the collar is under m nodes, the stream runs on the whole grid and
@@ -428,28 +494,44 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     n = w.times.size
     dts = np.diff(w.times)
     K, lip = [0.0] * 4, [0.0] * 3
+    last = {}           # alpha -> the previous block's last interior slice
     for a0 in range(0, n, _TIME_BLOCK):
-        # own slices a0..b0-1, then the next block's first slice
         b0 = min(a0 + _TIME_BLOCK, n)
-        e1 = min(b0 + 1, n)
-        for a, d in derivatives(w.values[(slice(a0, e1),) + crop], h, m):
+        for a, d in derivatives(w.values[(slice(a0, b0),) + crop], h, m):
             if not a:
                 continue
-            if not finite and not np.all(np.isfinite(d[:b0 - a0])):
+            if not finite and not np.all(np.isfinite(d)):
                 raise NonFiniteError("field contains non-finite values")
             weight = multi_index_weight(beta, a)
             body = d[inner]
-            K[len(a)] = max(K[len(a)], sup_abs(body[:b0 - a0]) / weight)
-            if len(a) < 3 and e1 - a0 > 1:
+            K[len(a)] = max(K[len(a)], _weighted(sup_abs(body), weight, a))
+            if len(a) < 3:
                 # pointwise in space, so taken over the interior view with
                 # no full-size temporary; _extremes raises on a quotient
                 # that overflows (unwarned) or is NaN
-                with np.errstate(over="ignore", invalid="ignore"):
-                    q = np.diff(body, axis=0)
-                    q = q.reshape(len(q), -1)
-                    rows = np.maximum(q.max(axis=1), -q.min(axis=1))
+                prev = last.get(a)
+                k0 = 0 if prev is None else 1
+                pairs = b0 - a0 - 1 + k0
+                if pairs:
+                    q = np.empty((pairs,) + body.shape[1:])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        if k0:
+                            np.subtract(body[0], prev, out=q[0])
+                        np.subtract(body[1:], body[:-1], out=q[k0:])
+                        q = q.reshape(pairs, -1)
+                        rows = np.maximum(q.max(axis=1), -q.min(axis=1))
+                        top = _extremes(rows / dts[a0 - k0:b0 - 1])[0]
                     lip[len(a)] = max(lip[len(a)],
-                                      _extremes(rows / dts[a0:e1 - 1])[0]
-                                      / math.sqrt(weight))
+                                      _weighted(top, math.sqrt(weight), a))
+                last[a] = body[-1].copy()
             del d, body
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)
+
+
+def _weighted(x: float, weight: float, alpha: tuple) -> float:
+    """x / weight; NonFiniteError if a tiny weight overflows it."""
+    q = x / weight
+    if not math.isfinite(q):
+        raise NonFiniteError(f"D^{alpha} over its weight {weight:.3g} is "
+                             f"non-finite")
+    return q

@@ -449,9 +449,10 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
                                                                 monkeypatch):
     # after Picard, residual makes D_j u^i for each pair and D_c D_c u^i (no
     # mixed ones: the diffusion is diagonal) without a derivative family, and
-    # verify_decay streams every order-<=2 derivative once per block of time
-    # slices: at N = 3 that is 18 _partial calls and 9 per block, so a
-    # further pass over the derivatives shows here
+    # verify_decay streams every order-<=2 derivative once per block of
+    # _TIME_BLOCK time slices, each slice in one block only: at N = 3 that
+    # is 18 _partial calls and 9 per block, so a further pass over the
+    # derivatives shows here
     from nash_horizon import cli, holder, pde_linear
     real = {"derivative_family": holder.derivative_family,
             "_partial": holder._partial, "derivatives": pde_linear.derivatives}
@@ -579,6 +580,28 @@ def test_verify_decay_overflowing_quotient_writes_strict_json(tmp_path):
     assert all(np.isfinite(v) for v in decay.values())
     assert decay["time_lip_grad"] > 1e306
     assert (o / "decay.csv").exists()
+
+
+def test_verify_decay_weighted_overflow_exits_1_without_decay_csv(tmp_path):
+    # every weight but beta^0 is 1e-300, so the finite sup of D_1 w (about
+    # 1e30) over its weight passes the float range: the run once wrote
+    # "K3": Infinity into summary.json and K3,inf into decay.csv
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cfg = {"weights": {"kind": "table", "W": 8, "params": {
+               "values": [1e-300] * 8 + [1.0] + [1e-300] * 8}},
+           "grid": {"L": 3.0, "M": 21}, "dt": 0.01,
+           "problem": {"N": 2, "c_B": 0, "c_F": 1e30, "c_G": 1e30,
+                       "a": 0.5, "T": 0.2}}
+    code, _, o = run(tmp_path, "verify-decay", cfg)
+    assert code == 1
+    summary = json.loads((o / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert not summary["passed"]
+    assert summary["error"].startswith("NonFiniteError: ")
+    assert "results" not in summary
+    assert not (o / "decay.csv").exists()
 
 
 @pytest.mark.parametrize("residual_max, code", [(1e-3, 1), (1e-2, 0)])

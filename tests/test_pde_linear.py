@@ -17,7 +17,6 @@ from nash_horizon.pde_linear import (
     SpecError,
     TerminalSpec,
     TransportBoundError,
-    _check_step,
     _diffusion_term,
     _neighbours,
     _transport_term,
@@ -264,6 +263,21 @@ def test_stencils_match_pad_reflect_first_form(shape, same_bits):
                      _diffusion_term_first_form(1.3, v, h))
     assert same_bits(_transport_term(B, v, nbrs, h),
                      _transport_term_first_form(B, v, h))
+    # v and B drawn from signed zeros and both signs: a term or a sum that
+    # lands on -0.0 becomes +0.0 only if every axis is summed from
+    # np.zeros; on the checkerboard of -0.0 and +0.0 every +0.0 node has a
+    # -0.0 diffusion term on every axis; past the float range a difference
+    # is inf, and at B = 0 the upwind choice is the NaN of 0 * inf or not
+    B = rng.choice([-0.0, 0.0, 0.75, -1.25], size=(N,) + shape)
+    mixed = rng.choice([-0.0, 0.0, 1.5, -2.0], size=shape)
+    board = np.where(np.indices(shape).sum(axis=0) % 2, 0.0, -0.0)
+    for v in (mixed, board, 1.5e308 * np.sign(mixed)):
+        nbrs = [_neighbours(v, k) for k in range(N)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(_diffusion_term(diff, v, nbrs, h),
+                             _diffusion_term_first_form(1.3, v, h))
+            assert same_bits(_transport_term(B, v, nbrs, h),
+                             _transport_term_first_form(B, v, h))
 
 
 def decay_probe(drift, N, c_B):
@@ -429,7 +443,6 @@ def _fpk_first_form(diffusion, y, eps, grid, dt, T):
     zero-padded flux; returns (field values, mass, undershoot)."""
     N, h = grid.N, grid.h
     X = grid.meshgrid()
-    _check_step(diffusion, grid, dt)
     times = time_nodes(0.0, T, dt)
     step = times[1] - times[0]
     r2 = sum((X[k] - y[k]) ** 2 for k in range(N))
@@ -460,8 +473,17 @@ def _fpk_first_form(diffusion, y, eps, grid, dt, T):
     return np.stack(vals), np.array(mass), undershoot
 
 
-@pytest.mark.parametrize("case", ["2d-isotropic", "2d-off-centre"])
-def test_fpk_matches_first_form(case, same_bits):
+# N, M, y, step over cfl_step, steps: above cfl_step (let through by a
+# patched check) the grid-scale mode grows until a step clips, yet stays
+# inside the mass-drift bound; no step at or under cfl_step was found to clip
+FPK_CASES = {"1d": (1, 41, [0.1], 1.0, 60),
+             "1d-clipping": (1, 81, [0.37], 1.1, 100),
+             "2d-clipping": (2, 21, [0.1, 0.1], 1.2, 101)}
+
+
+@pytest.mark.parametrize("case", ["2d-isotropic", "2d-off-centre",
+                                  *FPK_CASES])
+def test_fpk_matches_first_form(case, same_bits, monkeypatch):
     g = SpatialGrid(2, 3.0, 31)
     if case == "2d-off-centre":
         diff = DiffusionSpec.isotropic(2, 0.45)
@@ -470,9 +492,17 @@ def test_fpk_matches_first_form(case, same_bits):
         diff = DiffusionSpec.isotropic(2, 0.5)
         y = [0.0, 0.0]
     args = (diff, y, 4 * g.h, g, cfl_dt(g, g.N, 0.5), 0.2)
+    if case in FPK_CASES:
+        N, M, y, factor, steps = FPK_CASES[case]
+        monkeypatch.setattr(pde_linear, "_check_step", lambda *a: None)
+        g = SpatialGrid(N, 2.0, M)
+        diff = DiffusionSpec(N, 0.5)
+        dt = factor * cfl_step(diff, g.h)
+        args = (diff, y, 2 * g.h, g, dt, steps * dt)
     res = solve_fpk_grid(*args)
     vals, mass, undershoot = _fpk_first_form(*args)
     assert res.field.values.shape[0] > 10
+    assert (undershoot > 0) == case.endswith("clipping")
     assert same_bits(res.field.values, vals)
     assert same_bits(res.mass, mass)
     assert same_bits(np.float64(res.undershoot), np.float64(undershoot))
@@ -519,18 +549,23 @@ def test_fpk_gradient_mass_slope():
     assert rep.times[-1] == pytest.approx(T)
 
 
-@pytest.mark.parametrize("N, M, n_times", [(1, 401, 200), (2, 121, 7)])
+@pytest.mark.parametrize("N, M, n_times", [(1, 401, 200), (2, 121, 7),
+                                           (2, 9, 5), (1, 5, 6)])
 def test_fpk_gradient_mass_blocks_match_per_slice(N, M, n_times, same_bits):
-    # the gradients are taken over blocks of slices, whose count here is no
-    # multiple of the block; every slice is summed on its own as before
+    # the flat-stride gradients are taken over blocks of slices into one
+    # buffer, the slice count here no multiple of the block (the last two
+    # cases fill less than one block); every slice is summed on its own, as
+    # np.gradient's was
     rows = pde_linear._GRADIENT_BLOCK_BYTES // (8 * M ** N)
-    assert n_times > rows and n_times % rows
+    assert n_times % rows
     g = SpatialGrid(N, 6.0, M)
     rng = np.random.default_rng(N)
-    vals = rng.uniform(0.0, 1.0, (n_times,) + g.shape)
+    vals = rng.uniform(-1.0, 1.0, (n_times,) + g.shape)
+    vals[vals > 0.9] = -0.0
     f = Field(g, np.linspace(0.0, 1.0, n_times), vals)
     rep = fpk_gradient_mass(FPKResult(f, np.ones(n_times), 0.0, 0.01))
-    want = [max(float(np.sum(np.abs(np.gradient(slc, g.h, axis=ax))))
+    want = [max(float(np.sum(np.abs(np.gradient(slc, g.h, axis=ax,
+                                                edge_order=1))))
                 * g.h ** N for ax in range(N)) for slc in vals]
     assert same_bits(rep.gradient_mass, want)
 
@@ -780,7 +815,8 @@ def test_verify_decay_checks_the_second_order_quotient(A, overflows):
                                           (3, 25, 0.2)])
 def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
     # the collar holds at least m = 3 nodes, so the stream runs on the
-    # interior plus an m-node halo, yet the report is the whole grid's
+    # interior plus an m-node halo, yet the report is the whole grid's;
+    # its blocks together hold each of the 4 time slices once
     rng = np.random.default_rng(N)
     times = np.cumsum(rng.uniform(0.01, 0.1, 4))
     w = Field(SpatialGrid(N, 2.0, M), times,
@@ -795,7 +831,9 @@ def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
         assert dataclasses.astuple(rep) == _verify_decay_first_form(
             w, BETA, collar, third)
         m = 3 if third else 2
-        assert shapes.pop() == (4,) + (M - 2 * (g - m),) * N
+        assert {s[1:] for s in shapes} == {(M - 2 * (g - m),) * N}
+        assert sum(s[0] for s in shapes) == 4
+        shapes.clear()
 
 
 @pytest.mark.parametrize("outer", [False, True])
@@ -830,9 +868,10 @@ def test_verify_decay_peak_memory_is_a_few_fields():
 
 
 def test_verify_decay_reads_each_block_edge_once():
-    # a field that changes only between the last own slice of the first
-    # block and the first of the second: the edge pair, which the first
-    # block carries, is the whole signal of both time quotients
+    # a field that changes only between the last slice of the first block
+    # and the first of the second: the edge pair, which the second block
+    # forms from the first block's copy of its last interior slice, is the
+    # whole signal of both time quotients
     B = pde_linear._TIME_BLOCK
     g = SpatialGrid(2, 2.0, 21)
     rng = np.random.default_rng(7)
@@ -844,6 +883,45 @@ def test_verify_decay_reads_each_block_edge_once():
     assert rep.time_lip_grad > 0 and rep.time_lip_hess > 0
     assert dataclasses.astuple(rep) == _verify_decay_first_form(
         w, BETA, 0.1, False)
+
+
+@pytest.mark.parametrize("N, M, n_times, collar", [
+    (1, 41, 9, 0.2), (2, 21, 7, 0.25), (3, 13, 5, 0.1), (2, 21, 1, 0.1)])
+def test_verify_decay_is_the_same_in_any_block(N, M, n_times, collar,
+                                               monkeypatch):
+    # one slice, a ragged last block, one block of all slices: each block
+    # derives only its own slices, and the carried interior slice makes the
+    # pairs across its edge, so the report keeps its bits
+    rng = np.random.default_rng(N + n_times)
+    times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+    w = Field(SpatialGrid(N, 2.0, M), times,
+              rng.normal(size=(n_times,) + (M,) * N))
+    want = [_verify_decay_first_form(w, BETA, collar, third)
+            for third in (False, True)]
+    for block in (1, 2, 3, n_times):
+        monkeypatch.setattr(pde_linear, "_TIME_BLOCK", block)
+        got = [dataclasses.astuple(verify_decay(w, BETA, collar=collar,
+                                                third_order=third))
+               for third in (False, True)]
+        assert got == want, block
+
+
+def test_verify_decay_rejects_a_weighted_sup_past_the_float_range():
+    # finite derivatives and quotients of fields that lean on a coordinate
+    # whose weight is 1e-300: a sup of 1e30 over that weight, and a time
+    # quotient of 2e200 (w = +-x_1 at steps of 1e-200) over its square root
+    # 1e-150, overflow, which once came back as inf
+    beta = build_weight("table", {"values": [1e-300] * 8 + [1.0]
+                                  + [1e-300] * 8}, 8)
+    g = SpatialGrid(2, 3.0, 21)
+    sup = Field.from_function(g, [0.0, 0.1, 0.2],
+                              lambda t, X: 1e30 * np.tanh(X[1]))
+    with pytest.raises(NonFiniteError, match="weight 1e-300 is non-finite"):
+        verify_decay(sup, beta, third_order=False)
+    s = np.array([1.0, -1.0, 1.0])
+    lip = Field(g, [0.0, 1e-200, 2e-200], s[:, None, None] * g.meshgrid()[1])
+    with pytest.raises(NonFiniteError, match="weight 1e-150 is non-finite"):
+        verify_decay(lip, beta, third_order=False)
 
 
 def test_verify_decay_peak_memory_is_independent_of_the_time_count():
