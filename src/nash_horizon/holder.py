@@ -25,7 +25,7 @@ axis, so a difference along any axis is one contiguous pass over the flat
 buffer, and only the first and last node of each line need their own
 formula.  _partial keeps the bits of numpy.gradient(values, h, axis=1 + c,
 edge_order=2); _axis_seminorm walks the time axis in blocks of about
-_SEMINORM_BLOCK_BYTES, so its temporaries stay cache-sized.
+_BLOCK_BYTES, so its temporaries stay cache-sized.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ __all__ = [
 # node-count budget guarding against accidental huge tensor grids
 MAX_NODES = 2 ** 24
 
-# _axis_seminorm reduces this many bytes of time slices at once (at least
-# one slice): its lag-1 differences and line copies then stay in cache
-_SEMINORM_BLOCK_BYTES = 256 * 1024
+# _axis_seminorm and pde_linear.fpk_gradient_mass work on blocks of this
+# many bytes of time slices (at least one slice), so their temporaries stay
+# in cache: in bytes, an N = 2 block holds about one slice (a fixed slice
+# count made N = 2 slower) and an N = 1 block dozens
+_BLOCK_BYTES = 256 * 1024
 
 
 class GridError(ValueError):
@@ -126,12 +128,13 @@ class Field:
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         v = np.asarray(self.values, dtype=float)
+        if not t.size:
+            raise GridError("a field needs at least one time node")
         if v.shape != (t.size,) + self.grid.shape:
             raise GridError(f"value shape {v.shape} inconsistent with grid")
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
             raise GridError("time nodes must be finite and strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("field contains non-finite values")
+        _extremes(v)                # NonFiniteError unless v is finite
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -201,7 +204,8 @@ def derivatives(values: np.ndarray, h: float, m: int):
     """Yield (alpha, D^alpha values) for each ascending coordinate tuple,
     |alpha| <= m, depth first: each D^alpha is one _partial of its parent
     alpha[:-1], and only the path of parents (m + 1 arrays) stays alive.
-    A view (verify_decay's cropped blocks) is copied once, as the root."""
+    A view (verify_decay's cropped time slices) is copied once, as the
+    root."""
     if m > MAX_ORDER:
         raise GridError(f"derivative order {m} exceeds {MAX_ORDER}")
     return _descend(np.ascontiguousarray(values), h, m, ())
@@ -253,13 +257,13 @@ def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     """Max over the slices of values (shape (K+1, M, ..., M)) of [V]_gamma
     for gamma = 1 or 0: sup over spatial axes and axis-aligned node pairs.
 
-    The slices are reduced in blocks of about _SEMINORM_BLOCK_BYTES; the max
+    The slices are reduced in blocks of about _BLOCK_BYTES; the max
     over blocks is the whole-field value bit for bit, as max is exact and
     division by h > 0 is monotone.  At gamma = 1 the lag-1 differences along
     an axis are one flat subtraction at its stride; the pairs that wrap past
     the end of a line are set to 0, which never raises a sup of absolute
     values (the inputs are finite)."""
-    rows = max(1, _SEMINORM_BLOCK_BYTES // values[0].nbytes)
+    rows = max(1, _BLOCK_BYTES // values[0].nbytes)
     best = 0.0
     for t in range(0, values.shape[0], rows):
         block = values[t:t + rows]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holder import (Field, NonFiniteError, SpatialGrid, _extremes, _strided,
-                     derivatives, sup_abs, time_nodes)
+from .holder import (_BLOCK_BYTES, Field, NonFiniteError, SpatialGrid,
+                     _extremes, _strided, derivatives, sup_abs, time_nodes)
 from .weights import multi_index_weight
 
 __all__ = [
@@ -43,19 +43,6 @@ __all__ = [
 
 MAX_GRID_DIM = 4
 MAX_FPK_DIM = 2                   # solve_fpk_grid's density diagnostics
-
-# fpk_gradient_mass differentiates this many bytes of time slices at once
-# into one reused buffer: blocks sized in bytes keep a small N = 2 slice
-# count near one (a fixed count of slices made N = 2 slower) while N = 1
-# takes dozens of slices, and the buffer stays cache-sized
-_GRADIENT_BLOCK_BYTES = 256 * 1024
-
-# verify_decay streams the derivatives of this many time slices at once and
-# derives each slice once: small blocks keep its temporaries, and the freed
-# heap they leave resident, a few slices in size (on the benchmark's N = 3,
-# M = 49 call, blocks of 1, 2 and 4 took 0.30-0.34 s and 8 took 0.46 s; 2
-# peaks at 12 time slices, 4 at 20)
-_TIME_BLOCK = 2
 
 
 class CFLError(RuntimeError):
@@ -418,7 +405,7 @@ def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
     """Cumulative time integral of sup_k int |D_k rho| and its log-log fit
     over the nodes at elapsed time >= 10 eps^2, where the mollifier's
     offset has washed out.  The gradients (numpy.gradient's, edge_order=1)
-    are taken over blocks of time slices of about _GRADIENT_BLOCK_BYTES,
+    are taken over blocks of time slices of about holder._BLOCK_BYTES,
     each into one reused buffer; every slice is still summed on its own, so
     each node's value is that of a per-slice gradient."""
     f = result.field
@@ -426,7 +413,7 @@ def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
     N = f.grid.N
     elapsed = f.times - f.times[0]
     g = np.empty(f.times.size)
-    rows = max(1, _GRADIENT_BLOCK_BYTES // f.values[0].nbytes)
+    rows = max(1, _BLOCK_BYTES // f.values[0].nbytes)
     buf = np.empty((min(rows, f.times.size),) + f.grid.shape)
     for s in range(0, f.times.size, rows):
         block = f.values[s:s + rows]
@@ -468,68 +455,62 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     1, 2 (those of nash.triple_norm) divided by sqrt(beta^alpha).  Each
     derivative is streamed from holder.derivatives and reduced.
 
-    The stream runs over blocks of _TIME_BLOCK time slices, and derives
-    each slice once.  Spatial derivatives are pointwise in time, so only the
-    time quotients cross a block's edge: for each |alpha| <= 2 a block keeps
-    a copy of its last interior slice, and the next block forms its first
-    pair (k, k+1) from that copy and its own first slice.
+    The stream runs over one time slice at a time, so each slice is derived
+    once.  Spatial derivatives are pointwise in time, so only the time
+    quotients join slices: for each |alpha| <= 2 the previous slice's
+    interior derivative is kept, and the pair (k-1, k) is formed from it in
+    that buffer, which then takes slice k's.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every
     interior value is the central formula on the same operands as on the
-    whole grid, bit for bit.  A derivative non-finite on the whole grid, a
-    non-finite time quotient, or a sup or quotient that overflows when
-    divided by its weight raises NonFiniteError.  Each level multiplies
-    the sup by at most 4/h (the edge stencil), so sup|w| max(4/h, 1)^m <
-    1e300 proves every whole-grid derivative finite; when that bound fails,
-    or the collar is under m nodes, the stream runs on the whole grid and
-    checks each derivative."""
+    whole grid, bit for bit.  A derivative non-finite on the whole grid, or
+    a sup or time quotient that overflows (alone or divided by its weight)
+    raises NonFiniteError.  Each level multiplies the sup by at most 4/h
+    (the edge stencil), so sup|w| max(4/h, 1)^m < 1e300 proves every
+    whole-grid derivative finite; when that bound fails, or the collar is
+    under m nodes, the stream runs on the whole grid and checks each
+    derivative."""
     m = 3 if third_order else 2
     M, h = w.grid.M, w.grid.h
     g = w.grid.interior(collar)[0].start or 0
     finite = sup_abs(w.values) * max(4 / h, 1.0) ** m < 1e300
     lo = g - m if finite and g >= m else 0
     crop = (slice(lo, M - lo),) * w.grid.N
-    inner = (slice(None),) + (slice(g - lo, M - g - lo),) * w.grid.N
-    n = w.times.size
-    dts = np.diff(w.times)
+    inner = (0,) + (slice(g - lo, M - g - lo),) * w.grid.N
+    dts = np.diff(w.times).tolist()     # so the report holds plain floats
     K, lip = [0.0] * 4, [0.0] * 3
-    last = {}           # alpha -> the previous block's last interior slice
-    for a0 in range(0, n, _TIME_BLOCK):
-        b0 = min(a0 + _TIME_BLOCK, n)
-        for a, d in derivatives(w.values[(slice(a0, b0),) + crop], h, m):
+    last = {}           # alpha -> the previous slice's interior D^alpha
+    weights = {}        # alpha -> beta^alpha, looked up on the first slice
+    for k in range(w.times.size):
+        for a, d in derivatives(w.values[(slice(k, k + 1),) + crop], h, m):
             if not a:
                 continue
-            if not finite and not np.all(np.isfinite(d)):
-                raise NonFiniteError("field contains non-finite values")
-            weight = multi_index_weight(beta, a)
+            if not finite:
+                _extremes(d)
+            if a not in weights:
+                weights[a] = multi_index_weight(beta, a)
+            weight = weights[a]
             body = d[inner]
             K[len(a)] = max(K[len(a)], _weighted(sup_abs(body), weight, a))
             if len(a) < 3:
-                # pointwise in space, so taken over the interior view with
-                # no full-size temporary; _extremes raises on a quotient
-                # that overflows (unwarned) or is NaN
                 prev = last.get(a)
-                k0 = 0 if prev is None else 1
-                pairs = b0 - a0 - 1 + k0
-                if pairs:
-                    q = np.empty((pairs,) + body.shape[1:])
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        if k0:
-                            np.subtract(body[0], prev, out=q[0])
-                        np.subtract(body[1:], body[:-1], out=q[k0:])
-                        q = q.reshape(pairs, -1)
-                        rows = np.maximum(q.max(axis=1), -q.min(axis=1))
-                        top = _extremes(rows / dts[a0 - k0:b0 - 1])[0]
-                    lip[len(a)] = max(lip[len(a)],
-                                      _weighted(top, math.sqrt(weight), a))
-                last[a] = body[-1].copy()
+                if prev is None:
+                    last[a] = body.copy()
+                else:
+                    # an overflowing difference is an inf _weighted refuses
+                    with np.errstate(over="ignore"):
+                        np.subtract(body, prev, out=prev)
+                    lip[len(a)] = max(lip[len(a)], _weighted(
+                        sup_abs(prev) / dts[k - 1], math.sqrt(weight), a))
+                    prev[...] = body
             del d, body
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)
 
 
 def _weighted(x: float, weight: float, alpha: tuple) -> float:
-    """x / weight; NonFiniteError if a tiny weight overflows it."""
+    """x / weight; NonFiniteError unless it is finite (x an inf, or a tiny
+    weight that overflows it)."""
     q = x / weight
     if not math.isfinite(q):
         raise NonFiniteError(f"D^{alpha} over its weight {weight:.3g} is "

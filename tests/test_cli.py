@@ -449,10 +449,9 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
                                                                 monkeypatch):
     # after Picard, residual makes D_j u^i for each pair and D_c D_c u^i (no
     # mixed ones: the diffusion is diagonal) without a derivative family, and
-    # verify_decay streams every order-<=2 derivative once per block of
-    # _TIME_BLOCK time slices, each slice in one block only: at N = 3 that
-    # is 18 _partial calls and 9 per block, so a further pass over the
-    # derivatives shows here
+    # verify_decay streams every order-<=2 derivative once per time slice:
+    # at N = 3 that is 18 _partial calls and 9 per slice, so a further pass
+    # over the derivatives shows here
     from nash_horizon import cli, holder, pde_linear
     real = {"derivative_family": holder.derivative_family,
             "_partial": holder._partial, "derivatives": pde_linear.derivatives}
@@ -478,7 +477,7 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
         return real["_partial"](values, h, c)
 
     def stream(values, h, m):
-        log.append((running[-1], "block"))
+        log.append((running[-1], "slice"))
         return real["derivatives"](values, h, m)
 
     def decay(w, *a, **kw):
@@ -509,14 +508,14 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
     assert log[0] == "picard"
     assert not [c for c in log[1:] if c[1] == "family"]
     # per player 3 first and 3 second derivatives in residual; one stream
-    # per block of time slices in verify_decay, each making 3 first and 6
-    # second derivatives
-    blocks = sum(-(-n // pde_linear._TIME_BLOCK) for n in n_times)
-    assert len(n_times) == 3 and blocks > 3
+    # per time slice in verify_decay, each making 3 first and 6 second
+    # derivatives
+    slices = sum(n_times)
+    assert len(n_times) == 3 and slices > 3
     assert log.count(("residual", "_partial")) == 18
-    assert log.count(("verify_decay", "block")) == blocks
-    assert log.count(("verify_decay", "_partial")) == 9 * blocks
-    assert len(log) == 1 + 18 + 10 * blocks
+    assert log.count(("verify_decay", "slice")) == slices
+    assert log.count(("verify_decay", "_partial")) == 9 * slices
+    assert len(log) == 1 + 18 + 10 * slices
 
 
 def test_solve_diverged_sweep_exits_1(tmp_path):

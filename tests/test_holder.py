@@ -15,6 +15,7 @@ from nash_horizon import holder
 from nash_horizon.holder import (
     Field,
     GridError,
+    NonFiniteError,
     SpatialGrid,
     derivative_family,
     finite_diff,
@@ -80,6 +81,13 @@ def test_field_validation():
         Field(g, [0.0], np.full((1, 11, 11), np.nan))
     with pytest.raises(GridError):
         Field(g, [0.0], np.zeros((1, 7, 7)))
+    for bad in (np.inf, -np.inf):
+        vals = np.zeros((2, 11, 11))
+        vals[1, 3, 4] = bad
+        with pytest.raises(NonFiniteError, match="field contains non-finite"):
+            Field(g, [0.0, 1.0], vals)
+    with pytest.raises(GridError, match="at least one time node"):
+        Field(g, [], np.zeros((0, 11, 11)))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
@@ -459,7 +467,7 @@ def _blocked_fields(draw):
 def test_axis_seminorm_blocks_match_whole_field(case, h, gamma, same_bits):
     values, block = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(holder, "_SEMINORM_BLOCK_BYTES", block)
+        mp.setattr(holder, "_BLOCK_BYTES", block)
         fast = holder._axis_seminorm(values, h, gamma)
     assert same_bits(fast, _whole_field_seminorm(values, h, gamma))
 

@@ -7,7 +7,7 @@ import pytest
 
 from nash_horizon.holder import (Field, GridError, NonFiniteError,
                                  SpatialGrid, finite_diff, time_nodes)
-from nash_horizon import pde_linear
+from nash_horizon import holder, pde_linear
 from nash_horizon.pde_linear import (
     CFLError,
     DiffusionSpec,
@@ -556,7 +556,7 @@ def test_fpk_gradient_mass_blocks_match_per_slice(N, M, n_times, same_bits):
     # buffer, the slice count here no multiple of the block (the last two
     # cases fill less than one block); every slice is summed on its own, as
     # np.gradient's was
-    rows = pde_linear._GRADIENT_BLOCK_BYTES // (8 * M ** N)
+    rows = holder._BLOCK_BYTES // (8 * M ** N)
     assert n_times % rows
     g = SpatialGrid(N, 6.0, M)
     rng = np.random.default_rng(N)
@@ -709,11 +709,10 @@ def test_verify_decay_on_family_matches_first_form(N, M):
                                            (2, 21, 12), (3, 13, 10)])
 def test_verify_decay_matches_full_size_reductions(N, M, n_times):
     # signed random fields on uneven time steps: the interior-view time
-    # differences and signed row extrema, reduced block by block, give the
-    # DecayReport of the full-size |x| reductions; the time counts are and
-    # are not multiples of the block, the collars crop (0.2 and 0.25 at
-    # M = 21 and 41, 0.25 at M = 13) and do not, and a sup |w| past the
-    # finiteness bound runs the whole grid
+    # differences and signed extrema, reduced slice by slice, give the
+    # DecayReport of the full-size |x| reductions; one time node and many,
+    # the collars crop (0.2 and 0.25 at M = 21 and 41, 0.25 at M = 13) and
+    # do not, and a sup |w| past the finiteness bound runs the whole grid
     rng = np.random.default_rng(10 * N + n_times)
     times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
     vals = rng.normal(size=(n_times,) + (M,) * N) - rng.uniform(-2, 2)
@@ -816,7 +815,7 @@ def test_verify_decay_checks_the_second_order_quotient(A, overflows):
 def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
     # the collar holds at least m = 3 nodes, so the stream runs on the
     # interior plus an m-node halo, yet the report is the whole grid's;
-    # its blocks together hold each of the 4 time slices once
+    # it streams each of the 4 time slices once, on its own
     rng = np.random.default_rng(N)
     times = np.cumsum(rng.uniform(0.01, 0.1, 4))
     w = Field(SpatialGrid(N, 2.0, M), times,
@@ -832,7 +831,7 @@ def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
             w, BETA, collar, third)
         m = 3 if third else 2
         assert {s[1:] for s in shapes} == {(M - 2 * (g - m),) * N}
-        assert sum(s[0] for s in shapes) == 4
+        assert [s[0] for s in shapes] == [1] * 4
         shapes.clear()
 
 
@@ -868,11 +867,10 @@ def test_verify_decay_peak_memory_is_a_few_fields():
 
 
 def test_verify_decay_reads_each_block_edge_once():
-    # a field that changes only between the last slice of the first block
-    # and the first of the second: the edge pair, which the second block
-    # forms from the first block's copy of its last interior slice, is the
-    # whole signal of both time quotients
-    B = pde_linear._TIME_BLOCK
+    # a field that changes only between slices B - 1 and B: that pair,
+    # which slice B forms from the kept interior derivatives of slice
+    # B - 1, is the whole signal of both time quotients
+    B = 2
     g = SpatialGrid(2, 2.0, 21)
     rng = np.random.default_rng(7)
     times = np.cumsum(rng.uniform(0.01, 0.1, 3 * B))
@@ -883,27 +881,6 @@ def test_verify_decay_reads_each_block_edge_once():
     assert rep.time_lip_grad > 0 and rep.time_lip_hess > 0
     assert dataclasses.astuple(rep) == _verify_decay_first_form(
         w, BETA, 0.1, False)
-
-
-@pytest.mark.parametrize("N, M, n_times, collar", [
-    (1, 41, 9, 0.2), (2, 21, 7, 0.25), (3, 13, 5, 0.1), (2, 21, 1, 0.1)])
-def test_verify_decay_is_the_same_in_any_block(N, M, n_times, collar,
-                                               monkeypatch):
-    # one slice, a ragged last block, one block of all slices: each block
-    # derives only its own slices, and the carried interior slice makes the
-    # pairs across its edge, so the report keeps its bits
-    rng = np.random.default_rng(N + n_times)
-    times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
-    w = Field(SpatialGrid(N, 2.0, M), times,
-              rng.normal(size=(n_times,) + (M,) * N))
-    want = [_verify_decay_first_form(w, BETA, collar, third)
-            for third in (False, True)]
-    for block in (1, 2, 3, n_times):
-        monkeypatch.setattr(pde_linear, "_TIME_BLOCK", block)
-        got = [dataclasses.astuple(verify_decay(w, BETA, collar=collar,
-                                                third_order=third))
-               for third in (False, True)]
-        assert got == want, block
 
 
 def test_verify_decay_rejects_a_weighted_sup_past_the_float_range():
@@ -925,8 +902,8 @@ def test_verify_decay_rejects_a_weighted_sup_past_the_float_range():
 
 
 def test_verify_decay_peak_memory_is_independent_of_the_time_count():
-    # the stream holds a few time slices of each derivative at once, so
-    # four times the time nodes leaves the peak where it was
+    # the stream holds one time slice of each derivative at once, so four
+    # times the time nodes leaves the peak where it was
     g = SpatialGrid(3, 2.0, 33)
 
     def peak(n_times):
@@ -940,3 +917,23 @@ def test_verify_decay_peak_memory_is_independent_of_the_time_count():
             tracemalloc.stop()
 
     assert peak(80) <= 1.1 * peak(20)
+
+
+@pytest.mark.parametrize("M", [33, 41])
+@pytest.mark.parametrize("n_times", [20, 80])
+def test_verify_decay_peak_memory_is_a_few_slices(M, n_times):
+    # one slice's path of parents (at most four arrays at order 3) plus the
+    # nine kept interior slices of the |alpha| <= 2 derivatives at N = 3
+    # (0.55 slices each at collar 0.1; M = 41 streams a crop): about 8.2
+    # slices, where blocks of two slices with a time-quotient buffer peaked
+    # at 12.8 (M = 33) and 13.3 (M = 41)
+    g = SpatialGrid(3, 2.0, M)
+    w = Field.from_function(g, np.linspace(0.0, 0.2, n_times),
+                            lambda t, X: np.sin(X[0] + t) * X[1] * X[2] ** 2)
+    tracemalloc.start()
+    try:
+        verify_decay(w, BETA, collar=0.1, third_order=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * w.values[0].nbytes
