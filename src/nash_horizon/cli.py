@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -311,10 +311,14 @@ def _run_verify_decay(c, out):
     grid = _grid_from(c, c["problem"]["N"])
     collar = _collar_for(c, grid)
     K2_max = c["tolerances"]["K2_max"]
-    # the drift does not depend on t, so its sup at t0 covers every step;
-    # a dt above cfl_step is left for solve_grid to refuse
-    dt, b = c["dt"], problem.drift
-    supB = 0.0 if b is None else sup_abs(b(problem.t0, grid.meshgrid()))
+    # the drift does not depend on t: its one evaluation at t0 sizes the
+    # step and is the drift of every step; a dt above cfl_step is left for
+    # solve_grid to refuse
+    dt, supB = c["dt"], 0.0
+    if problem.drift is not None:
+        B = problem.drift(problem.t0, grid.meshgrid())
+        supB = sup_abs(B)
+        problem = replace(problem, drift=lambda t, X: B)
     if supB > 0 and dt <= cfl_step(problem.diffusion, grid.h):
         dt = min(dt, transport_step(problem.diffusion, grid.h, supB))
     w = solve_grid(problem, grid, dt)

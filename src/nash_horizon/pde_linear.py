@@ -81,7 +81,9 @@ class DiffusionSpec:
 
     @staticmethod
     def isotropic(N: int, a: float) -> "DiffusionSpec":
-        """DiffusionSpec(N, a), kept only as bench/workloads.py builds it."""
+        """DiffusionSpec(N, a) under a second name, kept only because
+        bench/ builds its diffusions with it; src/ and the tests call the
+        constructor."""
         return DiffusionSpec(N, a)
 
 
@@ -321,8 +323,11 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     bits of np.diff(flux, prepend=0.0, append=0.0) / h.  The axes' terms
     are summed from the first one, not from zeros: rho never holds -0.0
     (exp, a sum that cancels and the clip all give +0.0), so the sign of a
-    zero divergence never reaches rho.  Each step is written into its time
-    slice in place."""
+    zero divergence never reaches rho.  Each axis's views (the flux
+    operands, the fluxes, the wall faces and the divergence operands) and
+    the flat row of each time slice are made once per call, before the
+    step loop, so a step only picks its two rows.  Each step is written
+    into its time slice in place."""
     N = grid.N
     if N > MAX_FPK_DIM:
         raise SpecError(f"density diagnostics limited to N <= {MAX_FPK_DIM}")
@@ -348,20 +353,23 @@ def solve_fpk_grid(diffusion: DiffusionSpec, y, eps, grid: SpatialGrid,
     strides = [_strided(rho, ax).shape[2] for ax in range(N)]
     faces = [np.zeros(n + s) for s in strides]      # [:s] is the zero ghost
     G, div, term = np.empty(n), np.empty(n), np.empty(n)
+    views = [(G[s:], G[:-s], F[s:n], F[s:].reshape(-1, grid.M, s)[:, -1],
+              F[s:], F[:-s], term if ax else div)
+             for ax, (s, F) in enumerate(zip(strides, faces))]
+    rows = vals.reshape(times.size, n)
     for k in range(times.size - 1):
-        np.multiply(vals[k].reshape(-1), diffusion.a, out=G)
-        for ax, (s, F) in enumerate(zip(strides, faces)):
-            np.subtract(G[s:], G[:-s], out=F[s:n])
-            F[s:].reshape(-1, grid.M, s)[:, -1] = 0.0   # zero flux at walls
-            F[s:n] /= h
-            out = div if ax == 0 else term
-            np.subtract(F[s:], F[:-s], out=out)
+        np.multiply(rows[k], diffusion.a, out=G)
+        for upper, lower, flux, wall, after, before, out in views:
+            np.subtract(upper, lower, out=flux)
+            wall[...] = 0.0                             # zero flux at walls
+            flux /= h
+            np.subtract(after, before, out=out)
             out /= h
-            if ax:
+            if out is term:
                 div += term
         div *= step
-        rho = vals[k + 1]
-        np.add(vals[k].reshape(-1), div, out=rho.reshape(-1))
+        rho = rows[k + 1]
+        np.add(rows[k], div, out=rho)
         worst = float(rho.min())
         if worst < 0:
             undershoot = max(undershoot, -worst)

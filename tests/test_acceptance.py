@@ -42,7 +42,7 @@ def report(n, label, ok, detail):
 
 def heat_problem(T=0.25, a=0.5):
     return LinearProblem(
-        DiffusionSpec.isotropic(2, a), None, None,
+        DiffusionSpec(2, a), None, None,
         TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2)), 0.0, T)
 
 
@@ -81,7 +81,7 @@ def test_03_fpk_gradient_mass_law():
     g = SpatialGrid(1, 6.0, 401)
     eps = 4 * g.h
     T = 200 * eps ** 2
-    res = solve_fpk_grid(DiffusionSpec.isotropic(1, 1.0), [0.0], eps, g,
+    res = solve_fpk_grid(DiffusionSpec(1, 1.0), [0.0], eps, g,
                          0.9 * g.h ** 2 / 2, T=T)
     rep = fpk_gradient_mass(res)  # fit window starts at 10 eps^2
     ok = 0.4 <= rep.slope <= 0.6

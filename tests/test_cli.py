@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -745,6 +745,34 @@ def test_verify_decay_forms_the_covering_step(tmp_path, covering_step):
     # a step above cfl_step is refused, not shrunk
     code, summary, _ = run(tmp_path, "verify-decay", {**cfg, "dt": 2 * dt})
     assert code == 1 and summary["error"].startswith("CFLError")
+
+
+@pytest.mark.parametrize("c_B, evaluations", [(0.2, 1), (0.0, 0)])
+def test_verify_decay_evaluates_its_drift_once(tmp_path, monkeypatch, c_B,
+                                               evaluations):
+    # the decay drift does not depend on t: the one evaluation at t0 that
+    # sizes the step is also the drift of every step of the solve, and a
+    # run without a drift evaluates none
+    from nash_horizon import cli
+    real, problems, calls = cli.build_decay_problem, [], []
+
+    def build(*a, **kw):
+        p = real(*a, **kw)
+        problems.append(p)
+        if p.drift is None:
+            return p
+
+        def counted(t, X, b=p.drift):
+            calls.append(t)
+            return b(t, X)
+        return replace(p, drift=counted)
+
+    monkeypatch.setattr(cli, "build_decay_problem", build)
+    cfg = {**DECAY, "problem": {**DECAY["problem"], "c_B": c_B}}
+    code, summary, _ = run(tmp_path, "verify-decay", cfg)
+    assert code == 0 and summary["passed"]
+    assert len(problems) == 1 and (problems[0].drift is None) == (c_B == 0)
+    assert len(calls) == evaluations
 
 
 @pytest.mark.parametrize("out", ["out", "made/out"])

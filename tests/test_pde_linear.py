@@ -34,7 +34,7 @@ BETA = build_weight("polynomial", {"a": 3}, 32)
 
 
 def heat_problem(N, T=0.25, a=0.5):
-    diff = DiffusionSpec.isotropic(N, a)
+    diff = DiffusionSpec(N, a)
     term = TerminalSpec(lambda X: np.exp(-sum(x ** 2 for x in X) / 2))
     return LinearProblem(diff, None, None, term, 0.0, T)
 
@@ -74,7 +74,7 @@ def test_heat_kernel_refinement_order():
 def test_constant_terminal_no_source(covering_step):
     # with F = 0 and G = c the solution is identically c
     g = SpatialGrid(2, 2.0, 41)
-    diff = DiffusionSpec.isotropic(2, 1.0)
+    diff = DiffusionSpec(2, 1.0)
     drift = lambda t, X: np.stack([np.sin(X[0]), 0 * X[1]])
     p = LinearProblem(diff, drift, None,
                       TerminalSpec(lambda X: 3.0 + 0 * X[0]), 0.0, 0.1)
@@ -84,7 +84,7 @@ def test_constant_terminal_no_source(covering_step):
 
 def test_linearity():
     g = SpatialGrid(1, 3.0, 81)
-    diff = DiffusionSpec.isotropic(1, 0.5)
+    diff = DiffusionSpec(1, 0.5)
 
     def solve(gfun, ffun):
         p = LinearProblem(diff, None, TerminalSpec(ffun),
@@ -102,7 +102,7 @@ def test_linearity():
 def test_comparison_principle(covering_step):
     # F >= 0, G >= 0 implies w >= 0 (monotone scheme)
     g = SpatialGrid(2, 2.0, 31)
-    diff = DiffusionSpec.isotropic(2, 0.5)
+    diff = DiffusionSpec(2, 0.5)
     drift = lambda t, X: np.stack([np.tanh(X[0]), -np.tanh(X[1])])
     src = TerminalSpec(lambda X: np.maximum(np.sin(5 * X[0]), 0.0))
     p = LinearProblem(diff, drift, src,
@@ -120,12 +120,12 @@ def test_cfl_violation_raises():
 def test_grid_and_diffusion_dimensions_must_match():
     # both grid solvers refuse a diffusion matrix of another dimension
     g = SpatialGrid(1, 6.0, 61)
-    p = LinearProblem(DiffusionSpec.isotropic(2, 0.5), None, None,
+    p = LinearProblem(DiffusionSpec(2, 0.5), None, None,
                       TerminalSpec(lambda X: X[0]), 0.0, 0.1)
     with pytest.raises(SpecError, match="does not match"):
         solve_grid(p, g, 1e-3)
     with pytest.raises(SpecError, match="does not match"):
-        solve_fpk_grid(DiffusionSpec.isotropic(2, 0.5), [0.0], 4 * g.h, g,
+        solve_fpk_grid(DiffusionSpec(2, 0.5), [0.0], 4 * g.h, g,
                        1e-3, T=0.1)
 
 
@@ -137,7 +137,7 @@ def test_given_step_checks_the_transport_bound():
     bound = 0.9 / (2 * 0.5 / g.h ** 2 + 3.0 / g.h)
     for dt, ok in ((0.99 * bound, True), (bound * (1 + 1e-13), True),
                    (1.1 * bound, False)):
-        p = LinearProblem(DiffusionSpec.isotropic(1, 0.5),
+        p = LinearProblem(DiffusionSpec(1, 0.5),
                           lambda t, X: 3.0 * np.cos(X), None,
                           TerminalSpec(lambda X: np.sin(X[0])), 0.0, 4 * dt)
         if ok:
@@ -154,7 +154,7 @@ def test_every_step_checks_the_transport_bound():
     # are checked too: run past their bound (up to 6.6 times), they once
     # took sup|w| to 1.027, outside the terminal's range [-1, 1]
     g = SpatialGrid(1, 2.0, 41)
-    diff = DiffusionSpec.isotropic(1, 0.5)
+    diff = DiffusionSpec(1, 0.5)
     T = 0.4
     pulse = lambda t, X: (60 * np.exp(-((t - T / 4) / (T / 40)) ** 2)
                           * np.cos(3 * X))
@@ -192,7 +192,7 @@ def test_solve_grid_evaluates_the_source_once(same_bits):
         return np.cos(X[0]) * X[1] + 0.5
 
     g = SpatialGrid(2, 2.0, 21)
-    diff = DiffusionSpec.isotropic(2, 0.5)
+    diff = DiffusionSpec(2, 0.5)
     drift = lambda t, X: np.stack([np.tanh(X[1]) + t, -np.sin(X[0])])
     p = LinearProblem(diff, drift, TerminalSpec(f),
                       TerminalSpec(lambda X: np.sin(X[0]) * X[1]), 0.0, 0.1)
@@ -324,7 +324,7 @@ def test_decay_drift_matches_per_pair_tanh(N, same_bits):
 ])
 def test_diffusion_refuses_a_bad_dimension_or_coefficient(N, a, message):
     with pytest.raises(SpecError, match=message):
-        DiffusionSpec.isotropic(N, a)
+        DiffusionSpec(N, a)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_diffusion_refuses_a_bad_dimension_or_coefficient(N, a, message):
 
 
 def test_mc_constant_terminal():
-    p = LinearProblem(DiffusionSpec.isotropic(2, 0.5), None, None,
+    p = LinearProblem(DiffusionSpec(2, 0.5), None, None,
                       TerminalSpec(lambda X: 5.0 + 0 * X[0]), 0.0, 0.2)
     [(est, ci)] = solve_mc(p, [[0.0, 0.0]], paths=2000, dt=0.01, seed=1)
     assert est == pytest.approx(5.0, abs=1e-12)
@@ -341,7 +341,7 @@ def test_mc_constant_terminal():
 
 def test_mc_martingale_linear_payoff():
     # pure diffusion, G(x) = x0: expectation stays at the start point
-    p = LinearProblem(DiffusionSpec.isotropic(1, 0.5), None, None,
+    p = LinearProblem(DiffusionSpec(1, 0.5), None, None,
                       TerminalSpec(lambda X: X[0]), 0.0, 0.25)
     [(est, ci)] = solve_mc(p, [[0.7]], paths=20000, dt=0.01, seed=3)
     assert abs(est - 0.7) < 3 * ci
@@ -430,7 +430,7 @@ def test_mc_input_validation():
 
 def test_fpk_mass_conserved_and_nonnegative():
     g = SpatialGrid(1, 4.0, 161)
-    diff = DiffusionSpec.isotropic(1, 0.5)
+    diff = DiffusionSpec(1, 0.5)
     res = solve_fpk_grid(diff, [0.0], eps=4 * g.h, grid=g,
                          dt=cfl_dt(g, 1, 0.5), T=0.3)
     np.testing.assert_allclose(res.mass, 1.0, atol=1e-12)
@@ -486,10 +486,10 @@ FPK_CASES = {"1d": (1, 41, [0.1], 1.0, 60),
 def test_fpk_matches_first_form(case, same_bits, monkeypatch):
     g = SpatialGrid(2, 3.0, 31)
     if case == "2d-off-centre":
-        diff = DiffusionSpec.isotropic(2, 0.45)
+        diff = DiffusionSpec(2, 0.45)
         y = [0.2, -0.4]
     else:
-        diff = DiffusionSpec.isotropic(2, 0.5)
+        diff = DiffusionSpec(2, 0.5)
         y = [0.0, 0.0]
     args = (diff, y, 4 * g.h, g, cfl_dt(g, g.N, 0.5), 0.2)
     if case in FPK_CASES:
@@ -510,7 +510,7 @@ def test_fpk_matches_first_form(case, same_bits, monkeypatch):
 
 def test_fpk_oversized_dt_raises():
     g = SpatialGrid(1, 4.0, 81)
-    diff = DiffusionSpec.isotropic(1, 0.5)
+    diff = DiffusionSpec(1, 0.5)
     with pytest.raises(CFLError):
         solve_fpk_grid(diff, [0.0], 4 * g.h, g, 10 * cfl_dt(g, 1, 0.5), T=0.1)
 
@@ -518,7 +518,7 @@ def test_fpk_oversized_dt_raises():
 def test_fpk_gaussian_spreading():
     # pure diffusion from a Gaussian: variance grows like 2a(t-s)
     g = SpatialGrid(1, 5.0, 201)
-    diff = DiffusionSpec.isotropic(1, 0.5)
+    diff = DiffusionSpec(1, 0.5)
     eps = 4 * g.h
     T = 0.5
     res = solve_fpk_grid(diff, [0.0], eps, g, cfl_dt(g, 1, 0.5), T)
@@ -530,7 +530,7 @@ def test_fpk_gaussian_spreading():
 def test_fpk_eps_floor():
     g = SpatialGrid(1, 4.0, 81)
     with pytest.raises(SpecError):
-        solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), [0.0], eps=g.h,
+        solve_fpk_grid(DiffusionSpec(1, 0.5), [0.0], eps=g.h,
                        grid=g, dt=1e-4, T=0.1)
 
 
@@ -539,7 +539,7 @@ def test_fpk_gradient_mass_slope():
     # sqrt(t); the window must be long against eps^2 for the mollifier
     # offset to wash out of the fit
     g = SpatialGrid(1, 6.0, 401)
-    diff = DiffusionSpec.isotropic(1, 1.0)
+    diff = DiffusionSpec(1, 1.0)
     eps = 4 * g.h
     T = 200 * eps ** 2
     res = solve_fpk_grid(diff, [0.0], eps, g, cfl_dt(g, 1, 1.0), T=T)
@@ -572,7 +572,7 @@ def test_fpk_gradient_mass_blocks_match_per_slice(N, M, n_times, same_bits):
 
 def test_fpk_gradient_mass_needs_nodes():
     g = SpatialGrid(1, 4.0, 81)
-    res = solve_fpk_grid(DiffusionSpec.isotropic(1, 0.5), [0.0], 4 * g.h, g,
+    res = solve_fpk_grid(DiffusionSpec(1, 0.5), [0.0], 4 * g.h, g,
                          cfl_dt(g, 1, 0.5), T=0.02)
     # the fit starts at 10 eps^2 = 1.6, past T
     with pytest.raises(SpecError, match="fewer than 4"):
