@@ -13,10 +13,12 @@ Multi-indices alpha are tuples of coordinates with repetition, e.g.
 divided by weights.multi_index_weight(beta, alpha) and by nothing else.
 
 Every derivative is one _partial of its parent.  derivatives() streams all
-of them up to an order, depth first, for derivative_family,
-nash.triple_norm and pde_linear.verify_decay; finite_diff makes only the
-one named by alpha, for nash.picard_step and nash.residual.  space_norm
-over a derivative_family is the plain definition of the weighted norms.
+of them up to an order, depth first, for derivative_family and _walk;
+finite_diff makes only the one named by alpha, for nash.picard_step.
+_walk runs the stream over blocks of time slices and carries each
+derivative's last slice into the next block's time differences, for
+nash.triple_norm and pde_linear.verify_decay.  space_norm over a
+derivative_family is the plain definition of the weighted norms.
 
 The grid kernels (_partial, _axis_seminorm and pde_linear._neighbours) read
 an axis through _strided: in a C-order buffer the neighbours of a node
@@ -57,10 +59,12 @@ __all__ = [
 # node-count budget guarding against accidental huge tensor grids
 MAX_NODES = 2 ** 24
 
-# _axis_seminorm and pde_linear.fpk_gradient_mass work on blocks of this
-# many bytes of time slices (at least one slice), so their temporaries stay
-# in cache: in bytes, an N = 2 block holds about one slice (a fixed slice
-# count made N = 2 slower) and an N = 1 block dozens
+# _axis_seminorm, _walk (nash.triple_norm, pde_linear.verify_decay),
+# nash.residual and pde_linear.fpk_gradient_mass work on blocks of this many
+# bytes of time slices (at least one slice), so their temporaries stay in
+# cache and none is a whole field: the block is set in bytes (a fixed slice
+# count made N = 2 slower), so it holds one N = 3, M = 49 slice, three
+# N = 2, M = 101 slices and dozens at N = 1
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -216,6 +220,112 @@ def _descend(d: np.ndarray, h: float, m: int, alpha: tuple):
     if len(alpha) < m:
         for c in range(alpha[-1] if alpha else 0, d.ndim - 1):
             yield from _descend(_partial(d, h, c), h, m, alpha + (c,))
+
+
+def _walk(values: np.ndarray, h: float, m: int, crop: tuple = (),
+          inner: tuple = (), orders=range(3)):
+    """derivatives() over blocks of max(1, _BLOCK_BYTES // slice bytes)
+    time slices of the spatial crop: yields (alpha, D^alpha, interior, diff,
+    pairs, last) per block, interior D^alpha at the inner slices of the
+    crop, last whether the block is the final one.  For |alpha| in orders,
+    diff is the interior's raw time differences over the time pairs
+    slice(pairs) (k, k + 1), the first formed from the carried last slice
+    of the block before (None if there is no pair); the consumer may
+    overwrite it.  Spatial derivatives are pointwise in time, so every
+    value is the whole field's bit for bit."""
+    n = values.shape[0]
+    rows = max(1, _BLOCK_BYTES // values[(slice(0, 1),) + crop].nbytes)
+    inner = (slice(None),) + inner
+    carry = {}          # alpha -> the block before's last interior slice
+    for t in range(0, n, rows):
+        last = t + rows >= n
+        pairs = slice(max(t - 1, 0), min(t + rows, n) - 1)
+        for a, d in derivatives(values[(slice(t, t + rows),) + crop], h, m):
+            body = d[inner]
+            prev = carry.get(a)
+            diff = None
+            if len(a) in orders and pairs.stop > pairs.start:
+                if prev is None:
+                    diff = np.subtract(body[1:], body[:-1])
+                elif len(body) == 1:    # in the carried slice's buffer
+                    diff = np.subtract(body, prev, out=prev)
+                else:
+                    diff = np.empty(body.shape)
+                    np.subtract(body[:1], prev, out=diff[:1])
+                    np.subtract(body[1:], body[:-1], out=diff[1:])
+            yield a, d, body, diff, pairs, last
+            if len(a) in orders and not last:
+                if prev is None:
+                    carry[a] = body[-1:].copy()
+                else:
+                    np.copyto(prev, body[-1:])
+            del d, body, diff   # not held while the next one is made
+
+
+def _quotient_extremes(diff: np.ndarray, steps: np.ndarray) -> tuple:
+    """_extremes(diff / steps), row r over steps[r] > 0, from each row's max
+    and min over its step: x -> x / dt is monotone, so with the same bits."""
+    if steps.size == 1:     # one-slice blocks: no per-row arrays
+        dt = float(steps[0])
+        hi, lo = float(diff.max()) / dt, float(diff.min()) / dt
+    else:
+        rows = diff.reshape(steps.size, -1)
+        hi = float((rows.max(axis=1) / steps).max())
+        lo = float((rows.min(axis=1) / steps).min())
+    s = abs(max(hi, -lo))
+    if not math.isfinite(s):
+        raise NonFiniteError("field contains non-finite values")
+    return s, hi, lo
+
+
+def _quotient_range(q: np.ndarray, steps: np.ndarray, h: float) -> float:
+    """[q / steps]_0, row r of q over steps[r]; q is divided in place."""
+    q /= steps.reshape((-1,) + (1,) * (q.ndim - 1))
+    return _axis_seminorm(q, h, 0.0)
+
+
+def _rederived_range(values: np.ndarray, steps: np.ndarray, h: float,
+                     alpha: tuple, pairs: slice) -> float:
+    """_quotient_range of D^alpha values over the time pairs slice(pairs),
+    re-derived from their slices as derivatives() derives them."""
+    d = values[pairs.start:pairs.stop + 1]
+    for c in alpha:
+        d = _partial(d, h, c)
+    return _quotient_range(np.subtract(d[1:], d[:-1]), steps[pairs], h)
+
+
+def _gradient_row(values: np.ndarray, dx, k: int, out: np.ndarray) -> None:
+    """Row k of np.gradient(values, times, axis=0, edge_order=2) into out,
+    bit for bit, dx the spacing NumPy forms: np.diff(times), or its first
+    entry when all are equal."""
+    last = values.shape[0] - 1
+    if np.ndim(dx) == 0:
+        if 0 < k < last:
+            np.subtract(values[k + 1], values[k - 1], out=out)
+            out /= 2. * dx
+            return
+        if k == 0:
+            a, b, c = -1.5 / dx, 2. / dx, -0.5 / dx
+        else:
+            a, b, c = 0.5 / dx, -2. / dx, 1.5 / dx
+    elif 0 < k < last:
+        dx1, dx2 = dx[k - 1], dx[k]
+        a = -(dx2) / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+    elif k == 0:
+        dx1, dx2 = dx[0], dx[1]
+        a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
+        b = (dx1 + dx2) / (dx1 * dx2)
+        c = - dx1 / (dx2 * (dx1 + dx2))
+    else:
+        dx1, dx2 = dx[-2], dx[-1]
+        a = (dx2) / (dx1 * (dx1 + dx2))
+        b = - (dx2 + dx1) / (dx1 * dx2)
+        c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    first = min(max(k - 1, 0), last - 2)
+    out[...] = (a * values[first] + b * values[first + 1]
+                + c * values[first + 2])
 
 
 def finite_diff(field: Field, alpha) -> Field:

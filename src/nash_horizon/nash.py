@@ -13,7 +13,9 @@ min cannot raise their running max, which leaves the value bit-identical.
 The norm takes any iterable of fields and reduces them one at a time, so the
 Picard driver and the contraction probe hand it their increments as a stream:
 each is made only when the norm reaches it, and a sweep holds the old
-iterate, the frozen gradients and the new iterate, 3N fields.
+iterate, the frozen gradients and the new iterate, 3N fields.  The norm
+and residual walk each field's time axis in blocks of about
+holder._BLOCK_BYTES of slices, so neither makes a whole-field temporary.
 """
 
 from __future__ import annotations
@@ -98,11 +100,21 @@ class HamiltonianFamily:
     def __init__(self, Q, kappa=None):
         if kappa is not None and not kappa > 0:
             raise NashError("saturation level must be positive")
-        self.Q = np.asarray(Q, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 3 or len(set(Q.shape)) != 1 or not Q.size:
+            raise NashError(f"Q must be an (N, N, N) stack with N >= 1, got "
+                            f"shape {Q.shape}")
+        if not np.all(np.isfinite(Q)):
+            raise NashError("Q must be finite")
+        self.Q = Q
         self.kappa = kappa
 
     def value(self, i, X, p):
-        """H^i(x, p) with p = (p^0, ..., p^{N-1}) stacked like X."""
+        """H^i(x, p) with p = (p^0, ..., p^{N-1}) stacked like X, whose
+        leading dimension must be the N of Q."""
+        if len(X) != self.Q.shape[0]:
+            raise NashError(f"X holds {len(X)} coordinates; Q is for "
+                            f"{self.Q.shape[0]} players")
         if self.kappa is None:
             return 0.5 * p[i] ** 2 - _quadratic(self.Q[i], X)
         psi = self.kappa * np.tanh(p[i] / self.kappa)
@@ -280,49 +292,69 @@ def picard_step(game: GameSpec, fields) -> list:
 
 def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
                  beta) -> float:
-    """One player's triple norm, streamed over raw arrays.
+    """One player's triple norm, reduced block by block from holder._walk.
 
-    Each D^alpha u (|alpha| <= 2) comes from holder.derivatives, is reduced
-    at once (sup; gamma = 1 seminorm at order 2; sup of the time quotient
-    diff/dt, and its gamma = 0 seminorm at order 2) and dropped.  The
-    per-order maxima are summed with space_norm's association, so the value
-    equals space_norm(family, 2, 1, beta) + space_norm(quotients, 2, 0,
-    sqrt(beta), minus_variant=True) bit for bit.  The Lipschitz part divides
-    by math.sqrt(beta^alpha), which is the sqrt(beta) weight of alpha because
-    sqrt is monotone and correctly rounded.  A non-finite derivative or
-    quotient raises NonFiniteError, as building it as a Field would.
+    Each block's D^alpha u (|alpha| <= 2) is reduced at once (sup; gamma = 1
+    seminorm at order 2; sup of the time quotient, and its gamma = 0
+    seminorm at order 2) and dropped.  The per-order maxima are summed with
+    space_norm's association, so the value equals space_norm(family, 2, 1,
+    beta) + space_norm(quotients, 2, 0, sqrt(beta), minus_variant=True) bit
+    for bit (math.sqrt(beta^alpha) is the sqrt(beta) weight: sqrt is
+    monotone and correctly rounded).  A non-finite derivative or quotient
+    raises NonFiniteError, as building it as a Field would.
 
-    The two order-2 maxima are running maxima.  A seminorm is skipped when a
-    bound from the max hi and min lo that the sup reads, (hi - lo) / h /
-    beta^alpha for [D^alpha u]_1 or (s + hi - lo) / sqrt(beta^alpha) for the
-    Lipschitz top, is <= its running max.  Every lag-1 difference and line
-    range is at most hi - lo exactly and round-to-nearest is monotone, so the
-    value keeps its bits; an overflowing hi - lo is inf and never skips.
+    An order-2 seminorm is skipped when a bound from the max hi and min lo
+    the sup reads cannot raise its running max: every lag-1 difference and
+    line range is at most hi - lo and rounding is monotone, so no bit moves
+    (an overflowing hi - lo is inf and never skips).  [D^alpha u]_1 is
+    skipped per block.  The Lipschitz top needs the whole-time sup s, so the
+    last block settles it from each block's hi - lo: skipped if (s + the
+    widest) / sqrt(beta^alpha) cannot raise the running max, else [q]_0 is
+    the max of the block ranges, widest first while one can raise it (an
+    earlier block re-derived).  A field of one block does one pass's work.
     """
     lip = times.size >= 2
-    dts = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    steps = np.diff(times)
     sups, semi = ([], [], []), 0.0
     lip_sups, lip_top = ([], []), 0.0
-    for a, d in holder.derivatives(values, h, 2):
+    # alpha -> [weight, sup, quotient sup, the earlier blocks' (quotient
+    # hi - lo, pairs) at |alpha| = 2]
+    acc = {}
+    for a, d, _, q, pairs, last in holder._walk(values, h, 2):
         k = len(a)
-        weight = multi_index_weight(beta, a)
+        st = acc.get(a)
+        if st is None:
+            st = acc[a] = [multi_index_weight(beta, a), 0.0, 0.0, []]
+        weight = st[0]
         s, hi, lo = _extremes(d)
-        sups[k].append(s / weight)
+        st[1] = max(st[1], s)
         if k == 2 and (hi - lo) / h / weight > semi:
             semi = max(semi, holder._axis_seminorm(d, h, 1.0) / weight)
-        if lip:
-            q = np.diff(d, axis=0)
-            q /= dts
-            s, hi, lo = _extremes(q)
-            root = math.sqrt(weight)
-            if k < 2:
-                lip_sups[k].append(s / root)
-            elif (s + (hi - lo)) / root > lip_top:
+        if q is not None:
+            s, hi, lo = holder._quotient_extremes(q, steps[pairs])
+            st[2] = max(st[2], s)
+            if k == 2 and not last:
+                st[3].append((hi - lo, pairs))
+            elif k == 2:
                 # the minus variant's smallest predecessor weight is the
                 # weight of alpha itself at |alpha| = 2
-                lip_top = max(lip_top,
-                              (s + holder._axis_seminorm(q, h, 0.0)) / root)
-            del q
+                root = math.sqrt(weight)
+                # the block in hand first among equal widths
+                blocks = sorted([(hi - lo, None)] + st[3], key=lambda b: -b[0])
+                if (st[2] + blocks[0][0]) / root > lip_top:
+                    top = 0.0
+                    for width, p in blocks:
+                        if not width > top:
+                            break
+                        top = max(top, holder._quotient_range(
+                            q, steps[pairs], h) if p is None else
+                            holder._rederived_range(values, steps, h, a, p))
+                    lip_top = max(lip_top, (st[2] + top) / root)
+        del d, q
+        if last:
+            sups[k].append(st[1] / weight)
+            if lip and k < 2:
+                lip_sups[k].append(st[2] / math.sqrt(weight))
     total = 0.0
     for m in sups:
         total += max(m)
@@ -442,32 +474,55 @@ def residual(game: GameSpec, fields) -> list:
     -u_t - a Lap u^i + H^i(Du) + sum_{j != i} dH^j/dp^j(Du) D_j u^i over the
     interior nodes (collar 0.1), one float per player.  Only the derivatives
     it reads are made: D_j u^i (the frozen gradients Du are the j = i ones)
-    and D_c D_c u^i."""
+    and D_c D_c u^i.
+
+    The time axis is walked in blocks of holder._BLOCK_BYTES of slices,
+    block-major (each block's D_j u^j are made once for all players).  The
+    spatial terms are pointwise in time and u_t is np.gradient(u, times,
+    axis=0, edge_order=2) row by row (holder._gradient_row), so the sup is
+    the whole field's bit for bit.  A non-finite derivative raises
+    NonFiniteError, as building it as a Field would."""
     grid = game.grid
     times = fields[0].times
     if times.size < 3:
         raise NashError("need at least 3 time nodes for the d/dt stencil")
-    Du = _frozen_gradients(fields)
+    h, N = grid.h, game.N
     X = grid.meshgrid()
     ham, a = game.hamiltonian, game.diffusion.a
-    inner = grid.interior(0.1)
-    out = []
-    for i, f in enumerate(fields):
-        D = [Field(grid, times, Du[i]) if j == i else finite_diff(f, (j,))
-             for j in range(game.N)]
-        res = -np.gradient(f.values, times, axis=0, edge_order=2)
-        acc = np.zeros_like(res)
-        for c in range(game.N):
-            acc += a * finite_diff(D[c], (c,)).values
-        res -= acc
-        del acc                 # not held through the Hamiltonian terms
-        # H^i is t-independent (HamiltonianFamily): all time nodes at once
-        res += ham.value(i, X, Du)
-        for j in range(game.N):
-            if j != i:
-                res += ham.dpj(j, Du) * D[j].values
-        out.append(float(np.max(np.abs(res[(slice(None),) + inner]))))
-    return out
+    inner = (slice(None),) + grid.interior(0.1)
+    steps = np.diff(times)
+    # np.gradient's own test for one scalar spacing
+    dx = steps[0] if (steps == steps[0]).all() else steps
+    rows = max(1, holder._BLOCK_BYTES // fields[0].values[0].nbytes)
+    sups = [[] for _ in range(N)]
+    for t in range(0, times.size, rows):
+        blocks = [f.values[t:t + rows] for f in fields]
+        Du = [_checked(holder._partial(b, h, j)) for j, b in enumerate(blocks)]
+        for i, (f, b) in enumerate(zip(fields, blocks)):
+            D = [Du[j] if j == i else _checked(holder._partial(b, h, j))
+                 for j in range(N)]
+            res = np.empty(b.shape)
+            for r in range(b.shape[0]):
+                holder._gradient_row(f.values, dx, t + r, res[r])
+            np.negative(res, out=res)
+            acc = np.zeros_like(res)
+            for c in range(N):
+                acc += a * _checked(holder._partial(D[c], h, c))
+            res -= acc
+            del acc             # not held through the Hamiltonian terms
+            # H^i is t-independent (HamiltonianFamily): a block at once
+            res += ham.value(i, X, Du)
+            for j in range(N):
+                if j != i:
+                    res += ham.dpj(j, Du) * D[j]
+            sups[i].append(np.max(np.abs(res[inner])))
+    return [float(np.max(s)) for s in sups]
+
+
+def _checked(d: np.ndarray) -> np.ndarray:
+    """d; NonFiniteError unless it is finite."""
+    _extremes(d)
+    return d
 
 
 def contraction_probe(game: GameSpec, u, v) -> float:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holder import (_BLOCK_BYTES, Field, NonFiniteError, SpatialGrid,
-                     _extremes, _strided, derivatives, sup_abs, time_nodes)
+                     _extremes, _quotient_extremes, _strided, _walk, sup_abs,
+                     time_nodes)
 from .weights import multi_index_weight
 
 __all__ = [
@@ -461,13 +462,14 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     |alpha| = 1, 2 (and 3) over interior nodes, plus the time-Lipschitz
     quotients  sup |D^alpha w(t_k+1) - D^alpha w(t_k)| / dt_k  for |alpha| =
     1, 2 (those of nash.triple_norm) divided by sqrt(beta^alpha).  Each
-    derivative is streamed from holder.derivatives and reduced.
+    derivative is streamed and reduced.
 
-    The stream runs over one time slice at a time, so each slice is derived
-    once.  Spatial derivatives are pointwise in time, so only the time
-    quotients join slices: for each |alpha| <= 2 the previous slice's
-    interior derivative is kept, and the pair (k-1, k) is formed from it in
-    that buffer, which then takes slice k's.
+    The derivatives come from holder._walk, over blocks of time slices of
+    about holder._BLOCK_BYTES, so each slice is derived once.  Spatial
+    derivatives are pointwise in time, so only the time quotients join
+    slices, and the walk carries each |alpha| <= 2 derivative's last
+    interior slice into the next block's pairs.  A quotient is reduced
+    before it is divided by its step (holder._quotient_extremes).
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every
@@ -485,13 +487,14 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     finite = sup_abs(w.values) * max(4 / h, 1.0) ** m < 1e300
     lo = g - m if finite and g >= m else 0
     crop = (slice(lo, M - lo),) * w.grid.N
-    inner = (0,) + (slice(g - lo, M - g - lo),) * w.grid.N
-    dts = np.diff(w.times).tolist()     # so the report holds plain floats
+    inner = (slice(g - lo, M - g - lo),) * w.grid.N
     K, lip = [0.0] * 4, [0.0] * 3
-    last = {}           # alpha -> the previous slice's interior D^alpha
-    weights = {}        # alpha -> beta^alpha, looked up on the first slice
-    for k in range(w.times.size):
-        for a, d in derivatives(w.values[(slice(k, k + 1),) + crop], h, m):
+    steps = np.diff(w.times)
+    weights = {}        # alpha -> beta^alpha, looked up on the first block
+    # an overflowing time difference or quotient is an inf, refused below
+    with np.errstate(over="ignore"):
+        for a, d, body, diff, pairs, _ in _walk(w.values, h, m, crop, inner,
+                                                range(1, 3)):
             if not a:
                 continue
             if not finite:
@@ -499,20 +502,11 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
             if a not in weights:
                 weights[a] = multi_index_weight(beta, a)
             weight = weights[a]
-            body = d[inner]
             K[len(a)] = max(K[len(a)], _weighted(sup_abs(body), weight, a))
-            if len(a) < 3:
-                prev = last.get(a)
-                if prev is None:
-                    last[a] = body.copy()
-                else:
-                    # an overflowing difference is an inf _weighted refuses
-                    with np.errstate(over="ignore"):
-                        np.subtract(body, prev, out=prev)
-                    lip[len(a)] = max(lip[len(a)], _weighted(
-                        sup_abs(prev) / dts[k - 1], math.sqrt(weight), a))
-                    prev[...] = body
-            del d, body
+            if diff is not None:
+                lip[len(a)] = max(lip[len(a)], _weighted(_quotient_extremes(
+                    diff, steps[pairs])[0], math.sqrt(weight), a))
+            del d, body, diff
     return DecayReport(K[1], K[2], K[3], lip[1], lip[2], collar)
 
 

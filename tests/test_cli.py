@@ -449,12 +449,13 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
                                                                 monkeypatch):
     # after Picard, residual makes D_j u^i for each pair and D_c D_c u^i (no
     # mixed ones: the diffusion is diagonal) without a derivative family, and
-    # verify_decay streams every order-<=2 derivative once per time slice:
-    # at N = 3 that is 18 _partial calls and 9 per slice, so a further pass
-    # over the derivatives shows here
-    from nash_horizon import cli, holder, pde_linear
+    # verify_decay streams every order-<=2 derivative once per block of time
+    # slices: at N = 3 that is 18 _partial calls per residual block and 9 per
+    # verify_decay block, so a further pass over the derivatives shows here.
+    # An 11^3 slice is 10.6 kB, so each player's field is one block of both
+    from nash_horizon import cli, holder
     real = {"derivative_family": holder.derivative_family,
-            "_partial": holder._partial, "derivatives": pde_linear.derivatives}
+            "_partial": holder._partial, "derivatives": holder.derivatives}
     running, log, n_times = [], [], []
 
     def span(name, fn):
@@ -477,7 +478,8 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
         return real["_partial"](values, h, c)
 
     def stream(values, h, m):
-        log.append((running[-1], "slice"))
+        if log:
+            log.append((running[-1], "block", values.shape[0]))
         return real["derivatives"](values, h, m)
 
     def decay(w, *a, **kw):
@@ -494,7 +496,7 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
     monkeypatch.setattr(cli, "residual", span("residual", cli.residual))
     monkeypatch.setattr(cli, "verify_decay", span("verify_decay", decay))
     monkeypatch.setattr(holder, "_partial", partial)
-    monkeypatch.setattr(pde_linear, "derivatives", stream)
+    monkeypatch.setattr(holder, "derivatives", stream)
     for name, mod in list(sys.modules.items()):
         if (name.startswith("nash_horizon")
                 and getattr(mod, "derivative_family", None)
@@ -508,14 +510,14 @@ def test_solve_diagnostics_make_only_the_derivatives_they_read(tmp_path,
     assert log[0] == "picard"
     assert not [c for c in log[1:] if c[1] == "family"]
     # per player 3 first and 3 second derivatives in residual; one stream
-    # per time slice in verify_decay, each making 3 first and 6 second
-    # derivatives
-    slices = sum(n_times)
-    assert len(n_times) == 3 and slices > 3
+    # per block in verify_decay, each making 3 first and 6 second
+    # derivatives, and the blocks stream every time slice once
+    blocks = [c[2] for c in log[1:] if c[:2] == ("verify_decay", "block")]
+    assert len(n_times) == 3 and sum(n_times) > 3
+    assert blocks == n_times
     assert log.count(("residual", "_partial")) == 18
-    assert log.count(("verify_decay", "slice")) == slices
-    assert log.count(("verify_decay", "_partial")) == 9 * slices
-    assert len(log) == 1 + 18 + 10 * slices
+    assert log.count(("verify_decay", "_partial")) == 9 * len(blocks)
+    assert len(log) == 1 + 18 + 10 * len(blocks)
 
 
 def test_solve_diverged_sweep_exits_1(tmp_path):

@@ -172,6 +172,31 @@ def test_saturated_derivatives_bounded():
     assert np.max(np.abs(sat.dpj(0, p))) <= 2.0
 
 
+def test_hamiltonian_value_refuses_coordinates_of_another_dimension():
+    # a (3, 3, 3) Q read on an N = 2 grid once failed inside value with a
+    # NumPy broadcast ValueError
+    ham = HamiltonianFamily(decay_lq_game(3, BETA, 0.1, 0.2, 0.25, 0.2).Q)
+    X = SpatialGrid(2, 1.0, 5).meshgrid()
+    with pytest.raises(NashError, match="2 coordinates; Q is for 3 players"):
+        ham.value(0, X, np.zeros_like(X))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 2, 2, 2), (0, 0, 0)])
+def test_hamiltonian_refuses_q_that_is_not_a_stack(shape):
+    # a (2, 2) Q once reached einsum and failed there
+    with pytest.raises(NashError, match=r"\(N, N, N\) stack"):
+        HamiltonianFamily(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hamiltonian_refuses_non_finite_q(bad):
+    # a NaN entry once came back from value as a NaN Hamiltonian
+    Q = np.zeros((2, 2, 2))
+    Q[1, 0, 1] = bad
+    with pytest.raises(NashError, match="Q must be finite"):
+        HamiltonianFamily(Q, kappa=1.0)
+
+
 # ---------------------------------------------------------------------------
 # sweep assembly
 
@@ -773,11 +798,11 @@ def _triple_norm_by_definition(game, fields):
 
 
 @st.composite
-def _norm_inputs(draw):
+def _norm_inputs(draw, max_times=4):
     N = draw(st.integers(1, 4))
     M = draw(st.sampled_from([5, 7, 9, 11]))
     game = mini_game(N=N, M=M, L=2.0, T=0.1, dt=0.01)
-    n_times = draw(st.integers(1, 4))
+    n_times = draw(st.integers(1, max_times))
     seed = draw(st.integers(0, 2 ** 16))
     if draw(st.booleans()):
         fields = [Field(f.grid, f.times[:n_times], f.values[:n_times])
@@ -799,6 +824,47 @@ def test_triple_norm_equals_space_norm_definition(inputs):
     assert triple_norm(game, fields) == _triple_norm_by_definition(game, fields)
 
 
+@st.composite
+def _blocked_norm_inputs(draw):
+    """_norm_inputs on up to 7 time nodes and a block of 1 to 4 slices plus
+    a remainder, so that several blocks occur and the last can be ragged."""
+    game, fields = draw(_norm_inputs(max_times=7))
+    size = fields[0].values[0].nbytes
+    return game, fields, (draw(st.integers(1, 4)) * size
+                          + draw(st.integers(0, size - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_blocked_norm_inputs())
+def test_triple_norm_in_blocks_equals_definition(inputs):
+    game, fields, block = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holder, "_BLOCK_BYTES", block)
+        value = triple_norm(game, fields)
+    assert value == _triple_norm_by_definition(game, fields)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("n_times, rows", [(1, 1), (2, 1), (3, 2), (5, 2),
+                                           (7, 3), (7, 4)])
+def test_blocked_norm_equals_definition_on_rough_fields(N, n_times, rows,
+                                                         monkeypatch):
+    # seeded noise on uneven time steps, walked in blocks of `rows` slices:
+    # every term that a skip, the carried slice or a block's time steps can
+    # spoil is near the running max here (see the next tests)
+    game = mini_game(N=N, M=7, L=2.0, T=0.1, dt=0.01)
+    monkeypatch.setattr(holder, "_BLOCK_BYTES",
+                        rows * 8 * game.grid.M ** N + 5)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+        fields = [Field(game.grid, times,
+                        rng.normal(size=(n_times,) + game.grid.shape))
+                  for _ in range(N)]
+        assert triple_norm(game, fields) == \
+            _triple_norm_by_definition(game, fields)
+
+
 @pytest.mark.parametrize("N", [2, 4])
 def test_triple_norm_equals_definition_on_iterate_differences(N):
     # probe-field differences on the full time grid, like a sweep increment
@@ -811,16 +877,19 @@ def test_triple_norm_equals_definition_on_iterate_differences(N):
 
 
 def _count_seminorms(monkeypatch):
-    """Patch holder._axis_seminorm to count its calls by gamma."""
+    """Patch holder._axis_seminorm to count its calls and the bytes it
+    reduces, by gamma."""
     calls = {1.0: 0, 0.0: 0}
+    nbytes = {1.0: 0, 0.0: 0}
     inner = holder._axis_seminorm
 
     def counted(values, h, gamma):
         calls[gamma] += 1
+        nbytes[gamma] += values.nbytes
         return inner(values, h, gamma)
 
     monkeypatch.setattr(holder, "_axis_seminorm", counted)
-    return calls
+    return calls, nbytes
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -842,14 +911,19 @@ def test_pruned_norm_equals_definition_on_rough_fields(N):
 
 
 def test_pruned_norm_skips_seminorms_on_increments(monkeypatch):
-    # an unpruned kernel makes one gamma = 1 and one gamma = 0 seminorm for
-    # each of the 10 second derivatives at N = 4, per player
+    # an unpruned kernel reduces a gamma = 1 and a gamma = 0 seminorm over
+    # each of the 10 second derivatives at N = 4, per player: 2 * 10 * N
+    # field sizes (a quotient field is one slice shorter).  An N = 4, M = 11
+    # field is 6 blocks of 2 slices, and the calls grow with the blocks, so
+    # the bytes reduced are counted
     game = mini_game(N=4, M=11, L=2.0, T=0.1, dt=0.01)
     u, v = probe_fields(game, 0), probe_fields(game, 1)
     fields = [a - b for a, b in zip(u, v)]
-    calls = _count_seminorms(monkeypatch)
+    size = fields[0].values.nbytes
+    assert holder._BLOCK_BYTES < size
+    _, nbytes = _count_seminorms(monkeypatch)
     value = triple_norm(game, fields)
-    assert 0 < calls[1.0] + calls[0.0] < 2 * 10 * game.N
+    assert 0 < nbytes[1.0] + nbytes[0.0] < 2 * 10 * game.N * size
     monkeypatch.undo()
     assert value == _triple_norm_by_definition(game, fields)
 
@@ -874,7 +948,7 @@ def test_pruned_norm_skips_a_bound_that_ties_the_running_max(monkeypatch):
     assert np.array_equal(d22, np.moveaxis(d00, 1, 3))
     h, w = game.grid.h, game.player_weight(1).value(0)
     assert holder._axis_seminorm(d00, h, 1.0) / w == 2.0 / h / w
-    calls = _count_seminorms(monkeypatch)
+    calls, _ = _count_seminorms(monkeypatch)
     value = triple_norm(game, fields)
     assert calls == {1.0: 1, 0.0: 1}
     monkeypatch.undo()
@@ -912,6 +986,28 @@ def test_triple_norm_peak_memory_is_a_few_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * u[0].values.nbytes
+
+
+def test_residual_and_norm_peak_memory_is_a_few_blocks():
+    # both walk the time axis in blocks: at N = 2, M = 101 a slice is
+    # 81.6 kB, so a block holds 3 slices and the 41-node field 13.7 blocks.
+    # residual peaks at 7.7 blocks (the meshgrid, each player's block
+    # derivatives and terms) and triple_norm at 8.4 (a block's path of
+    # parents, its quotients, the carried slices and a re-derived range);
+    # whole-field derivatives peaked at 6.9 field sizes in residual and 3.1
+    # in the norm, and one whole-field temporary fails the bound
+    game = mini_game(N=2, M=101, L=4.0, T=0.4, dt=0.01)
+    u = probe_fields(game, 0)
+    block = holder._BLOCK_BYTES // u[0].values[0].nbytes * u[0].values[0].nbytes
+    assert u[0].values.nbytes > 13 * block
+    for diagnostic in (residual, triple_norm):
+        tracemalloc.start()
+        try:
+            diagnostic(game, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * block
 
 
 def test_triple_norm_of_a_generator_equals_the_list():
@@ -1166,6 +1262,64 @@ def test_residual_on_shared_families_matches_first_form(N, M, kind):
     game = mini_game(N=N, M=M, kappa=None if kind == "lq" else 1.5)
     u = probe_fields(game, seed=N, scale=0.5)
     assert residual(game, u) == _residual_first_form(game, u)
+
+
+@pytest.mark.parametrize("N, M, kind", [
+    pytest.param(1, 21, "lq", id="1-21-lq"),
+    pytest.param(2, 9, "saturated", id="2-9-saturated"),
+    pytest.param(3, 7, "lq", id="3-7-lq"),
+])
+@pytest.mark.parametrize("spacing", ["uniform", "uneven"])
+@pytest.mark.parametrize("n_times", [3, 4, 7])
+def test_residual_in_blocks_matches_whole_field(N, M, kind, spacing, n_times,
+                                                monkeypatch):
+    # blocks of 1 to 4 slices against the whole-field first form, the last
+    # block ragged where they do not divide the time nodes; u_t takes
+    # np.gradient's scalar-step formulas when every step is equal (0.375
+    # exactly, not a power of two, so the two formulas differ in their last
+    # bits) and its per-node ones otherwise
+    game = mini_game(N=N, M=M, kappa=None if kind == "lq" else 1.5)
+    rng = np.random.default_rng(n_times)
+    if spacing == "uniform":
+        times = 0.375 * np.arange(n_times)
+    else:
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+    steps = np.diff(times)
+    assert bool((steps == steps[0]).all()) is (spacing == "uniform")
+    u = [Field(game.grid, times,
+               rng.normal(size=(n_times,) + game.grid.shape))
+         for _ in range(N)]
+    whole = _residual_first_form(game, u)
+    for rows in (1, 2, 3, 4):
+        monkeypatch.setattr(holder, "_BLOCK_BYTES",
+                            rows * u[0].values[0].nbytes + 3)
+        assert residual(game, u) == whole
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "uneven"])
+def test_residual_in_blocks_keeps_the_bits_of_u_t(spacing, monkeypatch):
+    # u(t, x) = g(t) on the zero game: every interior spatial derivative
+    # and H is 0, so the residual is max_k |u_t(t_k)|, and a last-bit
+    # change of the time stencil, which the sums of the general case can
+    # round away, shows.  g is steepest near node k, which puts the max on
+    # nodes 0, 2, 3, 4 and 6 at least, in blocks of every size
+    game = zero_game(N=1, M=21)
+    rng = np.random.default_rng(3)
+    times = (0.375 * np.arange(7) if spacing == "uniform"
+             else np.cumsum(rng.uniform(0.05, 0.4, 7)))
+    maxima = set()
+    for k in range(7):
+        g = (5 * np.tanh((times - times[k]) / 0.03)
+             + 0.01 * rng.normal(size=7))
+        u = [Field(game.grid, times, np.broadcast_to(
+            g[:, None], (7,) + game.grid.shape).copy())]
+        u_t = np.abs(np.gradient(g, times, edge_order=2))
+        maxima.add(int(np.argmax(u_t)))
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(holder, "_BLOCK_BYTES",
+                                rows * u[0].values[0].nbytes)
+            assert residual(game, u) == [float(u_t.max())]
+    assert maxima >= {0, 2, 3, 4, 6}
 
 
 # ---------------------------------------------------------------------------

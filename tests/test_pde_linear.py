@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -810,29 +811,63 @@ def test_verify_decay_checks_the_second_order_quotient(A, overflows):
         assert rep.time_lip_hess > 1e307
 
 
+def _crop_streams(w, collar, rows, monkeypatch):
+    """(report, streamed block shapes) of each verify_decay order on w, in
+    blocks of `rows` cropped slices (None: the default block size)."""
+    shapes, out = [], []
+    real = holder.derivatives
+    monkeypatch.setattr(holder, "derivatives", lambda values, h, m: (
+        shapes.append(values.shape) or real(values, h, m)))
+    g = int(round(collar * w.grid.M))
+    for third in (False, True):
+        m = 3 if third else 2
+        crop = (w.grid.M - 2 * (g - m),) * w.grid.N
+        if rows is not None:
+            monkeypatch.setattr(holder, "_BLOCK_BYTES",
+                                rows * 8 * math.prod(crop) + 7)
+        rep = verify_decay(w, BETA, collar=collar, third_order=third)
+        out.append((rep, third, crop, list(shapes)))
+        shapes.clear()
+    return out
+
+
 @pytest.mark.parametrize("N, M, collar", [(1, 41, 0.2), (2, 21, 0.25),
                                           (3, 25, 0.2)])
 def test_verify_decay_crop_matches_first_form(N, M, collar, monkeypatch):
     # the collar holds at least m = 3 nodes, so the stream runs on the
     # interior plus an m-node halo, yet the report is the whole grid's;
-    # it streams each of the 4 time slices once, on its own
+    # it streams each of the 4 time slices once, in blocks of the default
+    # size: one block, but blocks of 3 and 1 for the third order at N = 3
     rng = np.random.default_rng(N)
     times = np.cumsum(rng.uniform(0.01, 0.1, 4))
     w = Field(SpatialGrid(N, 2.0, M), times,
               rng.normal(size=(4,) + (M,) * N))
-    shapes = []
-    real = pde_linear.derivatives
-    monkeypatch.setattr(pde_linear, "derivatives", lambda values, h, m: (
-        shapes.append(values.shape) or real(values, h, m)))
-    g = int(round(collar * M))
-    for third in (False, True):
-        rep = verify_decay(w, BETA, collar=collar, third_order=third)
+    for rep, third, crop, shapes in _crop_streams(w, collar, None,
+                                                  monkeypatch):
         assert dataclasses.astuple(rep) == _verify_decay_first_form(
             w, BETA, collar, third)
-        m = 3 if third else 2
-        assert {s[1:] for s in shapes} == {(M - 2 * (g - m),) * N}
-        assert [s[0] for s in shapes] == [1] * 4
-        shapes.clear()
+        assert {s[1:] for s in shapes} == {crop}
+        r = max(1, holder._BLOCK_BYTES // (8 * math.prod(crop)))
+        assert [s[0] for s in shapes] == [min(r, 4 - t)
+                                          for t in range(0, 4, r)]
+
+
+@pytest.mark.parametrize("N, M, collar", [(1, 41, 0.2), (2, 21, 0.25),
+                                          (3, 25, 0.2)])
+@pytest.mark.parametrize("rows, blocks", [(1, [1, 1, 1, 1]), (3, [3, 1])])
+def test_verify_decay_in_blocks_matches_first_form(N, M, collar, rows, blocks,
+                                                   monkeypatch):
+    # blocks of one slice and of three (the last one ragged): each
+    # block's first time pair is formed from the carried slice
+    rng = np.random.default_rng(N)
+    times = np.cumsum(rng.uniform(0.01, 0.1, 4))
+    w = Field(SpatialGrid(N, 2.0, M), times,
+              rng.normal(size=(4,) + (M,) * N))
+    for rep, third, crop, shapes in _crop_streams(w, collar, rows,
+                                                  monkeypatch):
+        assert dataclasses.astuple(rep) == _verify_decay_first_form(
+            w, BETA, collar, third)
+        assert shapes == [(b,) + crop for b in blocks]
 
 
 @pytest.mark.parametrize("outer", [False, True])
