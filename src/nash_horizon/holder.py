@@ -60,11 +60,11 @@ __all__ = [
 MAX_NODES = 2 ** 24
 
 # _axis_seminorm, _walk (nash.triple_norm, pde_linear.verify_decay),
-# nash.residual and pde_linear.fpk_gradient_mass work on blocks of this many
-# bytes of time slices (at least one slice), so their temporaries stay in
-# cache and none is a whole field: the block is set in bytes (a fixed slice
-# count made N = 2 slower), so it holds one N = 3, M = 49 slice, three
-# N = 2, M = 101 slices and dozens at N = 1
+# nash.residual and pde_linear.fpk_gradient_mass take their blocks of time
+# slices from _block_rows: this many bytes (at least one slice), so their
+# temporaries stay in cache and none is a whole field: the block is set in
+# bytes (a fixed slice count made N = 2 slower), so it holds one N = 3,
+# M = 49 slice, three N = 2, M = 101 slices and dozens at N = 1
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -222,19 +222,24 @@ def _descend(d: np.ndarray, h: float, m: int, alpha: tuple):
             yield from _descend(_partial(d, h, c), h, m, alpha + (c,))
 
 
+def _block_rows(slice_nbytes: int) -> int:
+    """Time slices in a block of _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // slice_nbytes)
+
+
 def _walk(values: np.ndarray, h: float, m: int, crop: tuple = (),
           inner: tuple = (), orders=range(3)):
-    """derivatives() over blocks of max(1, _BLOCK_BYTES // slice bytes)
-    time slices of the spatial crop: yields (alpha, D^alpha, interior, diff,
-    pairs, last) per block, interior D^alpha at the inner slices of the
-    crop, last whether the block is the final one.  For |alpha| in orders,
+    """derivatives() over blocks of _block_rows(slice bytes) time slices
+    of the spatial crop: yields (alpha, D^alpha, interior, diff, pairs,
+    last) per block, interior D^alpha at the inner slices of the crop, last
+    whether the block is the final one.  For |alpha| in orders,
     diff is the interior's raw time differences over the time pairs
     slice(pairs) (k, k + 1), the first formed from the carried last slice
     of the block before (None if there is no pair); the consumer may
     overwrite it.  Spatial derivatives are pointwise in time, so every
     value is the whole field's bit for bit."""
     n = values.shape[0]
-    rows = max(1, _BLOCK_BYTES // values[(slice(0, 1),) + crop].nbytes)
+    rows = _block_rows(values[(slice(0, 1),) + crop].nbytes)
     inner = (slice(None),) + inner
     carry = {}          # alpha -> the block before's last interior slice
     for t in range(0, n, rows):
@@ -247,8 +252,6 @@ def _walk(values: np.ndarray, h: float, m: int, crop: tuple = (),
             if len(a) in orders and pairs.stop > pairs.start:
                 if prev is None:
                     diff = np.subtract(body[1:], body[:-1])
-                elif len(body) == 1:    # in the carried slice's buffer
-                    diff = np.subtract(body, prev, out=prev)
                 else:
                     diff = np.empty(body.shape)
                     np.subtract(body[:1], prev, out=diff[:1])
@@ -264,18 +267,13 @@ def _walk(values: np.ndarray, h: float, m: int, crop: tuple = (),
 
 def _quotient_extremes(diff: np.ndarray, steps: np.ndarray) -> tuple:
     """_extremes(diff / steps), row r over steps[r] > 0, from each row's max
-    and min over its step: x -> x / dt is monotone, so with the same bits."""
-    if steps.size == 1:     # one-slice blocks: no per-row arrays
-        dt = float(steps[0])
-        hi, lo = float(diff.max()) / dt, float(diff.min()) / dt
-    else:
-        rows = diff.reshape(steps.size, -1)
-        hi = float((rows.max(axis=1) / steps).max())
-        lo = float((rows.min(axis=1) / steps).min())
-    s = abs(max(hi, -lo))
-    if not math.isfinite(s):
-        raise NonFiniteError("field contains non-finite values")
-    return s, hi, lo
+    and min over its step: x -> x / dt is monotone, so with the same bits.
+    An overflowing quotient comes back as an inf, for the caller to refuse
+    in its own terms."""
+    rows = diff.reshape(steps.size, -1)
+    hi = float((rows.max(axis=1) / steps).max())
+    lo = float((rows.min(axis=1) / steps).min())
+    return abs(max(hi, -lo)), hi, lo
 
 
 def _quotient_range(q: np.ndarray, steps: np.ndarray, h: float) -> float:
@@ -373,7 +371,7 @@ def _axis_seminorm(values: np.ndarray, h: float, gamma: float) -> float:
     an axis are one flat subtraction at its stride; the pairs that wrap past
     the end of a line are set to 0, which never raises a sup of absolute
     values (the inputs are finite)."""
-    rows = max(1, _BLOCK_BYTES // values[0].nbytes)
+    rows = _block_rows(values[0].nbytes)
     best = 0.0
     for t in range(0, values.shape[0], rows):
         block = values[t:t + rows]

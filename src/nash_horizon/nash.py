@@ -320,7 +320,7 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
     # alpha -> [weight, sup, quotient sup, the earlier blocks' (quotient
     # hi - lo, pairs) at |alpha| = 2]
     acc = {}
-    for a, d, _, q, pairs, last in holder._walk(values, h, 2):
+    for a, d, body, q, pairs, last in holder._walk(values, h, 2):
         k = len(a)
         st = acc.get(a)
         if st is None:
@@ -332,6 +332,8 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
             semi = max(semi, holder._axis_seminorm(d, h, 1.0) / weight)
         if q is not None:
             s, hi, lo = holder._quotient_extremes(q, steps[pairs])
+            if not math.isfinite(s):
+                raise NonFiniteError("field contains non-finite values")
             st[2] = max(st[2], s)
             if k == 2 and not last:
                 st[3].append((hi - lo, pairs))
@@ -350,7 +352,7 @@ def _player_norm(values: np.ndarray, times: np.ndarray, h: float,
                             q, steps[pairs], h) if p is None else
                             holder._rederived_range(values, steps, h, a, p))
                     lip_top = max(lip_top, (st[2] + top) / root)
-        del d, q
+        del d, body, q  # body is a view of d: not held while the next is made
         if last:
             sups[k].append(st[1] / weight)
             if lip and k < 2:
@@ -493,7 +495,7 @@ def residual(game: GameSpec, fields) -> list:
     steps = np.diff(times)
     # np.gradient's own test for one scalar spacing
     dx = steps[0] if (steps == steps[0]).all() else steps
-    rows = max(1, holder._BLOCK_BYTES // fields[0].values[0].nbytes)
+    rows = holder._block_rows(fields[0].values[0].nbytes)
     sups = [[] for _ in range(N)]
     for t in range(0, times.size, rows):
         blocks = [f.values[t:t + rows] for f in fields]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holder import (_BLOCK_BYTES, Field, NonFiniteError, SpatialGrid,
+from .holder import (Field, NonFiniteError, SpatialGrid, _block_rows,
                      _extremes, _quotient_extremes, _strided, _walk, sup_abs,
                      time_nodes)
 from .weights import multi_index_weight
@@ -422,7 +422,7 @@ def fpk_gradient_mass(result: FPKResult) -> GradientMassReport:
     N = f.grid.N
     elapsed = f.times - f.times[0]
     g = np.empty(f.times.size)
-    rows = max(1, _BLOCK_BYTES // f.values[0].nbytes)
+    rows = _block_rows(f.values[0].nbytes)
     buf = np.empty((min(rows, f.times.size),) + f.grid.shape)
     for s in range(0, f.times.size, rows):
         block = f.values[s:s + rows]
@@ -469,7 +469,8 @@ def verify_decay(w: Field, beta, collar: float = 0.1,
     derivatives are pointwise in time, so only the time quotients join
     slices, and the walk carries each |alpha| <= 2 derivative's last
     interior slice into the next block's pairs.  A quotient is reduced
-    before it is divided by its step (holder._quotient_extremes).
+    before it is divided by its step (holder._quotient_extremes); one that
+    overflows reaches _weighted as an inf.
 
     The stream runs over the interior plus a halo of m nodes per side, m the
     top order: a derivative spoils only its own axis's edge nodes, so every

@@ -972,6 +972,27 @@ def test_triple_norm_rejects_overflowing_derivative(bad):
             triple_norm(game, fields)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_triple_norm_rejects_overflowing_time_quotient(rows, monkeypatch):
+    # u = s_k A x_0, s_k = +-1, A = 1e306 on [-2, 2]: every derivative is
+    # finite, but the time differences 4A over dt = 0.01 pass the float
+    # range, in one block, in blocks of one slice (each pair carried) and
+    # in blocks of two
+    game = mini_game(N=2, M=11, L=2.0, T=0.1, dt=0.01)
+    if rows is not None:
+        monkeypatch.setattr(holder, "_BLOCK_BYTES",
+                            rows * 8 * game.grid.M ** 2 + 5)
+    s = (-1.0) ** np.arange(game.times.size)
+    X = game.grid.meshgrid()
+    vals = s[:, None, None] * 1e306 * X[0][None]
+    fields = [Field(game.grid, game.times, vals), probe_fields(game, 0)[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridError, match="non-finite"):
+            _triple_norm_by_definition(game, fields)
+        with pytest.raises(GridError, match="non-finite"):
+            triple_norm(game, fields)
+
+
 def test_triple_norm_peak_memory_is_a_few_fields():
     # the depth-first stream holds the path of parents (one first and one
     # second derivative), the derivative being made and its time quotient;
